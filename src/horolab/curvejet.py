@@ -1,5 +1,4 @@
-"""Jets, ordered-regularity frames, and wedge-derivative combinatorics for
-curves (0,1) -> R^n.
+"""Jets and ordered-regularity frames for curves (0,1) -> R^n.
 
 A curve carries an optional exact polynomial table; in that mode every jet
 and frame below is exact rational arithmetic.  Otherwise derivatives come
@@ -10,14 +9,14 @@ error estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import exact
-from .exact import Mat, Vec
+from .exact import Vec
 
 
 class CurveError(Exception):
@@ -474,34 +473,6 @@ def taylor_frame_remainder(curve: CurveSpec, s, k: int, h: float) -> np.ndarray:
     delta = curve.evaluate(float(s) + h) - curve.evaluate(float(s))
     resid = delta @ frame.b_inverse_floats() - frame.r_poly(h)
     return resid
-
-
-# -- wedge derivative expansion ------------------------------------------------------
-
-
-def wedge_expand(n: int, m: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """Expand the m-th derivative of the top wedge of derivative rows.
-
-    Terms are (j_1 < ... < j_n) index tuples with coefficient counts from
-    the product rule; colliding indices drop out by antisymmetry.  Every
-    term satisfies sum(j_k - k) = m and every coefficient is a positive
-    integer.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    terms: Dict[Tuple[int, ...], int] = {tuple(range(1, n + 1)): 1}
-    for _ in range(m):
-        nxt: Dict[Tuple[int, ...], int] = {}
-        for idx, coeff in terms.items():
-            for pos in range(n):
-                bumped = idx[:pos] + (idx[pos] + 1,) + idx[pos + 1 :]
-                if pos + 1 < n and bumped[pos] == bumped[pos + 1]:
-                    continue
-                nxt[bumped] = nxt.get(bumped, 0) + coeff
-        terms = nxt
-    return tuple(sorted(terms.items()))
 
 
 # -- regularity scanning --------------------------------------------------------------

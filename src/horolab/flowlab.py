@@ -5,8 +5,7 @@ r_1 >= ... >= r_n >= 0 and sum r_i = n t.  This module provides the
 schedule presets, the xi-coefficient decomposition of the flow direction,
 the (n0, uniform, k) classification, the equispaced Vandermonde constants,
 grid certification of expansion suprema, boundedness witnesses with their
-fixed-vector cross-check, the limiting-vector residual, and the
-operator-norm residual of the polynomial straightening of a curve orbit.
+fixed-vector cross-check, and the limiting-vector residual.
 
 Large exponents are kept in log space; matrix identities are evaluated in
 a conjugated form whose factors stay O(1) before any e^{t} scaling is
@@ -18,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import curvejet
 from .curvejet import CurveFrame, CurveSpec, ordered_regular_frame
 from .weightlab import (
     ModuleVector,
@@ -717,125 +715,6 @@ def qfixed_limit(
     return QFixedResult(
         t=float(t), eta=float(eta), n0=n0, kappa_n=kappa_n,
         residual=residual, flowed=flowed, limit=limit,
-    )
-
-
-# -- straightening residual ------------------------------------------------------------
-
-
-@dataclass
-class ApproxResult:
-    t: float
-    h: float
-    k: int
-    residual: float
-    vt_sup: float
-    exact_taylor: bool
-    rejected: bool = False
-    reason: str = ""
-
-
-_REMAINDER_PAD = 3
-
-
-def _straightening_tail(
-    curve: CurveSpec, frame: CurveFrame, s: float, h: float
-) -> np.ndarray:
-    """Row defect (phi(s+h) - phi(s)) B^{-1} - R(h), evaluated so that the
-    order-(k+1) cancellation is not lost to rounding.
-
-    Polynomial curves subtract exactly in rationals.  Curves with an
-    analytic derivative supplier use the remainder jets of orders k+1
-    onward instead of the catastrophically cancelling float difference.
-    Plain sampled curves fall back to the direct difference, whose noise
-    floor is the machine epsilon of phi amplified by B^{-1}.
-    """
-    n, k = frame.n, frame.k
-    if curve.poly is not None:
-        sq, hq = Q(s), Q(h)
-        delta = tuple(
-            a - b
-            for a, b in zip(curve.evaluate_exact(sq + hq), curve.evaluate_exact(sq))
-        )
-        from . import exact as _exact
-
-        row = _exact.matvec(_exact.transpose(frame.b_inverse), delta)
-        tail = tuple(rj - pj for rj, pj in zip(row, frame.r_poly_exact(hq)))
-        return np.array([float(x) for x in tail])
-    if curve.deriv_fn is not None:
-        jet_rows = curvejet.jet(curve, s, k + _REMAINDER_PAD)
-        b_inv = frame.b_inverse_floats()
-        tail = np.zeros(n)
-        for i in range(k + 1, k + _REMAINDER_PAD + 1):
-            row = jet_rows.derivative(i) / math.factorial(i)
-            tail += (row @ b_inv) * h ** i
-        return tail
-    delta = curve.evaluate(float(s) + h) - curve.evaluate(float(s))
-    return delta @ frame.b_inverse_floats() - frame.r_poly(h)
-
-
-def approx_residual(
-    curve: CurveSpec,
-    s: float,
-    schedule: FlowSchedule,
-    k: int,
-    t: float,
-    eta: float,
-    alpha: float = 1.0,
-) -> ApproxResult:
-    """Operator-norm defect of the polynomial straightening at scale t.
-
-    Evaluates || a_t u(phi(s+h)) [v_t^{-1} a_t u(R(h)) v u(phi(s))]^{-1} - I ||
-    with h = alpha e^{-t} eta, where v embeds the frame's triangular factor.
-    The product collapses to I + E_t v_t where E_t is the a_t-conjugated
-    Taylor defect, supported on the first row; that row is evaluated by
-    _straightening_tail and scaled in log space, so nothing overflows and
-    the conjugation gains no spurious rounding.  Also reports the sup
-    entry of v_t = a_t v a_t^{-1}, which stays bounded because the frame
-    factor is upper triangular against decreasing exponents.  Schedules
-    whose r_1 outruns k t - n t are rejected unless the frame's Taylor
-    expansion is exact (polynomial curve of degree <= k).
-    """
-    n = curve.n
-    if schedule.n != n:
-        raise ValueError("curve and schedule sizes disagree")
-    frame = ordered_regular_frame(curve, s, k)
-    exact_taylor = curve.poly is not None and all(
-        len(row) - 1 <= k for row in curve.poly
-    )
-    r = schedule.r(t)
-    cond = n * t + float(r[0]) - k * t
-    if cond > 1e-6 * max(1.0, t) and not exact_taylor:
-        return ApproxResult(
-            t=float(t), h=float("nan"), k=k, residual=float("nan"),
-            vt_sup=float("nan"), exact_taylor=exact_taylor, rejected=True,
-            reason=f"k={k} too small: n t + r_1 - k t = {cond:.3g} > 0",
-        )
-    h = alpha * math.exp(-t) * eta
-    tail = _straightening_tail(curve, frame, float(s), h)
-    d = schedule.exponents(t)
-    # first row of the conjugated defect: tail_j e^{d_0 - d_j}
-    scaled = np.zeros(n + 1)
-    for j in range(1, n + 1):
-        tf = float(tail[j - 1])
-        if tf != 0.0:
-            scaled[j] = math.copysign(
-                math.exp(math.log(abs(tf)) + d[0] - d[j]), tf
-            )
-    b_fwd = np.array([[float(x) for x in row] for row in frame.b_matrix])
-    v = np.eye(n + 1)
-    v[1:, 1:] = b_fwd
-    with np.errstate(over="ignore"):
-        grid = np.exp(np.subtract.outer(d, d))
-    v_t = np.where(v != 0.0, v * grid, 0.0)
-    residual = float(np.linalg.norm(scaled @ v_t, 2))
-    return ApproxResult(
-        t=float(t),
-        h=h,
-        k=k,
-        residual=residual,
-        vt_sup=float(np.max(np.abs(v_t))),
-        exact_taylor=exact_taylor,
     )
 
 

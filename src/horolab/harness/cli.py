@@ -27,13 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--seed", type=int, default=None, help="override the config seed"
     )
-    run_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count for independent cells (reserved; runs execute "
-        "sequentially for reproducibility)",
-    )
 
     report_p = sub.add_parser("report", help="digest a run artifact directory")
     report_p.add_argument("artifact_dir", help="directory produced by run")
@@ -60,8 +53,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         cfg = resolve_config(args.config)
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be a positive integer")
         if args.seed is not None:
             raw = dict(cfg.raw)
             raw["seed"] = args.seed
@@ -70,7 +61,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    outcome = run(cfg, args.out)
+    try:
+        outcome = run(cfg, args.out)
+    except FileExistsError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     status = {0: "all checks passed", 3: "check failure", 4: "budget exceeded"}
     print(
         f"artifact written to {outcome.artifact_dir} "

@@ -9,32 +9,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import jsonschema
 
-KINDS = (
-    "identity-suite",
-    "basic-lemma-fuzz",
-    "curve-frames",
-    "expansion-ladder",
-    "equidistribution",
-    "escape",
-    "dirichlet-scan",
-)
-
-VARIANTS: Dict[str, Tuple[str, ...]] = {
-    "identity-suite": (),
-    "basic-lemma-fuzz": ("parts", "sl2"),
-    "curve-frames": (),
-    "expansion-ladder": ("certification", "vandermonde", "bounded-fixed", "qfixed"),
-    "equidistribution": (),
-    "escape": (),
-    "dirichlet-scan": (),
-}
-
-STOCHASTIC_KINDS = (
-    "basic-lemma-fuzz",
-    "expansion-ladder",
-    "equidistribution",
-    "dirichlet-scan",
-)
+from .runner import EXPERIMENTS
 
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -42,7 +17,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": list(KINDS)},
+        "kind": {"enum": list(dict.fromkeys(e.kind for e in EXPERIMENTS))},
         "variant": {"type": "string"},
         "description": {"type": "string"},
         "n": {"type": "integer", "minimum": 1, "maximum": 6},
@@ -74,7 +49,6 @@ CONFIG_SCHEMA = {
             ]
         },
         "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": "string"},
         "test_hooks": {
             "type": "object",
             "additionalProperties": False,
@@ -109,7 +83,6 @@ class ExperimentConfig:
     interval: Optional[Tuple[float, float]]
     samples: Union[int, Dict[str, int], None]
     seed: Optional[int]
-    out: Optional[str]
     description: str
     test_hooks: TestHooks
     raw: Dict = field(repr=False)
@@ -118,8 +91,9 @@ class ExperimentConfig:
 def validate_config(raw: Dict) -> ExperimentConfig:
     """Schema-check a raw mapping and normalise it.
 
-    Unknown keys, bad types, unknown variants, and a missing seed on a
-    stochastic kind are all rejected with a diagnostic message.
+    Unknown keys, bad types, unknown variants, a missing seed on a
+    stochastic experiment and a sample count the experiment does not read
+    are all rejected with a diagnostic message.
     """
     try:
         jsonschema.validate(raw, CONFIG_SCHEMA)
@@ -128,16 +102,30 @@ def validate_config(raw: Dict) -> ExperimentConfig:
         raise ConfigError(f"config rejected at {path}: {exc.message}") from exc
 
     kind = raw["kind"]
-    allowed = VARIANTS[kind]
-    variant = raw.get("variant", allowed[0] if allowed else "")
-    if allowed and variant not in allowed:
-        raise ConfigError(
-            f"config rejected at variant: {variant!r} is not one of {sorted(allowed)}"
-        )
-    if not allowed and "variant" in raw:
+    candidates = [e for e in EXPERIMENTS if e.kind == kind]
+    if candidates[0].variant == "" and "variant" in raw:
         raise ConfigError(f"config rejected at variant: {kind} takes no variant")
-    if kind in STOCHASTIC_KINDS and "seed" not in raw:
-        raise ConfigError(f"config rejected at seed: mandatory for kind {kind}")
+    variant = raw.get("variant", candidates[0].variant)
+    matches = [e for e in candidates if e.variant == variant]
+    if not matches:
+        allowed = sorted(e.variant for e in candidates)
+        raise ConfigError(
+            f"config rejected at variant: {variant!r} is not one of {allowed}"
+        )
+    exp = matches[0]
+    name = f"{kind}/{variant}" if variant else kind
+    if exp.stochastic and "seed" not in raw:
+        raise ConfigError(f"config rejected at seed: mandatory for {name}")
+    samples = raw.get("samples")
+    if samples is not None and not exp.samples:
+        raise ConfigError(f"config rejected at samples: {name} reads no samples")
+    if isinstance(samples, dict):
+        unknown = sorted(set(samples) - set(exp.samples))
+        if unknown:
+            raise ConfigError(
+                f"config rejected at samples: unknown key(s) {unknown}; "
+                f"{name} reads {sorted(exp.samples)}"
+            )
 
     interval = raw.get("interval")
     return ExperimentConfig(
@@ -151,7 +139,6 @@ def validate_config(raw: Dict) -> ExperimentConfig:
         interval=(float(interval[0]), float(interval[1])) if interval else None,
         samples=raw.get("samples"),
         seed=raw.get("seed"),
-        out=raw.get("out"),
         description=raw.get("description", ""),
         test_hooks=TestHooks(**raw.get("test_hooks", {})),
         raw=dict(raw),

@@ -1,4 +1,5 @@
-"""Experiment orchestration: dispatch, artifacts, and pass/fail summaries.
+"""Experiment orchestration: the experiment registry, artifacts, and pass/fail
+summaries.
 
 Every run writes a manifest (config echo, code version, seed), one or more
 CSV tables, and a summary keyed by check identifiers.  All randomness flows
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -34,33 +35,21 @@ from ..weightlab import (
     sl2_maxweight_check,
     vector,
 )
-from .config import ExperimentConfig
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 Row = List[object]
 Table = Tuple[str, List[str], List[Row]]
+Samples = Mapping[str, int]
 
 _SCAN_MU = 0.3
 _SCAN_PREFIX = tuple((2**k, 2**k) for k in range(1, 9))
 _GOLDEN_ETA = (math.sqrt(5.0) - 1.0) / 2.0
 
-ANCHORS = {
-    "acceptance-01": "exact operator identities",
-    "acceptance-02": "index-set and fixed-subgroup fuzz",
-    "acceptance-03": "rank-one top-level inequality",
-    "acceptance-04": "polynomial floor constants",
-    "acceptance-05": "expansion floor certification",
-    "acceptance-06": "bounded growth vs fixed vectors",
-    "acceptance-07": "straightened-limit residuals",
-    "acceptance-08": "translate equidistribution consistency",
-    "acceptance-09": "escape-rate dichotomy",
-    "acceptance-10": "improvability witness suite",
-    "curve-frames": "curve frame regularity demo",
-}
-
 
 @dataclass
 class CheckResult:
-    check_id: str
     passed: bool
     detail: str
     counts: Dict[str, int] = field(default_factory=dict)
@@ -69,19 +58,14 @@ class CheckResult:
     budget_exceeded: bool = False
 
 
+Result = Tuple[List[Table], CheckResult]
+
+
 @dataclass
 class RunOutcome:
     exit_code: int
     artifact_dir: Path
     summary: Dict
-
-
-def _sample_count(cfg: ExperimentConfig, key: str, default: int) -> int:
-    if isinstance(cfg.samples, int):
-        return cfg.samples
-    if isinstance(cfg.samples, dict):
-        return int(cfg.samples.get(key, default))
-    return default
 
 
 def _random_rational(rng, lo: int = -9, hi: int = 9, max_den: int = 4,
@@ -93,10 +77,10 @@ def _random_rational(rng, lo: int = -9, hi: int = 9, max_den: int = 4,
         return Q(num, int(rng.integers(1, max_den + 1)))
 
 
-# -- per-kind experiment bodies ---------------------------------------------------------
+# -- experiment bodies ------------------------------------------------------------------
 
 
-def _run_identity_suite(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
+def _run_identity_suite(cfg: ExperimentConfig, samples: Samples) -> Result:
     n_max = cfg.n or 4
     rows: List[Row] = []
     passed = 0
@@ -108,12 +92,11 @@ def _run_identity_suite(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckR
             total += 1
             passed += int(item.passed)
     check = CheckResult(
-        check_id="acceptance-01",
         passed=passed == total,
         detail=f"{passed}/{total} identities exact for n=1..{n_max}",
         counts={"passed": passed, "total": total},
     )
-    return [("identities.csv", ["n", "identity", "passed", "detail"], rows)], [check]
+    return [("identities.csv", ["n", "identity", "passed", "detail"], rows)], check
 
 
 def _random_eigenvector(module, rng):
@@ -130,10 +113,10 @@ def _random_eigenvector(module, rng):
     return vector(module, coords), level
 
 
-def _run_lemma_parts(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
+def _run_lemma_parts(cfg: ExperimentConfig, samples: Samples) -> Result:
     n_max = cfg.n or 3
     kinds = cfg.modules or ("standard", "exterior(2)", "adjoint")
-    trials = _sample_count(cfg, "trials", 100)
+    trials = samples["trials"]
     corrupt = cfg.test_hooks.corrupt_sk_predicate
     rows: List[Row] = []
     failures: List[Dict] = []
@@ -141,8 +124,6 @@ def _run_lemma_parts(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResu
     good = 0
     for n in range(1, n_max + 1):
         for kind in kinds:
-            if kind == "exterior(2)" and n < 1:
-                continue
             module = build_module(kind, n)
             rng = SplitRNG(cfg.seed or 0).generator(f"lemma-fuzz-{kind}", n)
             for trial in range(trials):
@@ -181,7 +162,6 @@ def _run_lemma_parts(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResu
                         }
                     )
     check = CheckResult(
-        check_id="acceptance-02",
         passed=good == total,
         detail=f"{good}/{total} fuzz instances passed all parts",
         counts={"passed": good, "total": total},
@@ -189,13 +169,13 @@ def _run_lemma_parts(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResu
     )
     header = ["n", "module", "trial", "nonneg_levels", "top_set_nonempty",
               "full_set_nonempty", "equality_hypotheses"]
-    return [("fuzz.csv", header, rows)], [check]
+    return [("fuzz.csv", header, rows)], check
 
 
-def _run_sl2(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
+def _run_sl2(cfg: ExperimentConfig, samples: Samples) -> Result:
     n_max = cfg.n or 3
     kinds = cfg.modules or ("standard", "exterior(2)", "adjoint")
-    trials = _sample_count(cfg, "trials", 60)
+    trials = samples["trials"]
     rows: List[Row] = []
     failures: List[Dict] = []
     total = 0
@@ -243,7 +223,6 @@ def _run_sl2(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
     if equalities == 0:
         detail += " (equality branch never exercised)"
     check = CheckResult(
-        check_id="acceptance-03",
         passed=passed,
         detail=detail,
         counts={"passed": good, "total": total, "equalities": equalities},
@@ -251,12 +230,12 @@ def _run_sl2(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
     )
     header = ["n", "module", "slot", "r", "origin", "top_level_v",
               "top_level_translate", "equality", "passed"]
-    return [("sl2.csv", header, rows)], [check]
+    return [("sl2.csv", header, rows)], check
 
 
-def _run_vandermonde(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
+def _run_vandermonde(cfg: ExperimentConfig, samples: Samples) -> Result:
     interval = cfg.interval or (1.0, 2.0)
-    trials = _sample_count(cfg, "trials", 1000)
+    trials = samples["trials"]
     rng = SplitRNG(cfg.seed or 0).generator("vandermonde")
     grid = np.linspace(interval[0], interval[1], 1001)
     rows: List[Row] = []
@@ -286,7 +265,6 @@ def _run_vandermonde(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResu
         rows.append([d, repr(consts.certified), repr(consts.empirical),
                      formula_ok, trials, violations])
     check = CheckResult(
-        check_id="acceptance-04",
         passed=formula_ok_all and violations_all == 0,
         detail=(
             f"{violations_all} floor violations in {trials} polynomials per degree"
@@ -297,7 +275,7 @@ def _run_vandermonde(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResu
         failures=failures,
     )
     header = ["d", "certified", "empirical", "formula_ok", "trials", "violations"]
-    return [("vandermonde.csv", header, rows)], [check]
+    return [("vandermonde.csv", header, rows)], check
 
 
 def _certification_combos(n_values: Sequence[int]) -> List[Tuple[int, str]]:
@@ -309,9 +287,9 @@ def _certification_combos(n_values: Sequence[int]) -> List[Tuple[int, str]]:
     return combos
 
 
-def _run_certification(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
+def _run_certification(cfg: ExperimentConfig, samples: Samples) -> Result:
     t_values = cfg.t_ladder or (5.0, 10.0, 15.0, 20.0)
-    count = _sample_count(cfg, "vectors", 50)
+    count = samples["vectors"]
     kinds = cfg.modules or ("exterior(1)", "exterior(2)")
     rows: List[Row] = []
     failures: List[Dict] = []
@@ -366,7 +344,6 @@ def _run_certification(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckRe
                      "slope": repr(slope)}
                 )
     check = CheckResult(
-        check_id="acceptance-05",
         passed=ok_all,
         detail=f"{count} random unit vectors per cell; floors and slopes "
                f"{'hold' if ok_all else 'VIOLATED'}",
@@ -374,7 +351,7 @@ def _run_certification(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckRe
         failures=failures,
     )
     header = ["n", "schedule", "module", "t", "min_supremum", "floor", "passed"]
-    return [("expansion.csv", header, rows)], [check]
+    return [("expansion.csv", header, rows)], check
 
 
 _CURATED_WITNESSES = (
@@ -391,7 +368,7 @@ _CURATED_WITNESSES = (
 )
 
 
-def _run_bounded_fixed(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
+def _run_bounded_fixed(cfg: ExperimentConfig, samples: Samples) -> Result:
     frame = fl.moment_frame(2)
     rows: List[Row] = []
     failures: List[Dict] = []
@@ -417,7 +394,6 @@ def _run_bounded_fixed(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckRe
             )
     total = len(_CURATED_WITNESSES)
     check = CheckResult(
-        check_id="acceptance-06",
         passed=good == total,
         detail=f"{good}/{total} curated witnesses: growth verdict agrees with "
                f"the fixed-vector test",
@@ -426,10 +402,10 @@ def _run_bounded_fixed(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckRe
     )
     header = ["schedule", "module", "basis_index", "verdict", "fixed",
               "consistent", "passed"]
-    return [("bounded_fixed.csv", header, rows)], [check]
+    return [("bounded_fixed.csv", header, rows)], check
 
 
-def _run_qfixed(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
+def _run_qfixed(cfg: ExperimentConfig, samples: Samples) -> Result:
     t = (cfg.t_ladder or (20.0,))[-1]
     frame = fl.moment_frame(2)
     rows: List[Row] = []
@@ -461,7 +437,6 @@ def _run_qfixed(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
     if not closed_ok:
         failures.append({"closed_form_error": repr(closed_err)})
     check = CheckResult(
-        check_id="acceptance-07",
         passed=ok_all,
         detail=f"residuals at t={t} below 1e-6 and closed-form limit within "
                f"{closed_err:.2e}",
@@ -469,12 +444,12 @@ def _run_qfixed(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
         failures=failures,
     )
     header = ["schedule", "n0", "eta", "t", "residual", "passed"]
-    return [("qfixed.csv", header, rows)], [check]
+    return [("qfixed.csv", header, rows)], check
 
 
-def _run_equidistribution(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
+def _run_equidistribution(cfg: ExperimentConfig, samples: Samples) -> Result:
     n = cfg.n or 1
-    count = _sample_count(cfg, "count", 10_000)
+    count = samples["count"]
     t = (cfg.t_ladder or (8.0,))[-1]
     seed = cfg.seed or 0
     curve = CurveSpec.preset(cfg.curve or "moment", n=n)
@@ -497,7 +472,6 @@ def _run_equidistribution(cfg: ExperimentConfig) -> Tuple[List[Table], List[Chec
     ]
     passed = ks_pair < 0.05 and ks_oracle < 0.07
     check = CheckResult(
-        check_id="acceptance-08",
         passed=passed,
         detail=f"KS pair {ks_pair:.4f} (< 0.05), KS oracle {ks_oracle:.4f} (< 0.07)"
                f" at t={t}, {count} samples",
@@ -507,10 +481,10 @@ def _run_equidistribution(cfg: ExperimentConfig) -> Tuple[List[Table], List[Chec
     return [
         ("distributions.csv", ["series", "bin_lo", "bin_hi", "mass"], bin_rows),
         ("ks.csv", ["pair", "distance", "threshold", "passed"], ks_rows),
-    ], [check]
+    ], check
 
 
-def _run_escape(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
+def _run_escape(cfg: ExperimentConfig, samples: Samples) -> Result:
     ladder = cfg.t_ladder or tuple(float(t) for t in range(1, 21))
     sup = ll.escape_probe(ladder, eta=1.0, rate="super")
     crit = ll.escape_probe(ladder, eta=_GOLDEN_ETA, rate="critical")
@@ -527,14 +501,13 @@ def _run_escape(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
         crit_min = min(crit_min, row.value)
     passed = worst_rel <= 1e-12 and crit_min > 0.1
     check = CheckResult(
-        check_id="acceptance-09",
         passed=passed,
         detail=f"closed-form match {worst_rel:.2e} (<= 1e-12); critical floor "
                f"{crit_min:.4f} (> 0.1)",
         metrics={"closed_form_rel_err": worst_rel, "critical_floor": crit_min},
     )
     header = ["rate", "t", "value", "closed_form", "rel_err", "in_regime"]
-    return [("escape.csv", header, rows)], [check]
+    return [("escape.csv", header, rows)], check
 
 
 def _random_query(rng, mu_choices) -> di.DIQuery:
@@ -545,11 +518,11 @@ def _random_query(rng, mu_choices) -> di.DIQuery:
     return di.DIQuery("primal", xi, bounds, mu)
 
 
-def _run_dirichlet(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
+def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     seed = cfg.seed or 0
-    n_queries = _sample_count(cfg, "queries", 500)
-    n_mono = _sample_count(cfg, "monotonicity", 200)
-    s_grid = _sample_count(cfg, "grid", 200)
+    n_queries = samples["queries"]
+    n_mono = samples["monotonicity"]
+    s_grid = samples["grid"]
 
     query_rows: List[Row] = []
     failures: List[Dict] = []
@@ -624,7 +597,6 @@ def _run_dirichlet(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult
     passed = (agree == n_queries and complete == n_queries
               and monotone == n_mono and rbar_ok and scan_ok)
     check = CheckResult(
-        check_id="acceptance-10",
         passed=passed,
         detail=(
             f"equivalence {agree}/{n_queries}, completeness {complete}/{n_queries}, "
@@ -642,14 +614,14 @@ def _run_dirichlet(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult
     return [
         ("dirichlet_queries.csv", query_header, query_rows),
         ("dirichlet_scan.csv", scan_header, scan_rows),
-    ], [check]
+    ], check
 
 
-def _run_curve_frames(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckResult]]:
+def _run_curve_frames(cfg: ExperimentConfig, samples: Samples) -> Result:
     n = cfg.n or 2
     curve = CurveSpec.preset(cfg.curve or "trig", n=n)
     interval = cfg.interval or (0.1, 3.0)
-    grid = _sample_count(cfg, "grid", 120)
+    grid = samples["grid"]
     scan = regularity_scan(curve, interval, grid)
     rows: List[Row] = [
         ["failure", repr(s), f"first bad pivot {idx}"] for s, idx in scan.failures
@@ -664,42 +636,68 @@ def _run_curve_frames(cfg: ExperimentConfig) -> Tuple[List[Table], List[CheckRes
     for h, r in zip(ladder, rems):
         rows.append(["remainder", repr(h), repr(r)])
     check = CheckResult(
-        check_id="curve-frames",
         passed=decreasing,
         detail=f"{scan.checked} frames checked, {len(scan.failures)} failures; "
                f"remainder ladder {'decreases' if decreasing else 'STALLS'}",
         counts={"checked": scan.checked, "failures": len(scan.failures)},
     )
-    return [("curve_frames.csv", ["record", "where", "value"], rows)], [check]
+    return [("curve_frames.csv", ["record", "where", "value"], rows)], check
 
 
-_DISPATCH: Dict[Tuple[str, str], Callable] = {
-    ("identity-suite", ""): _run_identity_suite,
-    ("basic-lemma-fuzz", "parts"): _run_lemma_parts,
-    ("basic-lemma-fuzz", "sl2"): _run_sl2,
-    ("expansion-ladder", "vandermonde"): _run_vandermonde,
-    ("expansion-ladder", "certification"): _run_certification,
-    ("expansion-ladder", "bounded-fixed"): _run_bounded_fixed,
-    ("expansion-ladder", "qfixed"): _run_qfixed,
-    ("equidistribution", ""): _run_equidistribution,
-    ("escape", ""): _run_escape,
-    ("dirichlet-scan", ""): _run_dirichlet,
-    ("curve-frames", ""): _run_curve_frames,
-}
+# -- the experiment registry ------------------------------------------------------------
 
-CHECK_IDS: Dict[Tuple[str, str], str] = {
-    ("identity-suite", ""): "acceptance-01",
-    ("basic-lemma-fuzz", "parts"): "acceptance-02",
-    ("basic-lemma-fuzz", "sl2"): "acceptance-03",
-    ("expansion-ladder", "vandermonde"): "acceptance-04",
-    ("expansion-ladder", "certification"): "acceptance-05",
-    ("expansion-ladder", "bounded-fixed"): "acceptance-06",
-    ("expansion-ladder", "qfixed"): "acceptance-07",
-    ("equidistribution", ""): "acceptance-08",
-    ("escape", ""): "acceptance-09",
-    ("dirichlet-scan", ""): "acceptance-10",
-    ("curve-frames", ""): "curve-frames",
-}
+
+@dataclass(frozen=True)
+class Experiment:
+    """One harness experiment, described in one place.
+
+    A config selects it by ``kind`` and ``variant`` ("" when the kind has a
+    single experiment; otherwise the kind's first record is the default).
+    ``check_id`` keys its verdict in ``summary.json`` and ``anchor`` names
+    the claim it checks in reports.  A ``stochastic`` experiment draws from
+    the config seed, so a config for it must carry one.  ``samples`` maps
+    every sample-count key the body reads to its default.
+    """
+
+    kind: str
+    variant: str
+    check_id: str
+    anchor: str
+    stochastic: bool
+    samples: Samples
+    body: Callable[[ExperimentConfig, Samples], Result]
+
+
+EXPERIMENTS: Tuple[Experiment, ...] = (
+    Experiment("identity-suite", "", "acceptance-01",
+               "exact operator identities", False, {}, _run_identity_suite),
+    Experiment("basic-lemma-fuzz", "parts", "acceptance-02",
+               "index-set and fixed-subgroup fuzz", True, {"trials": 100},
+               _run_lemma_parts),
+    Experiment("basic-lemma-fuzz", "sl2", "acceptance-03",
+               "rank-one top-level inequality", True, {"trials": 60}, _run_sl2),
+    Experiment("expansion-ladder", "certification", "acceptance-05",
+               "expansion floor certification", True, {"vectors": 50},
+               _run_certification),
+    Experiment("expansion-ladder", "vandermonde", "acceptance-04",
+               "polynomial floor constants", True, {"trials": 1000},
+               _run_vandermonde),
+    Experiment("expansion-ladder", "bounded-fixed", "acceptance-06",
+               "bounded growth vs fixed vectors", False, {}, _run_bounded_fixed),
+    Experiment("expansion-ladder", "qfixed", "acceptance-07",
+               "straightened-limit residuals", False, {}, _run_qfixed),
+    Experiment("equidistribution", "", "acceptance-08",
+               "translate equidistribution consistency", True, {"count": 10_000},
+               _run_equidistribution),
+    Experiment("escape", "", "acceptance-09",
+               "escape-rate dichotomy", False, {}, _run_escape),
+    Experiment("dirichlet-scan", "", "acceptance-10",
+               "improvability witness suite", True,
+               {"queries": 500, "monotonicity": 200, "grid": 200}, _run_dirichlet),
+    Experiment("curve-frames", "", "curve-frames",
+               "curve frame regularity demo", False, {"grid": 120},
+               _run_curve_frames),
+)
 
 
 # -- artifact writing --------------------------------------------------------------------
@@ -729,26 +727,30 @@ def _write_json(path: Path, payload: Dict) -> None:
 def run(cfg: ExperimentConfig, out_dir) -> RunOutcome:
     """Execute one experiment and write its artifact directory.
 
-    Exit code 0 when every check passes, 3 on a check failure, 4 when a
+    Exit code 0 when the check passes, 3 on a check failure, 4 when a
     search budget was exceeded.  (Config rejection happens before run and
-    maps to exit 2 in the CLI.)
+    maps to exit 2 in the CLI.)  The directory must be new or empty, so an
+    artifact never mixes files from two runs; otherwise FileExistsError.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    body = _DISPATCH[(cfg.kind, cfg.variant)]
+    if any(out.iterdir()):
+        raise FileExistsError(
+            f"artifact directory {out} is not empty; pass a new or empty one"
+        )
+    exp = next(e for e in EXPERIMENTS if (e.kind, e.variant) == (cfg.kind, cfg.variant))
+    if isinstance(cfg.samples, int):
+        samples = {key: cfg.samples for key in exp.samples}
+    else:
+        samples = {**exp.samples, **(cfg.samples or {})}
 
     try:
-        tables, checks = body(cfg)
+        tables, check = exp.body(cfg, samples)
     except di.SearchBudgetError as exc:
         tables = []
-        checks = [
-            CheckResult(
-                check_id=CHECK_IDS[(cfg.kind, cfg.variant)],
-                passed=False,
-                detail=f"budget exceeded: {exc}",
-                budget_exceeded=True,
-            )
-        ]
+        check = CheckResult(
+            passed=False, detail=f"budget exceeded: {exc}", budget_exceeded=True
+        )
     for name, header, rows in tables:
         _write_csv(out / name, header, rows)
 
@@ -760,32 +762,28 @@ def run(cfg: ExperimentConfig, out_dir) -> RunOutcome:
     _write_json(out / "manifest.json", manifest)
 
     summary = {
-        "all_pass": all(c.passed for c in checks),
+        "all_pass": check.passed,
         "checks": {
-            c.check_id: {
-                "pass": c.passed,
-                "detail": c.detail,
-                "counts": c.counts,
-                "metrics": c.metrics,
-                "budget_exceeded": c.budget_exceeded,
+            exp.check_id: {
+                "pass": check.passed,
+                "detail": check.detail,
+                "counts": check.counts,
+                "metrics": check.metrics,
+                "budget_exceeded": check.budget_exceeded,
             }
-            for c in checks
         },
     }
     _write_json(out / "summary.json", summary)
 
-    failures = [
-        {"check": c.check_id, "instances": c.failures}
-        for c in checks
-        if c.failures
-    ]
-    if failures:
-        _write_json(out / "failures.json", {"failures": failures})
+    if check.failures:
+        _write_json(
+            out / "failures.json",
+            {"failures": [{"check": exp.check_id, "instances": check.failures}]},
+        )
 
-    budget = any(c.budget_exceeded for c in checks)
-    if budget:
+    if check.budget_exceeded:
         code = 4
-    elif not summary["all_pass"]:
+    elif not check.passed:
         code = 3
     else:
         code = 0
@@ -817,9 +815,10 @@ def report(artifact_dir) -> str:
     items = sorted(
         summary["checks"].items(), key=lambda kv: (kv[1]["pass"], kv[0])
     )
+    anchors = {e.check_id: e.anchor for e in EXPERIMENTS}
     for check_id, entry in items:
         mark = "ok " if entry["pass"] else "FAIL"
-        anchor = ANCHORS.get(check_id, check_id)
+        anchor = anchors.get(check_id, check_id)
         lines.append(f"[{mark}] {check_id}: {anchor}: {entry['detail']}")
 
     identities = out / "identities.csv"

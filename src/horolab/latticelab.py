@@ -9,7 +9,7 @@ Fractions and only the final lengths are floated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 

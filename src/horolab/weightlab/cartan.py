@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,3 @@ def h_last_row(n: int) -> Tuple[Q, ...]:
     """diag(1, ..., 1, -n); its ad-eigenvalue is -(n+1) exactly on the
     bottom row positions and nonnegative everywhere else."""
     return tuple(Q(1) for _ in range(n)) + (Q(-n),)
-
-
-def check_traceless(h_diag: Iterable) -> None:
-    if sum(Q(x) for x in h_diag) != 0:
-        raise ValueError("diagonal element must be traceless")

@@ -7,7 +7,7 @@ convention is 0-based with slot 0 the distinguished first coordinate.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .. import exact
 from ..exact import Mat

@@ -24,7 +24,7 @@ from .groups import (
     u_top,
     upper_ones,
 )
-from .modules import ModuleVector, WeightModule, act, build_module, vector
+from .modules import ModuleVector, act, build_module, vector
 
 
 @dataclass

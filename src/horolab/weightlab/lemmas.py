@@ -11,7 +11,7 @@ action, never inferred.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -26,7 +26,6 @@ from .modules import (
     WeightModule,
     act,
     act_algebra,
-    weight_component,
     weight_support,
 )
 

@@ -12,13 +12,13 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import exact
 from ..exact import Mat, Vec
-from .cartan import Weight, h_block
+from .cartan import Weight
 
 _EXTERIOR_RE = re.compile(r"^exterior\((\d+)\)$")
 _TENSOR_RE = re.compile(r"^tensor\(([^,]+),([^,]+)\)$")
@@ -364,33 +364,7 @@ def act_algebra(x: Mat, v: ModuleVector) -> ModuleVector:
     return ModuleVector(v.module, exact.matvec(rho, v.coords))
 
 
-def act_diag_flow(h_diag: Sequence, v: ModuleVector, t: float = 1.0) -> np.ndarray:
-    """Apply exp(t * diag(h)) in float arithmetic through the weights.
-
-    Diagonal elements act on the weight basis by scalars, so this needs no
-    matrix exponential: coordinate at weight w scales by exp(t * w(h)).
-    """
-    scales = np.exp(
-        t * np.array([float(w.evaluate(h_diag)) for w in v.module.weights])
-    )
-    return scales * v.to_floats()
-
-
-def act_exp_diag_exact(h_diag: Sequence, v: ModuleVector) -> ModuleVector:
-    """Apply exp(diag(h)) when every weight value makes exp rational.
-
-    Intended for integer diagonals after substituting exp(1) -> a rational
-    placeholder is NOT done here; instead this accepts diagonals whose
-    weight values are all zero on the support (the only case where exp acts
-    rationally for arbitrary vectors).  Raises otherwise.
-    """
-    vals = [w.evaluate(h_diag) for w, c in zip(v.module.weights, v.coords) if c != 0]
-    if any(val != 0 for val in vals):
-        raise ValueError("exp of this diagonal does not act rationally here")
-    return v
-
-
-# -- support and grading -------------------------------------------------------
+# -- support -------------------------------------------------------------------
 
 
 def weight_support(v: ModuleVector) -> Tuple[Weight, ...]:
@@ -400,38 +374,3 @@ def weight_support(v: ModuleVector) -> Tuple[Weight, ...]:
         if c != 0:
             seen[w.coeffs] = w
     return tuple(seen[key] for key in sorted(seen))
-
-
-def support_indices(v: ModuleVector) -> Tuple[int, ...]:
-    return tuple(i for i, c in enumerate(v.coords) if c != 0)
-
-
-def weight_component(v: ModuleVector, w: Weight) -> ModuleVector:
-    coords = tuple(
-        c if mw.coeffs == w.coeffs else Q(0)
-        for c, mw in zip(v.coords, v.module.weights)
-    )
-    return ModuleVector(v.module, coords)
-
-
-def grade_by_h_block(v: ModuleVector, n0: int) -> Tuple[ModuleVector, ModuleVector, ModuleVector]:
-    """Split v into (expanding, fixed, contracting) parts for the one
-    parameter flow through the block element of size n0.
-
-    A coordinate sits in the expanding part when its weight is positive on
-    h_block(n, n0), in the fixed part at zero, contracting at negative.
-    """
-    h = h_block(v.module.n, n0)
-    plus = []
-    zero = []
-    minus = []
-    for c, w in zip(v.coords, v.module.weights):
-        val = w.evaluate(h)
-        plus.append(c if val > 0 else Q(0))
-        zero.append(c if val == 0 else Q(0))
-        minus.append(c if val < 0 else Q(0))
-    return (
-        ModuleVector(v.module, tuple(plus)),
-        ModuleVector(v.module, tuple(zero)),
-        ModuleVector(v.module, tuple(minus)),
-    )

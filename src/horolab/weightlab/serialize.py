@@ -59,7 +59,3 @@ def _key_str(key: Any) -> str:
 def vector_from_json(data: Dict[str, Any]) -> ModuleVector:
     mod = build_module(data["module"]["kind"], data["module"]["n"])
     return ModuleVector(mod, tuple(str_to_q(c) for c in data["coords"]))
-
-
-def weight_from_json(data: Dict[str, Any]) -> Weight:
-    return Weight(tuple(str_to_q(c) for c in data["weight"]))

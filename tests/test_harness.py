@@ -1,5 +1,6 @@
 """Config validation, artifact layout, reruns, and the CLI surface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -35,6 +36,13 @@ def test_good_config_normalises():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="extra"):
         validate_config({**GOOD, "extra": True})
+    with pytest.raises(ConfigError, match="out"):
+        validate_config({**GOOD, "out": "artifacts"})
+    with pytest.raises(ConfigError, match="query"):
+        validate_config({"kind": "dirichlet-scan", "seed": 1,
+                         "samples": {"query": 10}})
+    with pytest.raises(ConfigError, match="reads no samples"):
+        validate_config({"kind": "escape", "samples": 3})
 
 
 def test_unknown_kind_rejected():
@@ -46,8 +54,11 @@ def test_seed_mandatory_for_stochastic_kinds():
     bad = {k: v for k, v in GOOD.items() if k != "seed"}
     with pytest.raises(ConfigError, match="seed"):
         validate_config(bad)
-    # deterministic kinds do not need one
+    # deterministic experiments do not need one
     validate_config({"kind": "identity-suite", "n": 2})
+    validate_config({"kind": "expansion-ladder", "variant": "qfixed"})
+    with pytest.raises(ConfigError, match="seed"):
+        validate_config({"kind": "expansion-ladder", "variant": "vandermonde"})
 
 
 def test_variant_must_match_kind():
@@ -60,6 +71,8 @@ def test_variant_must_match_kind():
 def test_variant_defaults_to_first_allowed():
     cfg = validate_config({k: v for k, v in GOOD.items() if k != "variant"})
     assert cfg.variant == "parts"
+    cfg = validate_config({"kind": "expansion-ladder", "seed": 1})
+    assert cfg.variant == "certification"
 
 
 def test_load_config_diagnostics(tmp_path):
@@ -76,9 +89,12 @@ def test_all_presets_validate():
     names = [name for name, _ in list_presets()]
     assert len(names) == 11
     assert "acceptance-01" in names and "curve-frames-demo" in names
+    pairs = set()
     for name in names:
         cfg = resolve_config(name)
-        assert cfg.kind
+        pairs.add((cfg.kind, cfg.variant))
+    # every registered experiment ships a preset, and no preset is orphaned
+    assert pairs == {(e.kind, e.variant) for e in runner.EXPERIMENTS}
 
 
 # -- run artifacts --------------------------------------------------------------
@@ -117,10 +133,14 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_budget_exhaustion_exit_code(tmp_path, monkeypatch):
-    def explode(cfg):
+    def explode(cfg, samples):
         raise SearchBudgetError("grid too large for the configured budget")
 
-    monkeypatch.setitem(runner._DISPATCH, ("identity-suite", ""), explode)
+    patched = tuple(
+        dataclasses.replace(e, body=explode) if e.kind == "identity-suite" else e
+        for e in runner.EXPERIMENTS
+    )
+    monkeypatch.setattr(runner, "EXPERIMENTS", patched)
     out = run(resolve_config("acceptance-01"), tmp_path / "b")
     assert out.exit_code == 4
     assert out.summary["checks"]["acceptance-01"]["budget_exceeded"]
@@ -169,6 +189,21 @@ def test_cli_rejects_unknown_preset(tmp_path, capsys):
                    "--out", str(tmp_path / "d")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_refuses_used_out_dir(tmp_path, capsys):
+    cfg_path = tmp_path / "small.json"
+    cfg_path.write_text(json.dumps({"kind": "identity-suite", "n": 1}))
+    used = tmp_path / "used"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(used)]) == 0
+    before = {p.name: p.read_bytes() for p in used.iterdir()}
+    capsys.readouterr()
+    rc = cli.main(["run", "--config", "acceptance-02", "--out", str(used)])
+    assert rc == 2
+    assert str(used) in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in used.iterdir()} == before
+    with pytest.raises(FileExistsError):
+        run(validate_config(GOOD), used)
 
 
 def test_cli_seed_override(tmp_path):
