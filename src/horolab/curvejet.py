@@ -1,9 +1,10 @@
 """Jets and ordered-regularity frames for curves (0,1) -> R^n.
 
-A curve carries an optional exact polynomial table; in that mode every jet
-and frame below is exact rational arithmetic.  Otherwise derivatives come
-from Richardson-extrapolated central differences and every order reports an
-error estimate.
+A curve is polynomial, with an exact table of ascending coefficients, or
+analytic, with a derivative supplier.  Its frame at a point is the LU factor
+of the Taylor rows phi^(m)(s)/m!, built by one pipeline whose only fork is
+the scalar type: Fractions for polynomial curves, floats for analytic curves
+and for grid sweeps that ask for a float tolerance.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import exact
 from .exact import Vec
 
 
@@ -61,11 +61,11 @@ def _poly_eval_exact(coeffs: Sequence[Q], s: Q) -> Q:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A curve with float evaluation and, when available, exact structure.
+    """A curve with float evaluation and either exact or analytic jets.
 
     ``poly`` holds ascending coefficient rows, one per coordinate; when set,
-    jets and frames are computed exactly.  ``deriv_fn(s, m)`` is an optional
-    analytic derivative supplier used instead of finite differences.
+    jets and frames are computed exactly.  Otherwise ``deriv_fn(s, m)``
+    supplies the m-th derivative of an analytic curve in floats.
     """
 
     n: int
@@ -73,7 +73,6 @@ class CurveSpec:
     fn: Callable[[float], np.ndarray]
     poly: Optional[Tuple[Tuple[Q, ...], ...]] = None
     deriv_fn: Optional[Callable[[float, int], np.ndarray]] = None
-    smoothness: Optional[int] = None
 
     @staticmethod
     def polynomial(rows: Sequence[Sequence], name: str = "poly") -> "CurveSpec":
@@ -92,48 +91,6 @@ class CurveSpec:
         for i in range(1, n + 1):
             rows.append([0] * i + [1])
         return CurveSpec.polynomial(rows, name="moment")
-
-    @staticmethod
-    def from_callable(
-        fn: Callable[[float], Sequence[float]],
-        n: int,
-        smoothness: Optional[int] = None,
-        deriv: Optional[Callable[[float, int], Sequence[float]]] = None,
-        name: str = "callable",
-    ) -> "CurveSpec":
-        def wrapped(s: float) -> np.ndarray:
-            return np.asarray(fn(s), dtype=float)
-
-        wrapped_deriv = None
-        if deriv is not None:
-            def wrapped_deriv(s: float, m: int) -> np.ndarray:
-                return np.asarray(deriv(s, m), dtype=float)
-
-        return CurveSpec(
-            n=n, name=name, fn=wrapped, deriv_fn=wrapped_deriv, smoothness=smoothness
-        )
-
-    @staticmethod
-    def from_samples(
-        s_values: Sequence[float],
-        points: Sequence[Sequence[float]],
-        degree: int,
-        name: str = "fit",
-    ) -> "CurveSpec":
-        """Least-squares polynomial of the given degree through tabulated
-        samples; the fit becomes the curve (exact mode on the fitted
-        coefficients), so jets of any order are well defined."""
-        s_arr = np.asarray(s_values, dtype=float)
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] != s_arr.shape[0]:
-            raise ValueError("points must be one row per sample")
-        if degree < 1 or degree >= len(s_arr):
-            raise ValueError("degree must be in [1, len(samples))")
-        rows = []
-        for coord in range(pts.shape[1]):
-            coeffs = np.polyfit(s_arr, pts[:, coord], degree)
-            rows.append([Q(float(c)) for c in coeffs[::-1]])
-        return CurveSpec.polynomial(rows, name=f"{name}(deg={degree})")
 
     @staticmethod
     def preset(text: str, n: Optional[int] = None) -> "CurveSpec":
@@ -168,106 +125,8 @@ class CurveSpec:
             raise CurveError(f"non-finite curve value at s={s}")
         return out
 
-    def evaluate_exact(self, s) -> Vec:
-        if self.poly is None:
-            raise CurveError("exact evaluation needs polynomial mode")
-        sq = Q(s)
-        return tuple(_poly_eval_exact(row, sq) for row in self.poly)
-
 
 # -- jets ------------------------------------------------------------------------
-
-
-@dataclass
-class JetResult:
-    s: float
-    order: int
-    value: np.ndarray
-    derivatives: List[np.ndarray]
-    errors: List[float]
-    exact: bool
-    method: str
-
-    def derivative(self, m: int) -> np.ndarray:
-        if not 1 <= m <= self.order:
-            raise IndexError(f"derivative order {m} not in jet")
-        return self.derivatives[m - 1]
-
-
-def _central_difference(curve: CurveSpec, s: float, m: int, h: float) -> np.ndarray:
-    acc = np.zeros(curve.n)
-    for j in range(m + 1):
-        c = (-1) ** (m - j) * math.comb(m, j)
-        offset = (j - m / 2.0) * h
-        if offset != 0.0 and s + offset == s:
-            raise CurveError(f"step underflow at order {m}, h={h}")
-        acc = acc + c * curve.evaluate(s + offset)
-    return acc / h ** m
-
-
-def _richardson(curve: CurveSpec, s: float, m: int) -> Tuple[np.ndarray, float]:
-    h0 = min(0.1, 1e-3 * 3 ** max(0, m - 2))
-    d1 = _central_difference(curve, s, m, h0)
-    d2 = _central_difference(curve, s, m, h0 / 2)
-    d4 = _central_difference(curve, s, m, h0 / 4)
-    # two extrapolation levels for the O(h^2) stencil
-    r1 = (4 * d2 - d1) / 3
-    r2 = (4 * d4 - d2) / 3
-    final = (16 * r2 - r1) / 15
-    err = float(np.max(np.abs(final - r2)))
-    return final, err
-
-
-def jet(curve: CurveSpec, s: float, k: int) -> JetResult:
-    """Derivatives of orders 1..k at s, exact in polynomial mode."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if curve.smoothness is not None and k > curve.smoothness:
-        raise ValueError(f"jet order {k} exceeds curve smoothness {curve.smoothness}")
-    if curve.poly is not None:
-        sq = Q(s)
-        derivs = []
-        for m in range(1, k + 1):
-            derivs.append(
-                np.array(
-                    [float(_poly_eval_exact(_poly_derive(row, m), sq)) for row in curve.poly]
-                )
-            )
-        return JetResult(
-            s=float(s),
-            order=k,
-            value=curve.evaluate(float(s)),
-            derivatives=derivs,
-            errors=[0.0] * k,
-            exact=True,
-            method="polynomial",
-        )
-    if curve.deriv_fn is not None:
-        derivs = [np.asarray(curve.deriv_fn(float(s), m), dtype=float) for m in range(1, k + 1)]
-        return JetResult(
-            s=float(s),
-            order=k,
-            value=curve.evaluate(float(s)),
-            derivatives=derivs,
-            errors=[0.0] * k,
-            exact=True,
-            method="analytic",
-        )
-    derivs = []
-    errors = []
-    for m in range(1, k + 1):
-        d, e = _richardson(curve, float(s), m)
-        derivs.append(d)
-        errors.append(e)
-    return JetResult(
-        s=float(s),
-        order=k,
-        value=curve.evaluate(float(s)),
-        derivatives=derivs,
-        errors=errors,
-        exact=False,
-        method="richardson",
-    )
 
 
 def jet_exact(curve: CurveSpec, s, k: int) -> List[Vec]:
@@ -291,10 +150,10 @@ PIVOT_RTOL = 1e-10
 @dataclass
 class CurveFrame:
     """Straightening frame at a point: unit upper triangular B, leading
-    coefficients kappa_i, and the full coefficient table of the degree-k
-    frame polynomial (reflected variant included)."""
+    coefficients kappa_i, and the coefficient table {(j, i): kappa_{j,i}} of
+    the degree-k frame polynomial R_j(h) = sum_i kappa_{j,i} h^i.  Entries
+    are Fractions when ``exact`` and floats otherwise."""
 
-    s: float
     n: int
     k: int
     exact: bool
@@ -302,164 +161,91 @@ class CurveFrame:
     b_matrix: Tuple
     b_inverse: Tuple
     coeff_table: Dict[Tuple[int, int], object]
-    reflected_table: Dict[Tuple[int, int], object]
-    rows: Tuple
-
-    @property
-    def ordered_regular(self) -> bool:
-        return True
-
-    def kappa_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.kappa])
 
     def b_inverse_floats(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.b_inverse])
 
-    def r_poly(self, h: float, reflected: bool = False) -> np.ndarray:
+    def r_poly(self, h: float) -> np.ndarray:
         """Evaluate the frame polynomial coordinatewise at h (float)."""
-        table = self.reflected_table if reflected else self.coeff_table
         out = np.zeros(self.n)
-        for (j, i), c in table.items():
+        for (j, i), c in self.coeff_table.items():
             out[j - 1] += float(c) * h ** i
         return out
-
-    def r_poly_exact(self, h) -> Vec:
-        if not self.exact:
-            raise CurveError("exact frame polynomial needs polynomial mode")
-        hq = Q(h)
-        out = [Q(0)] * self.n
-        for (j, i), c in self.coeff_table.items():
-            out[j - 1] += c * hq ** i
-        return tuple(out)
-
-    def tail_coefficients(self, j: int) -> Dict[int, object]:
-        """Coefficients kappa_{j,i} for i > j (the epsilon tail of row j)."""
-        return {i: c for (jj, i), c in self.coeff_table.items() if jj == j and i > j}
-
-
-def _frame_rows_exact(curve: CurveSpec, s, k: int) -> List[Vec]:
-    rows = jet_exact(curve, s, k)
-    return [
-        tuple(c / math.factorial(m) for c in row)
-        for m, row in enumerate(rows, start=1)
-    ]
-
-
-def _frame_rows_float(curve: CurveSpec, s: float, k: int) -> List[np.ndarray]:
-    j = jet(curve, s, k)
-    return [j.derivative(m) / math.factorial(m) for m in range(1, k + 1)]
 
 
 def ordered_regular_frame(
     curve: CurveSpec, s, k: Optional[int] = None, numeric: bool = False
 ) -> CurveFrame:
-    """Factor the derivative matrix at s and build the frame polynomial.
+    """Factor the Taylor rows phi^(m)(s)/m! at s and build the frame polynomial.
 
-    Raises NotOrderedRegular (with the first failing pivot index, 1-based)
-    when a leading principal minor vanishes; in numeric mode "vanishes"
-    means the pivot falls below PIVOT_RTOL relative to its row's max.
-    Passing numeric=True forces the float path (and its tolerance) even for
-    polynomial curves, which is what grid sweeps want: a pivot that is
-    nonzero only at the rounding level still counts as degenerate there.
+    Polynomial curves are factored exactly over the rationals; analytic
+    curves, and polynomial ones with numeric=True, in floats.  Raises
+    NotOrderedRegular (with the first failing pivot index, 1-based) when a
+    leading principal minor vanishes; in floats "vanishes" means the pivot
+    is at most PIVOT_RTOL times its original row's max.  Grid sweeps pass
+    numeric=True so that a pivot that is nonzero only at the rounding level
+    still counts as degenerate there.
     """
     n = curve.n
     if k is None:
         k = n
     if k < n:
         raise ValueError(f"frame order k={k} must be at least n={n}")
-    if curve.smoothness is not None and k > curve.smoothness:
-        raise ValueError(f"frame order {k} exceeds curve smoothness")
+    exact = curve.poly is not None and not numeric
+    num = Q if exact else float
+    if not exact:
+        s = float(s)
+    if curve.poly is not None:
+        jets = jet_exact(curve, s, k)
+    else:
+        jets = [curve.deriv_fn(s, m) for m in range(1, k + 1)]
+    rows = [
+        tuple(num(c) / math.factorial(m) for c in row)
+        for m, row in enumerate(jets, start=1)
+    ]
 
-    if curve.poly is not None and not numeric:
-        rows = _frame_rows_exact(curve, s, k)
-        return _factor_exact(curve, s, k, rows)
-    rows = _frame_rows_float(curve, float(s), k)
-    return _factor_float(curve, float(s), k, rows)
-
-
-def _factor_exact(curve: CurveSpec, s, k: int, rows: List[Vec]) -> CurveFrame:
-    n = curve.n
-    u = [list(rows[i]) for i in range(n)]
-    lower = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        lower[i][i] = Q(1)
+    # Doolittle elimination on the first n rows.  The multiplier f of row r
+    # against pivot row col gives kappa_{col+1, r+1} = f * pivot.
+    u = [list(row) for row in rows[:n]]
+    table: Dict[Tuple[int, int], object] = {}
     for col in range(n):
         pivot = u[col][col]
-        if pivot == 0:
-            raise NotOrderedRegular(s, col + 1, "exact pivot is zero")
+        tol = 0 if exact else PIVOT_RTOL * max(abs(c) for c in rows[col])
+        if abs(pivot) <= tol:
+            raise NotOrderedRegular(
+                s, col + 1, f"|pivot| {float(abs(pivot)):.3e} <= {float(tol):.3e}"
+            )
+        table[(col + 1, col + 1)] = pivot
         for r in range(col + 1, n):
             f = u[r][col] / pivot
-            lower[r][col] = f
+            table[(col + 1, r + 1)] = f * pivot
             for c in range(col, n):
-                u[r][c] -= f * u[col][c]
+                u[r][c] = u[r][c] - f * u[col][c]
     kappa = tuple(u[i][i] for i in range(n))
     b = tuple(
-        tuple(u[i][c] / kappa[i] if c >= i else Q(0) for c in range(n))
+        tuple(u[i][c] / kappa[i] if c >= i else num(0) for c in range(n))
         for i in range(n)
     )
-    b_inv = exact.inverse(b)
-    table: Dict[Tuple[int, int], Q] = {}
-    for i in range(1, n + 1):
-        table[(i, i)] = kappa[i - 1]
-        for j in range(1, i):
-            table[(j, i)] = lower[i - 1][j - 1] * kappa[j - 1]
+    # B is unit upper triangular: back-substitute for its inverse row by row.
+    b_inv = [[num(1 if r == c else 0) for c in range(n)] for r in range(n)]
+    for r in reversed(range(n)):
+        for c in range(r + 1, n):
+            b_inv[r][c] = -sum(b[r][m] * b_inv[m][c] for m in range(r + 1, c + 1))
+    # Tail rows i > n in the frame basis; exact zeros stay out of the table,
+    # since frame_degree_bound reads a tail-free table as a moment frame.
     for i in range(n + 1, k + 1):
-        coeffs = exact.matvec(exact.transpose(b_inv), rows[i - 1])
         for j in range(1, n + 1):
-            if coeffs[j - 1] != 0:
-                table[(j, i)] = coeffs[j - 1]
-    reflected = {(j, i): ((-1) ** i) * c for (j, i), c in table.items()}
+            c = sum(rows[i - 1][m] * b_inv[m][j - 1] for m in range(n))
+            if c != 0:
+                table[(j, i)] = c
     return CurveFrame(
-        s=float(s),
         n=n,
         k=k,
-        exact=True,
+        exact=exact,
         kappa=kappa,
         b_matrix=b,
-        b_inverse=b_inv,
+        b_inverse=tuple(tuple(row) for row in b_inv),
         coeff_table=table,
-        reflected_table=reflected,
-        rows=tuple(rows),
-    )
-
-
-def _factor_float(curve: CurveSpec, s: float, k: int, rows: List[np.ndarray]) -> CurveFrame:
-    n = curve.n
-    u = np.array(rows[:n], dtype=float)
-    row_scale = np.max(np.abs(u), axis=1)
-    lower = np.eye(n)
-    for col in range(n):
-        pivot = u[col, col]
-        tol = PIVOT_RTOL * max(row_scale[col], 1e-300)
-        if abs(pivot) <= tol:
-            raise NotOrderedRegular(s, col + 1, f"pivot {pivot:.3e} below tolerance")
-        f = u[col + 1 :, col] / pivot
-        lower[col + 1 :, col] = f
-        u[col + 1 :, col:] -= np.outer(f, u[col, col:])
-    kappa = tuple(float(u[i, i]) for i in range(n))
-    b = np.triu(u / np.array(kappa)[:, None])
-    b_inv = np.linalg.inv(b)
-    table: Dict[Tuple[int, int], float] = {}
-    for i in range(1, n + 1):
-        table[(i, i)] = kappa[i - 1]
-        for j in range(1, i):
-            table[(j, i)] = float(lower[i - 1, j - 1] * kappa[j - 1])
-    for i in range(n + 1, k + 1):
-        coeffs = rows[i - 1] @ b_inv
-        for j in range(1, n + 1):
-            table[(j, i)] = float(coeffs[j - 1])
-    reflected = {(j, i): ((-1) ** i) * c for (j, i), c in table.items()}
-    return CurveFrame(
-        s=s,
-        n=n,
-        k=k,
-        exact=False,
-        kappa=kappa,
-        b_matrix=tuple(tuple(float(x) for x in row) for row in b),
-        b_inverse=tuple(tuple(float(x) for x in row) for row in b_inv),
-        coeff_table=table,
-        reflected_table=reflected,
-        rows=tuple(tuple(float(x) for x in row) for row in rows),
     )
 
 
@@ -485,10 +271,6 @@ class RegularityScan:
     checked: int
     failures: Tuple[Tuple[float, int], ...]
     clusters: Tuple[Tuple[float, float, int], ...]
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self.clusters)
 
 
 def regularity_scan(

@@ -189,10 +189,6 @@ class FlowClassification:
     probes: Tuple[float, ...]
     notes: Tuple[str, ...]
 
-    @property
-    def determined(self) -> bool:
-        return self.n0 is not None and self.uniform is not None
-
 
 _GROWTH_EPS = 0.05
 

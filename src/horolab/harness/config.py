@@ -60,6 +60,10 @@ CONFIG_SCHEMA = {
 }
 
 
+# Keys every experiment accepts; ``samples`` is checked against the record.
+_COMMON_KEYS = ("kind", "variant", "seed", "description", "samples")
+
+
 class ConfigError(ValueError):
     """Configuration rejected; message carries the schema diagnostics."""
 
@@ -88,18 +92,23 @@ class ExperimentConfig:
     raw: Dict = field(repr=False)
 
 
+def _validate(raw: Dict, schema: Dict) -> None:
+    try:
+        jsonschema.validate(raw, schema)
+    except jsonschema.ValidationError as exc:
+        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise ConfigError(f"config rejected at {path}: {exc.message}") from exc
+
+
 def validate_config(raw: Dict) -> ExperimentConfig:
     """Schema-check a raw mapping and normalise it.
 
     Unknown keys, bad types, unknown variants, a missing seed on a
-    stochastic experiment and a sample count the experiment does not read
-    are all rejected with a diagnostic message.
+    stochastic experiment, a key or sample count the experiment does not
+    read and a value outside the experiment's own schema fragment are all
+    rejected with a diagnostic message.
     """
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config rejected at {path}: {exc.message}") from exc
+    _validate(raw, CONFIG_SCHEMA)
 
     kind = raw["kind"]
     candidates = [e for e in EXPERIMENTS if e.kind == kind]
@@ -126,6 +135,13 @@ def validate_config(raw: Dict) -> ExperimentConfig:
                 f"config rejected at samples: unknown key(s) {unknown}; "
                 f"{name} reads {sorted(exp.samples)}"
             )
+    unread = sorted(set(raw) - {*_COMMON_KEYS, *exp.keys})
+    if unread:
+        raise ConfigError(
+            f"config rejected at {unread[0]}: {name} does not read "
+            f"{', '.join(unread)}"
+        )
+    _validate(raw, {"properties": exp.keys})
 
     interval = raw.get("interval")
     return ExperimentConfig(

@@ -618,8 +618,7 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
 
 
 def _run_curve_frames(cfg: ExperimentConfig, samples: Samples) -> Result:
-    n = cfg.n or 2
-    curve = CurveSpec.preset(cfg.curve or "trig", n=n)
+    curve = CurveSpec.preset(cfg.curve or "trig", n=cfg.n or 2)
     interval = cfg.interval or (0.1, 3.0)
     grid = samples["grid"]
     scan = regularity_scan(curve, interval, grid)
@@ -629,7 +628,7 @@ def _run_curve_frames(cfg: ExperimentConfig, samples: Samples) -> Result:
     mid = 0.5 * (interval[0] + interval[1])
     ladder = (1e-1, 1e-2, 1e-3)
     rems = [
-        float(np.abs(taylor_frame_remainder(curve, mid, n, h)).max())
+        float(np.abs(taylor_frame_remainder(curve, mid, curve.n, h)).max())
         for h in ladder
     ]
     decreasing = all(a > b for a, b in zip(rems, rems[1:]))
@@ -656,7 +655,11 @@ class Experiment:
     ``check_id`` keys its verdict in ``summary.json`` and ``anchor`` names
     the claim it checks in reports.  A ``stochastic`` experiment draws from
     the config seed, so a config for it must carry one.  ``samples`` maps
-    every sample-count key the body reads to its default.
+    every sample-count key the body reads to its default.  ``keys`` maps
+    every other config key the body reads to a JSON-schema fragment that
+    narrows the shared schema for this experiment ({} when it does not);
+    a config may carry only these keys, ``samples`` when the body reads
+    samples, and ``kind``, ``variant``, ``seed`` and ``description``.
     """
 
     kind: str
@@ -665,38 +668,46 @@ class Experiment:
     anchor: str
     stochastic: bool
     samples: Samples
+    keys: Mapping[str, Mapping]
     body: Callable[[ExperimentConfig, Samples], Result]
 
 
 EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment("identity-suite", "", "acceptance-01",
-               "exact operator identities", False, {}, _run_identity_suite),
+               "exact operator identities", False, {}, {"n": {}},
+               _run_identity_suite),
     Experiment("basic-lemma-fuzz", "parts", "acceptance-02",
                "index-set and fixed-subgroup fuzz", True, {"trials": 100},
-               _run_lemma_parts),
+               {"n": {}, "modules": {}, "test_hooks": {}}, _run_lemma_parts),
     Experiment("basic-lemma-fuzz", "sl2", "acceptance-03",
-               "rank-one top-level inequality", True, {"trials": 60}, _run_sl2),
+               "rank-one top-level inequality", True, {"trials": 60},
+               {"n": {}, "modules": {}}, _run_sl2),
     Experiment("expansion-ladder", "certification", "acceptance-05",
                "expansion floor certification", True, {"vectors": 50},
-               _run_certification),
+               {"modules": {}, "t_ladder": {}}, _run_certification),
     Experiment("expansion-ladder", "vandermonde", "acceptance-04",
                "polynomial floor constants", True, {"trials": 1000},
-               _run_vandermonde),
+               {"interval": {}}, _run_vandermonde),
     Experiment("expansion-ladder", "bounded-fixed", "acceptance-06",
-               "bounded growth vs fixed vectors", False, {}, _run_bounded_fixed),
+               "bounded growth vs fixed vectors", False, {}, {},
+               _run_bounded_fixed),
     Experiment("expansion-ladder", "qfixed", "acceptance-07",
-               "straightened-limit residuals", False, {}, _run_qfixed),
+               "straightened-limit residuals", False, {}, {"t_ladder": {}},
+               _run_qfixed),
+    # The catalog bases and the orbit oracle are rank 2, so n = 1.
     Experiment("equidistribution", "", "acceptance-08",
                "translate equidistribution consistency", True, {"count": 10_000},
+               {"n": {"const": 1}, "curve": {}, "schedule": {}, "t_ladder": {}},
                _run_equidistribution),
     Experiment("escape", "", "acceptance-09",
-               "escape-rate dichotomy", False, {}, _run_escape),
+               "escape-rate dichotomy", False, {}, {"t_ladder": {}}, _run_escape),
     Experiment("dirichlet-scan", "", "acceptance-10",
                "improvability witness suite", True,
-               {"queries": 500, "monotonicity": 200, "grid": 200}, _run_dirichlet),
+               {"queries": 500, "monotonicity": 200, "grid": 200},
+               {"n": {}, "curve": {}, "interval": {}}, _run_dirichlet),
     Experiment("curve-frames", "", "curve-frames",
                "curve frame regularity demo", False, {"grid": 120},
-               _run_curve_frames),
+               {"n": {}, "curve": {}, "interval": {}}, _run_curve_frames),
 )
 
 

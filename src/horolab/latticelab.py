@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,12 +53,6 @@ class LatticeBasis:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def determinant(self) -> Q:
-        return exact.det(self.rows)
-
-    def matrix_floats(self) -> np.ndarray:
-        return np.array([[float(c) for c in row] for row in self.rows])
 
     @staticmethod
     def identity(dim: int) -> "LatticeBasis":
@@ -376,26 +370,6 @@ class EmpiricalMeasure:
             bin_edges=tuple(float(x) for x in edges),
             masses=tuple(float(c) / arr.size for c in counts),
         )
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def quantile(self, q: float) -> float:
-        return float(np.quantile(self.values, q))
-
-    def mass_below(self, x: float) -> float:
-        import bisect
-
-        return bisect.bisect_left(self.values, x) / self.count
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean(),
-            "q10": self.quantile(0.10),
-            "q50": self.quantile(0.50),
-            "q90": self.quantile(0.90),
-        }
 
 
 def consistency_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:

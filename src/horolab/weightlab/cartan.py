@@ -62,9 +62,6 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.coeffs))
 
-    def sort_key(self) -> Tuple[Q, ...]:
-        return self.coeffs
-
     def __repr__(self) -> str:
         return "Weight(" + ", ".join(str(c) for c in self.coeffs) + ")"
 

@@ -54,9 +54,6 @@ class WeightModule:
 
     # -- weight structure ---------------------------------------------------
 
-    def weight_values(self, h_diag: Sequence) -> Tuple[Q, ...]:
-        return tuple(w.evaluate(h_diag) for w in self.weights)
-
     def levels(self) -> Tuple[Q, ...]:
         """Values of each basis weight on the principal diagonal element."""
         from .cartan import h_principal

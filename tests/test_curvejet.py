@@ -1,6 +1,5 @@
 """Jets, ordered-regular frames, and the curve regularity scan."""
 
-import math
 from fractions import Fraction as Q
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from horolab.curvejet import (
     CurveSpec,
     NotOrderedRegular,
-    jet,
     jet_exact,
     ordered_regular_frame,
     regularity_scan,
@@ -36,13 +34,28 @@ def test_polynomial_frame_tracks_taylor_coefficients():
 def test_jet_matches_hand_derivatives():
     # rows: s, s^2, 1 + 2 s^3
     curve = CurveSpec.polynomial([[0, 1], [0, 0, 1], [1, 0, 0, 2]])
-    res = jet(curve, 0.75, 3)
-    assert res.exact
-    expected = [(1.0, 1.5, 3.375), (0.0, 2.0, 9.0), (0.0, 0.0, 12.0)]
-    for got, want in zip(res.derivatives, expected):
-        assert np.abs(np.asarray(got) - np.asarray(want)).max() < 1e-12
-    refs = jet_exact(curve, Q(3, 4), 3)
-    assert refs[2][2] == 12
+    rows = jet_exact(curve, Q(3, 4), 3)
+    assert rows == [
+        (Q(1), Q(3, 2), Q(27, 8)),
+        (Q(0), Q(2), Q(9)),
+        (Q(0), Q(0), Q(12)),
+    ]
+
+
+def test_numeric_frame_agrees_with_exact_frame():
+    # k > n brings in the tail rows; s = 1/2 is a binary fraction, so both
+    # frames factor the same Taylor rows
+    curve = CurveSpec.polynomial([[0, 1, 1, 1], [0, 0, 1, 0, 1]])
+    exact = ordered_regular_frame(curve, Q(1, 2), 4)
+    numeric = ordered_regular_frame(curve, Q(1, 2), 4, numeric=True)
+    assert exact.exact and not numeric.exact
+    assert any(i > curve.n for _, i in exact.coeff_table)
+    assert np.abs(np.asarray(exact.kappa, dtype=float)
+                  - np.asarray(numeric.kappa)).max() < 1e-12
+    assert np.abs(exact.b_inverse_floats() - numeric.b_inverse_floats()).max() < 1e-12
+    assert set(exact.coeff_table) == set(numeric.coeff_table)
+    for key, c in exact.coeff_table.items():
+        assert abs(float(c) - numeric.coeff_table[key]) < 1e-12, key
 
 
 def test_degenerate_curve_rejected():

@@ -43,6 +43,12 @@ def test_unknown_key_rejected():
                          "samples": {"query": 10}})
     with pytest.raises(ConfigError, match="reads no samples"):
         validate_config({"kind": "escape", "samples": 3})
+    # keys of the shared schema that this experiment never reads
+    with pytest.raises(ConfigError,
+                       match="at modules: escape does not read modules, n, test_hooks"):
+        validate_config({"kind": "escape", "modules": ["adjoint"], "n": 5,
+                         "t_ladder": [1, 2],
+                         "test_hooks": {"corrupt_sk_predicate": True}})
 
 
 def test_unknown_kind_rejected():
@@ -59,6 +65,13 @@ def test_seed_mandatory_for_stochastic_kinds():
     validate_config({"kind": "expansion-ladder", "variant": "qfixed"})
     with pytest.raises(ConfigError, match="seed"):
         validate_config({"kind": "expansion-ladder", "variant": "vandermonde"})
+
+
+def test_experiment_schema_fragment_rejects_values():
+    # the catalog bases and the orbit oracle are rank 2
+    with pytest.raises(ConfigError, match="at n: 1 was expected"):
+        validate_config({"kind": "equidistribution", "n": 2, "seed": 1,
+                         "samples": 20})
 
 
 def test_variant_must_match_kind():
@@ -204,6 +217,25 @@ def test_cli_refuses_used_out_dir(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in used.iterdir()} == before
     with pytest.raises(FileExistsError):
         run(validate_config(GOOD), used)
+
+
+def test_cli_rejects_config_the_experiment_cannot_run(tmp_path, capsys):
+    cfg_path = tmp_path / "equi.json"
+    cfg_path.write_text(json.dumps(
+        {"kind": "equidistribution", "n": 2, "seed": 1, "samples": 20}
+    ))
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "q")])
+    assert rc == 2
+    assert "config rejected at n" in capsys.readouterr().err
+
+
+def test_curve_frames_order_follows_the_curve(tmp_path):
+    # trig is planar whatever the config n; the frame order is the curve's
+    cfg = validate_config({"kind": "curve-frames", "curve": "trig", "n": 1,
+                           "samples": 8})
+    out = run(cfg, tmp_path / "cf")
+    assert out.exit_code == 0
+    assert out.summary["checks"]["curve-frames"]["counts"]["failures"] == 0
 
 
 def test_cli_seed_override(tmp_path):
