@@ -263,7 +263,7 @@ def dani_lattice(query: DIQuery):
     halfwidths = (float(mu_exact / query.box_product),) + tuple(
         float(b) for b in query.bounds
     )
-    basis = LatticeBasis(tuple(rows), provenance="dani(primal)")
+    basis = LatticeBasis.from_rows(rows, provenance="dani(primal)")
     return basis, halfwidths
 
 

@@ -26,10 +26,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return out
 
 
-def zeros(m: int, k: int) -> Mat:
-    return tuple(tuple(Q(0) for _ in range(k)) for _ in range(m))
-
-
 def identity(m: int) -> Mat:
     return tuple(tuple(Q(1) if i == j else Q(0) for j in range(m)) for i in range(m))
 

@@ -142,8 +142,9 @@ def validate_config(raw: Dict) -> ExperimentConfig:
             f"{', '.join(unread)}"
         )
     _validate(raw, {"properties": exp.keys})
-
     interval = raw.get("interval")
+    if interval and not interval[0] < interval[1]:
+        raise ConfigError(f"config rejected at interval: {interval} is not increasing")
     return ExperimentConfig(
         kind=kind,
         variant=variant,

@@ -1,16 +1,21 @@
 """Unimodular lattices as an experiment bench.
 
-Bases are kept in exact rational arithmetic: after flowing by a_t the Gram
-matrix spans e^{40} at t = 20, where double-precision roundoff is larger
-than the systole being measured, so reduction and enumeration work over
-Fractions and only the final lengths are floated.
+Bases are kept exact: after flowing by a_t the Gram matrix spans e^{40} at
+t = 20, where double-precision roundoff is larger than the systole being
+measured.  Each basis is scaled once to integer rows over one common
+denominator, so reduction (integral LLL) and enumeration (Fincke-Pohst with
+integer interval endpoints) run on Python ints, and only the final lengths
+are floated.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction as Q
+from functools import cached_property
+from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,72 +23,89 @@ import numpy as np
 from . import exact
 from .rng import SplitRNG
 
+IntRows = Tuple[Tuple[int, ...], ...]
+
 
 class LatticeError(Exception):
     pass
 
 
-def _round_q(x: Q) -> int:
-    """Nearest integer, ties toward +infinity."""
-    return math.floor(x + Q(1, 2))
+def _scaled(rows) -> Tuple[IntRows, int]:
+    """Exact rows as integer rows over the lcm of their denominators."""
+    ratios = [[(c if isinstance(c, float) else Q(c)).as_integer_ratio() for c in row]
+              for row in rows]
+    denom = math.lcm(*(b for row in ratios for _, b in row))
+    return tuple(tuple(a * (denom // b) for a, b in row) for row in ratios), denom
+
+
+def _bareiss_det(rows: IntRows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Full-rank lattice basis; rows are the generators."""
+    """Full-rank lattice basis: generator rows ``ints / denom``.
 
-    rows: Tuple[Tuple[Q, ...], ...]
+    ``denom`` is the lcm of the entry denominators; build from arbitrary
+    exact or float rows with ``from_rows``.  ``checked`` is for bases that
+    are a unimodular transform of a checked one, whose |det| is known.
+    """
+
+    ints: IntRows
+    denom: int
     provenance: str = ""
     expect_unimodular: bool = True
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        rows = tuple(tuple(Q(c) for c in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        d = len(rows)
-        if d == 0 or any(len(r) != d for r in rows):
+    def __post_init__(self, checked: bool = False):
+        d = len(self.ints)
+        if d == 0 or any(len(r) != d for r in self.ints):
             raise LatticeError("basis must be square")
-        det = exact.det(rows)
+        if checked:
+            return
+        det = _bareiss_det(self.ints)
         if det == 0:
             raise LatticeError("rows are linearly dependent")
-        if self.expect_unimodular and abs(abs(float(det)) - 1.0) > 1e-9:
-            raise LatticeError(
-                f"basis is not unimodular: |det| = {float(abs(det))!r}"
-            )
+        size = abs(det) / self.denom**d
+        if self.expect_unimodular and abs(size - 1.0) > 1e-9:
+            raise LatticeError(f"basis is not unimodular: |det| = {size!r}")
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @staticmethod
-    def identity(dim: int) -> "LatticeBasis":
-        return LatticeBasis(exact.identity(dim), provenance="Z^%d" % dim)
+    @cached_property
+    def rows(self) -> Tuple[Tuple[Q, ...], ...]:
+        return tuple(tuple(Q(a, self.denom) for a in row) for row in self.ints)
 
     @staticmethod
     def from_rows(rows, provenance: str = "", expect_unimodular: bool = True) -> "LatticeBasis":
-        return LatticeBasis(
-            tuple(tuple(Q(c) for c in row) for row in rows),
-            provenance=provenance,
-            expect_unimodular=expect_unimodular,
-        )
+        return LatticeBasis(*_scaled(rows), provenance, expect_unimodular)
 
     @staticmethod
     def from_group_element(g, provenance: str = "", expect_unimodular: bool = True) -> "LatticeBasis":
         """Lattice g Z^d: generators are the columns of g."""
-        gq = tuple(tuple(Q(c) for c in row) for row in g)
-        return LatticeBasis(
-            exact.transpose(gq), provenance=provenance,
-            expect_unimodular=expect_unimodular,
-        )
+        return LatticeBasis.from_rows(tuple(zip(*g)), provenance, expect_unimodular)
 
 
 def apply_group(g, basis: LatticeBasis, provenance: Optional[str] = None) -> LatticeBasis:
     """Lattice g L: each generator row v becomes g v."""
-    gq = tuple(tuple(Q(c) for c in row) for row in g)
-    new_rows = exact.matmul(basis.rows, exact.transpose(gq))
+    gints, gden = _scaled(g)
+    ints = [[sum(map(mul, row, grow)) for grow in gints] for row in basis.ints]
+    denom = basis.denom * gden
+    common = math.gcd(denom, *(a for row in ints for a in row))
     return LatticeBasis(
-        new_rows,
-        provenance=provenance if provenance is not None else basis.provenance + "|g",
-        expect_unimodular=basis.expect_unimodular,
+        tuple(tuple(a // common for a in row) for row in ints), denom // common,
+        basis.provenance + "|g" if provenance is None else provenance, basis.expect_unimodular,
     )
 
 
@@ -92,64 +114,80 @@ def apply_group(g, basis: LatticeBasis, provenance: Optional[str] = None) -> Lat
 
 @dataclass
 class ReducedBasis:
+    """LLL output; ``gso`` is the ``_integral_gso`` data of the reduced rows."""
+
     basis: LatticeBasis
-    transform: Tuple[Tuple[int, ...], ...]
+    transform: IntRows
     swaps: int
+    gso: Tuple[List[int], List[List[int]]]
 
 
-def _gso(rows: List[List[Q]]) -> Tuple[List[List[Q]], List[Q]]:
-    d = len(rows)
-    mu = [[Q(0)] * d for _ in range(d)]
-    star: List[List[Q]] = []
-    norms: List[Q] = []
-    for i in range(d):
-        v = list(rows[i])
-        for j in range(i):
-            if norms[j] == 0:
-                raise LatticeError("numerically dependent rows")
-            mu[i][j] = sum(a * b for a, b in zip(rows[i], star[j])) / norms[j]
-            v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
-        star.append(v)
-        norms.append(sum(c * c for c in v))
-    if any(n == 0 for n in norms):
-        raise LatticeError("numerically dependent rows")
-    return mu, norms
+def _integral_gso(rows: IntRows) -> Tuple[List[int], List[List[int]]]:
+    """Integral Gram-Schmidt data of integer rows (Cohen, Alg. 2.6.7).
+
+    ``dd[i]`` is the Gram determinant of the first i rows (``dd[0] = 1``)
+    and ``lam[i][j] = dd[j + 1] * mu_ij`` for j < i; every division below
+    is exact.
+    """
+    n = len(rows)
+    dd = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(map(mul, rows[i], rows[j]))
+            for m in range(j):
+                u = (dd[m + 1] * u - lam[i][m] * lam[j][m]) // dd[m]
+            if j < i:
+                lam[i][j] = u
+            else:
+                dd[i + 1] = u
+    return dd, lam
 
 
-def lll_reduce(basis: LatticeBasis, delta: Q = Q(3, 4)) -> ReducedBasis:
-    """Exact LLL reduction; records the unimodular row transform."""
-    dq = Q(delta)
-    if not Q(1, 4) < dq < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
-    d = basis.dim
-    rows = [list(r) for r in basis.rows]
-    u = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    swaps = 0
-    mu, norms = _gso(rows)
-    k = 1
-    while k < d:
+def lll_reduce(basis: LatticeBasis) -> ReducedBasis:
+    """Exact integral LLL reduction; records the unimodular row transform.
+
+    Runs on the integral Gram-Schmidt data and the transform alone,
+    updating both in place after each size-reduction step and swap; the
+    reduced rows are the transform applied once at the end.  mu is rounded
+    half up, and the Lovasz test B_k >= (3/4 - mu^2) B_{k-1} is cleared of
+    denominators: 4 (dd[k-1] dd[k+1] + lam[k][k-1]^2) >= 3 dd[k]^2.
+    """
+    n = len(basis.ints)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    dd, lam = _integral_gso(basis.ints)
+    swaps, k = 0, 1
+    while k < n:
+        lam_k = lam[k]
         for j in range(k - 1, -1, -1):
-            r = _round_q(mu[k][j])
-            if r != 0:
-                rows[k] = [a - r * b for a, b in zip(rows[k], rows[j])]
+            r = (2 * lam_k[j] + dd[j + 1]) // (2 * dd[j + 1])
+            if r:
                 u[k] = [a - r * b for a, b in zip(u[k], u[j])]
-                mu, norms = _gso(rows)
-        if norms[k] >= (dq - mu[k][k - 1] ** 2) * norms[k - 1]:
+                lam_k[j] -= r * dd[j + 1]
+                for m in range(j):
+                    lam_k[m] -= r * lam[j][m]
+        lkk = lam_k[k - 1]
+        merged = dd[k - 1] * dd[k + 1] + lkk * lkk
+        if 4 * merged >= 3 * dd[k] ** 2:
             k += 1
-        else:
-            rows[k], rows[k - 1] = rows[k - 1], rows[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
-            swaps += 1
-            mu, norms = _gso(rows)
-            k = max(k - 1, 1)
+            continue
+        u[k], u[k - 1] = u[k - 1], u[k]
+        for m in range(k - 1):
+            lam_k[m], lam[k - 1][m] = lam[k - 1][m], lam_k[m]
+        b = merged // dd[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (dd[k + 1] * lam[i][k - 1] - lkk * t) // dd[k]
+            lam[i][k - 1] = (b * t + lkk * lam[i][k]) // dd[k + 1]
+        dd[k] = b
+        swaps += 1
+        k = max(k - 1, 1)
+    cols = tuple(zip(*basis.ints))
     reduced = LatticeBasis(
-        tuple(tuple(r) for r in rows),
-        provenance=basis.provenance + "|lll",
-        expect_unimodular=basis.expect_unimodular,
+        tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in u),
+        basis.denom, basis.provenance + "|lll", basis.expect_unimodular, checked=True,
     )
-    return ReducedBasis(
-        basis=reduced, transform=tuple(tuple(r) for r in u), swaps=swaps
-    )
+    return ReducedBasis(reduced, tuple(map(tuple, u)), swaps, (dd, lam))
 
 
 # -- shortest vector ------------------------------------------------------------------
@@ -158,7 +196,6 @@ def lll_reduce(basis: LatticeBasis, delta: Q = Q(3, 4)) -> ReducedBasis:
 @dataclass
 class ShortestVector:
     coords: Tuple[int, ...]
-    vector: Tuple[Q, ...]
     norm_sq: Q
 
     @property
@@ -166,59 +203,46 @@ class ShortestVector:
         return math.sqrt(float(self.norm_sq))
 
 
-def _enumerate_shortest(rows: Sequence[Sequence[Q]]) -> ShortestVector:
+def _enumerate_shortest(red: ReducedBasis) -> ShortestVector:
     """Exact shortest nonzero vector of an LLL-reduced basis.
 
-    Depth-first enumeration over Gram-Schmidt levels; interval endpoints
-    use floats with a one-step slack, all pruning comparisons are exact.
+    Depth-first (Fincke-Pohst) enumeration over Gram-Schmidt levels, on
+    integers only: S_i = dd[i] * |pi_i(x)|^2, with pi_i the projection
+    off the first i rows, is an integer, and fixing c_i adds
+    S_i = (dd[i] S_{i+1} + y^2) / dd[i+1] exactly, y = c_i dd[i+1] +
+    sum_{j>i} lam[j][i] c_j.  The range of c_i comes from ``math.isqrt``,
+    and S_0 is the integer quadratic form, so no float decides the search.
     """
-    d = len(rows)
-    mu, norms = _gso([list(r) for r in rows])
-    best_sq = min(sum(c * c for c in row) for row in rows)
-    best_coords = None
-    for i, row in enumerate(rows):
-        if sum(c * c for c in row) == best_sq:
-            best_coords = tuple(1 if j == i else 0 for j in range(d))
-            break
+    dd, lam = red.gso
+    n = len(dd) - 1
+    norms = [sum(map(mul, row, row)) for row in red.basis.ints]
+    best = min(norms)
+    best_coords = tuple(int(j == norms.index(best)) for j in range(n))
+    coords = [0] * n
 
-    coords = [0] * d
-
-    def descend(level: int, partial: Q) -> None:
-        nonlocal best_sq, best_coords
-        center = -sum(mu[i][level] * coords[i] for i in range(level + 1, d))
-        budget = best_sq - partial
-        if budget < 0:
-            return
-        half = math.sqrt(float(budget) / float(norms[level])) + 1.0
-        lo = math.floor(float(center) - half)
-        hi = math.ceil(float(center) + half)
-        for c in range(lo, hi + 1):
-            contrib = (Q(c) - center) ** 2 * norms[level]
-            if partial + contrib > best_sq:
+    def descend(level: int, above: int) -> None:
+        nonlocal best, best_coords
+        center = -sum(lam[i][level] * coords[i] for i in range(level + 1, n))
+        low, high = dd[level], dd[level + 1]
+        reach = math.isqrt(low * (best * high - above))
+        for c in range(-((reach - center) // high), (center + reach) // high + 1):
+            y = c * high - center
+            here = (low * above + y * y) // high
+            if here > best * low:
                 continue
             coords[level] = c
-            if level == 0:
-                if all(x == 0 for x in coords):
-                    continue
-                total = partial + contrib
-                if 0 < total < best_sq:
-                    best_sq = total
-                    best_coords = tuple(coords)
-            else:
-                descend(level - 1, partial + contrib)
+            if level:
+                descend(level - 1, here)
+            elif here < best and any(coords):
+                best, best_coords = here, tuple(coords)
         coords[level] = 0
 
-    descend(d - 1, Q(0))
-    vec = [Q(0)] * d
-    for c, row in zip(best_coords, rows):
-        if c:
-            vec = [a + c * b for a, b in zip(vec, row)]
-    return ShortestVector(coords=best_coords, vector=tuple(vec), norm_sq=best_sq)
+    descend(n - 1, 0)
+    return ShortestVector(best_coords, Q(best, red.basis.denom**2))
 
 
 def shortest_vector(basis: LatticeBasis) -> ShortestVector:
-    red = lll_reduce(basis)
-    return _enumerate_shortest(red.basis.rows)
+    return _enumerate_shortest(lll_reduce(basis))
 
 
 def systole(basis: LatticeBasis) -> float:
@@ -236,43 +260,30 @@ def brute_force_shortest(
     rows are.  Exponential in dimension; a desk-scale check, not a
     production path.
     """
-    d = basis.dim
+    rows = basis.ints
+    d = len(rows)
     if radius is None:
-        radius = min(
-            math.sqrt(float(sum(c * c for c in row))) for row in basis.rows
-        )
+        radius = math.sqrt(min(sum(map(mul, row, row)) for row in rows) / basis.denom**2)
     inv = exact.inverse(basis.rows)
-    bounds = []
-    for i in range(d):
-        col = math.sqrt(sum(float(inv[j][i]) ** 2 for j in range(d)))
-        bounds.append(int(math.ceil(radius * col)) + 1)
-    cells = 1
-    for b in bounds:
-        cells *= 2 * b + 1
+    bounds = [
+        int(math.ceil(radius * math.hypot(*(float(r[i]) for r in inv)))) + 1
+        for i in range(d)
+    ]
+    cells = math.prod(2 * b + 1 for b in bounds)
     if cells > 5_000_000:
         raise LatticeError(f"oracle box too large ({cells} cells)")
-    best_sq: Optional[Q] = None
-    best: Optional[Tuple[int, ...]] = None
-    import itertools
-
-    for coords in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        if all(c == 0 for c in coords):
-            continue
-        vec = [Q(0)] * d
-        for c, row in zip(coords, basis.rows):
-            if c:
-                vec = [a + c * b for a, b in zip(vec, row)]
-        nsq = sum(x * x for x in vec)
-        if nsq == 0:
-            continue
-        if best_sq is None or nsq < best_sq:
-            best_sq = nsq
-            best = coords
-    vec = [Q(0)] * d
-    for c, row in zip(best, basis.rows):
-        if c:
-            vec = [a + c * b for a, b in zip(vec, row)]
-    return ShortestVector(coords=best, vector=tuple(vec), norm_sq=best_sq)
+    best: Optional[int] = None
+    best_coords: Optional[Tuple[int, ...]] = None
+    last, far = rows[-1], bounds[-1]
+    last_sq = sum(map(mul, last, last))
+    for head in itertools.product(*[range(-b, b + 1) for b in bounds[:-1]]):
+        v = [sum(c * row[k] for c, row in zip(head, rows)) for k in range(d)]
+        v_sq, v_last = sum(map(mul, v, v)), 2 * sum(map(mul, v, last))
+        for c in range(-far, far + 1):
+            nsq = v_sq + c * (v_last + c * last_sq)  # |v + c * last|^2
+            if nsq and (best is None or nsq < best):
+                best, best_coords = nsq, head + (c,)
+    return ShortestVector(coords=best_coords, norm_sq=Q(best, basis.denom**2))
 
 
 def random_unimodular_basis(dim: int, seed: int, shears: int = 12) -> LatticeBasis:
@@ -281,7 +292,7 @@ def random_unimodular_basis(dim: int, seed: int, shears: int = 12) -> LatticeBas
     Integer unimodular bases generate Z^dim itself, so these exercise the
     reduction transform bookkeeping, not interesting systoles."""
     rng = SplitRNG(seed).generator("unimodular-basis")
-    rows = [[Q(1) if i == j else Q(0) for j in range(dim)] for i in range(dim)]
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for _ in range(shears):
         i, j = rng.integers(0, dim, size=2)
         if i == j:
@@ -292,10 +303,9 @@ def random_unimodular_basis(dim: int, seed: int, shears: int = 12) -> LatticeBas
             k, m = sorted(rng.integers(0, dim, size=2))
             if k != m:
                 rows[int(k)], rows[int(m)] = rows[int(m)], rows[int(k)]
-    basis = tuple(tuple(r) for r in rows)
-    if exact.det(basis) == -1:
-        basis = (tuple(-c for c in basis[0]),) + basis[1:]
-    return LatticeBasis(basis, provenance=f"random-unimodular({seed})")
+    if _bareiss_det(rows) == -1:
+        rows[0] = [-c for c in rows[0]]
+    return LatticeBasis(tuple(map(tuple, rows)), 1, provenance=f"random-unimodular({seed})")
 
 
 def random_real_basis(dim: int, seed: int) -> LatticeBasis:
@@ -308,7 +318,7 @@ def random_real_basis(dim: int, seed: int) -> LatticeBasis:
             break
     scale = Q(abs(det) ** (1.0 / dim))
     rows = tuple(tuple(Q(float(x)) / scale for x in row) for row in a)
-    return LatticeBasis(rows, provenance=f"random-real({seed})")
+    return LatticeBasis.from_rows(rows, provenance=f"random-real({seed})")
 
 
 # -- observables ----------------------------------------------------------------------
@@ -317,8 +327,7 @@ def random_real_basis(dim: int, seed: int) -> LatticeBasis:
 def make_observable(spec: str) -> Tuple[str, Callable[[float], float]]:
     """Observable maps applied to the systole.
 
-    Specs: "systole", "invsys:<cap>" (1/systole clipped at cap),
-    "indicator:<c>" (1 when systole >= c).
+    Specs: "systole", "invsys:<cap>" (1/systole clipped at cap).
     """
     if spec == "systole":
         return "systole", lambda s: s
@@ -327,9 +336,6 @@ def make_observable(spec: str) -> Tuple[str, Callable[[float], float]]:
         if cap <= 0:
             raise ValueError("cap must be positive")
         return spec, lambda s: min(1.0 / s, cap)
-    if spec.startswith("indicator:"):
-        c = float(spec.split(":", 1)[1])
-        return spec, lambda s: 1.0 if s >= c else 0.0
     raise ValueError(f"unknown observable: {spec!r}")
 
 
@@ -408,54 +414,35 @@ def catalog_basis(index: int) -> LatticeBasis:
     return LatticeBasis.from_rows(rows, provenance=f"catalog[{index}]")
 
 
-SAMPLERS = ("s-uniform", "eta-window", "eta-window-beta")
-
-
 def translate_sample(
     curve,
     schedule,
     base: LatticeBasis,
-    sampler: str,
     t: float,
     count: int,
     observable: str = "systole",
     seed: int = 0,
     interval: Tuple[float, float] = (0.0, 1.0),
-    s_center: float = 0.5,
-    window: Tuple[float, float] = (1.0, 2.0),
 ) -> EmpiricalMeasure:
     """Empirical law of an observable along flowed curve translates.
 
-    sampler "s-uniform" draws s over the interval and evaluates
-    a_t u(phi(s)) base; "eta-window" freezes s_center and draws eta over
-    the window at step e^{-t}; "eta-window-beta" widens the step to
-    (1+t) e^{-t}.  Each sample index derives its own generator from the
-    seed, so results are reproducible and order-independent.
+    Draws s uniformly over the interval and evaluates a_t u(phi(s)) base.
+    Each sample index derives its own generator from the seed, so results
+    are reproducible and order-independent.
     """
-    if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}; options: {SAMPLERS}")
     if count < 1:
         raise ValueError("count must be positive")
     name, obs_map = make_observable(observable)
     a_t = schedule.a_matrix(t)
     n = schedule.n
+    provenance = base.provenance + f"|translate(t={t})"
     children = SplitRNG(seed).spawn_children("translate-sample", count)
     values = np.empty(count)
     for idx in range(count):
         rng = np.random.Generator(np.random.PCG64(children[idx]))
-        if sampler == "s-uniform":
-            s = rng.uniform(interval[0], interval[1])
-        elif sampler == "eta-window":
-            eta = rng.uniform(window[0], window[1])
-            s = s_center + math.exp(-t) * eta
-        else:
-            eta = rng.uniform(window[0], window[1])
-            s = s_center + (1.0 + t) * math.exp(-t) * eta
-        x = curve.evaluate(s)
         u = np.eye(n + 1)
-        u[0, 1:] = x
-        lat = apply_group(a_t @ u, base, provenance=base.provenance + f"|translate(t={t})")
-        values[idx] = obs_map(systole(lat))
+        u[0, 1:] = curve.evaluate(rng.uniform(interval[0], interval[1]))
+        values[idx] = obs_map(systole(apply_group(a_t @ u, base, provenance=provenance)))
     return EmpiricalMeasure.from_values(name, values)
 
 

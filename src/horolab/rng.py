@@ -34,4 +34,5 @@ class SplitRNG:
         return np.random.Generator(np.random.PCG64(self.sequence(label, *indices)))
 
     def spawn_children(self, label: str, count: int) -> List[np.random.SeedSequence]:
-        return [self.sequence(label, i) for i in range(count)]
+        # the children of sequence(label) are sequence(label, i), i < count
+        return self.sequence(label).spawn(count)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from horolab.harness import (
@@ -227,6 +228,43 @@ def test_cli_rejects_config_the_experiment_cannot_run(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "q")])
     assert rc == 2
     assert "config rejected at n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, path", [
+    ({"kind": "equidistribution", "curve": "trig"}, "curve"),
+    ({"kind": "equidistribution", "schedule": "linear:2,0"}, "schedule"),
+    ({"kind": "curve-frames", "curve": "bogus"}, "curve"),
+    ({"kind": "basic-lemma-fuzz", "modules": ["standard", "bogus"]}, "modules/1"),
+    ({"kind": "dirichlet-scan", "n": 3}, "n"),
+    ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [2, 1]},
+     "interval"),
+], ids=["equi-curve", "equi-schedule", "unknown-curve", "unknown-module",
+        "dirichlet-n", "reversed-interval"])
+def test_cli_rejects_values_the_body_cannot_build(tmp_path, capsys, raw, path):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "samples": 5, **raw}))
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config rejected at {path}:" in capsys.readouterr().err
+
+
+def test_curve_frames_ladder_accepts_the_rounding_floor(tmp_path):
+    # the Taylor step of a cubic is exact, so every rung is rounding noise
+    cfg = validate_config({"kind": "curve-frames", "curve": "moment", "n": 3,
+                           "samples": 8})
+    out = run(cfg, tmp_path / "cf")
+    assert out.exit_code == 0
+    assert "rounding floor" in out.summary["checks"]["curve-frames"]["detail"]
+
+
+def test_curve_frames_ladder_above_the_floor_must_decrease(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "taylor_frame_remainder",
+                        lambda curve, s, k, h: np.full(curve.n, 1e-3))
+    cfg = validate_config({"kind": "curve-frames", "curve": "moment", "n": 3,
+                           "samples": 8})
+    out = run(cfg, tmp_path / "cf")
+    assert out.exit_code == 3
+    assert "STALLS" in out.summary["checks"]["curve-frames"]["detail"]
 
 
 def test_curve_frames_order_follows_the_curve(tmp_path):

@@ -34,7 +34,7 @@ def test_integer_unimodular_systole_is_one():
         assert abs(ll.systole(basis) - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
 def test_reduction_agrees_with_enumeration(dim):
     for seed in range(60):
         basis = ll.random_real_basis(dim, seed=seed)
@@ -43,6 +43,90 @@ def test_reduction_agrees_with_enumeration(dim):
         assert math.isclose(
             float(fast.norm_sq), float(slow.norm_sq), rel_tol=1e-9
         ), f"dim={dim} seed={seed}"
+
+
+def _skewed_t20_bases():
+    t = 20.0
+    a_t = fl.FlowSchedule.preset("equal", n=1).a_matrix(t)
+    # a_20 u(x) translates of the catalog bases, with x chosen so that a
+    # short vector exists and the oracle's box stays small
+    for idx in range(len(ll.CATALOG_BASES)):
+        for x in (0.5, -2.0 / 3.0, math.exp(-2 * t)):
+            g = a_t @ np.array([[1.0, x], [0.0, 1.0]])
+            yield ll.apply_group(g, ll.catalog_basis(idx))
+    # the super-rate escape-probe lattices a_t u(eta e^{-2t}) Z^2
+    e_plus, e_minus = Q(math.exp(t)), Q(math.exp(-t))
+    for eta in (1.0, (math.sqrt(5.0) - 1.0) / 2.0):
+        x = Q(eta) * Q(math.exp(-2 * t))
+        yield ll.LatticeBasis.from_group_element(((e_plus, e_plus * x), (0, e_minus)))
+
+
+def test_skewed_t20_bases_agree_with_brute_force():
+    for basis in _skewed_t20_bases():
+        fast = ll.shortest_vector(basis)
+        slow = ll.brute_force_shortest(basis, radius=fast.norm * (1 + 1e-9))
+        assert slow.norm_sq == fast.norm_sq, basis.provenance
+
+
+def _fraction_gso(rows):
+    star, mu = [], {}
+    for i, row in enumerate(rows):
+        v = list(row)
+        for j, s in enumerate(star):
+            mu[i, j] = sum(a * b for a, b in zip(row, s)) / sum(c * c for c in s)
+            v = [a - mu[i, j] * b for a, b in zip(v, s)]
+        star.append(v)
+    return mu, [sum(c * c for c in v) for v in star]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_lll_output_is_reduced_on_fraction_bases(dim):
+    rng = np.random.default_rng(dim)
+    swaps = 0
+    for _ in range(20):
+        rows = [[Q(int(rng.integers(-99, 100)), int(rng.integers(1, 12)))
+                 for _ in range(dim)] for _ in range(dim)]
+        rows[0] = [c * 1000 for c in rows[0]]  # skew the input
+        try:
+            basis = ll.LatticeBasis.from_rows(rows, expect_unimodular=False)
+        except ll.LatticeError:
+            continue
+        red = ll.lll_reduce(basis)
+        swaps += red.swaps
+        assert exact.matmul(red.transform, basis.rows) == red.basis.rows
+        assert abs(exact.det(red.transform)) == 1
+        mu, norms = _fraction_gso(red.basis.rows)
+        assert all(abs(m) <= Q(1, 2) for m in mu.values())
+        for k in range(1, dim):
+            assert norms[k] >= (Q(3, 4) - mu[k, k - 1] ** 2) * norms[k - 1]
+    assert swaps > 0
+
+
+def test_basis_failure_paths():
+    with pytest.raises(ll.LatticeError, match="square"):
+        ll.LatticeBasis.from_rows([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ll.LatticeError, match="dependent"):
+        ll.LatticeBasis.from_rows([[Q(1, 2), Q(1, 3)], [Q(3, 2), 1]])
+    with pytest.raises(ll.LatticeError, match="dependent"):
+        ll.LatticeBasis.from_rows([[0, 1, 0], [0, 2, 0], [1, 0, 0]])
+    with pytest.raises(ll.LatticeError, match="not unimodular"):
+        ll.LatticeBasis.from_rows([[2, 0], [0, Q(3, 5)]])
+    ll.LatticeBasis.from_rows([[2, 0], [0, Q(3, 5)]], expect_unimodular=False)
+    # a zero leading pivot is not a dependency
+    ll.LatticeBasis.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+
+
+def test_enumeration_alone_is_exact_on_unreduced_bases():
+    # LLL keeps the coefficient ranges short; a skewed basis makes the
+    # enumeration search wide intervals, which must still be exact
+    for dim in (2, 3, 4):
+        for seed in range(20):
+            basis = ll.random_real_basis(dim, seed=seed)
+            shear = ll.random_unimodular_basis(dim, seed=seed + 100).rows
+            skewed = ll.LatticeBasis.from_rows(exact.matmul(shear, basis.rows))
+            identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+            red = ll.ReducedBasis(skewed, identity, 0, ll._integral_gso(skewed.ints))
+            assert ll._enumerate_shortest(red).norm_sq == ll.shortest_vector(basis).norm_sq
 
 
 def test_brute_force_radius_controls_cost():
@@ -70,8 +154,8 @@ def test_translate_sample_is_deterministic():
     curve = CurveSpec.moment(1)
     sched = fl.FlowSchedule.preset("equal", n=1)
     kw = dict(t=3.0, count=400, observable="systole", seed=123)
-    m1 = ll.translate_sample(curve, sched, ll.catalog_basis(0), "s-uniform", **kw)
-    m2 = ll.translate_sample(curve, sched, ll.catalog_basis(0), "s-uniform", **kw)
+    m1 = ll.translate_sample(curve, sched, ll.catalog_basis(0), **kw)
+    m2 = ll.translate_sample(curve, sched, ll.catalog_basis(0), **kw)
     assert m1.values == m2.values
     assert ll.consistency_distance(m1, m2) == 0.0
 
@@ -79,9 +163,9 @@ def test_translate_sample_is_deterministic():
 def test_consistency_distance_detects_shift():
     curve = CurveSpec.moment(1)
     sched = fl.FlowSchedule.preset("equal", n=1)
-    base = ll.translate_sample(curve, sched, ll.catalog_basis(0), "s-uniform",
+    base = ll.translate_sample(curve, sched, ll.catalog_basis(0),
                                t=1.0, count=400, seed=1)
-    far = ll.translate_sample(curve, sched, ll.catalog_basis(0), "s-uniform",
+    far = ll.translate_sample(curve, sched, ll.catalog_basis(0),
                               t=6.0, count=400, seed=2)
     assert ll.consistency_distance(base, far) > 0.05
 
