@@ -165,11 +165,16 @@ class CurveFrame:
     def b_inverse_floats(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.b_inverse])
 
-    def r_poly(self, h: float) -> np.ndarray:
-        """Evaluate the frame polynomial coordinatewise at h (float)."""
-        out = np.zeros(self.n)
+    def r_poly(self, h) -> np.ndarray:
+        """Evaluate the frame polynomial coordinatewise at h, a float or an
+        array of floats, into shape h.shape + (n,).  Powers are taken one
+        float at a time, so every entry has the bits of a scalar call
+        (numpy's vectorised pow may differ in the last place)."""
+        h = np.asarray(h, dtype=float)
+        hs = h.ravel().tolist()
+        out = np.zeros(h.shape + (self.n,))
         for (j, i), c in self.coeff_table.items():
-            out[j - 1] += float(c) * h ** i
+            out[..., j - 1] += float(c) * np.reshape([x ** i for x in hs], h.shape)
         return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction as Q
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -41,7 +42,8 @@ REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FlowSchedule:
-    """Exponent schedule t -> (r_1, ..., r_n), validated at every call."""
+    """Exponent schedule t -> (r_1, ..., r_n), validated at every call;
+    its classification is computed once, on first use."""
 
     n: int
     name: str
@@ -130,6 +132,10 @@ class FlowSchedule:
 
     def a_matrix(self, t: float) -> np.ndarray:
         return np.diag(np.exp(self.exponents(t)))
+
+    @cached_property
+    def classification(self) -> "FlowClassification":
+        return classify(self)
 
 
 # -- xi decomposition --------------------------------------------------------------
@@ -396,17 +402,18 @@ def expansion_supremum(
     alpha: float = 1.0,
     interval: Tuple = (1.0, 2.0),
     grid: Optional[int] = None,
-    k: Optional[int] = None,
     enforce_alpha: bool = True,
 ) -> ExpansionResult:
     """Grid maximum M_t of ||a_t u(R(alpha e^{-t} eta)) v||_sup over eta.
 
     Exponent bookkeeping happens in log space: for each basis coordinate
     the weight's value on log a_t is added to log of the unscaled
-    coordinate, so t = 20 does not overflow.  The window scale alpha must
-    keep k log(alpha) + n t + r_1(t) - k t below a small margin (the
-    certification regime); violations reject the input unless the caller
-    explicitly disables the check for witness-mode ladders.
+    coordinate, so t = 20 does not overflow.  The eta grid is acted on as
+    one stack; the first grid maximum wins ties.  The window scale alpha
+    must keep k log(alpha) + n t + r_1(t) - k t below a small margin (the
+    certification regime, k from the schedule's classification); violations
+    reject the input unless the caller disables the check for witness-mode
+    ladders.
     """
     if module.n != schedule.n or module.n != frame.n:
         raise ValueError("module, schedule, and frame sizes disagree")
@@ -424,7 +431,7 @@ def expansion_supremum(
             degree_bound=degree, rejected=True, reason="alpha must be >= 1",
         )
     if enforce_alpha:
-        kk = k if k is not None else classify(schedule).k
+        kk = schedule.classification.k
         r1 = float(schedule.r(t)[0])
         margin = kk * math.log(alpha) + schedule.n * t + r1 - kk * t
         if margin > 1e-6 * max(1.0, t):
@@ -444,18 +451,15 @@ def expansion_supremum(
     weight_shift = np.array([float(w.evaluate(exps)) for w in module.weights])
     scale = float(alpha) * math.exp(-t)
     etas = _eta_grid((float(interval[0]), float(interval[1])), grid)
-    best = -math.inf
-    best_eta = etas[0]
-    for eta in etas:
-        x = frame.r_poly(scale * eta)
-        rho = module.group_action_float(_u_top_float(x))
-        w = rho @ coords
-        with np.errstate(divide="ignore"):
-            logs = np.where(w != 0, np.log(np.abs(w)) + weight_shift, -math.inf)
-        m = float(np.max(logs))
-        if m > best:
-            best = m
-            best_eta = float(eta)
+    u = np.tile(np.eye(module.n + 1), (len(etas), 1, 1))
+    u[:, 0, 1:] = frame.r_poly(scale * etas)
+    w = module.group_action_float(u) @ coords
+    with np.errstate(divide="ignore"):
+        logs = np.where(w != 0, np.log(np.abs(w)) + weight_shift, -math.inf)
+    peaks = logs.max(axis=1)
+    at = int(np.argmax(peaks))
+    best = float(peaks[at])
+    best_eta = float(etas[at])
     return ExpansionResult(
         t=float(t),
         alpha=float(alpha),
@@ -588,7 +592,7 @@ def growth_witness(
     if t_values is None:
         t_values = np.linspace(2.0, 20.0, 10)
     t_values = tuple(float(t) for t in t_values)
-    cls = classify(schedule)
+    cls = schedule.classification
     n0 = cls.n0
     if n0 is None or n0 == 0:
         return GrowthWitness(

@@ -30,7 +30,7 @@ CONFIG_SCHEMA = {
         "curve": {"type": "string"},
         "t_ladder": {
             "type": "array",
-            "items": {"type": "number"},
+            "items": {"type": "number", "minimum": 0},
             "minItems": 1,
         },
         "interval": {

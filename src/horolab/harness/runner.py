@@ -24,8 +24,8 @@ from .. import __version__
 from .. import dirichlet as di
 from .. import flowlab as fl
 from .. import latticelab as ll
-from ..curvejet import (CurveSpec, ordered_regular_frame, regularity_scan,
-                        taylor_frame_remainder)
+from ..curvejet import (CurveSpec, NotOrderedRegular, ordered_regular_frame,
+                        regularity_scan, taylor_frame_remainder)
 from ..rng import SplitRNG
 from ..weightlab import (
     basis_vector,
@@ -623,27 +623,38 @@ def _run_curve_frames(cfg: ExperimentConfig, samples: Samples) -> Result:
     rows: List[Row] = [
         ["failure", repr(s), f"first bad pivot {idx}"] for s, idx in scan.failures
     ]
+    failures: List[Dict] = [
+        {"s": repr(s), "first_bad_pivot": idx} for s, idx in scan.failures
+    ]
     mid = 0.5 * (interval[0] + interval[1])
-    ladder = (1e-1, 1e-2, 1e-3)
-    rems = [float(np.abs(taylor_frame_remainder(curve, mid, curve.n, h)).max())
-            for h in ladder]
-    # A rung may stop decreasing at rounding noise (an exact Taylor step lands
-    # there): eps-relative error in the curve values differenced at mid and
-    # mid + h, amplified by the largest column sum of B^{-1}.
-    binv = ordered_regular_frame(curve, mid, curve.n).b_inverse_floats()
-    noise = 8 * np.finfo(float).eps * np.abs(binv).sum(axis=0).max()
-    floors = [noise * np.abs([curve.evaluate(mid), curve.evaluate(mid + h)]).max()
-              for h in ladder]
-    settles = all(a > b or b <= f for a, b, f in zip(rems, rems[1:], floors[1:]))
-    verdict = ("decreases" if all(a > b for a, b in zip(rems, rems[1:]))
-               else "reaches the rounding floor" if settles else "STALLS")
-    for h, r in zip(ladder, rems):
-        rows.append(["remainder", repr(h), repr(r)])
+    try:
+        binv = ordered_regular_frame(curve, mid, curve.n).b_inverse_floats()
+    except NotOrderedRegular as err:
+        settles = False
+        verdict = f"NOT BUILT (no frame at the midpoint, pivot {err.first_fail_index})"
+        failures.append({"midpoint": repr(mid),
+                         "first_bad_pivot": err.first_fail_index})
+    else:
+        ladder = (1e-1, 1e-2, 1e-3)
+        rems = [float(np.abs(taylor_frame_remainder(curve, mid, curve.n, h)).max())
+                for h in ladder]
+        # A rung may stop decreasing at rounding noise (an exact Taylor step
+        # lands there): eps-relative error in the curve values differenced at
+        # mid and mid + h, amplified by the largest column sum of B^{-1}.
+        noise = 8 * np.finfo(float).eps * np.abs(binv).sum(axis=0).max()
+        floors = [noise * np.abs([curve.evaluate(mid), curve.evaluate(mid + h)]).max()
+                  for h in ladder]
+        settles = all(a > b or b <= f for a, b, f in zip(rems, rems[1:], floors[1:]))
+        verdict = ("decreases" if all(a > b for a, b in zip(rems, rems[1:]))
+                   else "reaches the rounding floor" if settles else "STALLS")
+        for h, r in zip(ladder, rems):
+            rows.append(["remainder", repr(h), repr(r)])
     check = CheckResult(
-        passed=settles,
+        passed=settles and not scan.failures,
         detail=f"{scan.checked} frames checked, {len(scan.failures)} failures; "
                f"remainder ladder {verdict}",
         counts={"checked": scan.checked, "failures": len(scan.failures)},
+        failures=failures,
     )
     return [("curve_frames.csv", ["record", "where", "value"], rows)], check
 

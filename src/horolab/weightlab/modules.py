@@ -79,8 +79,12 @@ class WeightModule:
         return _algebra_action(self, x)
 
     def group_action_float(self, g: np.ndarray) -> np.ndarray:
-        """Float matrix of the action, for numeric grids."""
-        return _group_action_float(self, np.asarray(g, dtype=float))
+        """Float matrices of the action of a stack (..., n+1, n+1) of group
+        elements, as a stack (..., dim, dim), for numeric grids."""
+        g = np.asarray(g, dtype=float)
+        if g.shape[-2:] != (self.n + 1, self.n + 1):
+            raise ValueError("group element has wrong size")
+        return _group_action_float(self, g)
 
 
 def build_module(kind: str, n: int) -> WeightModule:
@@ -255,34 +259,25 @@ def _group_action_float(mod: WeightModule, g: np.ndarray) -> np.ndarray:
     if tag == "standard":
         return g.copy()
     if tag == "exterior":
-        _, d, combos = mod.basis_data
-        out = np.empty((mod.dim, mod.dim))
-        for a, rows in enumerate(combos):
-            sub = g[np.ix_(rows, range(g.shape[1]))]
-            for b, cols in enumerate(combos):
-                out[a, b] = np.linalg.det(sub[:, cols])
-        return out
+        # entry (a, b) is the minor on rows combos[a] and columns combos[b]
+        idx = np.array(mod.basis_data[2])
+        return np.linalg.det(g[..., idx[:, None, :, None], idx[None, :, None, :]])
     if tag == "adjoint":
-        g_inv = np.linalg.inv(g)
-        cols = np.empty((mod.dim, mod.dim))
-        for b in range(mod.dim):
-            x = np.array(
-                [[float(v) for v in row] for row in _adjoint_basis_matrix(mod, b)]
-            )
-            cols[:, b] = _adjoint_coords_float(mod, g @ x @ g_inv)
-        return cols
+        # column b holds the adjoint coordinates of g X_b g^{-1}
+        basis = np.array([
+            [[float(v) for v in row] for row in _adjoint_basis_matrix(mod, b)]
+            for b in range(mod.dim)
+        ])
+        y = g[..., None, :, :] @ basis @ np.linalg.inv(g)[..., None, :, :]
+        i, j = np.array(mod.basis_data[1]).T
+        diag = np.cumsum(np.diagonal(y, axis1=-2, axis2=-1), axis=-1)[..., : mod.n]
+        return np.concatenate([y[..., i, j], diag], axis=-1).swapaxes(-1, -2)
     if tag == "tensor":
         _, left, right = mod.basis_data
-        return np.kron(left.group_action_float(g), right.group_action_float(g))
+        a = _group_action_float(left, g)[..., :, None, :, None]
+        b = _group_action_float(right, g)[..., None, :, None, :]
+        return (a * b).reshape(g.shape[:-2] + (mod.dim, mod.dim))
     raise AssertionError(tag)
-
-
-def _adjoint_coords_float(mod: WeightModule, y: np.ndarray) -> np.ndarray:
-    _, pairs = mod.basis_data
-    n = mod.n
-    coords = [y[i, j] for (i, j) in pairs]
-    coords.extend(np.cumsum(np.diag(y))[:n])
-    return np.array(coords)
 
 
 # -- vectors ------------------------------------------------------------------

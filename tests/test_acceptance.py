@@ -62,7 +62,7 @@ def test_criterion_05_expansion_floors(preset_run):
     entry = _check(outcome, "acceptance-05")
     assert entry["metrics"]["floor_margin_min"] >= 0.0
     assert entry["metrics"]["slope_min"] >= -0.01
-    assert elapsed < 600.0
+    assert elapsed < 5.0
 
 
 def test_criterion_06_bounded_iff_fixed(preset_run):

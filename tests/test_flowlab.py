@@ -1,5 +1,6 @@
 """Flow schedules, expansion floors, and the fixed-limit construction."""
 
+import collections
 import math
 from fractions import Fraction as Q
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from horolab import flowlab as fl
+from horolab.harness import run, validate_config
 from horolab.weightlab import basis_vector, build_module, vector
 
 
@@ -105,6 +107,21 @@ def test_expansion_floor_and_growth():
         assert res.value >= bound.d2
         values.append(res.value)
     assert values[0] < values[1] < values[2]
+
+
+def test_certification_classifies_each_schedule_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    classify = fl.classify
+
+    def counting(schedule, *args, **kwargs):
+        calls[schedule.n, schedule.name] += 1
+        return classify(schedule, *args, **kwargs)
+
+    monkeypatch.setattr(fl, "classify", counting)
+    cfg = validate_config({"kind": "expansion-ladder", "variant": "certification",
+                           "seed": 1, "samples": 3, "t_ladder": [5, 10]})
+    assert run(cfg, tmp_path / "cert").exit_code == 0
+    assert len(calls) == 3 and max(calls.values()) == 1
 
 
 def test_expansion_ladder_rows():

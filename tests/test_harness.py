@@ -267,6 +267,48 @@ def test_curve_frames_ladder_above_the_floor_must_decrease(tmp_path, monkeypatch
     assert "STALLS" in out.summary["checks"]["curve-frames"]["detail"]
 
 
+@pytest.mark.parametrize("raw", [
+    {"kind": "equidistribution"},
+    {"kind": "expansion-ladder", "variant": "qfixed"},
+    {"kind": "expansion-ladder", "variant": "certification"},
+    {"kind": "escape"},
+], ids=["equidistribution", "qfixed", "certification", "escape"])
+def test_cli_rejects_negative_t(tmp_path, capsys, raw):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"seed": 1, **raw, "t_ladder": [-1, 2]}))
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config rejected at t_ladder/0:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("curve, pivot", [("poly:0", 1), ("poly:0,1;0,1", 2)])
+def test_curve_frames_fails_where_the_midpoint_frame_degenerates(tmp_path, curve,
+                                                                  pivot):
+    cfg_path = tmp_path / "flat.json"
+    cfg_path.write_text(json.dumps({"kind": "curve-frames", "curve": curve,
+                                    "samples": 8}))
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    recorded = json.loads((tmp_path / "o" / "failures.json").read_text())
+    instances = recorded["failures"][0]["instances"]
+    assert {"midpoint": "1.55", "first_bad_pivot": pivot} in instances
+
+
+def test_curve_frames_fails_on_scan_failures_alone(tmp_path):
+    # s^2 degenerates only at s = 0, a scan point; the midpoint 1/2 is regular
+    cfg = validate_config({"kind": "curve-frames", "curve": "poly:0,0,1",
+                           "interval": [-1, 2], "samples": 2})
+    out = run(cfg, tmp_path / "cf")
+    assert out.exit_code == 3
+    entry = out.summary["checks"]["curve-frames"]
+    assert entry["counts"]["failures"] == 1
+    assert "remainder ladder decreases" in entry["detail"]
+    recorded = json.loads((tmp_path / "cf" / "failures.json").read_text())
+    assert recorded["failures"][0]["instances"] == [
+        {"s": "0.0", "first_bad_pivot": 1}
+    ]
+
+
 def test_curve_frames_order_follows_the_curve(tmp_path):
     # trig is planar whatever the config n; the frame order is the curve's
     cfg = validate_config({"kind": "curve-frames", "curve": "trig", "n": 1,

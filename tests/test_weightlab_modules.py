@@ -3,6 +3,7 @@
 from fractions import Fraction as Q
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,41 @@ def test_algebra_action_respects_brackets(coords):
     lhs = act_algebra(exact.commutator(x, y), v)
     rhs = act_algebra(x, act_algebra(y, v)) - act_algebra(y, act_algebra(x, v))
     assert (lhs - rhs).is_zero()
+
+
+def _floats(m):
+    return np.array([[float(v) for v in row] for row in m], dtype=float)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_float_action_matches_exact(n):
+    tops = ([Q(1, 3)] * n, [Q(-5, 2), Q(7, 4), Q(-1, 9)][:n], [Q(0)] * n)
+    stack = []
+    for x in tops:
+        u = [[Q(int(a == b)) for b in range(n + 1)] for a in range(n + 1)]
+        u[0][1:] = x
+        stack.append(exact.mat(u))
+    general = exact.mat([[Q(a + 2) if a == b else Q(a - 2 * b, b + 3)
+                          for b in range(n + 1)] for a in range(n + 1)])
+    assert exact.det(general) != 0
+    stack.append(general)
+    kinds = (["standard", "adjoint", "tensor(standard,exterior(2))"]
+             + [f"exterior({d})" for d in range(1, n + 2)])
+    for kind in kinds:
+        mod = build_module(kind, n)
+        got = mod.group_action_float(np.stack([_floats(g) for g in stack]))
+        assert got.shape == (len(stack), mod.dim, mod.dim)
+        for g, rho in zip(stack, got):
+            want = _floats(mod.group_action(g))
+            assert np.all(np.abs(rho - want) <= 1e-12 * np.abs(want).max()), kind
+        single = mod.group_action_float(_floats(general))
+        assert single.shape == (mod.dim, mod.dim)
+        assert np.allclose(single, got[-1], rtol=1e-12, atol=0.0)
+
+
+def test_float_action_rejects_wrong_size():
+    with pytest.raises(ValueError):
+        build_module("standard", 2).group_action_float(np.eye(4))
 
 
 def test_weight_support_of_basis_vector_is_singleton():
