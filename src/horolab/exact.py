@@ -132,7 +132,3 @@ def minor(a: Mat, row_idx: Sequence[int], col_idx: Sequence[int]) -> Q:
 
 def sup_norm(v: Sequence) -> Q:
     return max((abs(Q(x)) for x in v), default=Q(0))
-
-
-def mat_sup_norm(a: Mat) -> Q:
-    return max((abs(x) for row in a for x in row), default=Q(0))

@@ -374,7 +374,7 @@ def frame_degree_bound(module: WeightModule, frame: CurveFrame) -> int:
     are tail-free (moment frames); residual tail coefficients push a raise
     up to degree k, so the bound scales by k in that case.
     """
-    levels = module.levels()
+    levels = module.levels
     span = int(max(levels) - min(levels))
     tail_free = all(
         frame.coeff_table.get((j, i), 0) == 0 or i == j

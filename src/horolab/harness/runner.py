@@ -30,7 +30,6 @@ from ..rng import SplitRNG
 from ..weightlab import (
     basis_vector,
     build_module,
-    h_principal,
     identity_suite,
     s_sets,
     sl2_maxweight_check,
@@ -101,10 +100,9 @@ def _run_identity_suite(cfg: ExperimentConfig, samples: Samples) -> Result:
 
 
 def _random_eigenvector(module, rng):
-    hp = h_principal(module.n)
     levels: Dict[Q, List[int]] = {}
-    for idx, w in enumerate(module.weights):
-        levels.setdefault(w.evaluate(hp), []).append(idx)
+    for idx, level in enumerate(module.levels):
+        levels.setdefault(level, []).append(idx)
     level = sorted(levels)[int(rng.integers(0, len(levels)))]
     indices = levels[level]
     coords = [Q(0)] * module.dim

@@ -360,11 +360,10 @@ def sl2_maxweight_check(i: int, r, v: ModuleVector) -> Sl2Report:
 def delta_plus_indices(module: WeightModule, b: Q) -> Tuple[int, ...]:
     """Basis indices whose weight mu has mu(principal) - b >= 0 and
     nonnegative margin against every block element."""
-    hp = h_principal(module.n)
     blocks = [h_block(module.n, k) for k in range(1, module.n + 1)]
     out = []
-    for idx, mu in enumerate(module.weights):
-        lev = mu.evaluate(hp) - b
+    for idx, (mu, level) in enumerate(zip(module.weights, module.levels)):
+        lev = level - b
         if lev < 0:
             continue
         if all(mu.evaluate(hb) - lev >= 0 for hb in blocks):
@@ -373,10 +372,7 @@ def delta_plus_indices(module: WeightModule, b: Q) -> Tuple[int, ...]:
 
 
 def level_indices(module: WeightModule, b: Q) -> Tuple[int, ...]:
-    hp = h_principal(module.n)
-    return tuple(
-        idx for idx, mu in enumerate(module.weights) if mu.evaluate(hp) == b
-    )
+    return tuple(idx for idx, level in enumerate(module.levels) if level == b)
 
 
 @dataclass

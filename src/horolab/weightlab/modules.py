@@ -1,41 +1,30 @@
 """Finite dimensional modules with exact rational weight bookkeeping.
 
 Supported kinds: "standard", "exterior(d)", "adjoint", and one tensor layer
-"tensor(a,b)" whose operands are non-tensor kinds.  Group elements act through
-exact matrices over the rationals; the diagonal flow acts through weights.
+"tensor(a,b)" whose operands are non-tensor kinds.  Group and algebra
+elements act on the coordinate vector itself, through one exact rule per kind
+over the rationals; the matrix of an action, where one is needed, is that
+rule applied to each basis vector.  The diagonal flow acts through weights.
 No tolerances appear anywhere in this package.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from .. import exact
 from ..exact import Mat, Vec
-from .cartan import Weight
+from .cartan import Weight, h_principal
 
 _EXTERIOR_RE = re.compile(r"^exterior\((\d+)\)$")
 _TENSOR_RE = re.compile(r"^tensor\(([^,]+),([^,]+)\)$")
-
-
-def _wedge_sign_and_target(indices: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """Sort a wedge index tuple; None if two indices collide."""
-    idx = list(indices)
-    sign = 1
-    for a in range(len(idx)):
-        for b in range(len(idx) - 1 - a):
-            if idx[b] == idx[b + 1]:
-                return None
-            if idx[b] > idx[b + 1]:
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                sign = -sign
-    return sign, tuple(idx)
 
 
 @dataclass(frozen=True)
@@ -54,29 +43,26 @@ class WeightModule:
 
     # -- weight structure ---------------------------------------------------
 
+    @functools.cached_property
     def levels(self) -> Tuple[Q, ...]:
         """Values of each basis weight on the principal diagonal element."""
-        from .cartan import h_principal
-
         h = h_principal(self.n)
         return tuple(w.evaluate(h) for w in self.weights)
 
     def level_set(self) -> Tuple[Q, ...]:
-        return tuple(sorted(set(self.levels())))
+        return tuple(sorted(set(self.levels)))
 
     # -- actions ------------------------------------------------------------
 
     def group_action(self, g: Mat) -> Mat:
-        """Exact matrix of the module action of g in GL(n+1, Q)."""
-        if len(g) != self.n + 1:
-            raise ValueError("group element has wrong size")
-        return _group_action(self, g)
+        """Exact matrix of the module action of g in GL(n+1, Q): the vector
+        rule of ``act`` applied to each basis vector."""
+        return _matrix_of(self, _group_rule(self, g))
 
     def algebra_action(self, x: Mat) -> Mat:
-        """Exact matrix of the derived action of x in gl(n+1, Q)."""
-        if len(x) != self.n + 1:
-            raise ValueError("algebra element has wrong size")
-        return _algebra_action(self, x)
+        """Exact matrix of the derived action of x in gl(n+1, Q): the vector
+        rule of ``act_algebra`` applied to each basis vector."""
+        return _matrix_of(self, _algebra_rule(self, x))
 
     def group_action_float(self, g: np.ndarray) -> np.ndarray:
         """Float matrices of the action of a stack (..., n+1, n+1) of group
@@ -154,79 +140,105 @@ def build_module(kind: str, n: int) -> WeightModule:
     raise ValueError(f"unknown module kind: {kind!r}")
 
 
-# -- matrix action construction, per kind ------------------------------------
+# -- the action on vectors, one exact rule per kind ----------------------------
+
+Rule = Callable[[Vec], Vec]
 
 
-def _group_action(mod: WeightModule, g: Mat) -> Mat:
+def _group_rule(mod: WeightModule, g: Mat) -> Rule:
+    """The map v -> g v on coordinate tuples."""
+    if len(g) != mod.n + 1:
+        raise ValueError("group element has wrong size")
     tag = mod.basis_data[0]
     if tag == "standard":
-        return exact.mat(g)
+        return lambda v: exact.matvec(g, v)
     if tag == "exterior":
-        _, d, combos = mod.basis_data
-        return tuple(
-            tuple(exact.minor(g, rows, cols) for cols in combos) for rows in combos
+        # g(e_I) = sum over J of minor(g; J, I) e_J
+        combos = mod.basis_data[2]
+        return lambda v: tuple(
+            sum(c * exact.minor(g, rows, cols) for c, cols in zip(v, combos) if c)
+            for rows in combos
         )
     if tag == "adjoint":
         g_inv = exact.inverse(g)
-        cols = []
-        for b in range(mod.dim):
-            x = _adjoint_basis_matrix(mod, b)
-            cols.append(_adjoint_coords(mod, exact.matmul(exact.matmul(g, x), g_inv)))
-        return tuple(tuple(cols[b][a] for b in range(mod.dim)) for a in range(mod.dim))
+        return lambda v: _adjoint_coords(
+            mod, exact.matmul(exact.matmul(g, _adjoint_matrix(mod, v)), g_inv)
+        )
     if tag == "tensor":
+        # rho_a(g) V rho_b(g)^T on the dim_a x dim_b coefficient matrix V
         _, left, right = mod.basis_data
-        return _kron(left.group_action(g), right.group_action(g))
+        rho_a, rho_b = _group_rule(left, g), _group_rule(right, g)
+        return lambda v: _on_cols(rho_a, _on_rows(rho_b, v, right.dim), right.dim)
     raise AssertionError(tag)
 
 
-def _algebra_action(mod: WeightModule, x: Mat) -> Mat:
+def _algebra_rule(mod: WeightModule, x: Mat) -> Rule:
+    """The map v -> x v of the derived action on coordinate tuples."""
+    if len(x) != mod.n + 1:
+        raise ValueError("algebra element has wrong size")
     tag = mod.basis_data[0]
     if tag == "standard":
-        return exact.mat(x)
+        return lambda v: exact.matvec(x, v)
     if tag == "exterior":
-        _, d, combos = mod.basis_data
-        index_of = {c: a for a, c in enumerate(combos)}
-        out = [[Q(0)] * mod.dim for _ in range(mod.dim)]
-        for b, c in enumerate(combos):
-            for pos in range(d):
-                j = c[pos]
-                for i in range(mod.n + 1):
-                    coeff = x[i][j]
-                    if coeff == 0:
-                        continue
-                    replaced = c[:pos] + (i,) + c[pos + 1 :]
-                    st = _wedge_sign_and_target(replaced)
-                    if st is None:
-                        continue
-                    sign, target = st
-                    out[index_of[target]][b] += sign * coeff
-        return tuple(tuple(row) for row in out)
+        # x acts as a derivation: x e_j = sum_i x_ij e_i in each factor of e_I
+        combos = mod.basis_data[2]
+
+        def rule(v: Vec) -> Vec:
+            out = [Q(0)] * mod.dim
+            for c, idx in zip(v, combos):
+                for pos, j in enumerate(idx if c else ()):
+                    for i in range(mod.n + 1):
+                        if x[i][j] == 0 or (i != j and i in idx):
+                            continue
+                        # sorting e_i into place passes the indices between i and j
+                        sign = (-1) ** sum(min(i, j) < k < max(i, j) for k in idx)
+                        target = tuple(sorted(idx[:pos] + (i,) + idx[pos + 1 :]))
+                        out[combos.index(target)] += sign * x[i][j] * c
+            return tuple(out)
+
+        return rule
     if tag == "adjoint":
-        cols = []
-        for b in range(mod.dim):
-            y = _adjoint_basis_matrix(mod, b)
-            cols.append(_adjoint_coords(mod, exact.commutator(x, y)))
-        return tuple(tuple(cols[b][a] for b in range(mod.dim)) for a in range(mod.dim))
+        return lambda v: _adjoint_coords(mod, exact.commutator(x, _adjoint_matrix(mod, v)))
     if tag == "tensor":
+        # x V + V x^T on the dim_a x dim_b coefficient matrix V
         _, left, right = mod.basis_data
-        xl = left.algebra_action(x)
-        xr = right.algebra_action(x)
-        return exact.add(
-            _kron(xl, exact.identity(right.dim)), _kron(exact.identity(left.dim), xr)
+        x_a, x_b = _algebra_rule(left, x), _algebra_rule(right, x)
+        return lambda v: tuple(
+            p + q
+            for p, q in zip(_on_cols(x_a, v, right.dim), _on_rows(x_b, v, right.dim))
         )
     raise AssertionError(tag)
 
 
-def _adjoint_basis_matrix(mod: WeightModule, b: int) -> Mat:
+def _on_rows(rule: Rule, v: Vec, width: int) -> Vec:
+    """V -> V rule^T on the row-major coefficient matrix V of a tensor."""
+    return tuple(c for i in range(0, len(v), width) for c in rule(v[i : i + width]))
+
+
+def _on_cols(rule: Rule, v: Vec, width: int) -> Vec:
+    """V -> rule V on the row-major coefficient matrix V of a tensor."""
+    cols = [rule(v[k::width]) for k in range(width)]
+    return tuple(c for row in zip(*cols) for c in row)
+
+
+def _matrix_of(mod: WeightModule, rule: Rule) -> Mat:
+    """The matrix whose column b is the rule applied to basis vector b."""
+    cols = [rule(basis_vector(mod, b).coords) for b in range(mod.dim)]
+    return exact.mat(zip(*cols))
+
+
+def _adjoint_matrix(mod: WeightModule, v: Vec) -> Mat:
+    """The traceless matrix X_v whose adjoint coordinates are v."""
     _, pairs = mod.basis_data
-    n = mod.n
-    if b < len(pairs):
-        i, j = pairs[b]
-        return exact.elementary(n + 1, i, j)
-    k = b - len(pairs)
-    return exact.sub(
-        exact.elementary(n + 1, k, k), exact.elementary(n + 1, k + 1, k + 1)
-    )
+    m = mod.n + 1
+    rows = [[Q(0)] * m for _ in range(m)]
+    for (i, j), c in zip(pairs, v):
+        rows[i][j] = Q(c)
+    # the coefficient of D_k = E_kk - E_{k+1,k+1} enters diagonal slots k, k+1
+    d = (Q(0),) + tuple(v[len(pairs) :]) + (Q(0),)
+    for k in range(m):
+        rows[k][k] = d[k + 1] - d[k]
+    return tuple(tuple(row) for row in rows)
 
 
 def _adjoint_coords(mod: WeightModule, y: Mat) -> Vec:
@@ -245,15 +257,6 @@ def _adjoint_coords(mod: WeightModule, y: Mat) -> Vec:
     return tuple(coords)
 
 
-def _kron(a: Mat, b: Mat) -> Mat:
-    bn = len(b)
-    return tuple(
-        tuple(a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0])))
-        for i in range(len(a))
-        for k in range(bn)
-    )
-
-
 def _group_action_float(mod: WeightModule, g: np.ndarray) -> np.ndarray:
     tag = mod.basis_data[0]
     if tag == "standard":
@@ -265,7 +268,8 @@ def _group_action_float(mod: WeightModule, g: np.ndarray) -> np.ndarray:
     if tag == "adjoint":
         # column b holds the adjoint coordinates of g X_b g^{-1}
         basis = np.array([
-            [[float(v) for v in row] for row in _adjoint_basis_matrix(mod, b)]
+            [[float(c) for c in row]
+             for row in _adjoint_matrix(mod, basis_vector(mod, b).coords)]
             for b in range(mod.dim)
         ])
         y = g[..., None, :, :] @ basis @ np.linalg.inv(g)[..., None, :, :]
@@ -295,9 +299,6 @@ class ModuleVector:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def sup_norm(self) -> Q:
-        return exact.sup_norm(self.coords)
 
     def to_floats(self) -> np.ndarray:
         return np.array([float(c) for c in self.coords])
@@ -346,14 +347,12 @@ def vector(module: WeightModule, coords: Sequence) -> ModuleVector:
 
 def act(g: Mat, v: ModuleVector) -> ModuleVector:
     """Apply an exact group element (an (n+1)x(n+1) rational matrix)."""
-    rho = v.module.group_action(exact.mat(g))
-    return ModuleVector(v.module, exact.matvec(rho, v.coords))
+    return ModuleVector(v.module, _group_rule(v.module, exact.mat(g))(v.coords))
 
 
 def act_algebra(x: Mat, v: ModuleVector) -> ModuleVector:
     """Apply the derived action of an algebra element, exactly."""
-    rho = v.module.algebra_action(exact.mat(x))
-    return ModuleVector(v.module, exact.matvec(rho, v.coords))
+    return ModuleVector(v.module, _algebra_rule(v.module, exact.mat(x))(v.coords))
 
 
 # -- support -------------------------------------------------------------------

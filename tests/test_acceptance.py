@@ -32,16 +32,20 @@ def test_criterion_02_support_fuzz(preset_run):
     # 100 seeded draws for each of the nine (rank, module) cells
     assert entry["counts"]["total"] == 900
     assert entry["counts"]["passed"] == 900
-    assert elapsed < 300.0
+    # tripwire: the vector rules run this in about a second
+    assert elapsed < 30.0
 
 
 def test_criterion_03_rank_one_inequality(preset_run):
-    outcome, _ = preset_run("acceptance-03")
+    outcome, elapsed = preset_run("acceptance-03")
     entry = _check(outcome, "acceptance-03")
     counts = entry["counts"]
     assert counts["passed"] == counts["total"]
     # the equality branch of the characterization must actually be exercised
     assert counts["equalities"] >= 50
+    # tripwire: the vector rules run this in about a second, the dim x dim
+    # matrix action took 8.6-11.3 s
+    assert elapsed < 5.0
 
 
 def test_criterion_04_polynomial_floors(preset_run):

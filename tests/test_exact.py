@@ -49,7 +49,6 @@ def test_matvec_and_norms():
     a = [[Q(1), Q(-2)], [Q(0), Q(3)]]
     assert exact.matvec(a, [Q(1), Q(1)]) == (Q(-1), Q(3))
     assert exact.sup_norm([Q(-5, 2), Q(2)]) == Q(5, 2)
-    assert exact.mat_sup_norm(a) == Q(3)
 
 
 def test_minor():

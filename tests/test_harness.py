@@ -16,7 +16,9 @@ from horolab.harness import (
     run,
     validate_config,
 )
+from horolab import exact
 from horolab.harness import cli, runner
+from horolab.weightlab import modules
 from horolab.dirichlet import SearchBudgetError
 
 
@@ -134,6 +136,37 @@ def test_corrupted_predicate_hook_fails_loud(tmp_path):
     instances = recorded["failures"][0]["instances"]
     assert instances
     assert {"module", "n", "coords"} <= set(instances[0])
+
+
+def _adjoint_rule_without_inverse(real):
+    """The group rule with the adjoint kind acting by g X g, trace removed,
+    in place of g X g^-1: a traceless result, but not an action."""
+    def rule(mod, g):
+        if mod.kind != "adjoint":
+            return real(mod, g)
+
+        def wrong(v):
+            y = exact.matmul(exact.matmul(g, modules._adjoint_matrix(mod, v)), g)
+            shift = sum(y[k][k] for k in range(mod.n + 1)) / (mod.n + 1)
+            return modules._adjoint_coords(
+                mod, exact.sub(y, exact.scale(shift, exact.identity(mod.n + 1))))
+
+        return wrong
+
+    return rule
+
+
+@pytest.mark.parametrize("preset", ["acceptance-02", "acceptance-03"])
+def test_lemma_presets_fail_on_a_wrong_adjoint_action(tmp_path, monkeypatch, preset):
+    monkeypatch.setattr(modules, "_group_rule",
+                        _adjoint_rule_without_inverse(modules._group_rule))
+    out = run(resolve_config(preset), tmp_path / "o")
+    assert out.exit_code == 3
+    assert not out.summary["all_pass"]
+    recorded = json.loads((tmp_path / "o" / "failures.json").read_text())
+    instances = recorded["failures"][0]["instances"]
+    assert instances
+    assert {i["module"] for i in instances} == {"adjoint"}
 
 
 def test_rerun_is_byte_identical(tmp_path):

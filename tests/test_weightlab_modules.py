@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from horolab import exact
@@ -70,6 +70,84 @@ def test_algebra_action_respects_brackets(coords):
     lhs = act_algebra(exact.commutator(x, y), v)
     rhs = act_algebra(x, act_algebra(y, v)) - act_algebra(y, act_algebra(x, v))
     assert (lhs - rhs).is_zero()
+
+
+# Every kind at n = 2, 3, including tensors with an adjoint operand.
+LAW_MODULES = [
+    (n, kind)
+    for n in (2, 3)
+    for kind in (["standard", "adjoint", "tensor(standard,exterior(2))",
+                  "tensor(adjoint,standard)"]
+                 + [f"exterior({d})" for d in range(1, n + 2)])
+]
+
+
+# No shrinking: on these dense rational examples it takes minutes to report
+# a failure that generation finds in seconds.
+_LAW_SETTINGS = settings(max_examples=8, deadline=None,
+                         phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
+def _square(draw, n):
+    return exact.mat(draw(st.lists(st.lists(small_q, min_size=n + 1, max_size=n + 1),
+                                   min_size=n + 1, max_size=n + 1)))
+
+
+def _invertible(draw, n):
+    g = _square(draw, n)
+    assume(exact.det(g) != 0)
+    return g
+
+
+def _module_vector(draw, mod):
+    return vector(mod, draw(st.lists(small_q, min_size=mod.dim, max_size=mod.dim)))
+
+
+@pytest.mark.parametrize("n,kind", LAW_MODULES)
+@given(data=st.data())
+@_LAW_SETTINGS
+def test_group_action_is_a_homomorphism(n, kind, data):
+    mod = build_module(kind, n)
+    g, h = _invertible(data.draw, n), _invertible(data.draw, n)
+    v = _module_vector(data.draw, mod)
+    assert (act(g, act(h, v)) - act(exact.matmul(g, h), v)).is_zero()
+    assert (act(exact.identity(n + 1), v) - v).is_zero()
+
+
+@pytest.mark.parametrize("n,kind", LAW_MODULES)
+@given(data=st.data())
+@_LAW_SETTINGS
+def test_algebra_action_is_a_lie_homomorphism(n, kind, data):
+    mod = build_module(kind, n)
+    x, y = _square(data.draw, n), _square(data.draw, n)
+    v = _module_vector(data.draw, mod)
+    lhs = act_algebra(exact.commutator(x, y), v)
+    rhs = act_algebra(x, act_algebra(y, v)) - act_algebra(y, act_algebra(x, v))
+    assert (lhs - rhs).is_zero()
+
+
+@pytest.mark.parametrize("n,kind", LAW_MODULES)
+@given(data=st.data())
+@_LAW_SETTINGS
+def test_exponential_of_nilpotent_matches_algebra_series(n, kind, data):
+    # x strictly upper triangular, so both exponential series are finite
+    mod = build_module(kind, n)
+    x = exact.mat([[data.draw(small_q) if b > a else 0 for b in range(n + 1)]
+                   for a in range(n + 1)])
+    v = _module_vector(data.draw, mod)
+    exp_x = exact.identity(n + 1)
+    power = exact.identity(n + 1)
+    for k in range(1, n + 1):
+        power = exact.scale(Q(1, k), exact.matmul(power, x))
+        exp_x = exact.add(exp_x, power)
+    series, term = v, v
+    for k in range(1, mod.dim + 1):
+        term = Q(1, k) * act_algebra(x, term)
+        if term.is_zero():
+            break
+        series = series + term
+    assert term.is_zero()
+    assert (act(exp_x, v) - series).is_zero()
 
 
 def _floats(m):
