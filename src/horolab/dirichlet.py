@@ -13,14 +13,25 @@ half-ulp uncertainty, and a witness is only reported when the inequality
 holds with that uncertainty added on the unfavourable side, so ``found`` is
 never a false positive; a miss within half an ulp of the boundary may be
 conservative.
+
+Each form is one sweep per xi that answers a list of (box, mu) targets.
+The primal sweep evaluates ``|q . xi - p|`` in floats once over the union
+of the boxes, held in canonical (shell-first) order so that each target
+reads its box as a prefix, or as a mask of one; the dual sweep does the
+same over ``q = 1 .. max prod N``.  Every point of the float band, widened
+by a bound on the rounding of the sweep, is confirmed in integer arithmetic
+over the common denominator of xi.  Nothing is shortlisted or capped, so
+the primal witness is the exact smallest-error one and the dual witness has
+the exact smallest q.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,8 +41,8 @@ from .curvejet import CurveSpec
 Number = Union[int, float, Q]
 
 SEARCH_BUDGET = 10**7
-_CHUNK = 2_000_000
-_CANDIDATE_CAP = 64
+_CHUNK = 1 << 20  # points (or q values) per slab of a sweep; bounds its memory
+_CONFIRM_BLOCK = 1 << 16  # band points confirmed at once; bounds the Python-int arrays
 _FLOAT_MARGIN = 1e-9
 
 
@@ -95,7 +106,9 @@ class WitnessResult:
 
     ``witness`` is ``((q_1..q_n), p)`` for the primal form and
     ``(q, (p_1..p_n))`` for the dual form.  ``residual`` is the worst
-    coordinate error relative to its allowance (<= 1 exactly when found).
+    coordinate error relative to its allowance (<= 1 exactly when found);
+    the lattice search leaves it ``None`` on a miss, because it never sees
+    the whole box.
     """
 
     found: bool
@@ -109,132 +122,269 @@ def _check_budget(points: int) -> None:
         raise SearchBudgetError(f"{points} points exceeds budget {SEARCH_BUDGET}")
 
 
-def _q_grid_chunks(bounds: Sequence[int]) -> Iterator[np.ndarray]:
-    """Integer boxes prod [-N_i, N_i], yielded in slabs of bounded size."""
-    axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-    total = 1
-    for a in axes:
-        total *= len(a)
-    if total <= _CHUNK:
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        yield grid.reshape(-1, len(bounds))
-        return
-    per_row = total // len(axes[0])
-    slab = max(1, _CHUNK // per_row)
-    for start in range(0, len(axes[0]), slab):
-        part = [axes[0][start : start + slab]] + axes[1:]
-        grid = np.stack(np.meshgrid(*part, indexing="ij"), axis=-1)
-        yield grid.reshape(-1, len(bounds))
+def _shared_xi(queries: Sequence[DIQuery], form: str) -> Tuple[Number, ...]:
+    """The target vector of a batch, after checking the batch is one sweep."""
+    if not queries:
+        raise ValueError("a sweep needs at least one query")
+    if any(q.form != form for q in queries):
+        raise ValueError(f"the {form} sweep expects the {form} form")
+    xi = queries[0].xi
+    # a float and an equal Fraction differ in their half-ulp allowance
+    typed = [(type(x), x) for x in xi]
+    if any([(type(x), x) for x in q.xi] != typed for q in queries):
+        raise ValueError("queries in one sweep must share xi")
+    for q in queries:
+        _check_budget(q.box_product)
+    return xi
+
+
+def _scaled_xi(xi: Sequence[Number]) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+    """xi and its half-ulp allowances as integers over one common denominator."""
+    from .latticelab import _scaled
+
+    pairs = [_exact(x) for x in xi]
+    (nums, ulps), denom = _scaled([[v for v, _ in pairs], [u for _, u in pairs]])
+    return nums, ulps, denom
+
+
+def _float_error(bounds: Sequence[int], xi_f: Sequence[float]) -> float:
+    """Bound on the float error of ``q . xi`` over a box, plus a margin.
+
+    Covers rounding xi to floats and the products and sums of the sweep.
+    """
+    spread = (len(xi_f) + 1) * 2.0**-52
+    return sum(b * (math.ulp(x) + spread * abs(x)) for b, x in zip(bounds, xi_f)) + _FLOAT_MARGIN
+
+
+def _nearest(t, denom: int):
+    """Integers p nearest to t / denom (ties go low) and |t - p denom|."""
+    p = -((denom - 2 * t) // (2 * denom))
+    return p, abs(t - p * denom)
+
+
+# -- primal sweep ----------------------------------------------------------------------
+
+
+def _count(bounds: Sequence[int], level: int) -> int:
+    """Nonzero box points with max |q_i| <= level."""
+    return math.prod(2 * min(b, level) + 1 for b in bounds) - 1
+
+
+def _shells(bounds: Tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """Box points with lo <= max |q_i| <= hi in canonical order, as the
+    columns of an int32 array with one row per coordinate.
+
+    The points split into product sets by the first axis j with
+    |q_j| >= lo; the union is sorted by ``_canonical_key`` in one lexsort.
+    """
+    n = len(bounds)
+    pieces = []
+    for j, bj in enumerate(bounds):
+        if min(bj, hi) < lo:
+            continue
+        axes = []
+        for i, b in enumerate(bounds):
+            reach = min(b, hi) if i > j else min(b, lo - 1)
+            axes.append(np.arange(-reach, reach + 1, dtype=np.int32))
+        side = np.arange(lo, min(bj, hi) + 1, dtype=np.int32)
+        axes[j] = np.concatenate([-side[::-1], side])
+        grid = np.meshgrid(*axes, indexing="ij")
+        pieces.append(np.stack([g.ravel() for g in grid]))
+    pts = np.concatenate(pieces, axis=1)
+    mag = np.abs(pts).astype(np.min_scalar_type(hi))  # narrow keys sort by radix
+    keys = [pts[i] < 0 for i in reversed(range(n))] + list(mag) + [mag.max(axis=0)]
+    return pts[:, np.lexsort(keys)]
+
+
+@functools.lru_cache(maxsize=2)
+def _canonical_box(bounds: Tuple[int, ...]) -> np.ndarray:
+    """Every nonzero point of a box that fits one slab, read-only."""
+    box = _shells(bounds, 1, max(bounds))
+    box.flags.writeable = False
+    return box
+
+
+def _box_slabs(bounds: Tuple[int, ...]) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """The nonzero box points in canonical order, as slabs of whole shells
+    lo..hi with at most ``_CHUNK`` points each (a single shell may exceed it)."""
+    top, lo = max(bounds), 1
+    while lo <= top:
+        base, hi, b = _count(bounds, lo - 1), lo, top
+        while hi < b:
+            mid = (hi + b + 1) // 2
+            if _count(bounds, mid) - base <= _CHUNK:
+                hi = mid
+            else:
+                b = mid - 1
+        yield lo, hi, _canonical_box(bounds) if (lo, hi) == (1, top) else _shells(bounds, lo, hi)
+        lo = hi + 1
+
+
+@dataclass(frozen=True)
+class _PrimalTarget:
+    bounds: Tuple[int, ...]
+    level: int          # max bound: the target lies in the union's first shells
+    prefix: bool        # the target is exactly those shells of the union
+    bound: Q            # mu / prod N
+    band: float         # no witness has a float error above this
+    limit: int          # integer threshold on (error + shrink) * denom
+
+
+def primal_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
+    """Primal searches for queries sharing xi, in one pass over their union box.
+
+    Each result is the exact smallest-error witness of its own box, ties
+    broken toward the canonical-first q and then the smaller p; it is what
+    ``di_witness`` returns for that query alone.  Every point whose float
+    error lies in some target's band is confirmed in integers, with the
+    half-ulp shrink of float inputs.
+    """
+    xi = _shared_xi(queries, "primal")
+    nums, ulps, denom = _scaled_xi(xi)
+    xi_f = [float(Q(a, denom)) for a in nums]
+    union = tuple(map(max, zip(*(q.bounds for q in queries))))
+    targets = []
+    for q in queries:
+        level = max(q.bounds)
+        bound = _exact(q.mu)[0] / q.box_product
+        targets.append(_PrimalTarget(
+            q.bounds, level, all(t == min(u, level) for t, u in zip(q.bounds, union)),
+            bound, float(bound) + _float_error(q.bounds, xi_f),
+            math.floor(bound * denom)))
+    # Python ints only when int64 could overflow.
+    big = 2 * (sum(b * (abs(a) + u) for b, a, u in zip(union, nums, ulps)) + denom)
+    dtype = np.int64 if big < 2**62 else object
+    nums_v, ulps_v = np.array(nums, dtype=dtype), np.array(ulps, dtype=dtype)
+
+    best: List[Optional[Tuple]] = [None] * len(targets)
+    low = [math.inf] * len(targets)
+    for lo, hi, box in _box_slabs(union):
+        r = box[0] * xi_f[0]
+        for i in range(1, len(xi_f)):
+            r += box[i] * xi_f[i]
+        err = np.abs(r - np.rint(r))
+        keep = np.zeros(box.shape[1], dtype=bool)
+        spans = []
+        for t in targets:
+            end = max(0, _count(union, min(t.level, hi)) - _count(union, lo - 1))
+            inside = None if t.prefix else (
+                np.abs(box[:, :end]) <= np.array(t.bounds)[:, None]).all(axis=0)
+            band = err[:end] <= t.band
+            keep[:end] |= band if inside is None else band & inside
+            spans.append((end, inside))
+        candidates = np.flatnonzero(keep)
+        for start in range(0, candidates.size, _CONFIRM_BLOCK):
+            idx = candidates[start : start + _CONFIRM_BLOCK]
+            qs = box[:, idx].astype(dtype)
+            p, e = _nearest(nums_v @ qs, denom)
+            total = e + ulps_v @ np.abs(qs)
+            for k, (t, (end, inside)) in enumerate(zip(targets, spans)):
+                size = int(np.searchsorted(idx, end))
+                ok = total[:size] <= t.limit
+                if inside is not None:
+                    ok &= inside[idx[:size]]
+                hits = np.flatnonzero(ok)
+                if hits.size:
+                    j = hits[np.argmin(e[hits])]
+                    if best[k] is None or e[j] < best[k][0]:
+                        best[k] = (int(e[j]), tuple(int(c) for c in box[:, idx[j]]), int(p[j]))
+        for k, (end, inside) in enumerate(spans):
+            if best[k] is None and end:
+                mine = err[:end] if inside is None else err[:end][inside]
+                if mine.size:
+                    low[k] = min(low[k], float(mine.min()))
+
+    results = []
+    for t, hit, smallest in zip(targets, best, low):
+        volume = _count(t.bounds, t.level)
+        if hit is None:
+            bound_f = float(t.bound)
+            results.append(WitnessResult(
+                False, None, volume, smallest / bound_f if bound_f else math.inf))
+        else:
+            e, q, p = hit
+            results.append(WitnessResult(True, (q, p), volume, float(Q(e, denom) / t.bound)))
+    return results
 
 
 def di_witness(query: DIQuery) -> WitnessResult:
     """Exhaustive primal search; returns the smallest-error witness.
 
     Ties in the error are broken toward the small positive corner of the
-    box.  A vectorised float sweep shortlists candidates and exact rational
-    arithmetic confirms them, so the verdict does not depend on rounding.
+    box.  The one-target case of ``primal_sweep``.
     """
     if query.form != "primal":
         raise ValueError("di_witness expects the primal form")
-    _check_budget(query.box_product)
-    exact_pairs = [_exact(x) for x in query.xi]
-    xi_exact = [v for v, _ in exact_pairs]
-    unc = [u for _, u in exact_pairs]
-    mu_exact, _ = _exact(query.mu)
-    bound = mu_exact / query.box_product
-    bound_f = float(bound)
-    xi_f = np.array([float(v) for v in xi_exact])
-    slack = float(sum(b * u for b, u in zip(query.bounds, unc))) + _FLOAT_MARGIN
+    return primal_sweep([query])[0]
 
-    volume = 0
-    best_err = math.inf
-    shortlist: List[Tuple[float, Tuple[int, ...]]] = []
-    for grid in _q_grid_chunks(query.bounds):
-        nonzero = (grid != 0).any(axis=1)
-        volume += int(nonzero.sum())
-        r = grid @ xi_f
+
+# -- dual sweep ------------------------------------------------------------------------
+
+
+def _dual_confirm(q: int, nums, ulps, denom: int, limits, allowances):
+    """Exact dual test at one q: the nearest p_i and the worst relative error."""
+    ps = []
+    worst = Q(0)
+    for a, u, limit, allowance in zip(nums, ulps, limits, allowances):
+        p, e = _nearest(q * a, denom)
+        if e + q * u > limit:
+            return None
+        ps.append(p)
+        worst = max(worst, Q(e, denom) / allowance)
+    return tuple(ps), float(worst)
+
+
+def dual_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
+    """Dual searches for queries sharing xi, in one pass over q = 1 .. max prod N.
+
+    Each target takes the first q of its own range that the integer test
+    confirms, so its witness has the exact smallest q > 0 (witnesses come
+    in +-(q, p) pairs); it is what ``di_dual_witness`` returns for that
+    query alone.
+    """
+    xi = _shared_xi(queries, "dual")
+    nums, ulps, denom = _scaled_xi(xi)
+    xi_f = np.array([float(Q(a, denom)) for a in nums])
+    tops = [q.box_product for q in queries]
+    allowances = [[_exact(q.mu)[0] / n for n in q.bounds] for q in queries]
+    allow_f = [np.array([float(a) for a in allow]) for allow in allowances]
+    limits = [[math.floor(a * denom) for a in allow] for allow in allowances]
+    bands = [a + np.array([_float_error([top], [x]) for x in xi_f])
+             for a, top in zip(allow_f, tops)]
+
+    results: List[Optional[WitnessResult]] = [None] * len(queries)
+    low = [math.inf] * len(queries)
+    for start in range(1, max(tops) + 1, _CHUNK):
+        open_ = [k for k, top in enumerate(tops) if results[k] is None and start <= top]
+        if not open_:
+            break
+        qs = np.arange(start, min(start + _CHUNK, max(tops) + 1), dtype=np.int64)
+        r = np.outer(xi_f, qs)
         err = np.abs(r - np.rint(r))
-        err[~nonzero] = np.inf
-        chunk_best = float(err.min())
-        best_err = min(best_err, chunk_best)
-        keep = err <= max(bound_f + slack, chunk_best + _FLOAT_MARGIN)
-        if keep.any():
-            idx = np.flatnonzero(keep)
-            if idx.size > 512:
-                maxabs = np.abs(grid[idx]).max(axis=1)
-                order = np.lexsort((maxabs, err[idx]))
-                idx = idx[order[:512]]
-            shortlist.extend(
-                (float(err[i]), tuple(int(c) for c in grid[i])) for i in idx
-            )
-
-    shortlist.sort(key=lambda item: (item[0], _canonical_key(item[1])))
-    best: Optional[Tuple[Q, Tuple, Tuple[int, ...], int]] = None
-    for _, q in shortlist[:_CANDIDATE_CAP]:
-        r = sum(x * c for x, c in zip(xi_exact, q))
-        u_total = sum(u * abs(c) for u, c in zip(unc, q))
-        p0 = math.floor(r)
-        for p in (p0, p0 + 1):
-            err = abs(r - p)
-            if err + u_total > bound:
-                continue
-            key = (err, _canonical_key(q), p)
-            if best is None or key < (best[0], best[1], best[3]):
-                best = (err, _canonical_key(q), q, p)
-    if best is None:
-        residual = best_err / bound_f if bound_f else math.inf
-        return WitnessResult(False, None, volume, residual)
-    err, _, q, p = best
-    return WitnessResult(True, (q, p), volume, float(err / bound))
+        for k in open_:
+            rows = err[:, : tops[k] + 1 - start]
+            for i in np.flatnonzero((rows <= bands[k][:, None]).all(axis=0)):
+                q = start + int(i)
+                hit = _dual_confirm(q, nums, ulps, denom, limits[k], allowances[k])
+                if hit is not None:
+                    results[k] = WitnessResult(True, (q, hit[0]), q, hit[1])
+                    break
+            else:
+                low[k] = min(low[k], float((rows / allow_f[k][:, None]).max(axis=0).min()))
+    return [res or WitnessResult(False, None, top, smallest)
+            for res, top, smallest in zip(results, tops, low)]
 
 
 def di_dual_witness(query: DIQuery) -> WitnessResult:
     """Exhaustive dual search; returns the smallest-|q| witness.
 
     Witness pairs come in +-(q, p) pairs, so only positive q are scanned
-    and the reported witness has q > 0.
+    and the reported witness has q > 0.  The one-target case of
+    ``dual_sweep``.
     """
     if query.form != "dual":
         raise ValueError("di_dual_witness expects the dual form")
-    q_max = query.box_product
-    _check_budget(q_max)
-    exact_pairs = [_exact(x) for x in query.xi]
-    xi_exact = [v for v, _ in exact_pairs]
-    unc = [u for _, u in exact_pairs]
-    mu_exact, _ = _exact(query.mu)
-    bounds_q = [mu_exact / n for n in query.bounds]
-    bounds_f = np.array([float(b) for b in bounds_q])
-    xi_f = np.array([float(v) for v in xi_exact])
-    slack = np.array([float(u) for u in unc]) * q_max + _FLOAT_MARGIN
-
-    def confirm(qv: int) -> Optional[Tuple[Tuple[int, ...], Q]]:
-        ps = []
-        worst = Q(0)
-        for x, u, allowance in zip(xi_exact, unc, bounds_q):
-            r = x * qv
-            p0 = math.floor(r)
-            err, p = min((abs(r - p), p) for p in (p0, p0 + 1))
-            if err + u * qv > allowance:
-                return None
-            ps.append(p)
-            worst = max(worst, err / allowance if allowance else Q(0))
-        return tuple(ps), worst
-
-    best_excess = math.inf
-    for start in range(1, q_max + 1, _CHUNK):
-        qs = np.arange(start, min(start + _CHUNK, q_max + 1), dtype=np.int64)
-        r = np.outer(qs, xi_f)
-        err = np.abs(r - np.rint(r))
-        excess = (err / bounds_f).max(axis=1)
-        best_excess = min(best_excess, float(excess.min()))
-        passing = np.flatnonzero((err <= bounds_f + slack).all(axis=1))
-        for i in passing:
-            qv = int(qs[i])
-            hit = confirm(qv)
-            if hit is not None:
-                ps, worst = hit
-                return WitnessResult(True, (qv, ps), qv, float(worst))
-    return WitnessResult(False, None, q_max, best_excess)
+    return dual_sweep([query])[0]
 
 
 # -- lattice-box reformulation ---------------------------------------------------------
@@ -245,7 +395,8 @@ def dani_lattice(query: DIQuery):
 
     Nonzero points of the returned lattice inside the box
     ``[-mu/prod N, mu/prod N] x prod [-N_i, N_i]`` with nonzero integer part
-    are exactly the images ``(xi . q - p, q)`` of primal witnesses.
+    are exactly the images ``(xi . q - p, q)`` of primal witnesses.  The
+    half-widths are exact.
     """
     from .latticelab import LatticeBasis
 
@@ -259,9 +410,8 @@ def dani_lattice(query: DIQuery):
         row[0] = x
         row[i + 1] = Q(1)
         rows.append(tuple(row))
-    mu_exact, _ = _exact(query.mu)
-    halfwidths = (float(mu_exact / query.box_product),) + tuple(
-        float(b) for b in query.bounds
+    halfwidths = (_exact(query.mu)[0] / query.box_product,) + tuple(
+        Q(b) for b in query.bounds
     )
     basis = LatticeBasis.from_rows(rows, provenance="dani(primal)")
     return basis, halfwidths
@@ -270,51 +420,49 @@ def dani_lattice(query: DIQuery):
 def box_point_search(query: DIQuery) -> WitnessResult:
     """Independent primal verdict: enumerate lattice points inside the box.
 
-    Walks the integer part of the box in canonical order and tests, in exact
-    arithmetic, whether an integer p lands in the first-coordinate window.
-    Shares no code with di_witness beyond the rounding convention, so verdict
-    agreement between the two is a real consistency check.
+    Rescales ``dani_lattice`` so the box becomes the unit cube (covolume
+    1/mu), reduces it with the integral LLL and walks every lattice point
+    of the circumscribed ball with ``latticelab.enumerate_ball``.  Each
+    point gets the exact box test with the half-ulp shrink, and the
+    canonical-first q wins, with the p nearest ``xi . q``.
+    ``search_volume`` counts the nonzero lattice points walked.  Shares no
+    code with the sweeps beyond the rounding convention, so verdict
+    agreement with ``di_witness`` is a real consistency check.
     """
+    from .latticelab import LatticeBasis, _scaled, enumerate_ball, lll_reduce
+
     if query.form != "primal":
         raise ValueError("the box reformulation is defined for the primal form")
-    points = 1
-    for b in query.bounds:
-        points *= 2 * b + 1
-    _check_budget(points)
-    exact_pairs = [_exact(x) for x in query.xi]
-    xi_exact = [v for v, _ in exact_pairs]
-    unc = [u for _, u in exact_pairs]
-    mu_exact, _ = _exact(query.mu)
-    width = mu_exact / query.box_product
-
-    candidates = sorted(
-        (q for q in itertools.product(*[range(-b, b + 1) for b in query.bounds])
-         if any(q)),
-        key=_canonical_key,
-    )
+    _check_budget(math.prod(2 * b + 1 for b in query.bounds))
+    basis, widths = dani_lattice(query)
+    unit = tuple(tuple(c / w for c, w in zip(row, widths)) for row in basis.rows)
+    red = lll_reduce(LatticeBasis.from_rows(unit, "dani(unit box)", expect_unimodular=False))
+    denom = red.basis.denom
+    cols = tuple(zip(*red.transform))
+    first = tuple(row[0] for row in red.basis.ints)
+    # The shrink in units of the box: sum_i (u_i / width) |q_i| = shrink . |q| / sden.
+    (shrink,), sden = _scaled([[_exact(x)[1] / widths[0] for x in query.xi]])
+    hits = []
     volume = 0
-    best_excess = math.inf
-    for q in candidates:
-        volume += 1
-        r = sum(x * c for x, c in zip(xi_exact, q))
-        shrink = width - sum(u * abs(c) for u, c in zip(unc, q))
-        if shrink >= 0:
-            lo = math.ceil(r - shrink)
-            hi = math.floor(r + shrink)
-            if lo <= hi:
-                err, p = min((abs(r - p), p) for p in range(lo, hi + 1))
-                return WitnessResult(True, (q, p), volume, float(err / width))
-        nearest = min(abs(r - math.floor(r)), abs(math.floor(r) + 1 - r))
-        best_excess = min(best_excess, float(nearest / width))
-    return WitnessResult(False, None, volume, best_excess)
 
+    def test(coords: List[int], norm: int) -> int:
+        nonlocal volume
+        if norm:
+            volume += 1
+            p, *q = (sum(map(mul, coords, col)) for col in cols)
+            if any(q) and all(abs(c) <= b for c, b in zip(q, query.bounds)):
+                # |xi . q - p| / width = err / denom
+                err = abs(sum(map(mul, coords, first)))
+                if err * sden + denom * sum(map(mul, shrink, map(abs, q))) <= denom * sden:
+                    hits.append((_canonical_key(q), err, p, tuple(q)))
+        return radius
 
-def witness_point(query: DIQuery, witness: Tuple) -> Tuple[float, ...]:
-    """Lattice point ``(xi . q - p, q)`` realised by a primal witness."""
-    q, p = witness
-    xi_exact = [_exact(x)[0] for x in query.xi]
-    first = sum(x * c for x, c in zip(xi_exact, q)) - p
-    return (float(first),) + tuple(float(c) for c in q)
+    radius = (query.dimension + 1) * denom**2
+    enumerate_ball(red, radius, test)
+    if not hits:
+        return WitnessResult(False, None, volume, None)
+    _, err, p, q = min(hits)
+    return WitnessResult(True, (q, p), volume, float(Q(err, denom)))
 
 
 # -- target-sequence exponent ----------------------------------------------------------
@@ -464,9 +612,11 @@ def curve_scan(
 ) -> ScanTable:
     """Run both witness searches at every (grid point, target) cell.
 
-    Cells are independent; they are evaluated and reported in (s, target)
-    lexicographic order.  Budget overruns mark the cell skipped rather than
-    aborting the scan.  Grid points lying on small-denominator rationals are
+    Each grid point takes one primal and one dual sweep over all targets;
+    every cell equals its own ``di_witness`` / ``di_dual_witness`` call.
+    Cells are reported in (s, target, form) lexicographic order.  Targets
+    over the search budget mark their cells skipped rather than aborting
+    the scan.  Grid points lying on small-denominator rationals are
     flagged: a rational point is improvable for every target once the
     denominators divide, so it belongs to the known countable exception.
     """
@@ -477,21 +627,24 @@ def curve_scan(
 
     cells: List[ScanCell] = []
     hints: List[int] = []
+    inside = [ni for ni, bounds in enumerate(targets) if math.prod(bounds) <= SEARCH_BUDGET]
     for si, s in enumerate(s_values):
         xi = _curve_xi(curve, s)
         if _rational_hint(s) and curve.poly is not None:
             hints.append(si)
-        for ni, bounds in enumerate(targets):
-            for form, search in (("primal", di_witness), ("dual", di_dual_witness)):
-                query = DIQuery(form=form, xi=xi, bounds=bounds, mu=mu)
-                try:
-                    res = search(query)
-                    cells.append(
-                        ScanCell(si, s, ni, form, res.found, res.witness,
-                                 res.search_volume, False)
-                    )
-                except SearchBudgetError:
+        answers: Dict[Tuple[int, str], WitnessResult] = {}
+        if inside:
+            for form, sweep in (("primal", primal_sweep), ("dual", dual_sweep)):
+                queries = [DIQuery(form, xi, targets[ni], mu) for ni in inside]
+                answers.update(((ni, form), res) for ni, res in zip(inside, sweep(queries)))
+        for ni in range(len(targets)):
+            for form in ("primal", "dual"):
+                res = answers.get((ni, form))
+                if res is None:
                     cells.append(ScanCell(si, s, ni, form, False, None, 0, True))
+                else:
+                    cells.append(ScanCell(si, s, ni, form, res.found, res.witness,
+                                          res.search_volume, False))
 
     by_s: Dict[int, List[ScanCell]] = {}
     for c in cells:

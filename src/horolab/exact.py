@@ -128,7 +128,3 @@ def inverse(a: Mat) -> Mat:
 def minor(a: Mat, row_idx: Sequence[int], col_idx: Sequence[int]) -> Q:
     """Determinant of the submatrix picked out by the given index tuples."""
     return det(tuple(tuple(a[r][c] for c in col_idx) for r in row_idx))
-
-
-def sup_norm(v: Sequence) -> Q:
-    return max((abs(Q(x)) for x in v), default=Q(0))

@@ -557,10 +557,8 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     mu_grid = (0.2, 0.4, 0.6, 0.8, 1.0)
     for trial in range(n_mono):
         base = _random_query(rng, (0.5,))
-        flags = [
-            di.di_witness(di.DIQuery("primal", base.xi, base.bounds, mu)).found
-            for mu in mu_grid
-        ]
+        flags = [res.found for res in di.primal_sweep(
+            [di.DIQuery("primal", base.xi, base.bounds, mu) for mu in mu_grid])]
         ok = all(b or not a for a, b in zip(flags, flags[1:]))
         monotone += int(ok)
         query_rows.append(["monotonicity", trial, base.dimension,

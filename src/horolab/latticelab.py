@@ -203,41 +203,60 @@ class ShortestVector:
         return math.sqrt(float(self.norm_sq))
 
 
-def _enumerate_shortest(red: ReducedBasis) -> ShortestVector:
-    """Exact shortest nonzero vector of an LLL-reduced basis.
+def enumerate_ball(
+    red: ReducedBasis, radius: int, visit: Callable[[List[int], int], int]
+) -> None:
+    """Walk every lattice point x with ``|x|^2 denom^2 <= radius``.
 
     Depth-first (Fincke-Pohst) enumeration over Gram-Schmidt levels, on
     integers only: S_i = dd[i] * |pi_i(x)|^2, with pi_i the projection
     off the first i rows, is an integer, and fixing c_i adds
     S_i = (dd[i] S_{i+1} + y^2) / dd[i+1] exactly, y = c_i dd[i+1] +
     sum_{j>i} lam[j][i] c_j.  The range of c_i comes from ``math.isqrt``,
-    and S_0 is the integer quadratic form, so no float decides the search.
+    and S_0 is the integer quadratic form, so no float decides the walk.
+
+    ``visit(coords, norm)`` gets the coordinates over the reduced rows (a
+    list reused between calls) and the integer ``|x|^2 denom^2``; it
+    returns the radius for the rest of the walk, so a search may shrink it.
     """
     dd, lam = red.gso
     n = len(dd) - 1
-    norms = [sum(map(mul, row, row)) for row in red.basis.ints]
-    best = min(norms)
-    best_coords = tuple(int(j == norms.index(best)) for j in range(n))
     coords = [0] * n
 
     def descend(level: int, above: int) -> None:
-        nonlocal best, best_coords
+        nonlocal radius
         center = -sum(lam[i][level] * coords[i] for i in range(level + 1, n))
         low, high = dd[level], dd[level + 1]
-        reach = math.isqrt(low * (best * high - above))
+        reach = math.isqrt(low * (radius * high - above))
         for c in range(-((reach - center) // high), (center + reach) // high + 1):
             y = c * high - center
             here = (low * above + y * y) // high
-            if here > best * low:
+            if here > radius * low:
                 continue
             coords[level] = c
             if level:
                 descend(level - 1, here)
-            elif here < best and any(coords):
-                best, best_coords = here, tuple(coords)
+            else:
+                radius = visit(coords, here)
         coords[level] = 0
 
     descend(n - 1, 0)
+
+
+def _enumerate_shortest(red: ReducedBasis) -> ShortestVector:
+    """Exact shortest nonzero vector of an LLL-reduced basis: the ball walk
+    with the radius shrunk to each shorter point found."""
+    norms = [sum(map(mul, row, row)) for row in red.basis.ints]
+    best = min(norms)
+    best_coords = tuple(int(j == norms.index(best)) for j in range(len(norms)))
+
+    def shorter(coords: List[int], norm: int) -> int:
+        nonlocal best, best_coords
+        if 0 < norm < best:
+            best, best_coords = norm, tuple(coords)
+        return best
+
+    enumerate_ball(red, best, shorter)
     return ShortestVector(best_coords, Q(best, red.basis.denom**2))
 
 

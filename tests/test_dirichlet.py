@@ -5,14 +5,60 @@ the float inputs taken at their exact binary values, so a passing suite means
 the searches never report a false positive.
 """
 
+import itertools
 import math
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horolab import dirichlet as di
+
+
+def _allowance(x):
+    """Half-ulp uncertainty of a float input; exact inputs carry none."""
+    if isinstance(x, float):
+        return Q(math.ulp(x) if x else math.ulp(0.0)) / 2
+    return Q(0)
+
+
+def _canonical(q):
+    mag = tuple(abs(c) for c in q)
+    return (max(mag), mag[::-1], tuple(int(c < 0) for c in q))
+
+
+def _plain_witnesses(query):
+    """Every exact primal witness of the box as (err, q, p), by a plain scan."""
+    xi = [Q(x) for x in query.xi]
+    rates = [_allowance(x) for x in query.xi]
+    bound = Q(query.mu) / query.box_product
+    found = []
+    for q in itertools.product(*(range(-b, b + 1) for b in query.bounds)):
+        if not any(q):
+            continue
+        r = sum(x * c for x, c in zip(xi, q))
+        shrink = sum(u * abs(c) for u, c in zip(rates, q))
+        for p in range(math.floor(r - bound), math.ceil(r + bound) + 1):
+            if abs(r - p) + shrink <= bound:
+                found.append((abs(r - p), q, p))
+    return found
+
+
+def _plain_dual_witness(query):
+    """Smallest q > 0 passing every coordinate, by a plain scan."""
+    for q in range(1, query.box_product + 1):
+        ps = []
+        for x, n_i in zip(query.xi, query.bounds):
+            r = Q(x) * q
+            err, p = min((abs(r - p), p) for p in (math.floor(r), math.floor(r) + 1))
+            if err + _allowance(x) * q > Q(query.mu) / n_i:
+                break
+            ps.append(p)
+        else:
+            return (q, tuple(ps))
+    return None
 
 
 def _primal_holds(query, witness, slack=Q(1, 10**12)):
@@ -61,6 +107,24 @@ def test_witness_ties_resolve_to_nonnegative_q():
     res = di.di_witness(di.DIQuery("primal", (0.5,), (2,), 1.0))
     assert res.found
     assert res.witness == ((2,), 1)
+
+
+def test_half_integer_ties_take_the_lower_p():
+    # q xi = 1/2 sits between p = 0 and p = 1 at the same error
+    assert di.di_witness(di.DIQuery("primal", (0.5,), (1,), 1.0)).witness == ((1,), 0)
+    assert di.di_witness(di.DIQuery("primal", (-0.5,), (1,), 1.0)).witness == ((1,), -1)
+    assert di.di_dual_witness(di.DIQuery("dual", (0.5,), (1,), 1.0)).witness == (1, (0,))
+    assert di.box_point_search(di.DIQuery("primal", (0.5,), (1,), 1.0)).witness == ((1,), 0)
+
+
+def test_witness_exactly_on_the_boundary_is_found():
+    # |10/11 - 1| = 1/11 is the bound exactly, but in floats the error
+    # reads 0.0909...094 against a bound of 0.0909...091: only a band
+    # widened by the rounding of the sweep keeps the witness
+    primal = di.DIQuery("primal", (Q(10, 11),), (2,), Q(2, 11))
+    assert di.di_witness(primal).witness == ((1,), 1)
+    assert di.box_point_search(primal).witness == ((1,), 1)
+    assert di.di_dual_witness(di.DIQuery("dual", (Q(10, 11),), (2,), Q(2, 11))).witness == (1, (1,))
 
 
 def test_search_volume_counts_the_grid():
@@ -145,9 +209,10 @@ def test_box_search_matches_direct_witness():
     direct = di.di_witness(query)
     boxed = di.box_point_search(query)
     assert direct.found and boxed.found
-    point = di.witness_point(query, boxed.witness)
-    assert abs(point[0]) <= 1 / 3 + 1e-12
-    assert abs(point[1]) <= 3
+    (q,), p = boxed.witness
+    # the lattice point (xi q - p, q) lies in the box [-1/3, 1/3] x [-3, 3]
+    assert abs(Q(0.4) * q - p) <= Q(1, 3)
+    assert 0 < abs(q) <= 3
 
 
 def test_zero_vector_query_maps_to_integer_lattice():
@@ -242,3 +307,127 @@ def test_curve_scan_mu_one_everything_found():
     table = di.curve_scan(curve, (0.1, 0.9), ((2, 2), (2, 4)), 1.0, 6)
     assert all(cell.found for cell in table.cells if not cell.skipped)
     assert table.all_improvable_fraction == 1.0
+
+
+# -- exact sweeps --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("s, witness", [
+    (0.18181818181818182, ((21, -55), 2)),
+    (0.36363636363636365, ((23, -33), 4)),
+    (0.7272727272727273, ((46, -33), 16)),
+])
+def test_scan_cells_get_the_smallest_error_witness(s, witness):
+    # Near 2/11, 4/11 and 8/11 the moment curve puts 128 exact witnesses in
+    # the float band of the (64, 64) box, all with errors near 1e-17.  A
+    # shortlist cut used to return a larger-error one, e.g. ((2, -11), 0)
+    # with error 1.01e-17 at s = 2/11 against 5.05e-18 here.
+    query = di.DIQuery("primal", (Q(s), Q(s) ** 2), (64, 64), 0.3)
+    res = di.di_witness(query)
+    assert res.found and res.witness == witness
+    _, q, p = min(_plain_witnesses(query), key=lambda w: (w[0], _canonical(w[1]), w[2]))
+    assert (q, p) == witness
+
+
+@st.composite
+def _near_rational_queries(draw):
+    """xi = a/b plus a small dyadic offset; mu just below, on or above the
+    smallest factor at which the box holds a witness."""
+    n = draw(st.integers(1, 3))
+    as_float = draw(st.booleans())
+    xi = []
+    for _ in range(n):
+        b = draw(st.integers(1, 12))
+        x = Q(draw(st.integers(-2 * b, 2 * b)), b)
+        x += Q(draw(st.integers(-3, 3)), 2 ** draw(st.integers(20, 50)))
+        xi.append(float(x) if as_float else x)
+    bounds = tuple(draw(st.integers(1, 5)) for _ in range(n))
+    edge = min(
+        abs(r - round(r))
+        for q in itertools.product(*(range(-b, b + 1) for b in bounds)) if any(q)
+        for r in [sum(Q(x) * c for x, c in zip(xi, q))]
+    ) * math.prod(bounds)
+    side = draw(st.sampled_from([-1, 0, 1]))
+    mu = edge * (1 + side * Q(1, 2**30)) if edge else Q(2 + side, 2**30)
+    return di.DIQuery("primal", tuple(xi), bounds, min(mu, Q(1)))
+
+
+@given(query=_near_rational_queries())
+@settings(max_examples=60, deadline=None)
+def test_searches_match_a_plain_exact_scan(query):
+    witnesses = _plain_witnesses(query)
+    direct = di.di_witness(query)
+    boxed = di.box_point_search(query)
+    assert direct.found == boxed.found == bool(witnesses)
+    if witnesses:
+        # the sweep: smallest error, then canonical q, then p
+        _, q, p = min(witnesses, key=lambda w: (w[0], _canonical(w[1]), w[2]))
+        assert direct.witness == (q, p)
+        # the lattice search: canonical-first q, then its nearest p
+        _, q, p = min(witnesses, key=lambda w: (_canonical(w[1]), w[0], w[2]))
+        assert boxed.witness == (q, p)
+    dual = di.DIQuery("dual", query.xi, query.bounds, query.mu)
+    assert di.di_dual_witness(dual).witness == _plain_dual_witness(dual)
+
+
+@pytest.mark.parametrize("prefix", [((2, 2), (4, 4), (8, 8)), ((2, 2), (2, 4)),
+                                    ((4, 2), (2, 4), (3, 3))])
+def test_curve_scan_cells_equal_single_searches(prefix):
+    curve = di.CurveSpec.moment(2)
+    for interval in ((0.0, 1.0), (0.05, 0.95)):
+        table = di.curve_scan(curve, interval, prefix, 0.3, 12)
+        for cell in table.cells:
+            sq = Q(cell.s)
+            query = di.DIQuery(cell.form, (sq, sq * sq), prefix[cell.n_index], 0.3)
+            search = di.di_witness if cell.form == "primal" else di.di_dual_witness
+            single = search(query)
+            assert (cell.found, cell.witness, cell.search_volume) == (
+                single.found, single.witness, single.search_volume)
+
+
+def test_slabs_cover_the_box_in_canonical_order(monkeypatch):
+    monkeypatch.setattr(di, "_CHUNK", 5)
+    for bounds in [(3,), (3, 2), (1, 4), (2, 2, 1)]:
+        slabs = list(di._box_slabs(bounds))
+        assert len(slabs) > 1
+        got = [tuple(int(c) for c in col) for _, _, box in slabs for col in box.T]
+        every = [q for q in itertools.product(*(range(-b, b + 1) for b in bounds)) if any(q)]
+        assert got == sorted(every, key=_canonical)
+
+
+def test_sweeps_match_single_searches_in_any_slab_size(monkeypatch):
+    # slabs and confirmation blocks only bound memory; they change no result
+    rng = np.random.default_rng(5)
+    batches = []
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        xi = tuple(float(x) for x in rng.uniform(-2, 2, n))
+        mu = float(rng.choice([0.3, 0.6, 1.0]))
+        for form in ("primal", "dual"):
+            batches.append([di.DIQuery(form, xi, tuple(int(b) for b in rng.integers(1, 7, n)), mu)
+                            for _ in range(3)])
+
+    def sweep_all():
+        return [(di.primal_sweep if b[0].form == "primal" else di.dual_sweep)(b)
+                for b in batches]
+
+    whole = sweep_all()
+    for batch, results in zip(batches, whole):
+        search = di.di_witness if batch[0].form == "primal" else di.di_dual_witness
+        assert results == [search(q) for q in batch]
+    monkeypatch.setattr(di, "_CHUNK", 5)
+    monkeypatch.setattr(di, "_CONFIRM_BLOCK", 2)
+    assert sweep_all() == whole
+
+
+def test_sweeps_reject_mixed_batches():
+    with pytest.raises(ValueError):
+        di.primal_sweep([di.DIQuery("primal", (0.3,), (2,), 0.5),
+                         di.DIQuery("primal", (0.4,), (2,), 0.5)])
+    with pytest.raises(ValueError):
+        di.dual_sweep([di.DIQuery("primal", (0.3,), (2,), 0.5)])
+    with pytest.raises(ValueError):
+        di.primal_sweep([di.DIQuery("primal", (0.5,), (2,), 0.5),
+                         di.DIQuery("primal", (Q(1, 2),), (2,), 0.5)])
+    with pytest.raises(ValueError):
+        di.primal_sweep([])

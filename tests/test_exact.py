@@ -48,7 +48,6 @@ def test_commutator():
 def test_matvec_and_norms():
     a = [[Q(1), Q(-2)], [Q(0), Q(3)]]
     assert exact.matvec(a, [Q(1), Q(1)]) == (Q(-1), Q(3))
-    assert exact.sup_norm([Q(-5, 2), Q(2)]) == Q(5, 2)
 
 
 def test_minor():

@@ -169,6 +169,25 @@ def test_lemma_presets_fail_on_a_wrong_adjoint_action(tmp_path, monkeypatch, pre
     assert {i["module"] for i in instances} == {"adjoint"}
 
 
+def test_witness_suite_fails_on_a_wrong_box_verdict(tmp_path, monkeypatch):
+    honest = runner.di.box_point_search
+    seen = []
+
+    def flip_seventh(query):
+        res = honest(query)
+        seen.append(query)
+        return dataclasses.replace(res, found=not res.found) if len(seen) == 7 else res
+
+    monkeypatch.setattr(runner.di, "box_point_search", flip_seventh)
+    out = run(resolve_config("acceptance-10"), tmp_path / "o")
+    assert out.exit_code == 3
+    assert not out.summary["all_pass"]
+    assert out.summary["checks"]["acceptance-10"]["counts"]["equivalence"] == 499
+    recorded = json.loads((tmp_path / "o" / "failures.json").read_text())
+    instances = recorded["failures"][0]["instances"]
+    assert [(i["check"], i["trial"]) for i in instances] == [("equivalence", 6)]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     raw = {"kind": "equidistribution", "seed": 7, "samples": 300,
            "t_ladder": [4.0], "n": 1}

@@ -129,6 +129,37 @@ def test_enumeration_alone_is_exact_on_unreduced_bases():
             assert ll._enumerate_shortest(red).norm_sq == ll.shortest_vector(basis).norm_sq
 
 
+def test_ball_walk_visits_every_point_once():
+    # the region walk behind the systole and the Dirichlet box search
+    # against a plain scan of a coefficient box that contains the ball
+    import itertools
+
+    for dim in (2, 3, 4):
+        for seed in range(6):
+            red = ll.lll_reduce(ll.random_real_basis(dim, seed=seed))
+            rows = red.basis.ints
+            # the longest reduced row lies on the sphere itself
+            radius = max(sum(c * c for c in row) for row in rows)
+            walked = []
+
+            def visit(coords, norm):
+                walked.append((tuple(coords), norm))
+                return radius
+
+            ll.enumerate_ball(red, radius, visit)
+            inv = exact.inverse(red.basis.rows)
+            reach = math.sqrt(radius) / red.basis.denom
+            spans = [int(reach * math.hypot(*(float(r[i]) for r in inv))) + 1
+                     for i in range(dim)]
+            expected = []
+            for y in itertools.product(*(range(-b, b + 1) for b in spans)):
+                x = [sum(c * row[k] for c, row in zip(y, rows)) for k in range(dim)]
+                norm = sum(v * v for v in x)
+                if norm <= radius:
+                    expected.append((y, norm))
+            assert sorted(walked) == sorted(expected)
+
+
 def test_brute_force_radius_controls_cost():
     basis = ll.catalog_basis(0)
     hit = ll.brute_force_shortest(basis, radius=1.5)
