@@ -83,6 +83,7 @@ def _random_rational(rng, lo: int = -9, hi: int = 9, max_den: int = 4,
 def _run_identity_suite(cfg: ExperimentConfig, samples: Samples) -> Result:
     n_max = cfg.n or 4
     rows: List[Row] = []
+    failures: List[Dict] = []
     passed = 0
     total = 0
     for n in range(1, n_max + 1):
@@ -91,10 +92,13 @@ def _run_identity_suite(cfg: ExperimentConfig, samples: Samples) -> Result:
             rows.append([n, item.name, item.passed, item.detail])
             total += 1
             passed += int(item.passed)
+            if not item.passed:
+                failures.append({"n": n, "identity": item.name, "detail": item.detail})
     check = CheckResult(
         passed=passed == total,
         detail=f"{passed}/{total} identities exact for n=1..{n_max}",
         counts={"passed": passed, "total": total},
+        failures=failures,
     )
     return [("identities.csv", ["n", "identity", "passed", "detail"], rows)], check
 

@@ -3,9 +3,10 @@
 Bases are kept exact: after flowing by a_t the Gram matrix spans e^{40} at
 t = 20, where double-precision roundoff is larger than the systole being
 measured.  Each basis is scaled once to integer rows over one common
-denominator, so reduction (integral LLL) and enumeration (Fincke-Pohst with
-integer interval endpoints) run on Python ints, and only the final lengths
-are floated.
+denominator (``exact._scaled``, the package's one integer-over-denominator
+form, with ``exact._bareiss_det`` for the determinant check), so reduction
+(integral LLL) and enumeration (Fincke-Pohst with integer interval
+endpoints) run on Python ints, and only the final lengths are floated.
 """
 
 from __future__ import annotations
@@ -21,38 +22,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import exact
+from .exact import IntRows, _bareiss_det, _scaled
 from .rng import SplitRNG
-
-IntRows = Tuple[Tuple[int, ...], ...]
 
 
 class LatticeError(Exception):
     pass
-
-
-def _scaled(rows) -> Tuple[IntRows, int]:
-    """Exact rows as integer rows over the lcm of their denominators."""
-    ratios = [[(c if isinstance(c, float) else Q(c)).as_integer_ratio() for c in row]
-              for row in rows]
-    denom = math.lcm(*(b for row in ratios for _, b in row))
-    return tuple(tuple(a * (denom // b) for a, b in row) for row in ratios), denom
-
-
-def _bareiss_det(rows: IntRows) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    a = [list(r) for r in rows]
-    n, sign, prev = len(a), 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap], sign = a[swap], a[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 @dataclass(frozen=True)

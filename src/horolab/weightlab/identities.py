@@ -262,14 +262,11 @@ def _bottom_row_brackets(n: int) -> IdentityItem:
 
 
 def _extreme_level(v: ModuleVector, minimum: bool) -> Tuple[Q, ModuleVector]:
-    hp = h_principal(v.module.n)
-    vals = [
-        w.evaluate(hp) for w, c in zip(v.module.weights, v.coords) if c != 0
-    ]
+    levels = v.module.levels
+    vals = [lev for lev, c in zip(levels, v.coords) if c != 0]
     lev = min(vals) if minimum else max(vals)
     coords = tuple(
-        c if (c != 0 and w.evaluate(hp) == lev) else Q(0)
-        for c, w in zip(v.coords, v.module.weights)
+        c if (c != 0 and level == lev) else Q(0) for c, level in zip(v.coords, levels)
     )
     return lev, ModuleVector(v.module, coords)
 

@@ -19,14 +19,14 @@ import numpy as np
 
 from .. import exact
 from ..exact import Mat
-from .cartan import Weight, h_block, h_principal, sl2_coroot
+from .cartan import Weight, h_block, sl2_coroot
 from .groups import u_elem, u_top
 from .modules import (
     ModuleVector,
     WeightModule,
     act,
     act_algebra,
-    weight_support,
+    support_indices,
 )
 
 SubgroupSpec = Union[str, Tuple[str, int], Sequence[Mat]]
@@ -154,19 +154,18 @@ def s_sets(v: ModuleVector, x: Sequence) -> SSetReport:
         raise ValueError("all entries of x must be nonzero")
     if v.is_zero():
         raise ValueError("v must be nonzero")
-    hp = h_principal(n)
-    own_levels = {w.evaluate(hp) for w in weight_support(v)}
+    own_levels = {lev for lev, c in zip(mod.levels, v.coords) if c != 0}
     if len(own_levels) != 1:
         raise ValueError("v is not an eigenvector of the principal element")
     b = own_levels.pop()
 
     w = act(u_top(xs), v)
-    support = weight_support(w)
-    blocks = [h_block(n, k) for k in range(1, n + 1)]
-    levels = tuple(mu.evaluate(hp) - b for mu in support)
+    idx = support_indices(w)
+    support = tuple(mod.weights[i] for i in idx)
+    blocks = [mod.grading(h_block(n, k)) for k in range(1, n + 1)]
+    levels = tuple(mod.levels[i] - b for i in idx)
     margins = tuple(
-        tuple(mu.evaluate(blocks[k - 1]) - lev for k in range(1, n + 1))
-        for mu, lev in zip(support, levels)
+        tuple(block[i] - lev for block in blocks) for i, lev in zip(idx, levels)
     )
 
     s_k: Dict[int, Tuple[int, ...]] = {}
@@ -280,7 +279,7 @@ def _sigma1(n: int, i: int, r: Q) -> Mat:
 
 
 def _level_max(v: ModuleVector, a_diag) -> Q:
-    vals = [w.evaluate(a_diag) for w, c in zip(v.module.weights, v.coords) if c != 0]
+    vals = [lev for lev, c in zip(v.module.grading(a_diag), v.coords) if c != 0]
     if not vals:
         raise ValueError("zero vector has no top level")
     return max(vals)
@@ -288,8 +287,8 @@ def _level_max(v: ModuleVector, a_diag) -> Q:
 
 def _level_component(v: ModuleVector, a_diag, level: Q) -> ModuleVector:
     coords = tuple(
-        c if (c != 0 and w.evaluate(a_diag) == level) else Q(0)
-        for c, w in zip(v.coords, v.module.weights)
+        c if (c != 0 and lev == level) else Q(0)
+        for c, lev in zip(v.coords, v.module.grading(a_diag))
     )
     return ModuleVector(v.module, coords)
 
@@ -323,9 +322,7 @@ def sl2_maxweight_check(i: int, r, v: ModuleVector) -> Sl2Report:
     rotated_top_ok = (act(_sigma1(n, i, rq), v_max) - w_max).is_zero()
     characterization_ok = equality == (recovery_ok and rotated_top_ok)
 
-    support_levels = {
-        w0.evaluate(a) for w0, c in zip(mod.weights, v.coords) if c != 0
-    }
+    support_levels = {lev for lev, c in zip(mod.grading(a), v.coords) if c != 0}
     eigen = len(support_levels) == 1
     report = Sl2Report(
         slot=i,
@@ -360,13 +357,13 @@ def sl2_maxweight_check(i: int, r, v: ModuleVector) -> Sl2Report:
 def delta_plus_indices(module: WeightModule, b: Q) -> Tuple[int, ...]:
     """Basis indices whose weight mu has mu(principal) - b >= 0 and
     nonnegative margin against every block element."""
-    blocks = [h_block(module.n, k) for k in range(1, module.n + 1)]
+    blocks = [module.grading(h_block(module.n, k)) for k in range(1, module.n + 1)]
     out = []
-    for idx, (mu, level) in enumerate(zip(module.weights, module.levels)):
+    for idx, level in enumerate(module.levels):
         lev = level - b
         if lev < 0:
             continue
-        if all(mu.evaluate(hb) - lev >= 0 for hb in blocks):
+        if all(block[idx] - lev >= 0 for block in blocks):
             out.append(idx)
     return tuple(out)
 

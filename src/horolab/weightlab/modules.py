@@ -44,10 +44,22 @@ class WeightModule:
     # -- weight structure ---------------------------------------------------
 
     @functools.cached_property
+    def _gradings(self) -> Dict[tuple, Tuple[Q, ...]]:
+        return {}
+
+    def grading(self, h: Sequence) -> Tuple[Q, ...]:
+        """Exact level of every basis index on the diagonal element h,
+        evaluated once per module and h."""
+        key = tuple(map(exact._ratio, h))  # hashes faster than Fractions
+        out = self._gradings.get(key)
+        if out is None:
+            out = self._gradings[key] = tuple(w.evaluate(h) for w in self.weights)
+        return out
+
+    @functools.cached_property
     def levels(self) -> Tuple[Q, ...]:
         """Values of each basis weight on the principal diagonal element."""
-        h = h_principal(self.n)
-        return tuple(w.evaluate(h) for w in self.weights)
+        return self.grading(h_principal(self.n))
 
     def level_set(self) -> Tuple[Q, ...]:
         return tuple(sorted(set(self.levels)))
@@ -146,59 +158,55 @@ Rule = Callable[[Vec], Vec]
 
 
 def _group_rule(mod: WeightModule, g: Mat) -> Rule:
-    """The map v -> g v on coordinate tuples."""
+    """The map v -> g v on coordinate tuples.
+
+    Except for tensors, g is scaled to integer rows once, and the rule is an
+    integer map on the scaled coordinates over a fixed denominator.
+    """
     if len(g) != mod.n + 1:
         raise ValueError("group element has wrong size")
     tag = mod.basis_data[0]
-    if tag == "standard":
-        return lambda v: exact.matvec(g, v)
-    if tag == "exterior":
-        # g(e_I) = sum over J of minor(g; J, I) e_J
-        combos = mod.basis_data[2]
-        return lambda v: tuple(
-            sum(c * exact.minor(g, rows, cols) for c, cols in zip(v, combos) if c)
-            for rows in combos
-        )
-    if tag == "adjoint":
-        g_inv = exact.inverse(g)
-        return lambda v: _adjoint_coords(
-            mod, exact.matmul(exact.matmul(g, _adjoint_matrix(mod, v)), g_inv)
-        )
     if tag == "tensor":
         # rho_a(g) V rho_b(g)^T on the dim_a x dim_b coefficient matrix V
         _, left, right = mod.basis_data
         rho_a, rho_b = _group_rule(left, g), _group_rule(right, g)
         return lambda v: _on_cols(rho_a, _on_rows(rho_b, v, right.dim), right.dim)
+    gi, gd = exact._scaled(g)
+    if tag == "standard":
+        return functools.partial(exact._apply, lambda w: exact._imatvec(gi, w), gd)
+    if tag == "exterior":
+        # g(e_I) = sum over J of minor(g; J, I) e_J; the minors of the integer
+        # rows are over gd^d, one column I at a time as v needs it
+        _, d, combos = mod.basis_data
+
+        @functools.cache
+        def column(cols):
+            return tuple(
+                exact._bareiss_det([[gi[r][c] for c in cols] for r in rows])
+                for rows in combos
+            )
+
+        def image(w):
+            out = [0] * mod.dim
+            for c, cols in zip(w, combos):
+                if c:
+                    out = [a + c * m for a, m in zip(out, column(cols))]
+            return out
+
+        return functools.partial(exact._apply, image, gd**d)
+    if tag == "adjoint":
+        hi, hd = exact._inverse_ints(gi, gd)
+        return functools.partial(exact._apply, lambda w: _adjoint_coords(
+            mod, exact._imul(exact._imul(gi, _adjoint_matrix(mod, w)), hi)), gd * hd)
     raise AssertionError(tag)
 
 
 def _algebra_rule(mod: WeightModule, x: Mat) -> Rule:
-    """The map v -> x v of the derived action on coordinate tuples."""
+    """The map v -> x v of the derived action on coordinate tuples, with x
+    scaled to integer rows once as in ``_group_rule``."""
     if len(x) != mod.n + 1:
         raise ValueError("algebra element has wrong size")
     tag = mod.basis_data[0]
-    if tag == "standard":
-        return lambda v: exact.matvec(x, v)
-    if tag == "exterior":
-        # x acts as a derivation: x e_j = sum_i x_ij e_i in each factor of e_I
-        combos = mod.basis_data[2]
-
-        def rule(v: Vec) -> Vec:
-            out = [Q(0)] * mod.dim
-            for c, idx in zip(v, combos):
-                for pos, j in enumerate(idx if c else ()):
-                    for i in range(mod.n + 1):
-                        if x[i][j] == 0 or (i != j and i in idx):
-                            continue
-                        # sorting e_i into place passes the indices between i and j
-                        sign = (-1) ** sum(min(i, j) < k < max(i, j) for k in idx)
-                        target = tuple(sorted(idx[:pos] + (i,) + idx[pos + 1 :]))
-                        out[combos.index(target)] += sign * x[i][j] * c
-            return tuple(out)
-
-        return rule
-    if tag == "adjoint":
-        return lambda v: _adjoint_coords(mod, exact.commutator(x, _adjoint_matrix(mod, v)))
     if tag == "tensor":
         # x V + V x^T on the dim_a x dim_b coefficient matrix V
         _, left, right = mod.basis_data
@@ -207,6 +215,31 @@ def _algebra_rule(mod: WeightModule, x: Mat) -> Rule:
             p + q
             for p, q in zip(_on_cols(x_a, v, right.dim), _on_rows(x_b, v, right.dim))
         )
+    xi, xd = exact._scaled(x)
+    if tag == "standard":
+        return functools.partial(exact._apply, lambda w: exact._imatvec(xi, w), xd)
+    if tag == "exterior":
+        # x acts as a derivation: x e_j = sum_i x_ij e_i in each factor of e_I
+        combos = mod.basis_data[2]
+        where = {idx: k for k, idx in enumerate(combos)}
+
+        def image(w):
+            out = [0] * mod.dim
+            for c, idx in zip(w, combos):
+                for pos, j in enumerate(idx if c else ()):
+                    for i in range(mod.n + 1):
+                        if xi[i][j] == 0 or (i != j and i in idx):
+                            continue
+                        # sorting e_i into place passes the indices between i and j
+                        sign = (-1) ** sum(min(i, j) < k < max(i, j) for k in idx)
+                        target = tuple(sorted(idx[:pos] + (i,) + idx[pos + 1 :]))
+                        out[where[target]] += sign * xi[i][j] * c
+            return out
+
+        return functools.partial(exact._apply, image, xd)
+    if tag == "adjoint":
+        return functools.partial(exact._apply, lambda w: _adjoint_coords(
+            mod, exact._ibracket(xi, _adjoint_matrix(mod, w))), xd)
     raise AssertionError(tag)
 
 
@@ -227,32 +260,34 @@ def _matrix_of(mod: WeightModule, rule: Rule) -> Mat:
     return exact.mat(zip(*cols))
 
 
-def _adjoint_matrix(mod: WeightModule, v: Vec) -> Mat:
-    """The traceless matrix X_v whose adjoint coordinates are v."""
+def _adjoint_matrix(mod: WeightModule, v: Sequence) -> tuple:
+    """The traceless matrix X_v whose adjoint coordinates are v, with
+    entries of the type of v's (integers for integer v)."""
     _, pairs = mod.basis_data
     m = mod.n + 1
-    rows = [[Q(0)] * m for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     for (i, j), c in zip(pairs, v):
-        rows[i][j] = Q(c)
+        rows[i][j] = c
     # the coefficient of D_k = E_kk - E_{k+1,k+1} enters diagonal slots k, k+1
-    d = (Q(0),) + tuple(v[len(pairs) :]) + (Q(0),)
+    d = (0,) + tuple(v[len(pairs) :]) + (0,)
     for k in range(m):
         rows[k][k] = d[k + 1] - d[k]
     return tuple(tuple(row) for row in rows)
 
 
-def _adjoint_coords(mod: WeightModule, y: Mat) -> Vec:
-    """Coordinates of a traceless matrix in the adjoint basis."""
+def _adjoint_coords(mod: WeightModule, y) -> tuple:
+    """Coordinates of a traceless matrix in the adjoint basis, in the type
+    of its entries (integers for an integer matrix)."""
     _, pairs = mod.basis_data
     n = mod.n
     coords = [y[i][j] for (i, j) in pairs]
     # diagonal part: coefficients of D_k = E_kk - E_{k+1,k+1} are the
     # partial sums of the diagonal entries
-    running = Q(0)
+    running = 0
     for k in range(n):
         running += y[k][k]
         coords.append(running)
-    if sum(y[k][k] for k in range(n + 1)) != 0:
+    if running + y[n][n] != 0:
         raise ValueError("adjoint coordinates of a non-traceless matrix")
     return tuple(coords)
 
@@ -295,7 +330,7 @@ class ModuleVector:
     def __post_init__(self):
         if len(self.coords) != self.module.dim:
             raise ValueError("coordinate count does not match module dimension")
-        object.__setattr__(self, "coords", tuple(Q(c) for c in self.coords))
+        object.__setattr__(self, "coords", exact.vec(self.coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -342,7 +377,7 @@ def basis_vector(module: WeightModule, index: int) -> ModuleVector:
 
 
 def vector(module: WeightModule, coords: Sequence) -> ModuleVector:
-    return ModuleVector(module, tuple(Q(c) for c in coords))
+    return ModuleVector(module, tuple(coords))
 
 
 def act(g: Mat, v: ModuleVector) -> ModuleVector:
@@ -358,10 +393,16 @@ def act_algebra(x: Mat, v: ModuleVector) -> ModuleVector:
 # -- support -------------------------------------------------------------------
 
 
+def support_indices(v: ModuleVector) -> Tuple[int, ...]:
+    """One basis index per distinct weight carrying a nonzero coordinate
+    (the first), in sorted weight order."""
+    seen: Dict[Tuple[Q, ...], int] = {}
+    for idx, (c, w) in enumerate(zip(v.coords, v.module.weights)):
+        if c != 0:
+            seen.setdefault(w.coeffs, idx)
+    return tuple(seen[key] for key in sorted(seen))
+
+
 def weight_support(v: ModuleVector) -> Tuple[Weight, ...]:
     """Distinct weights carrying a nonzero coordinate, sorted."""
-    seen: Dict[Tuple[Q, ...], Weight] = {}
-    for c, w in zip(v.coords, v.module.weights):
-        if c != 0:
-            seen[w.coeffs] = w
-    return tuple(seen[key] for key in sorted(seen))
+    return tuple(v.module.weights[idx] for idx in support_indices(v))

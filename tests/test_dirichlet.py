@@ -262,6 +262,16 @@ def test_rbar1_exact_values():
     assert two_thirds.exact and two_thirds.value == Q(2, 3)
 
 
+@pytest.mark.parametrize("target, value", [
+    ((2**30, 2**15), Q(2, 3)),  # b = 3 at prod = 2^45
+    ((2**10, 2), Q(10, 11)),  # b = 11 = log2(prod), the largest the bound allows
+    ((3**40, 3**9, 3**5), Q(20, 27)),
+])
+def test_rbar1_certifies_exact_ratios_at_large_products(target, value):
+    res = di.rbar1([target])
+    assert res.exact and res.value == value
+
+
 def test_rbar1_trivial_direction():
     res = di.rbar1([(2**k, 1) for k in range(1, 11)])
     assert res.value == 1

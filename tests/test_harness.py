@@ -169,6 +169,23 @@ def test_lemma_presets_fail_on_a_wrong_adjoint_action(tmp_path, monkeypatch, pre
     assert {i["module"] for i in instances} == {"adjoint"}
 
 
+def test_identity_suite_fails_on_a_wrong_inverse(tmp_path, monkeypatch):
+    honest = exact.inverse
+    monkeypatch.setattr(exact, "inverse", lambda a: exact.transpose(honest(a)))
+    out = run(resolve_config("acceptance-01"), tmp_path / "o")
+    assert out.exit_code == 3
+    assert not out.summary["all_pass"]
+    recorded = json.loads((tmp_path / "o" / "failures.json").read_text())
+    instances = recorded["failures"][0]["instances"]
+    # the three identities that invert a non-diagonal matrix, at every n
+    # (corner_to_bottom_row is vacuous at n = 1)
+    assert {i["identity"] for i in instances} == {
+        "ones_factorization", "corner_reflection_conjugate", "corner_to_bottom_row"}
+    counts = out.summary["checks"]["acceptance-01"]["counts"]
+    assert len(instances) == 11 == counts["total"] - counts["passed"]
+    assert all(i["detail"] for i in instances)
+
+
 def test_witness_suite_fails_on_a_wrong_box_verdict(tmp_path, monkeypatch):
     honest = runner.di.box_point_search
     seen = []

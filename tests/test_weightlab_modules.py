@@ -9,12 +9,15 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from horolab import exact
+from horolab.weightlab import modules
 from horolab.weightlab import (
     act,
     act_algebra,
     basis_vector,
     build_module,
+    h_block,
     h_principal,
+    sl2_coroot,
     to_jsonable,
     u_elem,
     vector,
@@ -183,6 +186,27 @@ def test_batched_float_action_matches_exact(n):
 def test_float_action_rejects_wrong_size():
     with pytest.raises(ValueError):
         build_module("standard", 2).group_action_float(np.eye(4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_graded_levels_equal_weight_evaluation(n):
+    kinds = ["standard", "adjoint", "tensor(standard,adjoint)"]
+    kinds += [f"exterior({d})" for d in range(1, n + 2)]
+    elements = [h_principal(n)]
+    elements += [sl2_coroot(n, i) for i in range(1, n + 1)]
+    elements += [h_block(n, k) for k in range(1, n + 1)]
+    for kind in kinds:
+        mod = build_module(kind, n)
+        for h in elements:
+            assert mod.grading(h) == tuple(w.evaluate(h) for w in mod.weights)
+            assert mod.grading(list(h)) is mod.grading(h)  # evaluated once
+        assert mod.levels == mod.grading(h_principal(n))
+
+
+def test_adjoint_coordinates_reject_a_matrix_with_trace():
+    mod = build_module("adjoint", 2)
+    with pytest.raises(ValueError):
+        modules._adjoint_coords(mod, exact.identity(3))
 
 
 def test_weight_support_of_basis_vector_is_singleton():
