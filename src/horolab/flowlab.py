@@ -1,11 +1,12 @@
-"""Diagonal-flow schedules, their classification, and expansion ladders.
+"""Diagonal-flow schedules, their classification, and expansion suprema.
 
-The flow is a_t = diag(e^{nt}, e^{-r_1(t)}, ..., e^{-r_n(t)}) with
-r_1 >= ... >= r_n >= 0 and sum r_i = n t.  This module provides the
-schedule presets, the xi-coefficient decomposition of the flow direction,
-the (n0, uniform, k) classification, the equispaced Vandermonde constants,
-grid certification of expansion suprema, boundedness witnesses with their
-fixed-vector cross-check, and the limiting-vector residual.
+The flow is a_t = diag(e^{nt}, e^{-r_1(t)}, ..., e^{-r_n(t)}) with linear
+exponents r_i(t) = s_i t whose exact rational slopes satisfy
+s_1 >= ... >= s_n >= 0 and sum s_i = n.  This module provides the schedule
+presets, their exact (n0, uniform, k) classification read off the slopes,
+the equispaced Vandermonde constants, grid certification of expansion
+suprema, boundedness witnesses with their fixed-vector cross-check, and the
+limiting-vector residual.
 
 Large exponents are kept in log space; matrix identities are evaluated in
 a conjugated form whose factors stay O(1) before any e^{t} scaling is
@@ -15,10 +16,10 @@ applied entrywise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction as Q
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,25 +38,19 @@ class ScheduleError(Exception):
     pass
 
 
-REL_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class FlowSchedule:
-    """Exponent schedule t -> (r_1, ..., r_n), validated at every call;
-    its classification is computed once, on first use."""
+    """Linear exponent schedule r_i(t) = s_i t with exact rational slopes
+    s_1 >= ... >= s_n >= 0 summing to n, checked once by ``linear``; its
+    classification is read off the slopes, once, on first use."""
 
     n: int
     name: str
-    fn: Callable[[float], np.ndarray]
-    slopes: Optional[Tuple[Q, ...]] = None
+    slopes: Tuple[Q, ...]
 
     @staticmethod
     def equal(n: int) -> "FlowSchedule":
-        def fn(t: float) -> np.ndarray:
-            return np.full(n, t, dtype=float)
-
-        return FlowSchedule(n=n, name="equal", fn=fn)
+        return replace(FlowSchedule.linear([1] * n), name="equal")
 
     @staticmethod
     def linear(slopes: Sequence) -> "FlowSchedule":
@@ -69,27 +64,8 @@ class FlowSchedule:
             raise ScheduleError("slopes must be nonnegative")
         if sum(cs) != n:
             raise ScheduleError(f"slopes must sum to n={n}, got {sum(cs)}")
-        floats = np.array([float(c) for c in cs])
-
-        def fn(t: float) -> np.ndarray:
-            return floats * t
-
         label = ",".join(str(c) for c in cs)
-        return FlowSchedule(n=n, name=f"linear:{label}", fn=fn, slopes=cs)
-
-    @staticmethod
-    def sublinear_tail(n: int) -> "FlowSchedule":
-        """Tail exponents grow like sqrt(t); the head absorbs the rest."""
-        if n < 2:
-            raise ScheduleError("sublinear tail needs n >= 2")
-
-        def fn(t: float) -> np.ndarray:
-            tail = min(math.sqrt(t), t) if t > 0 else 0.0
-            out = np.full(n, tail, dtype=float)
-            out[0] = n * t - (n - 1) * tail
-            return out
-
-        return FlowSchedule(n=n, name="sublinear-tail", fn=fn)
+        return FlowSchedule(n=n, name=f"linear:{label}", slopes=cs)
 
     @staticmethod
     def preset(text: str, n: Optional[int] = None) -> "FlowSchedule":
@@ -103,32 +79,22 @@ class FlowSchedule:
             if n is not None and sched.n != n:
                 raise ScheduleError(f"linear preset has n={sched.n}, wanted {n}")
             return sched
-        if text == "sublinear-tail":
-            if n is None:
-                raise ScheduleError("sublinear-tail preset needs n")
-            return FlowSchedule.sublinear_tail(n)
         raise ScheduleError(f"unknown schedule preset: {text!r}")
 
     def r(self, t: float) -> np.ndarray:
         if t < 0:
             raise ScheduleError("t must be nonnegative")
-        vals = np.asarray(self.fn(float(t)), dtype=float)
-        if vals.shape != (self.n,):
-            raise ScheduleError("schedule returned wrong arity")
-        scale = max(1.0, self.n * abs(t))
-        tol = REL_TOL * scale
-        if any(vals[i] < vals[i + 1] - tol for i in range(self.n - 1)):
-            raise ScheduleError(f"exponents not sorted at t={t}: {vals}")
-        if vals[-1] < -tol:
-            raise ScheduleError(f"negative exponent at t={t}: {vals}")
-        if abs(float(vals.sum()) - self.n * t) > tol:
-            raise ScheduleError(f"exponent sum off at t={t}: {vals}")
-        return vals
+        return np.array([float(s) for s in self.slopes]) * float(t)
 
     def exponents(self, t: float) -> np.ndarray:
         """Diagonal of log a_t: (n t, -r_1, ..., -r_n)."""
         r = self.r(t)
         return np.concatenate(([self.n * t], -r))
+
+    @property
+    def log_diagonal(self) -> Tuple[Q, ...]:
+        """Exact diagonal of log a_t / t: (n, -s_1, ..., -s_n)."""
+        return (Q(self.n),) + tuple(-s for s in self.slopes)
 
     def a_matrix(self, t: float) -> np.ndarray:
         return np.diag(np.exp(self.exponents(t)))
@@ -138,137 +104,31 @@ class FlowSchedule:
         return classify(self)
 
 
-# -- xi decomposition --------------------------------------------------------------
-
-
-@dataclass
-class XiCoefficients:
-    t: float
-    values: np.ndarray
-    sum_error: float
-    reconstruction_error: float
-
-    @property
-    def ok(self) -> bool:
-        scale = max(1.0, abs(self.t))
-        return (
-            self.sum_error <= 1e-11 * scale
-            and self.reconstruction_error <= 1e-11 * scale
-        )
-
-
-def xi_coefficients(schedule: FlowSchedule, t: float) -> XiCoefficients:
-    """Coordinates of log a_t in the block-element basis.
-
-    xi_n = r_n and xi_i = (i/n)(r_i - r_{i+1}); the report carries the
-    defect of sum(xi) = t and of the diagonal reconstruction.
-    """
-    n = schedule.n
-    r = schedule.r(t)
-    xi = np.empty(n)
-    xi[n - 1] = r[n - 1]
-    for i in range(1, n):
-        xi[i - 1] = Q(i, n) * (r[i - 1] - r[i])
-    recon = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        recon += xi[i - 1] * np.array([float(x) for x in h_block(n, i)])
-    target = schedule.exponents(t)
-    return XiCoefficients(
-        t=float(t),
-        values=xi,
-        sum_error=abs(float(xi.sum()) - t),
-        reconstruction_error=float(np.max(np.abs(recon - target))),
-    )
-
-
 # -- classification ----------------------------------------------------------------
 
 
 @dataclass
 class FlowClassification:
     n: int
-    n0: Optional[int]
-    uniform: Optional[bool]
+    n0: int
+    uniform: bool
     k: int
-    verdicts: Tuple[str, ...]
-    gap_verdicts: Tuple[str, ...]
-    probes: Tuple[float, ...]
-    notes: Tuple[str, ...]
 
 
-_GROWTH_EPS = 0.05
+def classify(schedule: FlowSchedule) -> FlowClassification:
+    """Exact (n0, uniformity, admissible k) of a linear schedule.
 
-
-def _trend(v_quarter: float, v_half: float, v_full: float) -> str:
-    g1 = v_half - v_quarter
-    g2 = v_full - v_half
-    if g1 > _GROWTH_EPS and g2 > _GROWTH_EPS and v_full > 1.0:
-        return "divergent"
-    if abs(g2) <= _GROWTH_EPS and v_full <= max(1.0, v_quarter + _GROWTH_EPS):
-        return "bounded"
-    return "undetermined"
-
-
-def classify(schedule: FlowSchedule, t_probe_max: float = 40.0) -> FlowClassification:
-    """Probe the schedule and classify (n0, uniformity, admissible k).
-
-    Verdicts come from growth across t_probe_max/4, /2, and full; anything
-    that does not stabilize is reported "undetermined" rather than guessed.
-    k is the smallest integer with n t + r_1(t) - k t <= 0 across a dense
-    probe grid (2n always qualifies).
+    n0 counts the divergent exponents, which are the positive slopes; the
+    schedule is uniform when every gap r_i - r_{i+1} stays bounded, i.e. all
+    slopes are equal; k is the least integer with n t + r_1(t) - k t <= 0
+    for all t >= 0, i.e. ceil(n + s_1), which is at most 2n.
     """
-    n = schedule.n
-    tq = t_probe_max / 4
-    th = t_probe_max / 2
-    probes = (tq, th, t_probe_max)
-    rq, rh, rf = schedule.r(tq), schedule.r(th), schedule.r(t_probe_max)
-    verdicts = tuple(_trend(rq[i], rh[i], rf[i]) for i in range(n))
-    notes: List[str] = []
-
-    n0: Optional[int] = None
-    if all(v != "undetermined" for v in verdicts):
-        div = [i for i, v in enumerate(verdicts) if v == "divergent"]
-        if div == list(range(len(div))):
-            n0 = len(div)
-        else:
-            notes.append("divergent indices are not an initial prefix")
-    else:
-        notes.append("per-index growth did not stabilize")
-
-    uniform: Optional[bool] = None
-    gap_verdicts: Tuple[str, ...] = ()
-    if n == 1:
-        uniform = True
-    else:
-        gaps = []
-        for r in (rq, rh, rf):
-            gaps.append([r[j] - r[j + 1] for j in range(n - 1)])
-        gv = tuple(
-            _trend(gaps[0][j], gaps[1][j], gaps[2][j]) for j in range(n - 1)
-        )
-        gap_verdicts = gv
-        if all(v != "undetermined" for v in gv):
-            uniform = all(v == "bounded" for v in gv)
-        else:
-            notes.append("gap growth did not stabilize")
-
-    grid = np.linspace(t_probe_max / 200.0, t_probe_max, 400)
-    tol = 1e-9 * max(1.0, n * t_probe_max)
-    k = 2 * n
-    for cand in range(1, 2 * n + 1):
-        sup = max(n * t + schedule.r(t)[0] - cand * t for t in grid)
-        if sup <= tol:
-            k = cand
-            break
+    s = schedule.slopes
     return FlowClassification(
-        n=n,
-        n0=n0,
-        uniform=uniform,
-        k=k,
-        verdicts=verdicts,
-        gap_verdicts=gap_verdicts,
-        probes=probes,
-        notes=tuple(notes),
+        n=schedule.n,
+        n0=sum(1 for c in s if c > 0),
+        uniform=all(c == s[0] for c in s),
+        k=math.ceil(schedule.n + s[0]),
     )
 
 
@@ -285,13 +145,6 @@ class VandermondeConstants:
     empirical_exact: Q
     nodes: Tuple[Q, ...]
 
-    @property
-    def certified_valid(self) -> bool:
-        """Exact check that the closed-form constant really lower-bounds
-        the sharp one; false flags an interval where the closed form does
-        not apply."""
-        return self.empirical_exact >= self.certified_exact
-
 
 def vandermonde_constant(d: int, interval: Tuple = (1, 2)) -> VandermondeConstants:
     """Sup-norm coefficient constants on equispaced nodes.
@@ -301,7 +154,7 @@ def vandermonde_constant(d: int, interval: Tuple = (1, 2)) -> VandermondeConstan
     Vandermonde), computed exactly.  For degree-d polynomials f with
     coefficients c, sup_J |f| >= empirical * max|c_i| always, and the
     certified form is a valid (smaller) floor on intervals near the origin
-    like [1, 2]; certified_valid reports the exact comparison.
+    like [1, 2].
     """
     from . import exact
 
@@ -447,8 +300,10 @@ def expansion_supremum(
             eta_at_max=float(interval[0]), grid_size=0, degree_bound=degree,
             rejected=False,
         )
-    exps = schedule.exponents(t)
-    weight_shift = np.array([float(w.evaluate(exps)) for w in module.weights])
+    tq = Q(t)
+    weight_shift = np.array(
+        [float(level * tq) for level in module.grading(schedule.log_diagonal)]
+    )
     scale = float(alpha) * math.exp(-t)
     etas = _eta_grid((float(interval[0]), float(interval[1])), grid)
     u = np.tile(np.eye(module.n + 1), (len(etas), 1, 1))
@@ -514,42 +369,6 @@ def assemble_expansion_bound(
     )
 
 
-def expansion_ladder(
-    module: WeightModule,
-    v,
-    schedule: FlowSchedule,
-    frame: CurveFrame,
-    t_values: Sequence[float],
-    alpha: float = 1.0,
-    interval: Tuple = (1.0, 2.0),
-    bound: Optional[float] = None,
-    enforce_alpha: bool = True,
-) -> List[Dict[str, object]]:
-    """Rows (t, eta, M_t, bound, verdict) for CSV export."""
-    rows: List[Dict[str, object]] = []
-    for t in t_values:
-        res = expansion_supremum(
-            module, v, schedule, frame, t,
-            alpha=alpha, interval=interval, enforce_alpha=enforce_alpha,
-        )
-        if res.rejected:
-            verdict = "rejected"
-        elif bound is None:
-            verdict = "ok"
-        else:
-            verdict = "ok" if res.value >= bound else "below-bound"
-        rows.append(
-            {
-                "t": float(t),
-                "eta": res.eta_at_max,
-                "M_t": res.value,
-                "bound": float("nan") if bound is None else float(bound),
-                "verdict": verdict,
-            }
-        )
-    return rows
-
-
 # -- growth witness -------------------------------------------------------------------
 
 
@@ -560,7 +379,7 @@ class GrowthWitness:
     slope: float
     t_values: Tuple[float, ...]
     values: Tuple[float, ...]
-    n0: Optional[int]
+    n0: int
     subgroup: str
     fixed: Optional[bool]
     consistent: Optional[bool]
@@ -594,15 +413,8 @@ def growth_witness(
     t_values = tuple(float(t) for t in t_values)
     cls = schedule.classification
     n0 = cls.n0
-    if n0 is None or n0 == 0:
-        return GrowthWitness(
-            mode=mode, verdict="undetermined", slope=float("nan"),
-            t_values=t_values, values=(), n0=n0, subgroup="", fixed=None,
-            consistent=None, rejected=True,
-            reason="schedule classification did not produce a block index",
-        )
     if mode == "unit":
-        if cls.uniform is not False:
+        if cls.uniform:
             return GrowthWitness(
                 mode=mode, verdict="undetermined", slope=float("nan"),
                 t_values=t_values, values=(), n0=n0, subgroup="", fixed=None,

@@ -315,30 +315,11 @@ def random_real_basis(dim: int, seed: int) -> LatticeBasis:
     return LatticeBasis.from_rows(rows, provenance=f"random-real({seed})")
 
 
-# -- observables ----------------------------------------------------------------------
-
-
-def make_observable(spec: str) -> Tuple[str, Callable[[float], float]]:
-    """Observable maps applied to the systole.
-
-    Specs: "systole", "invsys:<cap>" (1/systole clipped at cap).
-    """
-    if spec == "systole":
-        return "systole", lambda s: s
-    if spec.startswith("invsys:"):
-        cap = float(spec.split(":", 1)[1])
-        if cap <= 0:
-            raise ValueError("cap must be positive")
-        return spec, lambda s: min(1.0 / s, cap)
-    raise ValueError(f"unknown observable: {spec!r}")
-
-
 # -- empirical measures ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    observable: str
     count: int
     values: Tuple[float, ...]
     bin_edges: Tuple[float, ...]
@@ -353,7 +334,7 @@ class EmpiricalMeasure:
             raise ValueError("masses must sum to 1")
 
     @staticmethod
-    def from_values(observable: str, values: Sequence[float], bins: int = 32) -> "EmpiricalMeasure":
+    def from_values(values: Sequence[float], bins: int = 32) -> "EmpiricalMeasure":
         arr = np.sort(np.asarray(values, dtype=float))
         if arr.size == 0:
             raise ValueError("empty sample")
@@ -364,7 +345,6 @@ class EmpiricalMeasure:
             hi = lo + 1.0
         counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
         return EmpiricalMeasure(
-            observable=observable,
             count=int(arr.size),
             values=tuple(float(x) for x in arr),
             bin_edges=tuple(float(x) for x in edges),
@@ -374,8 +354,6 @@ class EmpiricalMeasure:
 
 def consistency_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
     """Two-sample Kolmogorov-Smirnov statistic."""
-    if m1.observable != m2.observable:
-        raise ValueError("measures observe different quantities")
     if m1.count == 0 or m2.count == 0:
         raise ValueError("empty samples")
     a = np.asarray(m1.values)
@@ -414,11 +392,10 @@ def translate_sample(
     base: LatticeBasis,
     t: float,
     count: int,
-    observable: str = "systole",
     seed: int = 0,
     interval: Tuple[float, float] = (0.0, 1.0),
 ) -> EmpiricalMeasure:
-    """Empirical law of an observable along flowed curve translates.
+    """Empirical law of the systole along flowed curve translates.
 
     Draws s uniformly over the interval and evaluates a_t u(phi(s)) base.
     Each sample index derives its own generator from the seed, so results
@@ -426,7 +403,6 @@ def translate_sample(
     """
     if count < 1:
         raise ValueError("count must be positive")
-    name, obs_map = make_observable(observable)
     a_t = schedule.a_matrix(t)
     n = schedule.n
     provenance = base.provenance + f"|translate(t={t})"
@@ -436,15 +412,14 @@ def translate_sample(
         rng = np.random.Generator(np.random.PCG64(children[idx]))
         u = np.eye(n + 1)
         u[0, 1:] = curve.evaluate(rng.uniform(interval[0], interval[1]))
-        values[idx] = obs_map(systole(apply_group(a_t @ u, base, provenance=provenance)))
-    return EmpiricalMeasure.from_values(name, values)
+        values[idx] = systole(apply_group(a_t @ u, base, provenance=provenance))
+    return EmpiricalMeasure.from_values(values)
 
 
 def orbit_oracle(
     schedule,
     t: float,
     count: int,
-    observable: str = "systole",
     seed: int = 0,
 ) -> EmpiricalMeasure:
     """Independent reference law from the expanded-orbit parametrization.
@@ -456,7 +431,6 @@ def orbit_oracle(
     """
     if schedule.n != 1:
         raise ValueError("orbit oracle is a dimension-1 reference")
-    name, obs_map = make_observable(observable)
     w_max = math.exp(2 * t)
     a_t = schedule.a_matrix(t)
     children = SplitRNG(seed).spawn_children("orbit-oracle", count)
@@ -466,8 +440,8 @@ def orbit_oracle(
         w = rng.uniform(0.0, w_max)
         u = np.array([[1.0, w], [0.0, 1.0]])
         lat = LatticeBasis.from_group_element(u @ a_t, provenance="orbit-oracle")
-        values[idx] = obs_map(systole(lat))
-    return EmpiricalMeasure.from_values(name, values)
+        values[idx] = systole(lat)
+    return EmpiricalMeasure.from_values(values)
 
 
 # -- escape scenarios -------------------------------------------------------------------

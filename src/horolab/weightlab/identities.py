@@ -298,13 +298,13 @@ def _triangular_preserves_extreme_level(n: int) -> IdentityItem:
                 lev_before, comp_before = _extreme_level(v, minimum=True)
                 moved = act(g, v)
                 lev_after, comp_after = _extreme_level(moved, minimum=True)
-                if lev_before != lev_after or not (comp_after - comp_before).is_zero():
+                if lev_before != lev_after or comp_after.coords != comp_before.coords:
                     failures.append(f"{kind}: upper move shifted the bottom level")
             for g in lowers:
                 lev_before, comp_before = _extreme_level(v, minimum=False)
                 moved = act(g, v)
                 lev_after, comp_after = _extreme_level(moved, minimum=False)
-                if lev_before != lev_after or not (comp_after - comp_before).is_zero():
+                if lev_before != lev_after or comp_after.coords != comp_before.coords:
                     failures.append(f"{kind}: lower move shifted the top level")
     return IdentityItem(
         name="triangular_preserves_extreme_level",

@@ -318,8 +318,8 @@ def sl2_maxweight_check(i: int, r, v: ModuleVector) -> Sl2Report:
 
     v_max = _level_component(v, a, lam_v)
     w_max = _level_component(w, a, lam_w)
-    recovery_ok = (act(u_elem(n, i, 0, -1 / rq), v_max) - v).is_zero()
-    rotated_top_ok = (act(_sigma1(n, i, rq), v_max) - w_max).is_zero()
+    recovery_ok = act(u_elem(n, i, 0, -1 / rq), v_max).coords == v.coords
+    rotated_top_ok = act(_sigma1(n, i, rq), v_max).coords == w_max.coords
     characterization_ok = equality == (recovery_ok and rotated_top_ok)
 
     support_levels = {lev for lev, c in zip(mod.grading(a), v.coords) if c != 0}
@@ -339,7 +339,7 @@ def sl2_maxweight_check(i: int, r, v: ModuleVector) -> Sl2Report:
     if eigen:
         fixed_lower = act_algebra(exact.elementary(n + 1, i, 0), v).is_zero()
         fixed_upper = act_algebra(exact.elementary(n + 1, 0, i), v).is_zero()
-        rotated_full = (act(_sigma1(n, i, rq), v) - w_max).is_zero()
+        rotated_full = act(_sigma1(n, i, rq), v).coords == w_max.coords
         report.fixed_lower = fixed_lower
         report.fixed_upper = fixed_upper
         report.eigen_equality_ok = (equality == fixed_lower) and (

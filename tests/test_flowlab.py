@@ -6,6 +6,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horolab import flowlab as fl
 from horolab.harness import run, validate_config
@@ -58,9 +60,60 @@ def test_classify_triples(name, expected):
     assert (cls.n0, cls.uniform, cls.k) == expected
 
 
-def test_sublinear_tail_is_not_uniform():
-    cls = fl.classify(fl.FlowSchedule.preset("sublinear-tail", n=2))
-    assert not cls.uniform
+@pytest.mark.parametrize(
+    "name,expected",
+    [
+        # small slopes still diverge, and small gaps still grow
+        ("linear:1999/1000,1/1000", (2, False, 4)),
+        ("linear:199/100,1/100", (2, False, 4)),
+        ("linear:2001/2000,1999/2000", (2, False, 4)),
+    ],
+)
+def test_classify_small_slopes_exactly(name, expected):
+    cls = fl.classify(fl.FlowSchedule.preset(name, n=2))
+    assert (cls.n0, cls.uniform, cls.k) == expected
+
+
+@st.composite
+def _slopes(draw):
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n)
+                   .filter(any))
+    return sorted((Q(n * w, sum(weights)) for w in weights), reverse=True)
+
+
+@given(slopes=_slopes())
+@settings(max_examples=200, deadline=None)
+def test_classification_meets_its_definitions(slopes):
+    sched = fl.FlowSchedule.linear(slopes)
+    n = sched.n
+    cls = fl.classify(sched)
+    assert cls.n == n and 1 <= cls.n0 <= n
+    # exactly the first n0 exponents r_i(t) = s_i t diverge
+    assert all(c > 0 for c in slopes[:cls.n0])
+    assert all(c == 0 for c in slopes[cls.n0:])
+    # uniform: every gap r_i - r_{i+1} = (s_i - s_{i+1}) t stays bounded
+    assert cls.uniform == all(a == b for a, b in zip(slopes, slopes[1:]))
+    # k: least integer with n t + r_1(t) - k t <= 0 for t >= 0
+    assert isinstance(cls.k, int)
+    assert n + slopes[0] <= cls.k < n + slopes[0] + 1
+    assert cls.k <= 2 * n
+
+
+def test_sublinear_tail_is_not_a_schedule():
+    with pytest.raises(fl.ScheduleError):
+        fl.FlowSchedule.preset("sublinear-tail", n=2)
+
+
+def test_log_diagonal_grades_the_exponents():
+    sched = fl.FlowSchedule.preset("linear:3/2,1/2", n=2)
+    module = build_module("exterior(2)", 2)
+    assert sched.log_diagonal == (2, Q(-3, 2), Q(-1, 2))
+    for t in (1.0, 7.5, 20.0):
+        exps = sched.exponents(t)
+        assert [level * Q(t) for level in module.grading(sched.log_diagonal)] == [
+            w.evaluate(exps) for w in module.weights
+        ]
 
 
 # -- polynomial floor constants ------------------------------------------------
@@ -123,23 +176,6 @@ def test_certification_classifies_each_schedule_once(tmp_path, monkeypatch):
     assert run(cfg, tmp_path / "cert").exit_code == 0
     assert len(calls) == 3 and max(calls.values()) == 1
 
-
-def test_expansion_ladder_rows():
-    module = build_module("exterior(2)", 2)
-    frame = fl.moment_frame(2)
-    sched = fl.FlowSchedule.preset("linear:3/2,1/2", n=2)
-    rows = fl.expansion_ladder(module, basis_vector(module, 0), sched, frame,
-                               (1.0, 2.0, 4.0))
-    assert len(rows) == 3
-    assert all(row["M_t"] > 0 for row in rows)
-    assert [row["t"] for row in rows] == [1.0, 2.0, 4.0]
-
-
-def test_xi_coefficients_reconstruct():
-    sched = fl.FlowSchedule.preset("linear:2,0", n=2)
-    xi = fl.xi_coefficients(sched, 6.0)
-    assert xi.sum_error < 1e-9
-    assert xi.reconstruction_error < 1e-9
 
 
 # -- fixed limits -------------------------------------------------------------

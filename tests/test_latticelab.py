@@ -184,7 +184,7 @@ def test_apply_group_stabilizes_integer_lattice():
 def test_translate_sample_is_deterministic():
     curve = CurveSpec.moment(1)
     sched = fl.FlowSchedule.preset("equal", n=1)
-    kw = dict(t=3.0, count=400, observable="systole", seed=123)
+    kw = dict(t=3.0, count=400, seed=123)
     m1 = ll.translate_sample(curve, sched, ll.catalog_basis(0), **kw)
     m2 = ll.translate_sample(curve, sched, ll.catalog_basis(0), **kw)
     assert m1.values == m2.values
@@ -223,12 +223,3 @@ def test_escape_probe_critical_stays_positive():
                             rate="critical")
     assert min(row.value for row in table.rows) > 0.1
 
-
-def test_make_observable_names():
-    name, fn = ll.make_observable("systole")
-    assert name == "systole"
-    assert fn(2.0) == 2.0
-    _, inv = ll.make_observable("invsys:4")
-    assert inv(0.1) == 4.0
-    with pytest.raises(ValueError):
-        ll.make_observable("volume-of-moon")
