@@ -17,12 +17,13 @@ conservative.
 Each form is one sweep per xi that answers a list of (box, mu) targets.
 The primal sweep evaluates ``|q . xi - p|`` in floats once over the union
 of the boxes, held in canonical (shell-first) order so that each target
-reads its box as a prefix, or as a mask of one; the dual sweep does the
-same over ``q = 1 .. max prod N``.  Every point of the float band, widened
-by a bound on the rounding of the sweep, is confirmed in integer arithmetic
-over the common denominator of xi.  Nothing is shortlisted or capped, so
-the primal witness is the exact smallest-error one and the dual witness has
-the exact smallest q.
+reads its box as a prefix, or as a mask of one; it walks only the q whose
+first nonzero coordinate is positive, since -q answers alike and sorts
+later.  The dual sweep does the same over ``q = 1 .. max prod N``.  Every
+point of the float band, widened by a bound on the rounding of the sweep,
+is confirmed in integer arithmetic over the common denominator of xi.
+Nothing is shortlisted or capped, so the primal witness is the exact
+smallest-error one and the dual witness has the exact smallest q.
 """
 
 from __future__ import annotations
@@ -170,11 +171,13 @@ def _count(bounds: Sequence[int], level: int) -> int:
 
 
 def _shells(bounds: Tuple[int, ...], lo: int, hi: int) -> np.ndarray:
-    """Box points with lo <= max |q_i| <= hi in canonical order, as the
-    columns of an int32 array with one row per coordinate.
+    """Box points with lo <= max |q_i| <= hi and a positive first nonzero
+    coordinate in canonical order, as the columns of an int32 array with one
+    row per coordinate.
 
     The points split into product sets by the first axis j with
-    |q_j| >= lo; the union is sorted by ``_canonical_key`` in one lexsort.
+    |q_j| >= lo; the union keeps the positive-first half (its negation sorts
+    later) and is sorted by ``_canonical_key`` in one lexsort.
     """
     n = len(bounds)
     pieces = []
@@ -190,6 +193,8 @@ def _shells(bounds: Tuple[int, ...], lo: int, hi: int) -> np.ndarray:
         grid = np.meshgrid(*axes, indexing="ij")
         pieces.append(np.stack([g.ravel() for g in grid]))
     pts = np.concatenate(pieces, axis=1)
+    lead = pts[(pts != 0).argmax(axis=0), np.arange(pts.shape[1])]  # first nonzero entry
+    pts = pts[:, lead > 0]
     mag = np.abs(pts).astype(np.min_scalar_type(hi))  # narrow keys sort by radix
     keys = [pts[i] < 0 for i in reversed(range(n))] + list(mag) + [mag.max(axis=0)]
     return pts[:, np.lexsort(keys)]
@@ -197,26 +202,35 @@ def _shells(bounds: Tuple[int, ...], lo: int, hi: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=2)
 def _canonical_box(bounds: Tuple[int, ...]) -> np.ndarray:
-    """Every nonzero point of a box that fits one slab, read-only."""
+    """The positive-first half of a box that fits one slab, read-only."""
     box = _shells(bounds, 1, max(bounds))
     box.flags.writeable = False
     return box
 
 
 def _box_slabs(bounds: Tuple[int, ...]) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """The nonzero box points in canonical order, as slabs of whole shells
-    lo..hi with at most ``_CHUNK`` points each (a single shell may exceed it)."""
+    """The positive-first box points (half of ``_count``) in canonical order,
+    as slabs of whole shells lo..hi with at most ``_CHUNK`` points each (a
+    single shell may exceed it)."""
     top, lo = max(bounds), 1
     while lo <= top:
         base, hi, b = _count(bounds, lo - 1), lo, top
         while hi < b:
             mid = (hi + b + 1) // 2
-            if _count(bounds, mid) - base <= _CHUNK:
+            if (_count(bounds, mid) - base) // 2 <= _CHUNK:
                 hi = mid
             else:
                 b = mid - 1
         yield lo, hi, _canonical_box(bounds) if (lo, hi) == (1, top) else _shells(bounds, lo, hi)
         lo = hi + 1
+
+
+def _sweep_error(box: np.ndarray, xi_f: Sequence[float]) -> np.ndarray:
+    """Float |q . xi - p| with p nearest, for each column q of a box slab."""
+    r = box[0] * xi_f[0]
+    for i in range(1, len(xi_f)):
+        r += box[i] * xi_f[i]
+    return np.abs(r - np.rint(r))
 
 
 @dataclass(frozen=True)
@@ -234,9 +248,12 @@ def primal_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
 
     Each result is the exact smallest-error witness of its own box, ties
     broken toward the canonical-first q and then the smaller p; it is what
-    ``di_witness`` returns for that query alone.  Every point whose float
-    error lies in some target's band is confirmed in integers, with the
-    half-ulp shrink of float inputs.
+    ``di_witness`` returns for that query alone.  Only q with a positive
+    first nonzero coordinate are walked: -q has the same exact error and
+    shrink, the same float error bit for bit (IEEE arithmetic and ``rint``
+    are sign-symmetric) and sorts after q, so the answers are the full
+    box's.  Every point whose float error lies in some target's band is
+    confirmed in integers, with the half-ulp shrink of float inputs.
     """
     xi = _shared_xi(queries, "primal")
     nums, ulps, denom = _scaled_xi(xi)
@@ -258,14 +275,11 @@ def primal_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
     best: List[Optional[Tuple]] = [None] * len(targets)
     low = [math.inf] * len(targets)
     for lo, hi, box in _box_slabs(union):
-        r = box[0] * xi_f[0]
-        for i in range(1, len(xi_f)):
-            r += box[i] * xi_f[i]
-        err = np.abs(r - np.rint(r))
+        err = _sweep_error(box, xi_f)
         keep = np.zeros(box.shape[1], dtype=bool)
         spans = []
         for t in targets:
-            end = max(0, _count(union, min(t.level, hi)) - _count(union, lo - 1))
+            end = max(0, _count(union, min(t.level, hi)) - _count(union, lo - 1)) // 2
             inside = None if t.prefix else (
                 np.abs(box[:, :end]) <= np.array(t.bounds)[:, None]).all(axis=0)
             band = err[:end] <= t.band

@@ -487,7 +487,6 @@ class QFixedResult:
 def qfixed_limit(
     frame: CurveFrame,
     schedule: FlowSchedule,
-    n0: int,
     eta: float,
     t: float,
     kappa_tol: float = 1e-12,
@@ -495,14 +494,13 @@ def qfixed_limit(
     """Residual of the flowed last basis vector against its limit.
 
     Compares a_t u(R(e^{-t} eta)) e_n with exp((log eta) H_{n0}) w(kappa_n) e_n
-    in sup norm; the residual decays like e^{-r_n(t)} when n0 = n and
-    through the tail coefficients otherwise.
+    in sup norm, with n0 the schedule's classification; the residual decays
+    like e^{-r_n(t)} when n0 = n and through the tail coefficients otherwise.
     """
     n = frame.n
     if schedule.n != n:
         raise ValueError("frame and schedule sizes disagree")
-    if not 1 <= n0 <= n:
-        raise ValueError("n0 out of range")
+    n0 = schedule.classification.n0
     if eta <= 0:
         raise ValueError("eta must be positive")
     kappa_n = float(frame.kappa[-1])

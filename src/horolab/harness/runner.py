@@ -415,28 +415,26 @@ def _run_qfixed(cfg: ExperimentConfig, samples: Samples) -> Result:
     failures: List[Dict] = []
     ok_all = True
     worst_residual = 0.0
-    presets = (("equal", 2), ("linear:2,0", 1))
-    for sched_name, n0 in presets:
+    for sched_name in ("equal", "linear:2,0"):
         schedule = fl.FlowSchedule.preset(sched_name, n=2)
-        res = fl.qfixed_limit(frame, schedule, n0, eta=2.0, t=t)
+        res = fl.qfixed_limit(frame, schedule, eta=2.0, t=t)
         worst_residual = max(worst_residual, res.residual)
         ok = not res.rejected and res.residual < 1e-6
         ok_all = ok_all and ok
-        rows.append([sched_name, n0, 2.0, t, repr(res.residual), ok])
+        rows.append([sched_name, res.n0, 2.0, t, repr(res.residual), ok])
         if not ok:
             failures.append(
-                {"schedule": sched_name, "n0": n0, "t": t,
+                {"schedule": sched_name, "n0": res.n0, "t": t,
                  "residual": repr(res.residual), "reason": res.reason}
             )
 
-    res = fl.qfixed_limit(frame, fl.FlowSchedule.preset("equal", n=2), 2,
-                          eta=2.0, t=t)
+    res = fl.qfixed_limit(frame, fl.FlowSchedule.preset("equal", n=2), eta=2.0, t=t)
     target = np.zeros(3)
     target[0] = 4.0
     closed_err = float(np.abs(np.asarray(res.limit, dtype=float) - target).max())
     closed_ok = closed_err <= 1e-9
     ok_all = ok_all and closed_ok
-    rows.append(["equal", 2, 2.0, "closed-form", repr(closed_err), closed_ok])
+    rows.append(["equal", res.n0, 2.0, "closed-form", repr(closed_err), closed_ok])
     if not closed_ok:
         failures.append({"closed_form_error": repr(closed_err)})
     check = CheckResult(
@@ -489,25 +487,30 @@ def _run_escape(cfg: ExperimentConfig, samples: Samples) -> Result:
     ladder = cfg.t_ladder or tuple(float(t) for t in range(1, 21))
     sup = ll.escape_probe(ladder, eta=1.0, rate="super")
     crit = ll.escape_probe(ladder, eta=_GOLDEN_ETA, rate="critical")
+    header = ["rate", "t", "value", "closed_form", "rel_err", "in_regime"]
     rows: List[Row] = []
+    failures: List[Dict] = []
     worst_rel = 0.0
     for row in sup.rows:
         rows.append(["super", row.t, repr(row.value), repr(row.closed_form),
                      repr(row.rel_err), row.in_regime])
         if row.in_regime:
             worst_rel = max(worst_rel, row.rel_err)
+            if not row.rel_err <= 1e-12:
+                failures.append(dict(zip(header[:5], rows[-1])))
     crit_min = math.inf
     for row in crit.rows:
         rows.append(["critical", row.t, repr(row.value), "", "", row.in_regime])
         crit_min = min(crit_min, row.value)
-    passed = worst_rel <= 1e-12 and crit_min > 0.1
+        if not row.value > 0.1:
+            failures.append(dict(zip(header[:5], rows[-1])))
     check = CheckResult(
-        passed=passed,
+        passed=not failures,
         detail=f"closed-form match {worst_rel:.2e} (<= 1e-12); critical floor "
                f"{crit_min:.4f} (> 0.1)",
         metrics={"closed_form_rel_err": worst_rel, "critical_floor": crit_min},
+        failures=failures,
     )
-    header = ["rate", "t", "value", "closed_form", "rel_err", "in_regime"]
     return [("escape.csv", header, rows)], check
 
 

@@ -112,7 +112,7 @@ def test_criterion_10_witness_suite(preset_run):
     assert entry["counts"]["completeness"] == 500
     assert entry["counts"]["monotonicity"] == 200
     assert entry["metrics"]["all_improvable_fraction"] < 0.5
-    assert elapsed < 30.0
+    assert elapsed < 10.0
     # the exact exponent values behind the "exact exponents ok" detail
     assert di.rbar1([(2**k, 2**k) for k in range(1, 21)]).value == Q(1, 2)
     assert di.rbar1([(4**k, 2**k) for k in range(1, 21)]).value == Q(2, 3)

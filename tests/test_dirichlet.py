@@ -396,13 +396,33 @@ def test_curve_scan_cells_equal_single_searches(prefix):
 
 
 def test_slabs_cover_the_box_in_canonical_order(monkeypatch):
-    monkeypatch.setattr(di, "_CHUNK", 5)
+    # the slabs hold the positive-first half; with its negation that is the box
+    monkeypatch.setattr(di, "_CHUNK", 2)
     for bounds in [(3,), (3, 2), (1, 4), (2, 2, 1)]:
         slabs = list(di._box_slabs(bounds))
         assert len(slabs) > 1
+        assert all(box.shape[1] <= 2 or lo == hi for lo, hi, box in slabs)
         got = [tuple(int(c) for c in col) for _, _, box in slabs for col in box.T]
         every = [q for q in itertools.product(*(range(-b, b + 1) for b in bounds)) if any(q)]
-        assert got == sorted(every, key=_canonical)
+        half = [q for q in every if next(c for c in q if c) > 0]
+        assert got == sorted(half, key=_canonical)
+        assert sorted(got + [tuple(-c for c in q) for q in got]) == sorted(every)
+
+
+def test_tie_with_the_negation_goes_to_the_positive_first_point():
+    # (0, 2) and (0, -2) both have error 0; the leading zero does not decide
+    query = di.DIQuery("primal", (0.3, 0.5), (2, 2), 1.0)
+    assert di.di_witness(query).witness == ((0, 2), 1)
+
+
+@given(xi=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=3),
+       reach=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_sweep_float_error_is_sign_symmetric(xi, reach):
+    box = np.array(list(itertools.product(range(-reach, reach + 1), repeat=len(xi))),
+                   dtype=np.int32).T
+    plus, minus = di._sweep_error(box, xi), di._sweep_error(-box, xi)
+    assert plus.view(np.uint64).tolist() == minus.view(np.uint64).tolist()
 
 
 def test_sweeps_match_single_searches_in_any_slab_size(monkeypatch):

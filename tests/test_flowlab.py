@@ -185,7 +185,7 @@ def test_qfixed_residual_shrinks_along_ladder():
     frame = fl.moment_frame(2)
     sched = fl.FlowSchedule.preset("equal", n=2)
     residuals = [
-        fl.qfixed_limit(frame, sched, 2, eta=2.0, t=t).residual
+        fl.qfixed_limit(frame, sched, eta=2.0, t=t).residual
         for t in (5.0, 10.0, 20.0)
     ]
     assert residuals[0] > residuals[1] > residuals[2]
@@ -194,8 +194,7 @@ def test_qfixed_residual_shrinks_along_ladder():
 
 def test_qfixed_closed_form_at_eta_two():
     frame = fl.moment_frame(2)
-    res = fl.qfixed_limit(frame, fl.FlowSchedule.preset("equal", n=2), 2,
-                          eta=2.0, t=20.0)
+    res = fl.qfixed_limit(frame, fl.FlowSchedule.preset("equal", n=2), eta=2.0, t=20.0)
     limit = np.asarray(res.limit, dtype=float)
     assert abs(limit[0] - 4.0) < 1e-9
     assert np.abs(limit[1:]).max() < 1e-9

@@ -205,6 +205,19 @@ def test_witness_suite_fails_on_a_wrong_box_verdict(tmp_path, monkeypatch):
     assert [(i["check"], i["trial"]) for i in instances] == [("equivalence", 6)]
 
 
+def test_escape_check_fails_on_a_perturbed_systole(tmp_path, monkeypatch):
+    honest = runner.ll.systole
+    monkeypatch.setattr(runner.ll, "systole", lambda basis: honest(basis) * (1 + 1e-9))
+    out = run(resolve_config("acceptance-09"), tmp_path / "o")
+    assert out.exit_code == 3
+    assert not out.summary["all_pass"]
+    recorded = json.loads((tmp_path / "o" / "failures.json").read_text())
+    instances = recorded["failures"][0]["instances"]
+    assert [i["t"] for i in instances] == [float(t) for t in range(1, 21)]
+    assert all(i["rate"] == "super" and 5e-10 < float(i["rel_err"]) < 2e-9
+               for i in instances)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     raw = {"kind": "equidistribution", "seed": 7, "samples": 300,
            "t_ladder": [4.0], "n": 1}
