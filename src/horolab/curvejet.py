@@ -52,11 +52,14 @@ def _poly_derive(coeffs: Tuple[Q, ...], m: int) -> Tuple[Q, ...]:
     return out
 
 
-def _poly_eval_exact(coeffs: Sequence[Q], s: Q) -> Q:
-    acc = Q(0)
+def _poly_eval_exact(coeffs: Sequence[Q], s) -> Q:
+    """Exact value at a Fraction or float s, by Horner's rule on integers."""
+    p, q = s.as_integer_ratio()
+    num, den = 0, 1
     for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
+        a, b = c.as_integer_ratio()
+        num, den = num * p * b + a * den * q, den * q * b
+    return Q(num, den)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .curvejet import CurveSpec
-from .exact import _scaled
+from .exact import _scaled, diag
 
 Number = Union[int, float, Q]
 
@@ -403,53 +403,58 @@ def di_dual_witness(query: DIQuery) -> WitnessResult:
 # -- lattice-box reformulation ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _dani_base(n: int):
+    """diag(-1, 1, ..., 1) in rank n + 1, the base that u(xi) shears."""
+    from .latticelab import LatticeBasis
+
+    return LatticeBasis.from_rows(diag((-1,) + (1,) * n), "dani")
+
+
+def _dani_parts(query: DIQuery):
+    """Exact xi and box half-widths of a primal query."""
+    if query.form != "primal":
+        raise ValueError("the box reformulation is defined for the primal form")
+    halfwidths = (_exact(query.mu)[0] / query.box_product,) + tuple(
+        Q(b) for b in query.bounds
+    )
+    return [_exact(x)[0] for x in query.xi], halfwidths
+
+
 def dani_lattice(query: DIQuery):
     """Shear-lattice basis and box half-widths equivalent to the primal search.
 
-    Nonzero points of the returned lattice inside the box
+    The basis is u(xi) diag(-1, 1, ..., 1), with rows ``(-1, 0, ..., 0)``
+    and ``(xi_i, e_i)``.  Nonzero points of the lattice inside the box
     ``[-mu/prod N, mu/prod N] x prod [-N_i, N_i]`` with nonzero integer part
     are exactly the images ``(xi . q - p, q)`` of primal witnesses.  The
     half-widths are exact.
     """
-    from .latticelab import LatticeBasis
+    from .latticelab import shear_basis
 
-    if query.form != "primal":
-        raise ValueError("the box reformulation is defined for the primal form")
-    n = query.dimension
-    xi_exact = [_exact(x)[0] for x in query.xi]
-    rows = [tuple([Q(-1)] + [Q(0)] * n)]
-    for i, x in enumerate(xi_exact):
-        row = [Q(0)] * (n + 1)
-        row[0] = x
-        row[i + 1] = Q(1)
-        rows.append(tuple(row))
-    halfwidths = (_exact(query.mu)[0] / query.box_product,) + tuple(
-        Q(b) for b in query.bounds
-    )
-    basis = LatticeBasis.from_rows(rows, provenance="dani(primal)")
+    xi, halfwidths = _dani_parts(query)
+    basis = shear_basis([1] * len(halfwidths), xi, _dani_base(len(xi)), "dani(primal)")
     return basis, halfwidths
 
 
 def box_point_search(query: DIQuery) -> WitnessResult:
     """Independent primal verdict: enumerate lattice points inside the box.
 
-    Rescales ``dani_lattice`` so the box becomes the unit cube (covolume
-    1/mu), reduces it with the integral LLL and walks every lattice point
-    of the circumscribed ball with ``latticelab.enumerate_ball``.  Each
-    point gets the exact box test with the half-ulp shrink, and the
-    canonical-first q wins, with the p nearest ``xi . q``.
-    ``search_volume`` counts the nonzero lattice points walked.  Shares no
-    code with the sweeps beyond the rounding convention, so verdict
-    agreement with ``di_witness`` is a real consistency check.
+    Builds the ``dani_lattice`` with D = 1 / half-widths in place of 1, so
+    the box becomes the unit cube (covolume 1/mu), reduces it with the
+    integral LLL and walks every lattice point of the circumscribed ball
+    with ``latticelab.enumerate_ball``.  Each point gets the exact box test
+    with the half-ulp shrink, and the canonical-first q wins, with the p
+    nearest ``xi . q``.  ``search_volume`` counts the nonzero lattice points
+    walked.  Shares no code with the sweeps beyond the rounding convention,
+    so verdict agreement with ``di_witness`` is a real consistency check.
     """
-    from .latticelab import LatticeBasis, enumerate_ball, lll_reduce
+    from .latticelab import enumerate_ball, lll_reduce, shear_basis
 
-    if query.form != "primal":
-        raise ValueError("the box reformulation is defined for the primal form")
+    xi, widths = _dani_parts(query)
     _check_budget(math.prod(2 * b + 1 for b in query.bounds))
-    basis, widths = dani_lattice(query)
-    unit = tuple(tuple(c / w for c, w in zip(row, widths)) for row in basis.rows)
-    red = lll_reduce(LatticeBasis.from_rows(unit, "dani(unit box)", expect_unimodular=False))
+    red = lll_reduce(shear_basis([1 / w for w in widths], xi, _dani_base(len(xi)),
+                                 "dani(unit box)", expect_unimodular=False))
     denom = red.basis.denom
     cols = tuple(zip(*red.transform))
     first = tuple(row[0] for row in red.basis.ints)

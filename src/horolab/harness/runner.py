@@ -469,17 +469,19 @@ def _run_equidistribution(cfg: ExperimentConfig, samples: Samples) -> Result:
         ["catalog-0 vs catalog-1", repr(ks_pair), 0.05, ks_pair < 0.05],
         ["catalog-0 vs orbit-oracle", repr(ks_oracle), 0.07, ks_oracle < 0.07],
     ]
-    passed = ks_pair < 0.05 and ks_oracle < 0.07
+    header = ["pair", "distance", "threshold", "passed"]
+    failures = [dict(zip(header, row)) for row in ks_rows if not row[3]]
     check = CheckResult(
-        passed=passed,
+        passed=not failures,
         detail=f"KS pair {ks_pair:.4f} (< 0.05), KS oracle {ks_oracle:.4f} (< 0.07)"
                f" at t={t}, {count} samples",
         counts={"samples": count},
         metrics={"ks_pair": ks_pair, "ks_oracle": ks_oracle},
+        failures=failures,
     )
     return [
         ("distributions.csv", ["series", "bin_lo", "bin_hi", "mass"], bin_rows),
-        ("ks.csv", ["pair", "distance", "threshold", "passed"], ks_rows),
+        ("ks.csv", header, ks_rows),
     ], check
 
 

@@ -7,22 +7,27 @@ denominator (``exact._scaled``, the package's one integer-over-denominator
 form, with ``exact._bareiss_det`` for the determinant check), so reduction
 (integral LLL) and enumeration (Fincke-Pohst with integer interval
 endpoints) run on Python ints, and only the final lengths are floated.
+
+Every lattice an experiment draws has the form D u(x) B: a diagonal D, the
+unipotent shear u(x) with first row (1, x), and a base B.  ``shear_basis``
+is the one constructor for it; it writes the integer rows straight from
+the integer ratios of D and x, and its determinant is prod D det B exactly,
+with det B computed once per base.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import InitVar, dataclass
 from fractions import Fraction as Q
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import exact
-from .exact import IntRows, _bareiss_det, _scaled
+from .curvejet import CurveError, _poly_eval_exact
+from .exact import IntRows, _bareiss_det, _ratio, _scaled
 from .rng import SplitRNG
 
 
@@ -35,8 +40,8 @@ class LatticeBasis:
     """Full-rank lattice basis: generator rows ``ints / denom``.
 
     ``denom`` is the lcm of the entry denominators; build from arbitrary
-    exact or float rows with ``from_rows``.  ``checked`` is for bases that
-    are a unimodular transform of a checked one, whose |det| is known.
+    exact or float rows with ``from_rows``.  ``checked`` is for bases whose
+    maker checked |det|: LLL output and the D u(x) B of ``shear_basis``.
     """
 
     ints: IntRows
@@ -49,14 +54,13 @@ class LatticeBasis:
         d = len(self.ints)
         if d == 0 or any(len(r) != d for r in self.ints):
             raise LatticeError("basis must be square")
-        if checked:
-            return
-        det = _bareiss_det(self.ints)
-        if det == 0:
-            raise LatticeError("rows are linearly dependent")
-        size = abs(det) / self.denom**d
-        if self.expect_unimodular and abs(size - 1.0) > 1e-9:
-            raise LatticeError(f"basis is not unimodular: |det| = {size!r}")
+        if not checked:
+            _check_det(self.det.numerator, self.det.denominator, self.expect_unimodular)
+
+    @cached_property
+    def det(self) -> Q:
+        """Exact determinant of the generator rows."""
+        return Q(_bareiss_det(self.ints), self.denom ** len(self.ints))
 
     @cached_property
     def rows(self) -> Tuple[Tuple[Q, ...], ...]:
@@ -66,22 +70,64 @@ class LatticeBasis:
     def from_rows(rows, provenance: str = "", expect_unimodular: bool = True) -> "LatticeBasis":
         return LatticeBasis(*_scaled(rows), provenance, expect_unimodular)
 
-    @staticmethod
-    def from_group_element(g, provenance: str = "", expect_unimodular: bool = True) -> "LatticeBasis":
-        """Lattice g Z^d: generators are the columns of g."""
-        return LatticeBasis.from_rows(tuple(zip(*g)), provenance, expect_unimodular)
+
+def _check_det(num: int, den: int, expect_unimodular: bool) -> None:
+    """Reject det = num / den if it is 0, or if |det| is off 1 by > 1e-9 where 1 is expected."""
+    if num == 0:
+        raise LatticeError("rows are linearly dependent")
+    size = abs(num) / den
+    if expect_unimodular and abs(size - 1.0) > 1e-9:
+        raise LatticeError(f"basis is not unimodular: |det| = {size!r}")
 
 
-def apply_group(g, basis: LatticeBasis, provenance: Optional[str] = None) -> LatticeBasis:
-    """Lattice g L: each generator row v becomes g v."""
-    gints, gden = _scaled(g)
-    ints = [[sum(map(mul, row, grow)) for grow in gints] for row in basis.ints]
-    denom = basis.denom * gden
-    common = math.gcd(denom, *(a for row in ints for a in row))
-    return LatticeBasis(
-        tuple(tuple(a // common for a in row) for row in ints), denom // common,
-        basis.provenance + "|g" if provenance is None else provenance, basis.expect_unimodular,
-    )
+@cache
+def _standard_basis(d: int) -> LatticeBasis:
+    return LatticeBasis(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1, "Z^d")
+
+
+def shear_basis(
+    diagonal: Sequence,
+    shear: Sequence,
+    base: Optional[LatticeBasis] = None,
+    provenance: str = "",
+    expect_unimodular: bool = True,
+) -> LatticeBasis:
+    """The lattice D u(x) B, with D = diag(diagonal) and u(x) the identity
+    with first row (1, x_1, ..., x_n).
+
+    Each generator row v of B (Z^{n+1} when no base is given) becomes
+    (d_0 (v_0 + x . v'), d_1 v_1, ..., d_n v_n).  Entries are exact numbers
+    (ints, Fractions, or floats at their binary value); the integer rows
+    over one common denominator come straight from their integer ratios, and
+    the determinant is prod D det B, so the unimodularity check needs no
+    elimination.  The 1e-9 tolerance is for D made of rounded exponentials.
+    """
+    d = len(diagonal)
+    if base is None:
+        base = _standard_basis(d)
+    if len(shear) != d - 1 or len(base.ints) != d:
+        raise LatticeError(f"need {d - 1} shear entries and a rank-{d} base")
+    ratios = [_ratio(c) for c in diagonal]
+    xs = [_ratio(c) for c in shear]
+    xden = math.lcm(*[b for _, b in xs])
+    xnum = [a * (xden // b) for a, b in xs]
+    # coordinate 0 is d_0 (xden v_0 + xnum . v') / xden
+    dnum, dden = zip(*ratios)
+    common = math.lcm(dden[0] * xden, *dden[1:])
+    head = dnum[0] * (common // (dden[0] * xden))
+    tail = [a * (common // b) for a, b in ratios[1:]]
+    ints = [
+        (head * (xden * w[0] + sum(map(mul, xnum, w[1:]))), *map(mul, tail, w[1:]))
+        for w in base.ints
+    ]
+    denom = common * base.denom
+    g = math.gcd(denom, *[a for row in ints for a in row])
+    if g > 1:
+        ints = [[a // g for a in row] for row in ints]
+    _check_det(math.prod(dnum) * base.det.numerator, math.prod(dden) * base.det.denominator,
+               expect_unimodular)
+    return LatticeBasis(tuple(map(tuple, ints)), denom // g, provenance, expect_unimodular,
+                        checked=True)
 
 
 # -- reduction ---------------------------------------------------------------------
@@ -244,77 +290,6 @@ def systole(basis: LatticeBasis) -> float:
     return shortest_vector(basis).norm
 
 
-def brute_force_shortest(
-    basis: LatticeBasis, radius: Optional[float] = None
-) -> ShortestVector:
-    """Reduction-free oracle: scan every lattice point within a radius.
-
-    Coefficient bounds come from the inverse basis (|c_i| <= r * column
-    norm of B^{-1}), so the box is valid regardless of how skew the input
-    rows are.  Exponential in dimension; a desk-scale check, not a
-    production path.
-    """
-    rows = basis.ints
-    d = len(rows)
-    if radius is None:
-        radius = math.sqrt(min(sum(map(mul, row, row)) for row in rows) / basis.denom**2)
-    inv = exact.inverse(basis.rows)
-    bounds = [
-        int(math.ceil(radius * math.hypot(*(float(r[i]) for r in inv)))) + 1
-        for i in range(d)
-    ]
-    cells = math.prod(2 * b + 1 for b in bounds)
-    if cells > 5_000_000:
-        raise LatticeError(f"oracle box too large ({cells} cells)")
-    best: Optional[int] = None
-    best_coords: Optional[Tuple[int, ...]] = None
-    last, far = rows[-1], bounds[-1]
-    last_sq = sum(map(mul, last, last))
-    for head in itertools.product(*[range(-b, b + 1) for b in bounds[:-1]]):
-        v = [sum(c * row[k] for c, row in zip(head, rows)) for k in range(d)]
-        v_sq, v_last = sum(map(mul, v, v)), 2 * sum(map(mul, v, last))
-        for c in range(-far, far + 1):
-            nsq = v_sq + c * (v_last + c * last_sq)  # |v + c * last|^2
-            if nsq and (best is None or nsq < best):
-                best, best_coords = nsq, head + (c,)
-    return ShortestVector(coords=best_coords, norm_sq=Q(best, basis.denom**2))
-
-
-def random_unimodular_basis(dim: int, seed: int, shears: int = 12) -> LatticeBasis:
-    """Random product of integer shears and row swaps (determinant +-1).
-
-    Integer unimodular bases generate Z^dim itself, so these exercise the
-    reduction transform bookkeeping, not interesting systoles."""
-    rng = SplitRNG(seed).generator("unimodular-basis")
-    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    for _ in range(shears):
-        i, j = rng.integers(0, dim, size=2)
-        if i == j:
-            continue
-        c = int(rng.integers(-3, 4))
-        rows[int(i)] = [a + c * b for a, b in zip(rows[int(i)], rows[int(j)])]
-        if rng.integers(0, 4) == 0:
-            k, m = sorted(rng.integers(0, dim, size=2))
-            if k != m:
-                rows[int(k)], rows[int(m)] = rows[int(m)], rows[int(k)]
-    if _bareiss_det(rows) == -1:
-        rows[0] = [-c for c in rows[0]]
-    return LatticeBasis(tuple(map(tuple, rows)), 1, provenance=f"random-unimodular({seed})")
-
-
-def random_real_basis(dim: int, seed: int) -> LatticeBasis:
-    """Gaussian basis rescaled to determinant +-1 (within float rounding)."""
-    rng = SplitRNG(seed).generator("real-basis")
-    while True:
-        a = rng.normal(size=(dim, dim))
-        det = float(np.linalg.det(a))
-        if abs(det) > 0.1:
-            break
-    scale = Q(abs(det) ** (1.0 / dim))
-    rows = tuple(tuple(Q(float(x)) / scale for x in row) for row in a)
-    return LatticeBasis.from_rows(rows, provenance=f"random-real({seed})")
-
-
 # -- empirical measures ----------------------------------------------------------------
 
 
@@ -397,23 +372,24 @@ def translate_sample(
 ) -> EmpiricalMeasure:
     """Empirical law of the systole along flowed curve translates.
 
-    Draws s uniformly over the interval and evaluates a_t u(phi(s)) base.
-    Each sample index derives its own generator from the seed, so results
-    are reproducible and order-independent.
+    Draws all s of the series at once, uniformly over the interval, from the
+    series generator ``SplitRNG(seed).generator("translate-sample")``, and
+    measures a_t u(phi(s)) base, with a_t the exact values of the float
+    exponentials and phi(s) the exact value of the polynomial curve at the
+    float s.  A series depends on its seed alone, not on what ran before.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    a_t = schedule.a_matrix(t)
-    n = schedule.n
+    if curve.poly is None:
+        raise CurveError("translate sampling needs a polynomial curve")
+    diagonal = np.exp(schedule.exponents(t)).tolist()
     provenance = base.provenance + f"|translate(t={t})"
-    children = SplitRNG(seed).spawn_children("translate-sample", count)
-    values = np.empty(count)
-    for idx in range(count):
-        rng = np.random.Generator(np.random.PCG64(children[idx]))
-        u = np.eye(n + 1)
-        u[0, 1:] = curve.evaluate(rng.uniform(interval[0], interval[1]))
-        values[idx] = systole(apply_group(a_t @ u, base, provenance=provenance))
-    return EmpiricalMeasure.from_values(values)
+    draws = SplitRNG(seed).generator("translate-sample").uniform(*interval, size=count)
+    return EmpiricalMeasure.from_values([
+        systole(shear_basis(diagonal, [_poly_eval_exact(row, s) for row in curve.poly],
+                            base, provenance))
+        for s in draws.tolist()
+    ])
 
 
 def orbit_oracle(
@@ -426,22 +402,19 @@ def orbit_oracle(
 
     a_t u(s) = u(e^{2t} s) a_t for n = 1, so the t-translate of a unit
     window equals a length-e^{2t} unipotent window at a fixed diagonal
-    point; this path builds u(w) a_t Z^2 directly, bypassing the curve
-    and translate machinery.
+    point; this path builds u(w) a_t Z^2 = a_t u(w d_1 / d_0) Z^2 directly,
+    bypassing the curve and translate machinery.  All w of the series come
+    from one generator, as in ``translate_sample``.
     """
     if schedule.n != 1:
         raise ValueError("orbit oracle is a dimension-1 reference")
-    w_max = math.exp(2 * t)
-    a_t = schedule.a_matrix(t)
-    children = SplitRNG(seed).spawn_children("orbit-oracle", count)
-    values = np.empty(count)
-    for idx in range(count):
-        rng = np.random.Generator(np.random.PCG64(children[idx]))
-        w = rng.uniform(0.0, w_max)
-        u = np.array([[1.0, w], [0.0, 1.0]])
-        lat = LatticeBasis.from_group_element(u @ a_t, provenance="orbit-oracle")
-        values[idx] = systole(lat)
-    return EmpiricalMeasure.from_values(values)
+    diagonal = np.exp(schedule.exponents(t)).tolist()
+    ratio = Q(diagonal[1]) / Q(diagonal[0])
+    draws = SplitRNG(seed).generator("orbit-oracle").uniform(0.0, math.exp(2 * t), size=count)
+    return EmpiricalMeasure.from_values([
+        systole(shear_basis(diagonal, (Q(w) * ratio,), provenance="orbit-oracle"))
+        for w in draws.tolist()
+    ])
 
 
 # -- escape scenarios -------------------------------------------------------------------
@@ -488,11 +461,8 @@ def escape_probe(t_ladder: Sequence[float], eta: float, rate: str = "super") -> 
         e_plus = Q(math.exp(t))
         e_minus = Q(math.exp(-t))
         shrink = Q(math.exp(-2 * t)) if rate == "super" else e_minus
-        x = Q(eta) * shrink
-        g = ((e_plus, e_plus * x), (Q(0), e_minus))
-        lat = LatticeBasis.from_group_element(
-            g, provenance=f"escape({rate},t={t})"
-        )
+        lat = shear_basis((e_plus, e_minus), (Q(eta) * shrink,),
+                          provenance=f"escape({rate},t={t})")
         val = systole(lat)
         if rate == "super":
             cf = math.exp(-t) * math.sqrt(1.0 + eta * eta)

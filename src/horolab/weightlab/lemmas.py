@@ -19,6 +19,7 @@ import numpy as np
 
 from .. import exact
 from ..exact import Mat
+from . import modules
 from .cartan import Weight, h_block, sl2_coroot
 from .groups import u_elem, u_top
 from .modules import (
@@ -278,6 +279,20 @@ def _sigma1(n: int, i: int, r: Q) -> Mat:
     return exact.mat(rows)
 
 
+def _sl2_rules(mod: WeightModule, i: int, r: Q) -> tuple:
+    """Rules of u(r E_0i), u(-E_i0 / r) and sigma_1 at slot i and derived
+    rules of E_i0 and E_0i, built once per (module, slot, r)."""
+    rules = mod._rules.get(("sl2", i, r))
+    if rules is None:
+        n = mod.n
+        groups = (u_elem(n, 0, i, r), u_elem(n, i, 0, -1 / r), _sigma1(n, i, r))
+        algebra = (exact.elementary(n + 1, i, 0), exact.elementary(n + 1, 0, i))
+        rules = mod._rules["sl2", i, r] = tuple(
+            [modules._group_rule(mod, g) for g in groups]
+            + [modules._algebra_rule(mod, x) for x in algebra])
+    return rules
+
+
 def _level_max(v: ModuleVector, a_diag) -> Q:
     vals = [lev for lev, c in zip(v.module.grading(a_diag), v.coords) if c != 0]
     if not vals:
@@ -310,16 +325,17 @@ def sl2_maxweight_check(i: int, r, v: ModuleVector) -> Sl2Report:
     if v.is_zero():
         raise ValueError("v must be nonzero")
     a = sl2_coroot(n, i)
+    up, down, sigma, lower, upper = _sl2_rules(mod, i, rq)
     lam_v = _level_max(v, a)
-    w = act(u_elem(n, 0, i, rq), v)
+    w = ModuleVector(mod, up(v.coords))
     lam_w = _level_max(w, a)
     inequality_ok = lam_w + lam_v >= 0
     equality = lam_w + lam_v == 0
 
     v_max = _level_component(v, a, lam_v)
     w_max = _level_component(w, a, lam_w)
-    recovery_ok = act(u_elem(n, i, 0, -1 / rq), v_max).coords == v.coords
-    rotated_top_ok = act(_sigma1(n, i, rq), v_max).coords == w_max.coords
+    recovery_ok = down(v_max.coords) == v.coords
+    rotated_top_ok = sigma(v_max.coords) == w_max.coords
     characterization_ok = equality == (recovery_ok and rotated_top_ok)
 
     support_levels = {lev for lev, c in zip(mod.grading(a), v.coords) if c != 0}
@@ -337,9 +353,9 @@ def sl2_maxweight_check(i: int, r, v: ModuleVector) -> Sl2Report:
         eigenvector=eigen,
     )
     if eigen:
-        fixed_lower = act_algebra(exact.elementary(n + 1, i, 0), v).is_zero()
-        fixed_upper = act_algebra(exact.elementary(n + 1, 0, i), v).is_zero()
-        rotated_full = act(_sigma1(n, i, rq), v).coords == w_max.coords
+        fixed_lower = not any(lower(v.coords))
+        fixed_upper = not any(upper(v.coords))
+        rotated_full = sigma(v.coords) == w_max.coords
         report.fixed_lower = fixed_lower
         report.fixed_upper = fixed_upper
         report.eigen_equality_ok = (equality == fixed_lower) and (

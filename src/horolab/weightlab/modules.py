@@ -47,6 +47,12 @@ class WeightModule:
     def _gradings(self) -> Dict[tuple, Tuple[Q, ...]]:
         return {}
 
+    @functools.cached_property
+    def _rules(self) -> Dict[tuple, tuple]:
+        """Vector rules of fixed elements, built once and kept under their
+        caller's key."""
+        return {}
+
     def grading(self, h: Sequence) -> Tuple[Q, ...]:
         """Exact level of every basis index on the diagonal element h,
         evaluated once per module and h."""

@@ -218,6 +218,22 @@ def test_escape_check_fails_on_a_perturbed_systole(tmp_path, monkeypatch):
                for i in instances)
 
 
+def test_equidistribution_fails_on_an_unflowed_oracle(tmp_path, monkeypatch):
+    # the honest oracle at t = 1 instead of the check's t = 8: its closed
+    # horocycle of length e^2 is far from equidistributed
+    honest = runner.ll.orbit_oracle
+    monkeypatch.setattr(runner.ll, "orbit_oracle",
+                        lambda schedule, t, count, seed: honest(schedule, 1.0, count, seed))
+    raw = {"kind": "equidistribution", "seed": 42, "samples": 3000, "t_ladder": [8], "n": 1}
+    out = run(validate_config(raw), tmp_path / "o")
+    assert out.exit_code == 3
+    assert not out.summary["all_pass"]
+    recorded = json.loads((tmp_path / "o" / "failures.json").read_text())
+    instances = recorded["failures"][0]["instances"]
+    assert [i["pair"] for i in instances] == ["catalog-0 vs orbit-oracle"]
+    assert float(instances[0]["distance"]) >= 0.07
+
+
 def test_rerun_is_byte_identical(tmp_path):
     raw = {"kind": "equidistribution", "seed": 7, "samples": 300,
            "t_ladder": [4.0], "n": 1}

@@ -1,15 +1,108 @@
-"""Reduction, shortest vectors, sampling, and the escape-rate probes."""
+"""The D u(x) B builder, reduction, shortest vectors, sampling, and the
+escape-rate probes."""
 
 import math
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horolab import exact
 from horolab import latticelab as ll
 from horolab import flowlab as fl
-from horolab.curvejet import CurveSpec
+from horolab.curvejet import CurveError, CurveSpec
+from horolab.rng import SplitRNG
+from lattice_helpers import brute_force_shortest, random_real_basis, random_unimodular_basis
+
+
+_EXACT = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=60),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.integers(min_value=-9, max_value=9),
+)
+
+
+def _reference(diagonal, shear, base):
+    """D u(x) B by exact matrix products: each generator row v goes to g v."""
+    d = len(diagonal)
+    u = [[Q(int(i == j)) for j in range(d)] for i in range(d)]
+    u[0][1:] = map(Q, shear)
+    g = exact.matmul(exact.diag(diagonal), exact.mat(u))
+    rows = exact.transpose(g) if base is None else exact.matmul(base.rows, exact.transpose(g))
+    return ll.LatticeBasis.from_rows(rows, expect_unimodular=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(min_value=2, max_value=4), st.booleans())
+def test_shear_basis_matches_the_exact_product(data, d, with_base):
+    diagonal = data.draw(st.lists(_EXACT.filter(bool), min_size=d, max_size=d))
+    shear = data.draw(st.lists(_EXACT, min_size=d - 1, max_size=d - 1))
+    base = None
+    if with_base:
+        rows = data.draw(st.lists(st.lists(_EXACT, min_size=d, max_size=d),
+                                  min_size=d, max_size=d))
+        try:
+            base = ll.LatticeBasis.from_rows(rows, "b", expect_unimodular=False)
+        except ll.LatticeError:
+            base = ll.LatticeBasis.from_rows(np.eye(d).tolist(), "b")
+    built = ll.shear_basis(diagonal, shear, base, expect_unimodular=False)
+    want = _reference(diagonal, shear, base)
+    assert (built.ints, built.denom) == (want.ints, want.denom)
+    # the determinant the builder checks is the one elimination finds
+    det_b = base.det if base else 1
+    assert built.det == math.prod(map(Q, diagonal)) * det_b == exact.det(want.rows)
+
+
+def test_shear_basis_rejects_a_non_unimodular_diagonal():
+    # the Fractions of float exponentials are unimodular within the tolerance
+    ll.shear_basis((math.exp(20.0), math.exp(-20.0)), (0.25,), ll.catalog_basis(1))
+    with pytest.raises(ll.LatticeError, match="not unimodular"):
+        ll.shear_basis((1 + 1e-6, 1), (Q(1, 3),))
+    with pytest.raises(ll.LatticeError, match="not unimodular"):
+        ll.shear_basis((Q(1), Q(1) - Q(1, 10**6)), (Q(1, 3),), ll.catalog_basis(2))
+    with pytest.raises(ll.LatticeError, match="dependent"):
+        ll.shear_basis((0, 1), (1,), expect_unimodular=False)
+    with pytest.raises(ll.LatticeError, match="shear entries"):
+        ll.shear_basis((1, 1, 1), (1,))
+
+
+def test_escape_probe_matches_the_group_element_lattice():
+    # the path before the builder: the columns of g = ((e^t, e^t x), (0, e^-t))
+    for eta, rate in ((1.0, "super"), ((math.sqrt(5.0) - 1.0) / 2.0, "critical")):
+        table = ll.escape_probe([float(t) for t in range(1, 21)], eta=eta, rate=rate)
+        for row in table.rows:
+            e_plus, e_minus = Q(math.exp(row.t)), Q(math.exp(-row.t))
+            shrink = Q(math.exp(-2 * row.t)) if rate == "super" else e_minus
+            x = Q(eta) * shrink
+            g = ((e_plus, e_plus * x), (Q(0), e_minus))
+            assert row.value == ll.systole(ll.LatticeBasis.from_rows(tuple(zip(*g))))
+
+
+def test_translate_sample_is_one_series_per_seed():
+    curve = CurveSpec.moment(1)
+    sched = fl.FlowSchedule.preset("equal", n=1)
+    base = ll.catalog_basis(1)
+    alone = ll.translate_sample(curve, sched, base, t=3.0, count=60, seed=5)
+    # other series drawn in between change nothing
+    ll.orbit_oracle(sched, t=3.0, count=40, seed=5)
+    ll.translate_sample(curve, sched, base, t=3.0, count=40, seed=6)
+    again = ll.translate_sample(curve, sched, base, t=3.0, count=60, seed=5)
+    assert again.values == alone.values
+    # the series is the seeded generator's draws in order, so a shorter
+    # run is a prefix of a longer one
+    draws = SplitRNG(5).generator("translate-sample").uniform(0.0, 1.0, size=60)
+    diagonal = np.exp(sched.exponents(3.0)).tolist()
+    systoles = [ll.systole(ll.shear_basis(diagonal, (s,), base)) for s in draws.tolist()]
+    assert alone.values == tuple(sorted(systoles))
+    head = ll.translate_sample(curve, sched, base, t=3.0, count=25, seed=5)
+    assert head.values == tuple(sorted(systoles[:25]))
+
+
+def test_translate_sample_needs_a_polynomial_curve():
+    with pytest.raises(CurveError, match="polynomial"):
+        ll.translate_sample(CurveSpec.preset("trig"), fl.FlowSchedule.preset("equal", n=2),
+                            ll.LatticeBasis.from_rows(np.eye(3).tolist()), t=1.0, count=3)
 
 
 def test_catalog_bases_are_unimodular():
@@ -20,7 +113,7 @@ def test_catalog_bases_are_unimodular():
 
 
 def test_lll_transform_is_unimodular():
-    basis = ll.random_unimodular_basis(3, seed=11)
+    basis = random_unimodular_basis(3, seed=11)
     red = ll.lll_reduce(basis)
     assert abs(exact.det(red.transform)) == 1
     regenerated = exact.matmul(red.transform, basis.rows)
@@ -30,16 +123,16 @@ def test_lll_transform_is_unimodular():
 def test_integer_unimodular_systole_is_one():
     # such bases span the full integer lattice, so the systole is pinned
     for seed in range(8):
-        basis = ll.random_unimodular_basis(3, seed=seed)
+        basis = random_unimodular_basis(3, seed=seed)
         assert abs(ll.systole(basis) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_reduction_agrees_with_enumeration(dim):
     for seed in range(60):
-        basis = ll.random_real_basis(dim, seed=seed)
+        basis = random_real_basis(dim, seed=seed)
         fast = ll.shortest_vector(basis)
-        slow = ll.brute_force_shortest(basis)
+        slow = brute_force_shortest(basis)
         assert math.isclose(
             float(fast.norm_sq), float(slow.norm_sq), rel_tol=1e-9
         ), f"dim={dim} seed={seed}"
@@ -47,24 +140,21 @@ def test_reduction_agrees_with_enumeration(dim):
 
 def _skewed_t20_bases():
     t = 20.0
-    a_t = fl.FlowSchedule.preset("equal", n=1).a_matrix(t)
+    a_t = (math.exp(t), math.exp(-t))
     # a_20 u(x) translates of the catalog bases, with x chosen so that a
     # short vector exists and the oracle's box stays small
     for idx in range(len(ll.CATALOG_BASES)):
         for x in (0.5, -2.0 / 3.0, math.exp(-2 * t)):
-            g = a_t @ np.array([[1.0, x], [0.0, 1.0]])
-            yield ll.apply_group(g, ll.catalog_basis(idx))
+            yield ll.shear_basis(a_t, (x,), ll.catalog_basis(idx))
     # the super-rate escape-probe lattices a_t u(eta e^{-2t}) Z^2
-    e_plus, e_minus = Q(math.exp(t)), Q(math.exp(-t))
     for eta in (1.0, (math.sqrt(5.0) - 1.0) / 2.0):
-        x = Q(eta) * Q(math.exp(-2 * t))
-        yield ll.LatticeBasis.from_group_element(((e_plus, e_plus * x), (0, e_minus)))
+        yield ll.shear_basis(a_t, (Q(eta) * Q(math.exp(-2 * t)),))
 
 
 def test_skewed_t20_bases_agree_with_brute_force():
     for basis in _skewed_t20_bases():
         fast = ll.shortest_vector(basis)
-        slow = ll.brute_force_shortest(basis, radius=fast.norm * (1 + 1e-9))
+        slow = brute_force_shortest(basis, radius=fast.norm * (1 + 1e-9))
         assert slow.norm_sq == fast.norm_sq, basis.provenance
 
 
@@ -121,8 +211,8 @@ def test_enumeration_alone_is_exact_on_unreduced_bases():
     # enumeration search wide intervals, which must still be exact
     for dim in (2, 3, 4):
         for seed in range(20):
-            basis = ll.random_real_basis(dim, seed=seed)
-            shear = ll.random_unimodular_basis(dim, seed=seed + 100).rows
+            basis = random_real_basis(dim, seed=seed)
+            shear = random_unimodular_basis(dim, seed=seed + 100).rows
             skewed = ll.LatticeBasis.from_rows(exact.matmul(shear, basis.rows))
             identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
             red = ll.ReducedBasis(skewed, identity, 0, ll._integral_gso(skewed.ints))
@@ -136,7 +226,7 @@ def test_ball_walk_visits_every_point_once():
 
     for dim in (2, 3, 4):
         for seed in range(6):
-            red = ll.lll_reduce(ll.random_real_basis(dim, seed=seed))
+            red = ll.lll_reduce(random_real_basis(dim, seed=seed))
             rows = red.basis.ints
             # the longest reduced row lies on the sphere itself
             radius = max(sum(c * c for c in row) for row in rows)
@@ -162,21 +252,20 @@ def test_ball_walk_visits_every_point_once():
 
 def test_brute_force_radius_controls_cost():
     basis = ll.catalog_basis(0)
-    hit = ll.brute_force_shortest(basis, radius=1.5)
+    hit = brute_force_shortest(basis, radius=1.5)
     assert float(hit.norm_sq) == 1.0
 
 
 def test_brute_force_rejects_oversized_cell():
-    basis = ll.random_real_basis(3, seed=2)
+    basis = random_real_basis(3, seed=2)
     with pytest.raises(ll.LatticeError):
-        ll.brute_force_shortest(basis, radius=500.0)
+        brute_force_shortest(basis, radius=500.0)
 
 
-def test_apply_group_stabilizes_integer_lattice():
+def test_integer_shear_stabilizes_integer_lattice():
     # an integer unimodular map permutes Z^2 with itself
-    basis = ll.catalog_basis(0)
-    g = [[Q(1), Q(1)], [Q(0), Q(1)]]
-    moved = ll.apply_group(g, basis)
+    moved = ll.shear_basis((1, 1), (1,), ll.catalog_basis(0))
+    assert moved.rows == ((Q(1), Q(0)), (Q(1), Q(1)))
     assert abs(ll.systole(moved) - 1.0) < 1e-9
     assert abs(exact.det(moved.rows)) == 1
 
