@@ -37,7 +37,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .curvejet import CurveSpec
+from .curvejet import CurveSpec, _poly_eval_exact
 from .exact import _scaled, diag
 
 Number = Union[int, float, Q]
@@ -609,11 +609,7 @@ class ScanTable:
 def _curve_xi(curve: CurveSpec, s: float) -> Tuple[Number, ...]:
     """Curve point as exact rationals when the curve is polynomial."""
     if curve.poly is not None:
-        sq = Q(s)
-        return tuple(
-            sum(Q(c) * sq**k for k, c in enumerate(coeffs))
-            for coeffs in curve.poly
-        )
+        return tuple(_poly_eval_exact(coeffs, s) for coeffs in curve.poly)
     return tuple(float(x) for x in curve.fn(s))
 
 

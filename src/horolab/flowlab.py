@@ -3,10 +3,11 @@
 The flow is a_t = diag(e^{nt}, e^{-r_1(t)}, ..., e^{-r_n(t)}) with linear
 exponents r_i(t) = s_i t whose exact rational slopes satisfy
 s_1 >= ... >= s_n >= 0 and sum s_i = n.  This module provides the schedule
-presets, their exact (n0, uniform, k) classification read off the slopes,
+presets, their exact (n0, uniform) classification read off the slopes,
 the equispaced Vandermonde constants, grid certification of expansion
-suprema, boundedness witnesses with their fixed-vector cross-check, and the
-limiting-vector residual.
+suprema over a_t-translates of the segment R(e^{-t} eta), eta in the window
+J = [1, 2], boundedness witnesses with their fixed-vector cross-check, and
+the limiting-vector residual.
 
 Large exponents are kept in log space; matrix identities are evaluated in
 a conjugated form whose factors stay O(1) before any e^{t} scaling is
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +33,10 @@ from .weightlab import (
     h_block,
 )
 from .weightlab import groups as _groups
+
+# The eta window J: suprema run over eta in J, and the Vandermonde floor
+# of the certified bound is taken on J.
+WINDOW = (1, 2)
 
 
 class ScheduleError(Exception):
@@ -68,15 +73,13 @@ class FlowSchedule:
         return FlowSchedule(n=n, name=f"linear:{label}", slopes=cs)
 
     @staticmethod
-    def preset(text: str, n: Optional[int] = None) -> "FlowSchedule":
+    def preset(text: str, n: int) -> "FlowSchedule":
         if text == "equal":
-            if n is None:
-                raise ScheduleError("equal preset needs n")
             return FlowSchedule.equal(n)
         if text.startswith("linear:"):
             parts = [p for p in text[len("linear:"):].split(",") if p.strip()]
             sched = FlowSchedule.linear([Q(p) for p in parts])
-            if n is not None and sched.n != n:
+            if sched.n != n:
                 raise ScheduleError(f"linear preset has n={sched.n}, wanted {n}")
             return sched
         raise ScheduleError(f"unknown schedule preset: {text!r}")
@@ -112,23 +115,20 @@ class FlowClassification:
     n: int
     n0: int
     uniform: bool
-    k: int
 
 
 def classify(schedule: FlowSchedule) -> FlowClassification:
-    """Exact (n0, uniformity, admissible k) of a linear schedule.
+    """Exact (n0, uniformity) of a linear schedule.
 
     n0 counts the divergent exponents, which are the positive slopes; the
     schedule is uniform when every gap r_i - r_{i+1} stays bounded, i.e. all
-    slopes are equal; k is the least integer with n t + r_1(t) - k t <= 0
-    for all t >= 0, i.e. ceil(n + s_1), which is at most 2n.
+    slopes are equal.
     """
     s = schedule.slopes
     return FlowClassification(
         n=schedule.n,
         n0=sum(1 for c in s if c > 0),
         uniform=all(c == s[0] for c in s),
-        k=math.ceil(schedule.n + s[0]),
     )
 
 
@@ -146,7 +146,7 @@ class VandermondeConstants:
     nodes: Tuple[Q, ...]
 
 
-def vandermonde_constant(d: int, interval: Tuple = (1, 2)) -> VandermondeConstants:
+def vandermonde_constant(d: int, interval: Tuple) -> VandermondeConstants:
     """Sup-norm coefficient constants on equispaced nodes.
 
     certified is the closed form |J|^d / (d^(d+1) (1 + eta_d)); empirical
@@ -194,19 +194,6 @@ def vandermonde_constant(d: int, interval: Tuple = (1, 2)) -> VandermondeConstan
 # -- expansion supremum ---------------------------------------------------------------
 
 
-@dataclass
-class ExpansionResult:
-    t: float
-    alpha: float
-    value: float
-    log_value: float
-    eta_at_max: float
-    grid_size: int
-    degree_bound: int
-    rejected: bool
-    reason: str = ""
-
-
 def _u_top_float(x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     u = np.eye(n + 1)
@@ -238,8 +225,8 @@ def frame_degree_bound(module: WeightModule, frame: CurveFrame) -> int:
     return span * frame.k
 
 
-def _eta_grid(interval: Tuple[float, float], count: int) -> np.ndarray:
-    a, b = float(interval[0]), float(interval[1])
+def _eta_grid(count: int) -> np.ndarray:
+    a, b = float(WINDOW[0]), float(WINDOW[1])
     uniform = np.linspace(a, b, count)
     j = np.arange(count)
     cheb = (a + b) / 2 + (b - a) / 2 * np.cos(np.pi * j / (count - 1))
@@ -248,101 +235,45 @@ def _eta_grid(interval: Tuple[float, float], count: int) -> np.ndarray:
 
 def expansion_supremum(
     module: WeightModule,
-    v,
+    vectors: Sequence,
     schedule: FlowSchedule,
     frame: CurveFrame,
     t: float,
-    alpha: float = 1.0,
-    interval: Tuple = (1.0, 2.0),
-    grid: Optional[int] = None,
-    enforce_alpha: bool = True,
-) -> ExpansionResult:
-    """Grid maximum M_t of ||a_t u(R(alpha e^{-t} eta)) v||_sup over eta.
+) -> np.ndarray:
+    """Grid maxima M_t of ||a_t u(R(e^{-t} eta)) v||_sup over eta in J, one
+    per vector v of ``vectors`` (a zero vector has M_t = 0).
 
     Exponent bookkeeping happens in log space: for each basis coordinate
     the weight's value on log a_t is added to log of the unscaled
-    coordinate, so t = 20 does not overflow.  The eta grid is acted on as
-    one stack; the first grid maximum wins ties.  The window scale alpha
-    must keep k log(alpha) + n t + r_1(t) - k t below a small margin (the
-    certification regime, k from the schedule's classification); violations
-    reject the input unless the caller disables the check for witness-mode
-    ladders.
+    coordinate, so t = 20 does not overflow.  The eta grid, the frame
+    polynomial and the action stack over the grid are built once and
+    shared by the vectors; each vector is acted on by its own product with
+    that stack.
     """
     if module.n != schedule.n or module.n != frame.n:
         raise ValueError("module, schedule, and frame sizes disagree")
-    coords = _module_floats(v)
-    if coords.shape != (module.dim,):
+    stack = [_module_floats(v) for v in vectors]
+    if any(coords.shape != (module.dim,) for coords in stack):
         raise ValueError("vector has wrong dimension")
-    degree = frame_degree_bound(module, frame)
-    if grid is None:
-        grid = max(4 * (degree + 1), 33)
-    reason = ""
-    if alpha < 1.0:
-        return ExpansionResult(
-            t=float(t), alpha=float(alpha), value=float("nan"),
-            log_value=float("nan"), eta_at_max=float("nan"), grid_size=0,
-            degree_bound=degree, rejected=True, reason="alpha must be >= 1",
-        )
-    if enforce_alpha:
-        kk = schedule.classification.k
-        r1 = float(schedule.r(t)[0])
-        margin = kk * math.log(alpha) + schedule.n * t + r1 - kk * t
-        if margin > 1e-6 * max(1.0, t):
-            return ExpansionResult(
-                t=float(t), alpha=float(alpha), value=float("nan"),
-                log_value=float("nan"), eta_at_max=float("nan"), grid_size=0,
-                degree_bound=degree, rejected=True,
-                reason=f"window condition violated: margin {margin:.3g} > 0",
-            )
-    if not np.any(coords):
-        return ExpansionResult(
-            t=float(t), alpha=float(alpha), value=0.0, log_value=-math.inf,
-            eta_at_max=float(interval[0]), grid_size=0, degree_bound=degree,
-            rejected=False,
-        )
+    etas = _eta_grid(max(4 * (frame_degree_bound(module, frame) + 1), 33))
     tq = Q(t)
     weight_shift = np.array(
         [float(level * tq) for level in module.grading(schedule.log_diagonal)]
     )
-    scale = float(alpha) * math.exp(-t)
-    etas = _eta_grid((float(interval[0]), float(interval[1])), grid)
     u = np.tile(np.eye(module.n + 1), (len(etas), 1, 1))
-    u[:, 0, 1:] = frame.r_poly(scale * etas)
-    w = module.group_action_float(u) @ coords
+    u[:, 0, 1:] = frame.r_poly(math.exp(-t) * etas)
+    action = module.group_action_float(u)
+    sups = np.empty(len(stack))
     with np.errstate(divide="ignore"):
-        logs = np.where(w != 0, np.log(np.abs(w)) + weight_shift, -math.inf)
-    peaks = logs.max(axis=1)
-    at = int(np.argmax(peaks))
-    best = float(peaks[at])
-    best_eta = float(etas[at])
-    return ExpansionResult(
-        t=float(t),
-        alpha=float(alpha),
-        value=math.exp(best) if best > -math.inf else 0.0,
-        log_value=best,
-        eta_at_max=best_eta,
-        grid_size=len(etas),
-        degree_bound=degree,
-        rejected=False,
-        reason=reason,
-    )
+        for i, coords in enumerate(stack):
+            w = action @ coords
+            logs = np.where(w != 0, np.log(np.abs(w)) + weight_shift, -math.inf)
+            best = float(logs.max())
+            sups[i] = math.exp(best) if best > -math.inf else 0.0
+    return sups
 
 
-@dataclass
-class ExpansionBound:
-    d2: float
-    c_certified: float
-    d1_min: float
-    degree: int
-    per_level: Dict[str, float]
-
-
-def assemble_expansion_bound(
-    module: WeightModule,
-    frame: CurveFrame,
-    interval: Tuple = (1, 2),
-    grid_density: int = 7,
-) -> ExpansionBound:
+def assemble_expansion_bound(module: WeightModule, frame: CurveFrame) -> float:
     """Certified floor D2 = C_{d,J} * min_b D1(b) / 2 for unit vectors.
 
     D1(b) is the grid estimate of the surviving-component norm for unit
@@ -351,22 +282,10 @@ def assemble_expansion_bound(
     inherits grid resolution (see the shipped notes on the gap).
     """
     degree = frame_degree_bound(module, frame)
-    consts = vandermonde_constant(degree, interval)
-    c_cert = consts.certified
-    kappa = [float(k) for k in frame.kappa]
-    per_level: Dict[str, float] = {}
-    d1_min = math.inf
-    for b in module.level_set():
-        est = estimate_D1(module, b, [Q(k) for k in kappa], grid_density=grid_density)
-        per_level[str(b)] = est.value
-        d1_min = min(d1_min, est.value)
-    return ExpansionBound(
-        d2=c_cert * d1_min / 2.0,
-        c_certified=c_cert,
-        d1_min=d1_min,
-        degree=degree,
-        per_level=per_level,
-    )
+    c_cert = vandermonde_constant(degree, WINDOW).certified
+    kappa = [Q(float(k)) for k in frame.kappa]
+    d1_min = min(estimate_D1(module, b, kappa).value for b in module.level_set())
+    return c_cert * d1_min / 2.0
 
 
 # -- growth witness -------------------------------------------------------------------
@@ -374,17 +293,12 @@ def assemble_expansion_bound(
 
 @dataclass
 class GrowthWitness:
-    mode: str
     verdict: str
-    slope: float
-    t_values: Tuple[float, ...]
-    values: Tuple[float, ...]
-    n0: int
-    subgroup: str
-    fixed: Optional[bool]
+    fixed: bool
     consistent: Optional[bool]
-    rejected: bool = False
-    reason: str = ""
+
+
+_LADDER = tuple(float(t) for t in np.linspace(2.0, 20.0, 10))
 
 
 def growth_witness(
@@ -392,62 +306,32 @@ def growth_witness(
     v: ModuleVector,
     schedule: FlowSchedule,
     frame: CurveFrame,
-    interval: Tuple = (1.0, 2.0),
-    t_values: Optional[Sequence[float]] = None,
-    mode: str = "unit",
 ) -> GrowthWitness:
     """Boundedness ladder for M_t, cross-checked against fixed vectors.
 
-    mode "unit" keeps the window at scale e^{-t} and requires a
-    non-uniform schedule; a bounded verdict must coincide with v being
-    fixed by the block parabolic.  mode "slow-shrink" widens the window to
-    alpha_t = e^{t/2}; boundedness there must coincide with being fixed by
-    the full block subgroup.  Verdict "bounded" means less than 2x
-    variation across the top half of the ladder; clear least-squares
-    growth in log M_t reads "divergent"; anything else "undetermined".
+    The window stays at scale e^{-t}, which needs a non-uniform schedule;
+    a bounded verdict must coincide with v being fixed by the block
+    parabolic Q_{n0}.  Verdict "bounded" means less than 2x variation
+    across the top half of the ladder; clear least-squares growth in
+    log M_t reads "divergent"; anything else "undetermined".
     """
-    if mode not in ("unit", "slow-shrink"):
-        raise ValueError("mode must be 'unit' or 'slow-shrink'")
-    if t_values is None:
-        t_values = np.linspace(2.0, 20.0, 10)
-    t_values = tuple(float(t) for t in t_values)
     cls = schedule.classification
-    n0 = cls.n0
-    if mode == "unit":
-        if cls.uniform:
-            return GrowthWitness(
-                mode=mode, verdict="undetermined", slope=float("nan"),
-                t_values=t_values, values=(), n0=n0, subgroup="", fixed=None,
-                consistent=None, rejected=True,
-                reason="unit mode needs a non-uniform schedule",
-            )
-        subgroup = ("Q", n0)
-        sub_label = f"Q_{n0}"
-    else:
-        subgroup = ("G", n0)
-        sub_label = f"G_{n0}"
-    vals: List[float] = []
-    for t in t_values:
-        alpha = 1.0 if mode == "unit" else math.exp(t / 2)
-        res = expansion_supremum(
-            module, v, schedule, frame, t,
-            alpha=alpha, interval=interval, enforce_alpha=False,
-        )
-        vals.append(res.value)
-    values = tuple(vals)
+    if cls.uniform:
+        raise ValueError("a growth witness needs a non-uniform schedule")
+    values = [
+        float(expansion_supremum(module, [v], schedule, frame, t)[0])
+        for t in _LADDER
+    ]
     logs = np.log(np.maximum(values, 1e-300))
-    slope = float(np.polyfit(t_values, logs, 1)[0])
+    slope = float(np.polyfit(_LADDER, logs, 1)[0])
     top = values[len(values) // 2 :]
-    lo, hi = min(top), max(top)
-    if hi <= 0:
+    if max(top) / max(min(top), 1e-300) < 2.0:
         verdict = "bounded"
-    elif hi / max(lo, 1e-300) < 2.0:
-        verdict = "bounded"
-    elif slope > 0.01 and hi / max(lo, 1e-300) >= 2.0:
+    elif slope > 0.01:
         verdict = "divergent"
     else:
         verdict = "undetermined"
-    fixed = fixed_check(v, subgroup)
+    fixed = fixed_check(v, ("Q", cls.n0))
     consistent: Optional[bool]
     if verdict == "bounded":
         consistent = fixed
@@ -455,17 +339,7 @@ def growth_witness(
         consistent = not fixed
     else:
         consistent = None
-    return GrowthWitness(
-        mode=mode,
-        verdict=verdict,
-        slope=slope,
-        t_values=t_values,
-        values=values,
-        n0=n0,
-        subgroup=sub_label,
-        fixed=fixed,
-        consistent=consistent,
-    )
+    return GrowthWitness(verdict=verdict, fixed=fixed, consistent=consistent)
 
 
 # -- limiting vector ------------------------------------------------------------------
@@ -473,29 +347,20 @@ def growth_witness(
 
 @dataclass
 class QFixedResult:
-    t: float
-    eta: float
     n0: int
-    kappa_n: float
     residual: float
-    flowed: np.ndarray
     limit: np.ndarray
-    rejected: bool = False
-    reason: str = ""
 
 
 def qfixed_limit(
-    frame: CurveFrame,
-    schedule: FlowSchedule,
-    eta: float,
-    t: float,
-    kappa_tol: float = 1e-12,
+    frame: CurveFrame, schedule: FlowSchedule, eta: float, t: float
 ) -> QFixedResult:
     """Residual of the flowed last basis vector against its limit.
 
     Compares a_t u(R(e^{-t} eta)) e_n with exp((log eta) H_{n0}) w(kappa_n) e_n
     in sup norm, with n0 the schedule's classification; the residual decays
     like e^{-r_n(t)} when n0 = n and through the tail coefficients otherwise.
+    kappa_n is a pivot of the frame, so it is never zero.
     """
     n = frame.n
     if schedule.n != n:
@@ -504,13 +369,6 @@ def qfixed_limit(
     if eta <= 0:
         raise ValueError("eta must be positive")
     kappa_n = float(frame.kappa[-1])
-    if abs(kappa_n) < kappa_tol:
-        return QFixedResult(
-            t=float(t), eta=float(eta), n0=n0, kappa_n=kappa_n,
-            residual=float("nan"), flowed=np.zeros(n + 1),
-            limit=np.zeros(n + 1), rejected=True,
-            reason=f"kappa_n = {kappa_n:.3e} below tolerance",
-        )
     e_n = np.zeros(n + 1)
     e_n[n] = 1.0
     x = frame.r_poly(math.exp(-t) * eta)
@@ -522,13 +380,10 @@ def qfixed_limit(
     )
     limit = scaling @ w @ e_n
     residual = float(np.max(np.abs(flowed - limit)))
-    return QFixedResult(
-        t=float(t), eta=float(eta), n0=n0, kappa_n=kappa_n,
-        residual=residual, flowed=flowed, limit=limit,
-    )
+    return QFixedResult(n0=n0, residual=residual, limit=limit)
 
 
-def moment_frame(n: int, k: Optional[int] = None, s=0) -> CurveFrame:
-    """Frame of the power curve at s; at s = 0 the frame polynomial is
-    exactly (h, h^2, ..., h^n)."""
-    return ordered_regular_frame(CurveSpec.moment(n), s, k if k is not None else n)
+def moment_frame(n: int) -> CurveFrame:
+    """Frame of the power curve at 0, whose frame polynomial is exactly
+    (h, h^2, ..., h^n)."""
+    return ordered_regular_frame(CurveSpec.moment(n), 0, n)

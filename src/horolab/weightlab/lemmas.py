@@ -30,64 +30,37 @@ from .modules import (
     support_indices,
 )
 
-SubgroupSpec = Union[str, Tuple[str, int], Sequence[Mat]]
+SubgroupSpec = Union[str, Tuple[str, int]]
 
 
 def subgroup_generators(n: int, spec: SubgroupSpec) -> Tuple[Mat, ...]:
     """Lie algebra generators (as matrices) for the named subgroup.
 
-    "G" is the full group; ("G", n0) the block upper subgroup whose rows past
-    n0 are standard basis rows; "Q" the stabilizer of the last basis vector;
-    ("Q", n0) the intersection of the two; ("sl2", i) the rank one subgroup
-    through slot i.  A sequence of matrices passes through unchanged.
+    ("G", n0) is the block upper subgroup whose rows past n0 are standard
+    basis rows, and "G" = ("G", n) the full group; ("Q", n0) is its
+    intersection with the stabilizer "Q" = ("Q", n) of the last basis
+    vector; ("sl2", i) is the rank one subgroup through slot i.
     """
-    if isinstance(spec, str):
-        if spec == "G":
-            return tuple(
-                exact.elementary(n + 1, i, j)
-                for i in range(n + 1)
-                for j in range(n + 1)
-                if i != j
-            )
-        if spec == "Q":
-            return tuple(
-                exact.elementary(n + 1, i, j)
-                for i in range(n + 1)
-                for j in range(n)
-                if i != j
-            )
+    if spec in ("G", "Q"):
+        spec = (spec, n)
+    if not (isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[1], int)):
         raise ValueError(f"unknown subgroup: {spec!r}")
-    if (
-        isinstance(spec, tuple)
-        and len(spec) == 2
-        and isinstance(spec[0], str)
-        and isinstance(spec[1], int)
-    ):
-        name, m = spec
-        if name == "G":
-            if not 0 <= m <= n:
-                raise ValueError(f"block size {m} out of range")
-            return tuple(
-                exact.elementary(n + 1, i, j)
-                for i in range(m + 1)
-                for j in range(n + 1)
-                if i != j
-            )
-        if name == "Q":
-            if not 0 <= m <= n:
-                raise ValueError(f"block size {m} out of range")
-            return tuple(
-                exact.elementary(n + 1, i, j)
-                for i in range(m + 1)
-                for j in range(n)
-                if i != j
-            )
-        if name == "sl2":
-            if not 1 <= m <= n:
-                raise ValueError(f"slot {m} out of range")
-            return (exact.elementary(n + 1, 0, m), exact.elementary(n + 1, m, 0))
-        raise ValueError(f"unknown subgroup: {spec!r}")
-    return tuple(exact.mat(x) for x in spec)
+    name, m = spec
+    if name in ("G", "Q"):
+        if not 0 <= m <= n:
+            raise ValueError(f"block size {m} out of range")
+        cols = n + 1 if name == "G" else n
+        return tuple(
+            exact.elementary(n + 1, i, j)
+            for i in range(m + 1)
+            for j in range(cols)
+            if i != j
+        )
+    if name == "sl2":
+        if not 1 <= m <= n:
+            raise ValueError(f"slot {m} out of range")
+        return (exact.elementary(n + 1, 0, m), exact.elementary(n + 1, m, 0))
+    raise ValueError(f"unknown subgroup: {spec!r}")
 
 
 def fixed_check(v: ModuleVector, subgroup: SubgroupSpec) -> bool:
@@ -396,17 +369,20 @@ class D1Estimate:
     face_density: int
 
 
-def estimate_D1(
-    module: WeightModule, b, x: Sequence, grid_density: int = 7
-) -> D1Estimate:
+# Ticks per free coordinate on each face of the unit cube in estimate_D1.
+_FACE_DENSITY = 7
+
+
+def estimate_D1(module: WeightModule, b, x: Sequence) -> D1Estimate:
     """Grid estimate of the smallest surviving component norm.
 
     Over unit sup-norm vectors v in the level-b eigenspace, estimates the
     minimum of the sup norm of the projection of u(x) v onto the weights
     with nonnegative level and nonnegative block margins.  The grid walks
     the faces of the unit cube (one coordinate pinned to +-1, the others on
-    a uniform grid), so the returned value is an upper estimate of the true
-    infimum; the infimum is positive whenever x has no zero entries.
+    a uniform grid of _FACE_DENSITY ticks), so the returned value is an upper
+    estimate of the true infimum; the infimum is positive whenever x has no
+    zero entries.
     """
     bq = Q(b)
     rows = delta_plus_indices(module, bq)
@@ -427,7 +403,7 @@ def estimate_D1(
         vals = np.abs(m[:, 0])
         return D1Estimate(value=float(vals.max()), dim=1, grid_points=2, face_density=1)
 
-    density = max(2, int(grid_density))
+    density = _FACE_DENSITY
     # keep the face grid affordable for wide levels
     while 2 * dim * density ** (dim - 1) > 250_000 and density > 2:
         density -= 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction as Q
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from horolab.harness import (
     validate_config,
 )
 from horolab import exact
+from horolab import flowlab as fl
 from horolab.harness import cli, runner
 from horolab.weightlab import modules
 from horolab.dirichlet import SearchBudgetError
@@ -232,6 +234,65 @@ def test_equidistribution_fails_on_an_unflowed_oracle(tmp_path, monkeypatch):
     instances = recorded["failures"][0]["instances"]
     assert [i["pair"] for i in instances] == ["catalog-0 vs orbit-oracle"]
     assert float(instances[0]["distance"]) >= 0.07
+
+
+def _failure_instances(out, out_dir):
+    """The recorded instances of a run whose one check failed."""
+    assert out.exit_code == 3
+    assert not out.summary["all_pass"]
+    recorded = json.loads((out_dir / "failures.json").read_text())
+    instances = recorded["failures"][0]["instances"]
+    assert instances
+    return instances
+
+
+def test_vandermonde_check_fails_on_an_inflated_constant(tmp_path, monkeypatch):
+    honest = fl.vandermonde_constant
+
+    def inflated(d, interval):
+        consts = honest(d, interval)
+        return dataclasses.replace(consts, certified=consts.certified * (1 + 1e-9))
+
+    monkeypatch.setattr(fl, "vandermonde_constant", inflated)
+    out = run(resolve_config("acceptance-04"), tmp_path / "o")
+    instances = _failure_instances(out, tmp_path / "o")
+    # a constant polynomial meets the floor with equality, so every d = 0
+    # trial now violates it
+    assert [i["trial"] for i in instances if i["d"] == 0] == list(range(1000))
+    assert all(isinstance(float(c), float) for i in instances for c in i["coeffs"])
+    assert "DRIFTS" in out.summary["checks"]["acceptance-04"]["detail"]
+
+
+def test_certification_fails_on_an_inflated_d1(tmp_path, monkeypatch):
+    honest = fl.estimate_D1
+
+    def inflated(module, b, x):
+        est = honest(module, b, x)
+        return dataclasses.replace(est, value=est.value * 1e6)
+
+    monkeypatch.setattr(fl, "estimate_D1", inflated)
+    out = run(resolve_config("acceptance-05"), tmp_path / "o")
+    instances = _failure_instances(out, tmp_path / "o")
+    assert all(float(i["min"]) < float(i["d2"]) for i in instances)
+
+
+def test_bounded_fixed_fails_on_a_negated_fixed_check(tmp_path, monkeypatch):
+    honest = fl.fixed_check
+    monkeypatch.setattr(fl, "fixed_check", lambda v, subgroup: not honest(v, subgroup))
+    out = run(resolve_config("acceptance-06"), tmp_path / "o")
+    instances = _failure_instances(out, tmp_path / "o")
+    assert len(instances) == 10 == out.summary["checks"]["acceptance-06"]["counts"]["total"]
+
+
+def test_qfixed_fails_on_a_shifted_limit(tmp_path, monkeypatch):
+    honest = fl._groups.w_limit
+    monkeypatch.setattr(fl._groups, "w_limit",
+                        lambda n, n0, kappa: honest(n, n0, kappa * Q(1001, 1000)))
+    out = run(resolve_config("acceptance-07"), tmp_path / "o")
+    instances = _failure_instances(out, tmp_path / "o")
+    assert [i.get("schedule") for i in instances] == ["equal", "linear:2,0", None]
+    assert all(float(i.get("residual", i.get("closed_form_error"))) > 1e-3
+               for i in instances)
 
 
 def test_rerun_is_byte_identical(tmp_path):

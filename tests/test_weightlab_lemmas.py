@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horolab import exact
 from horolab.weightlab import (
     basis_vector,
     build_module,
@@ -14,6 +15,7 @@ from horolab.weightlab import (
     h_principal,
     s_sets,
     sl2_maxweight_check,
+    subgroup_generators,
     vector,
 )
 
@@ -47,6 +49,16 @@ def test_fixed_check_last_column_stabilizer():
     assert fixed_check(e_last, "Q")
     assert not fixed_check(e_last, "G")
     assert not fixed_check(basis_vector(mod, 0), "Q")
+
+
+def test_subgroup_letters_name_the_full_blocks():
+    for n in (1, 2, 3):
+        assert subgroup_generators(n, "G") == subgroup_generators(n, ("G", n))
+        assert subgroup_generators(n, "Q") == subgroup_generators(n, ("Q", n))
+        assert len(subgroup_generators(n, "G")) == n * (n + 1)
+        assert len(subgroup_generators(n, "Q")) == n * n
+    with pytest.raises(ValueError):
+        subgroup_generators(2, [exact.elementary(3, 0, 1)])
 
 
 def test_fixed_check_sl2_slot():
