@@ -408,7 +408,7 @@ def _dani_base(n: int):
     """diag(-1, 1, ..., 1) in rank n + 1, the base that u(xi) shears."""
     from .latticelab import LatticeBasis
 
-    return LatticeBasis.from_rows(diag((-1,) + (1,) * n), "dani")
+    return LatticeBasis.from_rows(diag((-1,) + (1,) * n))
 
 
 def _dani_parts(query: DIQuery):
@@ -433,8 +433,7 @@ def dani_lattice(query: DIQuery):
     from .latticelab import shear_basis
 
     xi, halfwidths = _dani_parts(query)
-    basis = shear_basis([1] * len(halfwidths), xi, _dani_base(len(xi)), "dani(primal)")
-    return basis, halfwidths
+    return shear_basis([1] * len(halfwidths), xi, _dani_base(len(xi))), halfwidths
 
 
 def box_point_search(query: DIQuery) -> WitnessResult:
@@ -453,11 +452,14 @@ def box_point_search(query: DIQuery) -> WitnessResult:
 
     xi, widths = _dani_parts(query)
     _check_budget(math.prod(2 * b + 1 for b in query.bounds))
-    red = lll_reduce(shear_basis([1 / w for w in widths], xi, _dani_base(len(xi)),
-                                 "dani(unit box)", expect_unimodular=False))
-    denom = red.basis.denom
+    basis = shear_basis([1 / w for w in widths], xi, _dani_base(len(xi)),
+                        expect_unimodular=False)
+    red = lll_reduce(basis)
+    denom = basis.denom
     cols = tuple(zip(*red.transform))
-    first = tuple(row[0] for row in red.basis.ints)
+    # first coordinate of each reduced row, off the transform
+    head = [row[0] for row in basis.ints]
+    first = tuple(sum(map(mul, row, head)) for row in red.transform)
     # The shrink in units of the box: sum_i (u_i / width) |q_i| = shrink . |q| / sden.
     (shrink,), sden = _scaled([[_exact(x)[1] / widths[0] for x in query.xi]])
     hits = []

@@ -188,11 +188,7 @@ def _run_sl2(cfg: ExperimentConfig, samples: Samples) -> Result:
     def record(n, kind, module, slot, r, v, origin):
         nonlocal total, good, equalities
         rep = sl2_maxweight_check(slot, r, v)
-        ok = rep.inequality_ok and rep.characterization_ok
-        for flag in (rep.eigen_equality_ok, rep.eigen_same_level_ok,
-                     rep.eigen_both_zero_ok):
-            if flag is False:
-                ok = False
+        ok = rep.ok
         total += 1
         good += int(ok)
         equalities += int(rep.equality)
@@ -481,7 +477,7 @@ def _run_escape(cfg: ExperimentConfig, samples: Samples) -> Result:
     rows: List[Row] = []
     failures: List[Dict] = []
     worst_rel = 0.0
-    for row in sup.rows:
+    for row in sup:
         rows.append(["super", row.t, repr(row.value), repr(row.closed_form),
                      repr(row.rel_err), row.in_regime])
         if row.in_regime:
@@ -489,7 +485,7 @@ def _run_escape(cfg: ExperimentConfig, samples: Samples) -> Result:
             if not row.rel_err <= 1e-12:
                 failures.append(dict(zip(header[:5], rows[-1])))
     crit_min = math.inf
-    for row in crit.rows:
+    for row in crit:
         rows.append(["critical", row.t, repr(row.value), "", "", row.in_regime])
         crit_min = min(crit_min, row.value)
         if not row.value > 0.1:

@@ -8,6 +8,12 @@ form, with ``exact._bareiss_det`` for the determinant check), so reduction
 (integral LLL) and enumeration (Fincke-Pohst with integer interval
 endpoints) run on Python ints, and only the final lengths are floated.
 
+The reduction record is the input basis, the unimodular row transform and
+the integral Gram-Schmidt data of the reduced rows: the ball walk reads the
+Gram-Schmidt data alone, and a caller that needs a reduced row applies the
+transform to the input rows.  The shortest length is the shrinking-radius
+case of that walk, returned exactly as a squared length.
+
 Every lattice an experiment draws has the form D u(x) B: a diagonal D, the
 unipotent shear u(x) with first row (1, x), and a base B.  ``shear_basis``
 is the one constructor for it; it writes the integer rows straight from
@@ -46,7 +52,6 @@ class LatticeBasis:
 
     ints: IntRows
     denom: int
-    provenance: str = ""
     expect_unimodular: bool = True
     checked: InitVar[bool] = False
 
@@ -67,8 +72,8 @@ class LatticeBasis:
         return tuple(tuple(Q(a, self.denom) for a in row) for row in self.ints)
 
     @staticmethod
-    def from_rows(rows, provenance: str = "", expect_unimodular: bool = True) -> "LatticeBasis":
-        return LatticeBasis(*_scaled(rows), provenance, expect_unimodular)
+    def from_rows(rows, expect_unimodular: bool = True) -> "LatticeBasis":
+        return LatticeBasis(*_scaled(rows), expect_unimodular)
 
 
 def _check_det(num: int, den: int, expect_unimodular: bool) -> None:
@@ -82,14 +87,13 @@ def _check_det(num: int, den: int, expect_unimodular: bool) -> None:
 
 @cache
 def _standard_basis(d: int) -> LatticeBasis:
-    return LatticeBasis(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1, "Z^d")
+    return LatticeBasis(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1)
 
 
 def shear_basis(
     diagonal: Sequence,
     shear: Sequence,
     base: Optional[LatticeBasis] = None,
-    provenance: str = "",
     expect_unimodular: bool = True,
 ) -> LatticeBasis:
     """The lattice D u(x) B, with D = diag(diagonal) and u(x) the identity
@@ -126,8 +130,7 @@ def shear_basis(
         ints = [[a // g for a in row] for row in ints]
     _check_det(math.prod(dnum) * base.det.numerator, math.prod(dden) * base.det.denominator,
                expect_unimodular)
-    return LatticeBasis(tuple(map(tuple, ints)), denom // g, provenance, expect_unimodular,
-                        checked=True)
+    return LatticeBasis(tuple(map(tuple, ints)), denom // g, expect_unimodular, checked=True)
 
 
 # -- reduction ---------------------------------------------------------------------
@@ -135,10 +138,11 @@ def shear_basis(
 
 @dataclass
 class ReducedBasis:
-    """LLL output; ``gso`` is the ``_integral_gso`` data of the reduced rows."""
+    """LLL output: the reduced rows are ``transform`` applied to the rows of
+    the input ``basis``, and ``gso`` is their ``_integral_gso`` data."""
 
     basis: LatticeBasis
-    transform: IntRows
+    transform: List[List[int]]
     swaps: int
     gso: Tuple[List[int], List[List[int]]]
 
@@ -169,10 +173,10 @@ def lll_reduce(basis: LatticeBasis) -> ReducedBasis:
     """Exact integral LLL reduction; records the unimodular row transform.
 
     Runs on the integral Gram-Schmidt data and the transform alone,
-    updating both in place after each size-reduction step and swap; the
-    reduced rows are the transform applied once at the end.  mu is rounded
-    half up, and the Lovasz test B_k >= (3/4 - mu^2) B_{k-1} is cleared of
-    denominators: 4 (dd[k-1] dd[k+1] + lam[k][k-1]^2) >= 3 dd[k]^2.
+    updating both in place after each size-reduction step and swap, and
+    never forms the reduced rows.  mu is rounded half up, and the Lovasz
+    test B_k >= (3/4 - mu^2) B_{k-1} is cleared of denominators:
+    4 (dd[k-1] dd[k+1] + lam[k][k-1]^2) >= 3 dd[k]^2.
     """
     n = len(basis.ints)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -203,25 +207,10 @@ def lll_reduce(basis: LatticeBasis) -> ReducedBasis:
         dd[k] = b
         swaps += 1
         k = max(k - 1, 1)
-    cols = tuple(zip(*basis.ints))
-    reduced = LatticeBasis(
-        tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in u),
-        basis.denom, basis.provenance + "|lll", basis.expect_unimodular, checked=True,
-    )
-    return ReducedBasis(reduced, tuple(map(tuple, u)), swaps, (dd, lam))
+    return ReducedBasis(basis, u, swaps, (dd, lam))
 
 
 # -- shortest vector ------------------------------------------------------------------
-
-
-@dataclass
-class ShortestVector:
-    coords: Tuple[int, ...]
-    norm_sq: Q
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(float(self.norm_sq))
 
 
 def enumerate_ball(
@@ -264,30 +253,33 @@ def enumerate_ball(
     descend(n - 1, 0)
 
 
-def _enumerate_shortest(red: ReducedBasis) -> ShortestVector:
-    """Exact shortest nonzero vector of an LLL-reduced basis: the ball walk
-    with the radius shrunk to each shorter point found."""
-    norms = [sum(map(mul, row, row)) for row in red.basis.ints]
-    best = min(norms)
-    best_coords = tuple(int(j == norms.index(best)) for j in range(len(norms)))
+def _enumerate_shortest(red: ReducedBasis) -> Q:
+    """Exact squared length of the shortest nonzero vector: the ball walk
+    with the radius shrunk to each shorter point found.
+
+    The walk starts at the shortest of the first reduced row (``dd[1]``)
+    and the input rows, so it stays narrow on an unreduced record too.
+    """
+    best = min(red.gso[0][1], *[sum(map(mul, row, row)) for row in red.basis.ints])
 
     def shorter(coords: List[int], norm: int) -> int:
-        nonlocal best, best_coords
+        nonlocal best
         if 0 < norm < best:
-            best, best_coords = norm, tuple(coords)
+            best = norm
         return best
 
     enumerate_ball(red, best, shorter)
-    return ShortestVector(best_coords, Q(best, red.basis.denom**2))
+    return Q(best, red.basis.denom**2)
 
 
-def shortest_vector(basis: LatticeBasis) -> ShortestVector:
+def shortest_vector(basis: LatticeBasis) -> Q:
+    """Exact squared length of the shortest nonzero lattice vector."""
     return _enumerate_shortest(lll_reduce(basis))
 
 
 def systole(basis: LatticeBasis) -> float:
     """Length of the shortest nonzero lattice vector."""
-    return shortest_vector(basis).norm
+    return math.sqrt(float(shortest_vector(basis)))
 
 
 # -- empirical measures ----------------------------------------------------------------
@@ -309,7 +301,7 @@ class EmpiricalMeasure:
             raise ValueError("masses must sum to 1")
 
     @staticmethod
-    def from_values(values: Sequence[float], bins: int = 32) -> "EmpiricalMeasure":
+    def from_values(values: Sequence[float]) -> "EmpiricalMeasure":
         arr = np.sort(np.asarray(values, dtype=float))
         if arr.size == 0:
             raise ValueError("empty sample")
@@ -318,7 +310,7 @@ class EmpiricalMeasure:
         lo, hi = float(arr[0]), float(arr[-1])
         if hi <= lo:
             hi = lo + 1.0
-        counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
+        counts, edges = np.histogram(arr, bins=32, range=(lo, hi))
         return EmpiricalMeasure(
             count=int(arr.size),
             values=tuple(float(x) for x in arr),
@@ -357,8 +349,7 @@ CATALOG_BASES: Tuple[Tuple[Tuple[float, ...], ...], ...] = (
 
 def catalog_basis(index: int) -> LatticeBasis:
     """Fixed compact-part base points used by consistency experiments."""
-    rows = CATALOG_BASES[index]
-    return LatticeBasis.from_rows(rows, provenance=f"catalog[{index}]")
+    return LatticeBasis.from_rows(CATALOG_BASES[index])
 
 
 def translate_sample(
@@ -368,11 +359,10 @@ def translate_sample(
     t: float,
     count: int,
     seed: int = 0,
-    interval: Tuple[float, float] = (0.0, 1.0),
 ) -> EmpiricalMeasure:
     """Empirical law of the systole along flowed curve translates.
 
-    Draws all s of the series at once, uniformly over the interval, from the
+    Draws all s of the series at once, uniformly on [0, 1], from the
     series generator ``SplitRNG(seed).generator("translate-sample")``, and
     measures a_t u(phi(s)) base, with a_t the exact values of the float
     exponentials and phi(s) the exact value of the polynomial curve at the
@@ -383,11 +373,9 @@ def translate_sample(
     if curve.poly is None:
         raise CurveError("translate sampling needs a polynomial curve")
     diagonal = np.exp(schedule.exponents(t)).tolist()
-    provenance = base.provenance + f"|translate(t={t})"
-    draws = SplitRNG(seed).generator("translate-sample").uniform(*interval, size=count)
+    draws = SplitRNG(seed).generator("translate-sample").uniform(0.0, 1.0, size=count)
     return EmpiricalMeasure.from_values([
-        systole(shear_basis(diagonal, [_poly_eval_exact(row, s) for row in curve.poly],
-                            base, provenance))
+        systole(shear_basis(diagonal, [_poly_eval_exact(row, s) for row in curve.poly], base))
         for s in draws.tolist()
     ])
 
@@ -412,7 +400,7 @@ def orbit_oracle(
     ratio = Q(diagonal[1]) / Q(diagonal[0])
     draws = SplitRNG(seed).generator("orbit-oracle").uniform(0.0, math.exp(2 * t), size=count)
     return EmpiricalMeasure.from_values([
-        systole(shear_basis(diagonal, (Q(w) * ratio,), provenance="orbit-oracle"))
+        systole(shear_basis(diagonal, (Q(w) * ratio,)))
         for w in draws.tolist()
     ])
 
@@ -429,18 +417,8 @@ class EscapeRow:
     in_regime: bool = True
 
 
-@dataclass
-class EscapeTable:
-    rate: str
-    eta: float
-    rows: Tuple[EscapeRow, ...]
-
-    def values(self) -> Tuple[float, ...]:
-        return tuple(r.value for r in self.rows)
-
-
-def escape_probe(t_ladder: Sequence[float], eta: float, rate: str = "super") -> EscapeTable:
-    """Systole decay of a_t u(w_t eta) Z^2 along a t-ladder.
+def escape_probe(t_ladder: Sequence[float], eta: float, rate: str = "super") -> List[EscapeRow]:
+    """Systole decay of a_t u(w_t eta) Z^2 along a t-ladder, one row per t.
 
     rate "super" shrinks the translate at w_t = e^{-2t}: then
     a_t u(e^{-2t} eta) = u(eta) a_t exactly, so the systole is
@@ -461,9 +439,7 @@ def escape_probe(t_ladder: Sequence[float], eta: float, rate: str = "super") -> 
         e_plus = Q(math.exp(t))
         e_minus = Q(math.exp(-t))
         shrink = Q(math.exp(-2 * t)) if rate == "super" else e_minus
-        lat = shear_basis((e_plus, e_minus), (Q(eta) * shrink,),
-                          provenance=f"escape({rate},t={t})")
-        val = systole(lat)
+        val = systole(shear_basis((e_plus, e_minus), (Q(eta) * shrink,)))
         if rate == "super":
             cf = math.exp(-t) * math.sqrt(1.0 + eta * eta)
             rows.append(
@@ -477,4 +453,4 @@ def escape_probe(t_ladder: Sequence[float], eta: float, rate: str = "super") -> 
             rows.append(
                 EscapeRow(t=t, value=val, closed_form=None, rel_err=None)
             )
-    return EscapeTable(rate=rate, eta=float(eta), rows=tuple(rows))
+    return rows

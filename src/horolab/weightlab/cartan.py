@@ -27,13 +27,6 @@ class Weight:
         return Weight(tuple(Q(0) for _ in range(n)))
 
     @staticmethod
-    def beta(n: int, i: int) -> "Weight":
-        """The i-th coordinate functional beta_i, 1 <= i <= n."""
-        if not 1 <= i <= n:
-            raise ValueError(f"beta index {i} out of range for n={n}")
-        return Weight(tuple(Q(1) if j == i else Q(0) for j in range(1, n + 1)))
-
-    @staticmethod
     def from_eps(w: Sequence) -> "Weight":
         """Convert from epsilon coordinates.
 
@@ -55,12 +48,6 @@ class Weight:
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coeffs))
 
     def __repr__(self) -> str:
         return "Weight(" + ", ".join(str(c) for c in self.coeffs) + ")"

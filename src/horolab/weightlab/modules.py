@@ -344,29 +344,6 @@ class ModuleVector:
     def to_floats(self) -> np.ndarray:
         return np.array([float(c) for c in self.coords])
 
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        self._check_same(other)
-        return ModuleVector(
-            self.module, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        self._check_same(other)
-        return ModuleVector(
-            self.module, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self) -> "ModuleVector":
-        return ModuleVector(self.module, tuple(-a for a in self.coords))
-
-    def __rmul__(self, c) -> "ModuleVector":
-        cq = Q(c)
-        return ModuleVector(self.module, tuple(cq * a for a in self.coords))
-
-    def _check_same(self, other: "ModuleVector") -> None:
-        if other.module is not self.module and other.module != self.module:
-            raise ValueError("vectors live in different modules")
-
     def __repr__(self) -> str:
         parts = [
             f"{c}*{lab}"
@@ -407,8 +384,3 @@ def support_indices(v: ModuleVector) -> Tuple[int, ...]:
         if c != 0:
             seen.setdefault(w.coeffs, idx)
     return tuple(seen[key] for key in sorted(seen))
-
-
-def weight_support(v: ModuleVector) -> Tuple[Weight, ...]:
-    """Distinct weights carrying a nonzero coordinate, sorted."""
-    return tuple(v.module.weights[idx] for idx in support_indices(v))

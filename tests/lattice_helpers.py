@@ -8,20 +8,21 @@ import itertools
 import math
 from fractions import Fraction as Q
 from operator import mul
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from horolab import exact
 from horolab.exact import _bareiss_det
-from horolab.latticelab import LatticeBasis, LatticeError, ShortestVector
+from horolab.latticelab import LatticeBasis, LatticeError
 from horolab.rng import SplitRNG
 
 
 def brute_force_shortest(
     basis: LatticeBasis, radius: Optional[float] = None
-) -> ShortestVector:
-    """Reduction-free oracle: scan every lattice point within a radius.
+) -> Q:
+    """Reduction-free oracle: the exact squared length of the shortest
+    nonzero vector, scanning every lattice point within a radius.
 
     Coefficient bounds come from the inverse basis (|c_i| <= r * column
     norm of B^{-1}), so the box is valid regardless of how skew the input
@@ -41,7 +42,6 @@ def brute_force_shortest(
     if cells > 5_000_000:
         raise LatticeError(f"oracle box too large ({cells} cells)")
     best: Optional[int] = None
-    best_coords: Optional[Tuple[int, ...]] = None
     last, far = rows[-1], bounds[-1]
     last_sq = sum(map(mul, last, last))
     for head in itertools.product(*[range(-b, b + 1) for b in bounds[:-1]]):
@@ -50,8 +50,8 @@ def brute_force_shortest(
         for c in range(-far, far + 1):
             nsq = v_sq + c * (v_last + c * last_sq)  # |v + c * last|^2
             if nsq and (best is None or nsq < best):
-                best, best_coords = nsq, head + (c,)
-    return ShortestVector(coords=best_coords, norm_sq=Q(best, basis.denom**2))
+                best = nsq
+    return Q(best, basis.denom**2)
 
 
 def random_unimodular_basis(dim: int, seed: int, shears: int = 12) -> LatticeBasis:
@@ -73,7 +73,7 @@ def random_unimodular_basis(dim: int, seed: int, shears: int = 12) -> LatticeBas
                 rows[int(k)], rows[int(m)] = rows[int(m)], rows[int(k)]
     if _bareiss_det(rows) == -1:
         rows[0] = [-c for c in rows[0]]
-    return LatticeBasis(tuple(map(tuple, rows)), 1, provenance=f"random-unimodular({seed})")
+    return LatticeBasis(tuple(map(tuple, rows)), 1)
 
 
 def random_real_basis(dim: int, seed: int) -> LatticeBasis:
@@ -86,4 +86,4 @@ def random_real_basis(dim: int, seed: int) -> LatticeBasis:
             break
     scale = Q(abs(det) ** (1.0 / dim))
     rows = tuple(tuple(Q(float(x)) / scale for x in row) for row in a)
-    return LatticeBasis.from_rows(rows, provenance=f"random-real({seed})")
+    return LatticeBasis.from_rows(rows)

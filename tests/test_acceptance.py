@@ -99,8 +99,7 @@ def test_criterion_09_escape_rates(preset_run):
     assert entry["metrics"]["closed_form_rel_err"] <= 1e-12
     assert entry["metrics"]["critical_floor"] > 0.1
     # spot check the closed form straight from the library
-    table = ll.escape_probe([5.0, 10.0], eta=1.0, rate="super")
-    for row in table.rows:
+    for row in ll.escape_probe([5.0, 10.0], eta=1.0, rate="super"):
         if row.in_regime:
             want = math.exp(-row.t) * math.sqrt(2.0)
             assert abs(row.value - want) <= 1e-12 * want

@@ -13,17 +13,18 @@ from horolab.weightlab import modules
 from horolab.weightlab import (
     act,
     act_algebra,
-    basis_vector,
     build_module,
     h_block,
     h_principal,
     sl2_coroot,
-    to_jsonable,
     u_elem,
     vector,
-    vector_from_json,
-    weight_support,
 )
+
+
+def _minus(a, b):
+    """Coordinates of a - b."""
+    return tuple(x - y for x, y in zip(a.coords, b.coords))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -60,7 +61,7 @@ def test_action_is_multiplicative(c1, c2, coords):
     h = u_elem(2, 1, 2, c2)
     lhs = act(g, act(h, v))
     rhs = act(exact.matmul(g, h), v)
-    assert (lhs - rhs).is_zero()
+    assert lhs.coords == rhs.coords
 
 
 @given(coords=st.lists(small_q, min_size=3, max_size=3))
@@ -71,8 +72,8 @@ def test_algebra_action_respects_brackets(coords):
     x = exact.elementary(3, 0, 1)
     y = exact.elementary(3, 1, 0)
     lhs = act_algebra(exact.commutator(x, y), v)
-    rhs = act_algebra(x, act_algebra(y, v)) - act_algebra(y, act_algebra(x, v))
-    assert (lhs - rhs).is_zero()
+    rhs = _minus(act_algebra(x, act_algebra(y, v)), act_algebra(y, act_algebra(x, v)))
+    assert lhs.coords == rhs
 
 
 # Every kind at n = 2, 3, including tensors with an adjoint operand.
@@ -113,8 +114,8 @@ def test_group_action_is_a_homomorphism(n, kind, data):
     mod = build_module(kind, n)
     g, h = _invertible(data.draw, n), _invertible(data.draw, n)
     v = _module_vector(data.draw, mod)
-    assert (act(g, act(h, v)) - act(exact.matmul(g, h), v)).is_zero()
-    assert (act(exact.identity(n + 1), v) - v).is_zero()
+    assert act(g, act(h, v)).coords == act(exact.matmul(g, h), v).coords
+    assert act(exact.identity(n + 1), v).coords == v.coords
 
 
 @pytest.mark.parametrize("n,kind", LAW_MODULES)
@@ -125,8 +126,8 @@ def test_algebra_action_is_a_lie_homomorphism(n, kind, data):
     x, y = _square(data.draw, n), _square(data.draw, n)
     v = _module_vector(data.draw, mod)
     lhs = act_algebra(exact.commutator(x, y), v)
-    rhs = act_algebra(x, act_algebra(y, v)) - act_algebra(y, act_algebra(x, v))
-    assert (lhs - rhs).is_zero()
+    rhs = _minus(act_algebra(x, act_algebra(y, v)), act_algebra(y, act_algebra(x, v)))
+    assert lhs.coords == rhs
 
 
 @pytest.mark.parametrize("n,kind", LAW_MODULES)
@@ -143,14 +144,14 @@ def test_exponential_of_nilpotent_matches_algebra_series(n, kind, data):
     for k in range(1, n + 1):
         power = exact.scale(Q(1, k), exact.matmul(power, x))
         exp_x = exact.add(exp_x, power)
-    series, term = v, v
+    series, term = v.coords, v
     for k in range(1, mod.dim + 1):
-        term = Q(1, k) * act_algebra(x, term)
+        term = vector(mod, [c / k for c in act_algebra(x, term).coords])
         if term.is_zero():
             break
-        series = series + term
+        series = tuple(a + b for a, b in zip(series, term.coords))
     assert term.is_zero()
-    assert (act(exp_x, v) - series).is_zero()
+    assert act(exp_x, v).coords == series
 
 
 def _floats(m):
@@ -208,16 +209,3 @@ def test_adjoint_coordinates_reject_a_matrix_with_trace():
     with pytest.raises(ValueError):
         modules._adjoint_coords(mod, exact.identity(3))
 
-
-def test_weight_support_of_basis_vector_is_singleton():
-    mod = build_module("adjoint", 2)
-    for idx in range(mod.dim):
-        assert len(weight_support(basis_vector(mod, idx))) == 1
-
-
-def test_vector_json_roundtrip():
-    mod = build_module("exterior(2)", 3)
-    v = vector(mod, [Q(1, 3), Q(0), Q(-2), Q(5, 7), Q(0), Q(1)])
-    back = vector_from_json(to_jsonable(v))
-    assert back.module.kind == mod.kind and back.module.n == mod.n
-    assert (back - v).is_zero()
