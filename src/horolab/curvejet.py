@@ -274,20 +274,18 @@ def taylor_frame_remainder(curve: CurveSpec, s, k: int, h: float) -> np.ndarray:
 
 @dataclass
 class RegularityScan:
-    interval: Tuple[float, float]
-    grid: int
     checked: int
     failures: Tuple[Tuple[float, int], ...]
-    clusters: Tuple[Tuple[float, float, int], ...]
 
 
 def regularity_scan(
     curve: CurveSpec, interval: Tuple[float, float], grid: int
 ) -> RegularityScan:
-    """Probe ordered regularity on an interior grid and cluster failures.
+    """Probe ordered regularity on an interior grid of ``grid`` points.
 
-    Isolated clusters are the expected picture for curves whose degeneracy
-    set is discrete; a smeared failure set suggests genuine flatness.
+    Each failure is (s, first failing pivot).  Isolated failures are the
+    expected picture for curves whose degeneracy set is discrete; a smeared
+    failure set suggests genuine flatness.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
@@ -296,28 +294,9 @@ def regularity_scan(
         raise ValueError("grid must be positive")
     points = np.linspace(a, b, grid + 2)[1:-1]
     failures: List[Tuple[float, int]] = []
-    fail_flags = np.zeros(len(points), dtype=bool)
-    for idx, s in enumerate(points):
+    for s in points:
         try:
             ordered_regular_frame(curve, s, numeric=True)
         except NotOrderedRegular as err:
             failures.append((float(s), err.first_fail_index))
-            fail_flags[idx] = True
-    clusters: List[Tuple[float, float, int]] = []
-    start = None
-    for idx in range(len(points) + 1):
-        failing = idx < len(points) and fail_flags[idx]
-        if failing and start is None:
-            start = idx
-        elif not failing and start is not None:
-            clusters.append(
-                (float(points[start]), float(points[idx - 1]), idx - start)
-            )
-            start = None
-    return RegularityScan(
-        interval=(a, b),
-        grid=grid,
-        checked=len(points),
-        failures=tuple(failures),
-        clusters=tuple(clusters),
-    )
+    return RegularityScan(len(points), tuple(failures))

@@ -39,6 +39,7 @@ import numpy as np
 
 from .curvejet import CurveSpec, _poly_eval_exact
 from .exact import _scaled, diag
+from .latticelab import LatticeBasis, enumerate_ball, lll_reduce, shear_basis
 
 Number = Union[int, float, Q]
 
@@ -70,9 +71,13 @@ def _canonical_key(q: Sequence[int]) -> Tuple:
 
 @dataclass(frozen=True)
 class DIQuery:
-    """One improvability question: a target vector, box sizes, and a factor."""
+    """One improvability question: a target vector, box sizes, and a factor.
 
-    form: str
+    The form is not part of the query: ``di_witness`` and ``primal_sweep``
+    ask the primal question of it, ``di_dual_witness`` and ``dual_sweep``
+    the dual one, and ``box_point_search`` the primal one on the lattice.
+    """
+
     xi: Tuple[Number, ...]
     bounds: Tuple[int, ...]
     mu: Number
@@ -80,8 +85,6 @@ class DIQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "xi", tuple(self.xi))
         object.__setattr__(self, "bounds", tuple(int(b) for b in self.bounds))
-        if self.form not in ("primal", "dual"):
-            raise ValueError(f"unknown form {self.form!r}")
         if len(self.xi) != len(self.bounds) or not self.xi:
             raise ValueError("xi and bounds must have equal positive length")
         if any(b < 1 for b in self.bounds):
@@ -107,16 +110,15 @@ class WitnessResult:
     """Outcome of one witness search.
 
     ``witness`` is ``((q_1..q_n), p)`` for the primal form and
-    ``(q, (p_1..p_n))`` for the dual form.  ``residual`` is the worst
-    coordinate error relative to its allowance (<= 1 exactly when found);
-    the lattice search leaves it ``None`` on a miss, because it never sees
-    the whole box.
+    ``(q, (p_1..p_n))`` for the dual form, and ``None`` on a miss.
+    ``search_volume`` counts what the search walked: the nonzero box points
+    (primal), the q values up to the witness or the end (dual), or the
+    nonzero lattice points of the ball (lattice search).
     """
 
     found: bool
     witness: Optional[Tuple]
     search_volume: int
-    residual: Optional[float]
 
 
 def _check_budget(points: int) -> None:
@@ -124,12 +126,10 @@ def _check_budget(points: int) -> None:
         raise SearchBudgetError(f"{points} points exceeds budget {SEARCH_BUDGET}")
 
 
-def _shared_xi(queries: Sequence[DIQuery], form: str) -> Tuple[Number, ...]:
+def _shared_xi(queries: Sequence[DIQuery]) -> Tuple[Number, ...]:
     """The target vector of a batch, after checking the batch is one sweep."""
     if not queries:
         raise ValueError("a sweep needs at least one query")
-    if any(q.form != form for q in queries):
-        raise ValueError(f"the {form} sweep expects the {form} form")
     xi = queries[0].xi
     # a float and an equal Fraction differ in their half-ulp allowance
     typed = [(type(x), x) for x in xi]
@@ -238,7 +238,6 @@ class _PrimalTarget:
     bounds: Tuple[int, ...]
     level: int          # max bound: the target lies in the union's first shells
     prefix: bool        # the target is exactly those shells of the union
-    bound: Q            # mu / prod N
     band: float         # no witness has a float error above this
     limit: int          # integer threshold on (error + shrink) * denom
 
@@ -255,7 +254,7 @@ def primal_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
     box's.  Every point whose float error lies in some target's band is
     confirmed in integers, with the half-ulp shrink of float inputs.
     """
-    xi = _shared_xi(queries, "primal")
+    xi = _shared_xi(queries)
     nums, ulps, denom = _scaled_xi(xi)
     xi_f = [float(Q(a, denom)) for a in nums]
     union = tuple(map(max, zip(*(q.bounds for q in queries))))
@@ -265,7 +264,7 @@ def primal_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
         bound = _exact(q.mu)[0] / q.box_product
         targets.append(_PrimalTarget(
             q.bounds, level, all(t == min(u, level) for t, u in zip(q.bounds, union)),
-            bound, float(bound) + _float_error(q.bounds, xi_f),
+            float(bound) + _float_error(q.bounds, xi_f),
             math.floor(bound * denom)))
     # Python ints only when int64 could overflow.
     big = 2 * (sum(b * (abs(a) + u) for b, a, u in zip(union, nums, ulps)) + denom)
@@ -273,7 +272,6 @@ def primal_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
     nums_v, ulps_v = np.array(nums, dtype=dtype), np.array(ulps, dtype=dtype)
 
     best: List[Optional[Tuple]] = [None] * len(targets)
-    low = [math.inf] * len(targets)
     for lo, hi, box in _box_slabs(union):
         err = _sweep_error(box, xi_f)
         keep = np.zeros(box.shape[1], dtype=bool)
@@ -301,23 +299,10 @@ def primal_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
                     j = hits[np.argmin(e[hits])]
                     if best[k] is None or e[j] < best[k][0]:
                         best[k] = (int(e[j]), tuple(int(c) for c in box[:, idx[j]]), int(p[j]))
-        for k, (end, inside) in enumerate(spans):
-            if best[k] is None and end:
-                mine = err[:end] if inside is None else err[:end][inside]
-                if mine.size:
-                    low[k] = min(low[k], float(mine.min()))
 
-    results = []
-    for t, hit, smallest in zip(targets, best, low):
-        volume = _count(t.bounds, t.level)
-        if hit is None:
-            bound_f = float(t.bound)
-            results.append(WitnessResult(
-                False, None, volume, smallest / bound_f if bound_f else math.inf))
-        else:
-            e, q, p = hit
-            results.append(WitnessResult(True, (q, p), volume, float(Q(e, denom) / t.bound)))
-    return results
+    return [WitnessResult(hit is not None, None if hit is None else hit[1:],
+                          _count(t.bounds, t.level))
+            for t, hit in zip(targets, best)]
 
 
 def di_witness(query: DIQuery) -> WitnessResult:
@@ -326,25 +311,21 @@ def di_witness(query: DIQuery) -> WitnessResult:
     Ties in the error are broken toward the small positive corner of the
     box.  The one-target case of ``primal_sweep``.
     """
-    if query.form != "primal":
-        raise ValueError("di_witness expects the primal form")
     return primal_sweep([query])[0]
 
 
 # -- dual sweep ------------------------------------------------------------------------
 
 
-def _dual_confirm(q: int, nums, ulps, denom: int, limits, allowances):
-    """Exact dual test at one q: the nearest p_i and the worst relative error."""
+def _dual_confirm(q: int, nums, ulps, denom: int, limits) -> Optional[Tuple[int, ...]]:
+    """Exact dual test at one q: the nearest p_i, or None if some coordinate fails."""
     ps = []
-    worst = Q(0)
-    for a, u, limit, allowance in zip(nums, ulps, limits, allowances):
+    for a, u, limit in zip(nums, ulps, limits):
         p, e = _nearest(q * a, denom)
         if e + q * u > limit:
             return None
         ps.append(p)
-        worst = max(worst, Q(e, denom) / allowance)
-    return tuple(ps), float(worst)
+    return tuple(ps)
 
 
 def dual_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
@@ -355,18 +336,16 @@ def dual_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
     in +-(q, p) pairs); it is what ``di_dual_witness`` returns for that
     query alone.
     """
-    xi = _shared_xi(queries, "dual")
+    xi = _shared_xi(queries)
     nums, ulps, denom = _scaled_xi(xi)
     xi_f = np.array([float(Q(a, denom)) for a in nums])
     tops = [q.box_product for q in queries]
     allowances = [[_exact(q.mu)[0] / n for n in q.bounds] for q in queries]
-    allow_f = [np.array([float(a) for a in allow]) for allow in allowances]
     limits = [[math.floor(a * denom) for a in allow] for allow in allowances]
-    bands = [a + np.array([_float_error([top], [x]) for x in xi_f])
-             for a, top in zip(allow_f, tops)]
+    bands = [np.array([float(a) + _float_error([top], [x]) for a, x in zip(allow, xi_f)])
+             for allow, top in zip(allowances, tops)]
 
     results: List[Optional[WitnessResult]] = [None] * len(queries)
-    low = [math.inf] * len(queries)
     for start in range(1, max(tops) + 1, _CHUNK):
         open_ = [k for k, top in enumerate(tops) if results[k] is None and start <= top]
         if not open_:
@@ -378,14 +357,11 @@ def dual_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
             rows = err[:, : tops[k] + 1 - start]
             for i in np.flatnonzero((rows <= bands[k][:, None]).all(axis=0)):
                 q = start + int(i)
-                hit = _dual_confirm(q, nums, ulps, denom, limits[k], allowances[k])
-                if hit is not None:
-                    results[k] = WitnessResult(True, (q, hit[0]), q, hit[1])
+                ps = _dual_confirm(q, nums, ulps, denom, limits[k])
+                if ps is not None:
+                    results[k] = WitnessResult(True, (q, ps), q)
                     break
-            else:
-                low[k] = min(low[k], float((rows / allow_f[k][:, None]).max(axis=0).min()))
-    return [res or WitnessResult(False, None, top, smallest)
-            for res, top, smallest in zip(results, tops, low)]
+    return [res or WitnessResult(False, None, top) for res, top in zip(results, tops)]
 
 
 def di_dual_witness(query: DIQuery) -> WitnessResult:
@@ -395,8 +371,6 @@ def di_dual_witness(query: DIQuery) -> WitnessResult:
     and the reported witness has q > 0.  The one-target case of
     ``dual_sweep``.
     """
-    if query.form != "dual":
-        raise ValueError("di_dual_witness expects the dual form")
     return dual_sweep([query])[0]
 
 
@@ -404,53 +378,29 @@ def di_dual_witness(query: DIQuery) -> WitnessResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _dani_base(n: int):
+def _dani_base(n: int) -> LatticeBasis:
     """diag(-1, 1, ..., 1) in rank n + 1, the base that u(xi) shears."""
-    from .latticelab import LatticeBasis
-
     return LatticeBasis.from_rows(diag((-1,) + (1,) * n))
-
-
-def _dani_parts(query: DIQuery):
-    """Exact xi and box half-widths of a primal query."""
-    if query.form != "primal":
-        raise ValueError("the box reformulation is defined for the primal form")
-    halfwidths = (_exact(query.mu)[0] / query.box_product,) + tuple(
-        Q(b) for b in query.bounds
-    )
-    return [_exact(x)[0] for x in query.xi], halfwidths
-
-
-def dani_lattice(query: DIQuery):
-    """Shear-lattice basis and box half-widths equivalent to the primal search.
-
-    The basis is u(xi) diag(-1, 1, ..., 1), with rows ``(-1, 0, ..., 0)``
-    and ``(xi_i, e_i)``.  Nonzero points of the lattice inside the box
-    ``[-mu/prod N, mu/prod N] x prod [-N_i, N_i]`` with nonzero integer part
-    are exactly the images ``(xi . q - p, q)`` of primal witnesses.  The
-    half-widths are exact.
-    """
-    from .latticelab import shear_basis
-
-    xi, halfwidths = _dani_parts(query)
-    return shear_basis([1] * len(halfwidths), xi, _dani_base(len(xi))), halfwidths
 
 
 def box_point_search(query: DIQuery) -> WitnessResult:
     """Independent primal verdict: enumerate lattice points inside the box.
 
-    Builds the ``dani_lattice`` with D = 1 / half-widths in place of 1, so
-    the box becomes the unit cube (covolume 1/mu), reduces it with the
-    integral LLL and walks every lattice point of the circumscribed ball
-    with ``latticelab.enumerate_ball``.  Each point gets the exact box test
-    with the half-ulp shrink, and the canonical-first q wins, with the p
-    nearest ``xi . q``.  ``search_volume`` counts the nonzero lattice points
-    walked.  Shares no code with the sweeps beyond the rounding convention,
-    so verdict agreement with ``di_witness`` is a real consistency check.
+    The primal witnesses are the lattice points ``(xi . q - p, q)`` of the
+    Dani lattice u(xi) diag(-1, 1, ..., 1), rows ``(-1, 0, ..., 0)`` and
+    ``(xi_i, e_i)``, that lie in the box ``[-mu/prod N, mu/prod N] x
+    prod [-N_i, N_i]`` with q nonzero.  The search builds that lattice with
+    D = 1 / half-widths, so the box becomes the unit cube (covolume 1/mu),
+    reduces it with the integral LLL and walks every lattice point of the
+    circumscribed ball with ``latticelab.enumerate_ball``.  Each point gets
+    the exact box test with the half-ulp shrink, and the canonical-first q
+    wins, with the p nearest ``xi . q``.  ``search_volume`` counts the
+    nonzero lattice points walked.  Shares no code with the sweeps beyond
+    the rounding convention, so verdict agreement with ``di_witness`` is a
+    real consistency check.
     """
-    from .latticelab import enumerate_ball, lll_reduce, shear_basis
-
-    xi, widths = _dani_parts(query)
+    xi = [_exact(x)[0] for x in query.xi]
+    widths = (_exact(query.mu)[0] / query.box_product,) + tuple(Q(b) for b in query.bounds)
     _check_budget(math.prod(2 * b + 1 for b in query.bounds))
     basis = shear_basis([1 / w for w in widths], xi, _dani_base(len(xi)),
                         expect_unimodular=False)
@@ -480,9 +430,9 @@ def box_point_search(query: DIQuery) -> WitnessResult:
     radius = (query.dimension + 1) * denom**2
     enumerate_ball(red, radius, test)
     if not hits:
-        return WitnessResult(False, None, volume, None)
-    _, err, p, q = min(hits)
-    return WitnessResult(True, (q, p), volume, float(Q(err, denom)))
+        return WitnessResult(False, None, volume)
+    _, _, p, q = min(hits)
+    return WitnessResult(True, (q, p), volume)
 
 
 # -- target-sequence exponent ----------------------------------------------------------
@@ -493,10 +443,6 @@ class Rbar1Result:
     """Largest ratio log(max N_i) / log(prod N_i) over a finite sequence."""
 
     value: Union[Q, float]
-    index: int
-    ratios: Tuple[float, ...]
-    skipped: Tuple[int, ...]
-    notices: Tuple[str, ...]
 
     @property
     def exact(self) -> bool:
@@ -504,10 +450,10 @@ class Rbar1Result:
 
 
 def rbar1(targets: Sequence[Sequence[int]]) -> Rbar1Result:
-    """Running maximum of log(max N_i)/log(prod N_i) with the achieving index.
+    """Largest log(max N_i)/log(prod N_i) over the sequence.
 
     Entries with prod N_i = 1 carry no information (both logs vanish) and are
-    skipped with a notice.  When the winning ratio is a rational a/b certified
+    skipped.  When the winning ratio is a rational a/b certified
     by the integer identity max^b == prod^a, the value is returned exactly.
     """
     entries = [tuple(int(x) for x in t) for t in targets]
@@ -519,26 +465,13 @@ def rbar1(targets: Sequence[Sequence[int]]) -> Rbar1Result:
     if any(x < 1 for t in entries for x in t):
         raise ValueError("targets must be >= 1")
 
-    ratios: List[float] = []
-    skipped: List[int] = []
-    notices: List[str] = []
-    for i, t in enumerate(entries):
-        prod = math.prod(t)
-        if prod == 1:
-            ratios.append(math.nan)
-            skipped.append(i)
-            notices.append(f"entry {i} has product 1 and was skipped")
-            continue
-        ratios.append(math.log(max(t)) / math.log(prod))
-    usable = [i for i in range(len(entries)) if i not in set(skipped)]
+    usable = [t for t in entries if math.prod(t) > 1]
     if not usable:
         raise ValueError("every entry was degenerate")
-    best_index = max(usable, key=lambda i: (ratios[i], -i))
-    best = ratios[best_index]
-
-    value: Union[Q, float] = best
-    t = entries[best_index]
+    # the first entry of largest ratio, as ``max`` keeps the first of equals
+    t = max(usable, key=lambda t: math.log(max(t)) / math.log(math.prod(t)))
     prod = math.prod(t)
+    best = math.log(max(t)) / math.log(prod)
     # If max^b == prod^a with gcd(a, b) = 1, then b v_p(max) = a v_p(prod)
     # for every prime p, so b divides every v_p(prod): prod is the b-th power
     # of an integer >= 2, and b <= log2(prod) < prod.bit_length().  Two
@@ -547,14 +480,8 @@ def rbar1(targets: Sequence[Sequence[int]]) -> Rbar1Result:
     # search finds a/b whenever it exists.
     cand = Q(best).limit_denominator(prod.bit_length())
     if 0 < cand <= 1 and max(t) ** cand.denominator == prod ** cand.numerator:
-        value = cand
-    return Rbar1Result(
-        value=value,
-        index=best_index,
-        ratios=tuple(ratios),
-        skipped=tuple(skipped),
-        notices=tuple(notices),
-    )
+        return Rbar1Result(cand)
+    return Rbar1Result(best)
 
 
 # -- curve scans -------------------------------------------------------------------------
@@ -581,13 +508,10 @@ class ScanTable:
     ``prefix_fractions[L-1]`` is the fraction of grid points for which every
     target among the first L admits witnesses in both forms.  Grid points
     with a budget-skipped cell are excluded from those fractions.
+    ``rational_hints`` holds the grid indices that sit on small-denominator
+    rationals.
     """
 
-    curve_name: str
-    interval: Tuple[float, float]
-    mu: float
-    prefix: Tuple[Tuple[int, ...], ...]
-    s_values: Tuple[float, ...]
     cells: Tuple[ScanCell, ...]
     prefix_fractions: Tuple[float, ...]
     rational_hints: Tuple[int, ...]
@@ -652,8 +576,8 @@ def curve_scan(
             hints.append(si)
         answers: Dict[Tuple[int, str], WitnessResult] = {}
         if inside:
+            queries = [DIQuery(xi, targets[ni], mu) for ni in inside]
             for form, sweep in (("primal", primal_sweep), ("dual", dual_sweep)):
-                queries = [DIQuery(form, xi, targets[ni], mu) for ni in inside]
                 answers.update(((ni, form), res) for ni, res in zip(inside, sweep(queries)))
         for ni in range(len(targets)):
             for form in ("primal", "dual"):
@@ -680,13 +604,4 @@ def curve_scan(
                 hits += 1
         fractions.append(hits / denom if denom else math.nan)
 
-    return ScanTable(
-        curve_name=curve.name,
-        interval=(float(interval[0]), float(interval[1])),
-        mu=float(mu),
-        prefix=targets,
-        s_values=s_values,
-        cells=tuple(cells),
-        prefix_fractions=tuple(fractions),
-        rational_hints=tuple(hints),
-    )
+    return ScanTable(tuple(cells), tuple(fractions), tuple(hints))

@@ -26,7 +26,7 @@ from .. import flowlab as fl
 from .. import latticelab as ll
 from ..curvejet import (CurveSpec, NotOrderedRegular, ordered_regular_frame,
                         regularity_scan, taylor_frame_remainder)
-from ..rng import SplitRNG
+from ..rng import generator
 from ..weightlab import (
     basis_vector,
     build_module,
@@ -128,7 +128,7 @@ def _run_lemma_parts(cfg: ExperimentConfig, samples: Samples) -> Result:
     for n in range(1, n_max + 1):
         for kind in kinds:
             module = build_module(kind, n)
-            rng = SplitRNG(cfg.seed or 0).generator(f"lemma-fuzz-{kind}", n)
+            rng = generator(cfg.seed, f"lemma-fuzz-{kind}", n)
             for trial in range(trials):
                 v, level = _random_eigenvector(module, rng)
                 x = tuple(_random_rational(rng, nonzero=True) for _ in range(n))
@@ -203,7 +203,7 @@ def _run_sl2(cfg: ExperimentConfig, samples: Samples) -> Result:
     for n in range(1, n_max + 1):
         for kind in kinds:
             module = build_module(kind, n)
-            rng = SplitRNG(cfg.seed or 0).generator(f"sl2-fuzz-{kind}", n)
+            rng = generator(cfg.seed, f"sl2-fuzz-{kind}", n)
             for slot in range(1, n + 1):
                 for r in (Q(1), Q(-3, 2)):
                     for idx in range(module.dim):
@@ -235,7 +235,7 @@ def _run_sl2(cfg: ExperimentConfig, samples: Samples) -> Result:
 def _run_vandermonde(cfg: ExperimentConfig, samples: Samples) -> Result:
     interval = cfg.interval or (1.0, 2.0)
     trials = samples["trials"]
-    rng = SplitRNG(cfg.seed or 0).generator("vandermonde")
+    rng = generator(cfg.seed, "vandermonde")
     grid = np.linspace(interval[0], interval[1], 1001)
     rows: List[Row] = []
     failures: List[Dict] = []
@@ -301,9 +301,7 @@ def _run_certification(cfg: ExperimentConfig, samples: Samples) -> Result:
         for kind in kinds:
             module = build_module(kind, n)
             d2 = fl.assemble_expansion_bound(module, frame)
-            rng = SplitRNG(cfg.seed or 0).generator(
-                f"expansion-{sched_name}-{kind}", n
-            )
+            rng = generator(cfg.seed, f"expansion-{sched_name}-{kind}", n)
             vectors = []
             for _ in range(count):
                 coords = rng.normal(size=module.dim)
@@ -436,7 +434,7 @@ def _run_equidistribution(cfg: ExperimentConfig, samples: Samples) -> Result:
     n = cfg.n or 1
     count = samples["count"]
     t = (cfg.t_ladder or (8.0,))[-1]
-    seed = cfg.seed or 0
+    seed = cfg.seed
     curve = CurveSpec.preset(cfg.curve or "moment", n=n)
     schedule = fl.FlowSchedule.preset(cfg.schedule or "equal", n=n)
     m0 = ll.translate_sample(curve, schedule, ll.catalog_basis(0), t, count, seed=seed)
@@ -505,11 +503,10 @@ def _random_query(rng, mu_choices) -> di.DIQuery:
     xi = tuple(float(x) for x in rng.uniform(-2.0, 2.0, n))
     bounds = tuple(int(b) for b in rng.integers(1, 9, n))
     mu = float(mu_choices[int(rng.integers(0, len(mu_choices)))])
-    return di.DIQuery("primal", xi, bounds, mu)
+    return di.DIQuery(xi, bounds, mu)
 
 
 def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
-    seed = cfg.seed or 0
     n_queries = samples["queries"]
     n_mono = samples["monotonicity"]
     s_grid = samples["grid"]
@@ -517,7 +514,7 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     query_rows: List[Row] = []
     failures: List[Dict] = []
 
-    rng = SplitRNG(seed).generator("di-equivalence")
+    rng = generator(cfg.seed, "di-equivalence")
     agree = 0
     for trial in range(n_queries):
         query = _random_query(rng, (0.3, 0.6, 0.9))
@@ -532,7 +529,7 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
                              "xi": [repr(x) for x in query.xi],
                              "bounds": list(query.bounds), "mu": query.mu})
 
-    rng = SplitRNG(seed).generator("di-complete")
+    rng = generator(cfg.seed, "di-complete")
     complete = 0
     for trial in range(n_queries):
         query = _random_query(rng, (1.0,))
@@ -545,13 +542,13 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
                              "xi": [repr(x) for x in query.xi],
                              "bounds": list(query.bounds)})
 
-    rng = SplitRNG(seed).generator("di-monotone")
+    rng = generator(cfg.seed, "di-monotone")
     monotone = 0
     mu_grid = (0.2, 0.4, 0.6, 0.8, 1.0)
     for trial in range(n_mono):
         base = _random_query(rng, (0.5,))
         flags = [res.found for res in di.primal_sweep(
-            [di.DIQuery("primal", base.xi, base.bounds, mu) for mu in mu_grid])]
+            [di.DIQuery(base.xi, base.bounds, mu) for mu in mu_grid])]
         ok = all(b or not a for a, b in zip(flags, flags[1:]))
         monotone += int(ok)
         query_rows.append(["monotonicity", trial, base.dimension,

@@ -34,7 +34,7 @@ import numpy as np
 
 from .curvejet import CurveError, _poly_eval_exact
 from .exact import IntRows, _bareiss_det, _ratio, _scaled
-from .rng import SplitRNG
+from .rng import generator
 
 
 class LatticeError(Exception):
@@ -363,7 +363,7 @@ def translate_sample(
     """Empirical law of the systole along flowed curve translates.
 
     Draws all s of the series at once, uniformly on [0, 1], from the
-    series generator ``SplitRNG(seed).generator("translate-sample")``, and
+    series generator ``generator(seed, "translate-sample")``, and
     measures a_t u(phi(s)) base, with a_t the exact values of the float
     exponentials and phi(s) the exact value of the polynomial curve at the
     float s.  A series depends on its seed alone, not on what ran before.
@@ -373,7 +373,7 @@ def translate_sample(
     if curve.poly is None:
         raise CurveError("translate sampling needs a polynomial curve")
     diagonal = np.exp(schedule.exponents(t)).tolist()
-    draws = SplitRNG(seed).generator("translate-sample").uniform(0.0, 1.0, size=count)
+    draws = generator(seed, "translate-sample").uniform(0.0, 1.0, size=count)
     return EmpiricalMeasure.from_values([
         systole(shear_basis(diagonal, [_poly_eval_exact(row, s) for row in curve.poly], base))
         for s in draws.tolist()
@@ -398,7 +398,7 @@ def orbit_oracle(
         raise ValueError("orbit oracle is a dimension-1 reference")
     diagonal = np.exp(schedule.exponents(t)).tolist()
     ratio = Q(diagonal[1]) / Q(diagonal[0])
-    draws = SplitRNG(seed).generator("orbit-oracle").uniform(0.0, math.exp(2 * t), size=count)
+    draws = generator(seed, "orbit-oracle").uniform(0.0, math.exp(2 * t), size=count)
     return EmpiricalMeasure.from_values([
         systole(shear_basis(diagonal, (Q(w) * ratio,)))
         for w in draws.tolist()

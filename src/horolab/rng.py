@@ -15,19 +15,10 @@ import hashlib
 import numpy as np
 
 
-class SplitRNG:
-    """Label-addressed generators derived from one integer seed."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-
-    def _label_key(self, label: str) -> tuple:
-        digest = hashlib.sha256(label.encode("utf-8")).digest()
-        return tuple(
-            int.from_bytes(digest[4 * i : 4 * i + 4], "little") for i in range(4)
-        )
-
-    def generator(self, label: str, *indices: int) -> np.random.Generator:
-        key = self._label_key(label) + tuple(int(i) for i in indices)
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
-        return np.random.Generator(np.random.PCG64(seq))
+def generator(seed: int, label: str, *indices: int) -> np.random.Generator:
+    """The generator of the series (label, indices) under an integer seed."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    key = tuple(int.from_bytes(digest[4 * i : 4 * i + 4], "little") for i in range(4))
+    key += tuple(int(i) for i in indices)
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+    return np.random.Generator(np.random.PCG64(seq))

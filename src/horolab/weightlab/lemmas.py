@@ -13,14 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import exact
 from ..exact import Mat
 from . import modules
-from .cartan import Weight, h_block, sl2_coroot
+from .cartan import h_block, sl2_coroot
 from .groups import u_elem, u_top
 from .modules import (
     ModuleVector,
@@ -78,39 +78,18 @@ def fixed_check(v: ModuleVector, subgroup: SubgroupSpec) -> bool:
 class SSetReport:
     """Outcome of the weight-support classification of u(x) v.
 
-    ``support`` lists the distinct weights of u(x) v; ``levels[i]`` is the
-    value of support[i] on the principal element minus the eigenvalue b, and
-    ``margins[i][k-1]`` the value on the size-k block element minus that
-    level.  The s_k sets hold indices into ``support``.
+    Each support weight of u(x) v has a level (its value on the principal
+    element minus the eigenvalue b of v) and, for k = 1..n, a margin (its
+    value on the size-k block element minus that level).  s_n holds the
+    weights with a nonnegative size-n margin, s_all those with every margin
+    nonnegative.  ``consistent`` says that each equality case forces the
+    matching invariance of v, checked by the derived action.
     """
 
-    n: int
-    b: Q
-    x: Tuple[Q, ...]
-    support: Tuple[Weight, ...]
-    levels: Tuple[Q, ...]
-    margins: Tuple[Tuple[Q, ...], ...]
-    s_k: Dict[int, Tuple[int, ...]]
-    s_all: Tuple[int, ...]
     nonneg_levels: bool
     s_n_nonempty: bool
     s_all_nonempty: bool
-    flat_hypothesis: bool
-    fixed_full: Optional[bool]
-    block_pairs: Tuple[Tuple[int, int], ...]
-    fixed_parabolic_block: Dict[Tuple[int, int], bool]
-    zero_level_pairs: Tuple[Tuple[int, int], ...]
-    fixed_block: Dict[Tuple[int, int], bool]
     consistent: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.nonneg_levels
-            and self.s_n_nonempty
-            and self.s_all_nonempty
-            and self.consistent
-        )
 
 
 def s_sets(v: ModuleVector, x: Sequence) -> SSetReport:
@@ -133,79 +112,31 @@ def s_sets(v: ModuleVector, x: Sequence) -> SSetReport:
         raise ValueError("v is not an eigenvector of the principal element")
     b = own_levels.pop()
 
-    w = act(u_top(xs), v)
-    idx = support_indices(w)
-    support = tuple(mod.weights[i] for i in idx)
+    idx = support_indices(act(u_top(xs), v))
     blocks = [mod.grading(h_block(n, k)) for k in range(1, n + 1)]
-    levels = tuple(mod.levels[i] - b for i in idx)
-    margins = tuple(
-        tuple(block[i] - lev for block in blocks) for i, lev in zip(idx, levels)
-    )
+    levels = [mod.levels[i] - b for i in idx]
+    margins = [[block[i] - lev for block in blocks] for i, lev in zip(idx, levels)]
+    s_n = [m for m, row in enumerate(margins) if row[n - 1] >= 0]
+    s_all = [m for m, row in enumerate(margins) if min(row) >= 0]
 
-    s_k: Dict[int, Tuple[int, ...]] = {}
-    for k in range(1, n + 1):
-        s_k[k] = tuple(
-            i for i in range(len(support)) if margins[i][k - 1] >= 0
-        )
-    s_all = tuple(
-        i for i in range(len(support)) if all(margins[i][k - 1] >= 0 for k in range(1, n + 1))
-    )
-
-    nonneg = all(lev >= 0 for lev in levels)
-    s_n = s_k[n]
-    s_n_nonempty = len(s_n) > 0
-    s_all_nonempty = len(s_all) > 0
-
-    # flat case: every index of s_n has zero block-n margin and zero level
-    flat = s_n_nonempty and all(
-        margins[i][n - 1] == 0 and levels[i] == 0 for i in s_n
-    )
-    fixed_full = fixed_check(v, "G") if flat else None
-
-    # equality pairs over the full intersection
-    block_pairs: List[Tuple[int, int]] = []
-    zero_level_pairs: List[Tuple[int, int]] = []
-    fixed_parabolic: Dict[Tuple[int, int], bool] = {}
-    fixed_block: Dict[Tuple[int, int], bool] = {}
-    if s_all_nonempty:
+    # flat case: every index of s_n has zero block-n margin and zero level;
+    # then v is fixed by the full group
+    flat = bool(s_n) and all(margins[m][n - 1] == 0 and levels[m] == 0 for m in s_n)
+    consistent = not flat or fixed_check(v, "G")
+    # equality pairs (j, n0) over the full intersection: v is fixed by the
+    # parabolic block n0, and by the block n0 itself when every level is zero
+    if s_all:
+        zero_levels = all(levels[m] == 0 for m in s_all)
         for j in range(1, n):
             for n0 in range(j, n + 1):
-                if all(
-                    margins[i][j - 1] == 0 and margins[i][n0 - 1] == 0
-                    for i in s_all
-                ):
-                    block_pairs.append((j, n0))
-                    fixed_parabolic[(j, n0)] = fixed_check(v, ("Q", n0))
-                    if all(levels[i] == 0 for i in s_all):
-                        zero_level_pairs.append((j, n0))
-                        fixed_block[(j, n0)] = fixed_check(v, ("G", n0))
-
-    consistent = True
-    if flat and fixed_full is False:
-        consistent = False
-    if any(not val for val in fixed_parabolic.values()):
-        consistent = False
-    if any(not val for val in fixed_block.values()):
-        consistent = False
+                if all(margins[m][j - 1] == 0 and margins[m][n0 - 1] == 0 for m in s_all):
+                    consistent = (consistent and fixed_check(v, ("Q", n0))
+                                  and (not zero_levels or fixed_check(v, ("G", n0))))
 
     return SSetReport(
-        n=n,
-        b=b,
-        x=xs,
-        support=support,
-        levels=levels,
-        margins=margins,
-        s_k=s_k,
-        s_all=s_all,
-        nonneg_levels=nonneg,
-        s_n_nonempty=s_n_nonempty,
-        s_all_nonempty=s_all_nonempty,
-        flat_hypothesis=flat,
-        fixed_full=fixed_full,
-        block_pairs=tuple(block_pairs),
-        fixed_parabolic_block=fixed_parabolic,
-        zero_level_pairs=tuple(zero_level_pairs),
-        fixed_block=fixed_block,
+        nonneg_levels=all(lev >= 0 for lev in levels),
+        s_n_nonempty=bool(s_n),
+        s_all_nonempty=bool(s_all),
         consistent=consistent,
     )
 

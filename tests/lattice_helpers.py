@@ -15,7 +15,7 @@ import numpy as np
 from horolab import exact
 from horolab.exact import _bareiss_det
 from horolab.latticelab import LatticeBasis, LatticeError
-from horolab.rng import SplitRNG
+from horolab.rng import generator
 
 
 def brute_force_shortest(
@@ -59,7 +59,7 @@ def random_unimodular_basis(dim: int, seed: int, shears: int = 12) -> LatticeBas
 
     Integer unimodular bases generate Z^dim itself, so these exercise the
     reduction transform bookkeeping, not interesting systoles."""
-    rng = SplitRNG(seed).generator("unimodular-basis")
+    rng = generator(seed, "unimodular-basis")
     rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for _ in range(shears):
         i, j = rng.integers(0, dim, size=2)
@@ -78,7 +78,7 @@ def random_unimodular_basis(dim: int, seed: int, shears: int = 12) -> LatticeBas
 
 def random_real_basis(dim: int, seed: int) -> LatticeBasis:
     """Gaussian basis rescaled to determinant +-1 (within float rounding)."""
-    rng = SplitRNG(seed).generator("real-basis")
+    rng = generator(seed, "real-basis")
     while True:
         a = rng.normal(size=(dim, dim))
         det = float(np.linalg.det(a))

@@ -79,7 +79,6 @@ def test_regularity_scan_clean_on_trig():
     curve = CurveSpec.preset("trig")
     scan = regularity_scan(curve, (0.1, 3.0), 60)
     assert not scan.failures
-    assert not scan.clusters
 
 
 def test_taylor_remainder_shrinks():

@@ -81,16 +81,16 @@ def _dual_holds(query, witness, slack=Q(1, 10**12)):
 
 
 def test_rational_point_hits_exactly():
-    res = di.di_witness(di.DIQuery("primal", (1 / 3,), (3,), 0.5))
+    res = di.di_witness(di.DIQuery((1 / 3,), (3,), 0.5))
     assert res.found
     assert res.witness == ((3,), 1)
-    # the float 1/3 sits half an ulp off the rational, nothing more
-    assert res.residual < 1e-15
+    # the float 1/3 is (2^54 - 1) / (3 2^54), so 3 (1/3) - 1 misses by 2^-54
+    assert abs(3 * Q(1 / 3) - 1) == Q(1, 2**54)
 
 
 def test_irrational_point_two_candidates():
     xi = math.sqrt(2) - 1
-    res = di.di_witness(di.DIQuery("primal", (xi,), (2,), 0.9))
+    res = di.di_witness(di.DIQuery((xi,), (2,), 0.9))
     assert res.found
     assert res.witness == ((2,), 1)
     assert abs(2 * xi - 1) <= 0.45
@@ -98,52 +98,50 @@ def test_irrational_point_two_candidates():
 
 def test_irrational_point_no_witness_at_tight_mu():
     xi = math.sqrt(2) - 1
-    res = di.di_witness(di.DIQuery("primal", (xi,), (1,), 0.4))
+    res = di.di_witness(di.DIQuery((xi,), (1,), 0.4))
     assert not res.found
     assert res.witness is None
 
 
 def test_witness_ties_resolve_to_nonnegative_q():
-    res = di.di_witness(di.DIQuery("primal", (0.5,), (2,), 1.0))
+    res = di.di_witness(di.DIQuery((0.5,), (2,), 1.0))
     assert res.found
     assert res.witness == ((2,), 1)
 
 
 def test_half_integer_ties_take_the_lower_p():
     # q xi = 1/2 sits between p = 0 and p = 1 at the same error
-    assert di.di_witness(di.DIQuery("primal", (0.5,), (1,), 1.0)).witness == ((1,), 0)
-    assert di.di_witness(di.DIQuery("primal", (-0.5,), (1,), 1.0)).witness == ((1,), -1)
-    assert di.di_dual_witness(di.DIQuery("dual", (0.5,), (1,), 1.0)).witness == (1, (0,))
-    assert di.box_point_search(di.DIQuery("primal", (0.5,), (1,), 1.0)).witness == ((1,), 0)
+    assert di.di_witness(di.DIQuery((0.5,), (1,), 1.0)).witness == ((1,), 0)
+    assert di.di_witness(di.DIQuery((-0.5,), (1,), 1.0)).witness == ((1,), -1)
+    assert di.di_dual_witness(di.DIQuery((0.5,), (1,), 1.0)).witness == (1, (0,))
+    assert di.box_point_search(di.DIQuery((0.5,), (1,), 1.0)).witness == ((1,), 0)
 
 
 def test_witness_exactly_on_the_boundary_is_found():
     # |10/11 - 1| = 1/11 is the bound exactly, but in floats the error
     # reads 0.0909...094 against a bound of 0.0909...091: only a band
     # widened by the rounding of the sweep keeps the witness
-    primal = di.DIQuery("primal", (Q(10, 11),), (2,), Q(2, 11))
-    assert di.di_witness(primal).witness == ((1,), 1)
-    assert di.box_point_search(primal).witness == ((1,), 1)
-    assert di.di_dual_witness(di.DIQuery("dual", (Q(10, 11),), (2,), Q(2, 11))).witness == (1, (1,))
+    query = di.DIQuery((Q(10, 11),), (2,), Q(2, 11))
+    assert di.di_witness(query).witness == ((1,), 1)
+    assert di.box_point_search(query).witness == ((1,), 1)
+    assert di.di_dual_witness(query).witness == (1, (1,))
 
 
 def test_search_volume_counts_the_grid():
-    res = di.di_witness(di.DIQuery("primal", (0.3, 0.7), (2, 3), 0.9))
+    res = di.di_witness(di.DIQuery((0.3, 0.7), (2, 3), 0.9))
     assert res.search_volume == 5 * 7 - 1
 
 
 def test_budget_guard():
     with pytest.raises(di.SearchBudgetError):
-        di.di_witness(di.DIQuery("primal", (0.3, 0.4), (4000, 4000), 0.5))
+        di.di_witness(di.DIQuery((0.3, 0.4), (4000, 4000), 0.5))
 
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        di.DIQuery("sideways", (0.5,), (2,), 0.5)
+        di.DIQuery((0.5,), (0,), 0.5)
     with pytest.raises(ValueError):
-        di.DIQuery("primal", (0.5,), (0,), 0.5)
-    with pytest.raises(ValueError):
-        di.DIQuery("primal", (0.5,), (2,), 1.5)
+        di.DIQuery((0.5,), (2,), 1.5)
 
 
 @given(
@@ -154,25 +152,29 @@ def test_query_validation():
 @settings(max_examples=80, deadline=None)
 def test_found_primal_witnesses_verify_exactly(xi, bounds, mu):
     k = min(len(xi), len(bounds))
-    query = di.DIQuery("primal", tuple(xi[:k]), tuple(bounds[:k]), mu)
+    query = di.DIQuery(tuple(xi[:k]), tuple(bounds[:k]), mu)
     res = di.di_witness(query)
     if res.found:
         assert _primal_holds(query, res.witness)
-        assert res.residual <= 1
+        # with the half-ulp shrink of every input, the error is within the bound exactly
+        q, p = res.witness
+        err = abs(sum(Q(x) * c for x, c in zip(query.xi, q)) - p)
+        shrink = sum(_allowance(x) * abs(c) for x, c in zip(query.xi, q))
+        assert err + shrink <= Q(query.mu) / query.box_product
 
 
 # -- dual form ----------------------------------------------------------------
 
 
 def test_dual_common_denominator():
-    res = di.di_dual_witness(di.DIQuery("dual", (0.5, 1 / 3), (2, 3), 0.5))
+    res = di.di_dual_witness(di.DIQuery((0.5, 1 / 3), (2, 3), 0.5))
     assert res.found
     assert res.witness == (6, (3, 2))
 
 
 def test_dual_minimal_q_is_returned():
     xi = (math.sqrt(2) - 1, math.sqrt(3) - 1)
-    query = di.DIQuery("dual", xi, (2, 2), 0.9)
+    query = di.DIQuery(xi, (2, 2), 0.9)
     res = di.di_dual_witness(query)
     assert res.found
     q_found, _ = res.witness
@@ -187,7 +189,7 @@ def test_dual_minimal_q_is_returned():
 
 def test_dual_tiny_mu_finds_nothing():
     res = di.di_dual_witness(
-        di.DIQuery("dual", (math.sqrt(2) - 1, math.sqrt(3) - 1), (2, 2), 1e-9)
+        di.DIQuery((math.sqrt(2) - 1, math.sqrt(3) - 1), (2, 2), 1e-9)
     )
     assert not res.found
 
@@ -195,17 +197,8 @@ def test_dual_tiny_mu_finds_nothing():
 # -- lattice reformulation ----------------------------------------------------
 
 
-def test_dani_lattice_shape():
-    query = di.DIQuery("primal", (0.4,), (3,), 1.0)
-    basis, widths = di.dani_lattice(query)
-    assert len(basis.rows) == 2
-    assert basis.rows[0] == (Q(-1), Q(0))
-    assert widths[0] == pytest.approx(1 / 3)
-    assert widths[1] == 3
-
-
 def test_box_search_matches_direct_witness():
-    query = di.DIQuery("primal", (0.4,), (3,), 1.0)
+    query = di.DIQuery((0.4,), (3,), 1.0)
     direct = di.di_witness(query)
     boxed = di.box_point_search(query)
     assert direct.found and boxed.found
@@ -216,7 +209,7 @@ def test_box_search_matches_direct_witness():
 
 
 def test_zero_vector_query_maps_to_integer_lattice():
-    query = di.DIQuery("primal", (0.0, 0.0), (2, 2), 0.7)
+    query = di.DIQuery((0.0, 0.0), (2, 2), 0.7)
     res = di.box_point_search(query)
     assert res.found
     assert res.witness[1] == 0  # p
@@ -229,7 +222,6 @@ def test_forms_agree_on_random_queries():
     for _ in range(60):
         n = int(rng.integers(1, 4))
         query = di.DIQuery(
-            "primal",
             tuple(float(x) for x in rng.uniform(-2, 2, n)),
             tuple(int(b) for b in rng.integers(1, 8, n)),
             float(rng.choice([0.3, 0.6, 0.9])),
@@ -245,7 +237,7 @@ def test_mu_monotonicity():
         xi = tuple(float(x) for x in rng.uniform(-2, 2, 2))
         bounds = tuple(int(b) for b in rng.integers(1, 7, 2))
         flags = [
-            di.di_witness(di.DIQuery("primal", xi, bounds, mu)).found
+            di.di_witness(di.DIQuery(xi, bounds, mu)).found
             for mu in (0.2, 0.4, 0.6, 0.8, 1.0)
         ]
         assert all(b or not a for a, b in zip(flags, flags[1:]))
@@ -278,9 +270,8 @@ def test_rbar1_trivial_direction():
 
 
 def test_rbar1_skips_degenerate_entries():
-    res = di.rbar1([(1, 1), (4, 4), (8, 8)])
-    assert res.skipped == (0,)  # index of the degenerate entry
-    assert res.notices
+    # (1, 1) has both logs zero; the other two give 1/2
+    assert di.rbar1([(1, 1), (4, 4), (8, 8)]).value == Q(1, 2)
     with pytest.raises(ValueError):
         di.rbar1([(1, 1)])
 
@@ -304,12 +295,28 @@ def test_rbar1_range_invariant():
 def test_curve_scan_small_table():
     curve = di.CurveSpec.moment(2)
     table = di.curve_scan(curve, (0.0, 1.0), ((2, 2), (4, 4)), 0.3, 12)
-    assert len(table.s_values) == 12
+    assert len({cell.s_index for cell in table.cells}) == 12
     assert len(table.cells) == 12 * 2 * 2  # two forms per (s, N)
     assert len(table.prefix_fractions) == 2
     assert 0.0 <= table.all_improvable_fraction <= 1.0
     # every grid point k/11 is a small-denominator rational, so all are hinted
     assert table.rational_hints == tuple(range(12))
+
+
+def test_curve_scan_skips_targets_over_the_budget(monkeypatch):
+    # prod N = 16 for (4, 4) is over a budget of 10; (2, 2) still runs
+    monkeypatch.setattr(di, "SEARCH_BUDGET", 10)
+    curve = di.CurveSpec.moment(2)
+    table = di.curve_scan(curve, (0.0, 1.0), ((2, 2), (4, 4)), 0.3, 12)
+    over = [cell for cell in table.cells if cell.n_index == 1]
+    assert len(over) == 12 * 2
+    assert all(c.skipped and not c.found and c.search_volume == 0 for c in over)
+    assert not any(c.skipped for c in table.cells if c.n_index == 0)
+    # the first fraction still counts every grid point; the second has none left
+    improvable = sum(all(c.found for c in table.cells if c.s_index == si and c.n_index == 0)
+                     for si in range(12))
+    assert table.prefix_fractions[0] == improvable / 12
+    assert math.isnan(table.all_improvable_fraction)
 
 
 def test_curve_scan_mu_one_everything_found():
@@ -332,7 +339,7 @@ def test_scan_cells_get_the_smallest_error_witness(s, witness):
     # the float band of the (64, 64) box, all with errors near 1e-17.  A
     # shortlist cut used to return a larger-error one, e.g. ((2, -11), 0)
     # with error 1.01e-17 at s = 2/11 against 5.05e-18 here.
-    query = di.DIQuery("primal", (Q(s), Q(s) ** 2), (64, 64), 0.3)
+    query = di.DIQuery((Q(s), Q(s) ** 2), (64, 64), 0.3)
     res = di.di_witness(query)
     assert res.found and res.witness == witness
     _, q, p = min(_plain_witnesses(query), key=lambda w: (w[0], _canonical(w[1]), w[2]))
@@ -359,7 +366,7 @@ def _near_rational_queries(draw):
     ) * math.prod(bounds)
     side = draw(st.sampled_from([-1, 0, 1]))
     mu = edge * (1 + side * Q(1, 2**30)) if edge else Q(2 + side, 2**30)
-    return di.DIQuery("primal", tuple(xi), bounds, min(mu, Q(1)))
+    return di.DIQuery(tuple(xi), bounds, min(mu, Q(1)))
 
 
 @given(query=_near_rational_queries())
@@ -376,8 +383,7 @@ def test_searches_match_a_plain_exact_scan(query):
         # the lattice search: canonical-first q, then its nearest p
         _, q, p = min(witnesses, key=lambda w: (_canonical(w[1]), w[0], w[2]))
         assert boxed.witness == (q, p)
-    dual = di.DIQuery("dual", query.xi, query.bounds, query.mu)
-    assert di.di_dual_witness(dual).witness == _plain_dual_witness(dual)
+    assert di.di_dual_witness(query).witness == _plain_dual_witness(query)
 
 
 @pytest.mark.parametrize("prefix", [((2, 2), (4, 4), (8, 8)), ((2, 2), (2, 4)),
@@ -388,7 +394,7 @@ def test_curve_scan_cells_equal_single_searches(prefix):
         table = di.curve_scan(curve, interval, prefix, 0.3, 12)
         for cell in table.cells:
             sq = Q(cell.s)
-            query = di.DIQuery(cell.form, (sq, sq * sq), prefix[cell.n_index], 0.3)
+            query = di.DIQuery((sq, sq * sq), prefix[cell.n_index], 0.3)
             search = di.di_witness if cell.form == "primal" else di.di_dual_witness
             single = search(query)
             assert (cell.found, cell.witness, cell.search_volume) == (
@@ -411,7 +417,7 @@ def test_slabs_cover_the_box_in_canonical_order(monkeypatch):
 
 def test_tie_with_the_negation_goes_to_the_positive_first_point():
     # (0, 2) and (0, -2) both have error 0; the leading zero does not decide
-    query = di.DIQuery("primal", (0.3, 0.5), (2, 2), 1.0)
+    query = di.DIQuery((0.3, 0.5), (2, 2), 1.0)
     assert di.di_witness(query).witness == ((0, 2), 1)
 
 
@@ -428,22 +434,22 @@ def test_sweep_float_error_is_sign_symmetric(xi, reach):
 def test_sweeps_match_single_searches_in_any_slab_size(monkeypatch):
     # slabs and confirmation blocks only bound memory; they change no result
     rng = np.random.default_rng(5)
+    forms = ((di.primal_sweep, di.di_witness), (di.dual_sweep, di.di_dual_witness))
     batches = []
     for _ in range(30):
         n = int(rng.integers(1, 4))
         xi = tuple(float(x) for x in rng.uniform(-2, 2, n))
         mu = float(rng.choice([0.3, 0.6, 1.0]))
-        for form in ("primal", "dual"):
-            batches.append([di.DIQuery(form, xi, tuple(int(b) for b in rng.integers(1, 7, n)), mu)
-                            for _ in range(3)])
+        for sweep, search in forms:
+            batches.append((sweep, search, [
+                di.DIQuery(xi, tuple(int(b) for b in rng.integers(1, 7, n)), mu)
+                for _ in range(3)]))
 
     def sweep_all():
-        return [(di.primal_sweep if b[0].form == "primal" else di.dual_sweep)(b)
-                for b in batches]
+        return [sweep(batch) for sweep, _, batch in batches]
 
     whole = sweep_all()
-    for batch, results in zip(batches, whole):
-        search = di.di_witness if batch[0].form == "primal" else di.di_dual_witness
+    for (_, search, batch), results in zip(batches, whole):
         assert results == [search(q) for q in batch]
     monkeypatch.setattr(di, "_CHUNK", 5)
     monkeypatch.setattr(di, "_CONFIRM_BLOCK", 2)
@@ -452,12 +458,10 @@ def test_sweeps_match_single_searches_in_any_slab_size(monkeypatch):
 
 def test_sweeps_reject_mixed_batches():
     with pytest.raises(ValueError):
-        di.primal_sweep([di.DIQuery("primal", (0.3,), (2,), 0.5),
-                         di.DIQuery("primal", (0.4,), (2,), 0.5)])
+        di.primal_sweep([di.DIQuery((0.3,), (2,), 0.5),
+                         di.DIQuery((0.4,), (2,), 0.5)])
     with pytest.raises(ValueError):
-        di.dual_sweep([di.DIQuery("primal", (0.3,), (2,), 0.5)])
-    with pytest.raises(ValueError):
-        di.primal_sweep([di.DIQuery("primal", (0.5,), (2,), 0.5),
-                         di.DIQuery("primal", (Q(1, 2),), (2,), 0.5)])
+        di.primal_sweep([di.DIQuery((0.5,), (2,), 0.5),
+                         di.DIQuery((Q(1, 2),), (2,), 0.5)])
     with pytest.raises(ValueError):
         di.primal_sweep([])

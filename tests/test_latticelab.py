@@ -12,7 +12,7 @@ from horolab import exact
 from horolab import latticelab as ll
 from horolab import flowlab as fl
 from horolab.curvejet import CurveError, CurveSpec
-from horolab.rng import SplitRNG
+from horolab.rng import generator
 from lattice_helpers import brute_force_shortest, random_real_basis, random_unimodular_basis
 
 
@@ -90,7 +90,7 @@ def test_translate_sample_is_one_series_per_seed():
     assert again.values == alone.values
     # the series is the seeded generator's draws in order, so a shorter
     # run is a prefix of a longer one
-    draws = SplitRNG(5).generator("translate-sample").uniform(0.0, 1.0, size=60)
+    draws = generator(5, "translate-sample").uniform(0.0, 1.0, size=60)
     diagonal = np.exp(sched.exponents(3.0)).tolist()
     systoles = [ll.systole(ll.shear_basis(diagonal, (s,), base)) for s in draws.tolist()]
     assert alone.values == tuple(sorted(systoles))
