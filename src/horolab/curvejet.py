@@ -72,13 +72,12 @@ class CurveSpec:
     """
 
     n: int
-    name: str
     fn: Callable[[float], np.ndarray]
     poly: Optional[Tuple[Tuple[Q, ...], ...]] = None
     deriv_fn: Optional[Callable[[float, int], np.ndarray]] = None
 
     @staticmethod
-    def polynomial(rows: Sequence[Sequence], name: str = "poly") -> "CurveSpec":
+    def polynomial(rows: Sequence[Sequence]) -> "CurveSpec":
         table = tuple(tuple(Q(c) for c in row) for row in rows)
         if not table:
             raise ValueError("need at least one coordinate")
@@ -86,14 +85,14 @@ class CurveSpec:
         def fn(s: float) -> np.ndarray:
             return np.array([_poly_eval_float(row, s) for row in table])
 
-        return CurveSpec(n=len(table), name=name, fn=fn, poly=table)
+        return CurveSpec(n=len(table), fn=fn, poly=table)
 
     @staticmethod
     def moment(n: int) -> "CurveSpec":
         rows = []
         for i in range(1, n + 1):
             rows.append([0] * i + [1])
-        return CurveSpec.polynomial(rows, name="moment")
+        return CurveSpec.polynomial(rows)
 
     @staticmethod
     def preset(text: str, n: Optional[int] = None) -> "CurveSpec":
@@ -112,12 +111,12 @@ class CurveSpec:
                     [math.sin(s + m * math.pi / 2), math.cos(s + m * math.pi / 2)]
                 )
 
-            return CurveSpec(n=2, name="trig", fn=tr, deriv_fn=tr_d)
+            return CurveSpec(n=2, fn=tr, deriv_fn=tr_d)
         if text.startswith("poly:"):
             rows = []
             for chunk in text[len("poly:"):].split(";"):
                 rows.append([Q(part) for part in chunk.split(",") if part.strip()])
-            return CurveSpec.polynomial(rows, name=text)
+            return CurveSpec.polynomial(rows)
         raise ValueError(f"unknown curve preset: {text!r}")
 
     def evaluate(self, s: float) -> np.ndarray:

@@ -160,11 +160,6 @@ def matmul(a: Mat, b: Mat) -> Mat:
     return _over(_imul(ai, bi), ad * bd)
 
 
-def matvec(a: Mat, v: Sequence) -> Vec:
-    ai, ad = _scaled(a)
-    return _apply(lambda w: _imatvec(ai, w), ad, v)
-
-
 def commutator(a: Mat, b: Mat) -> Mat:
     ai, ad = _scaled(a)
     bi, bd = _scaled(b)
@@ -208,8 +203,3 @@ def _inverse_ints(ints: IntRows, d: int) -> Tuple[IntRows, int]:
 def inverse(a: Mat) -> Mat:
     """Exact inverse by fraction-free Gauss-Jordan; raises ValueError if singular."""
     return _over(*_inverse_ints(*_scaled(a)))
-
-
-def minor(a: Mat, row_idx: Sequence[int], col_idx: Sequence[int]) -> Q:
-    """Determinant of the submatrix picked out by the given index tuples."""
-    return det(tuple(tuple(a[r][c] for c in col_idx) for r in row_idx))

@@ -17,13 +17,14 @@ applied entrywise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction as Q
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import exact
 from .curvejet import CurveFrame, CurveSpec, ordered_regular_frame
 from .weightlab import (
     ModuleVector,
@@ -50,12 +51,11 @@ class FlowSchedule:
     classification is read off the slopes, once, on first use."""
 
     n: int
-    name: str
     slopes: Tuple[Q, ...]
 
     @staticmethod
     def equal(n: int) -> "FlowSchedule":
-        return replace(FlowSchedule.linear([1] * n), name="equal")
+        return FlowSchedule.linear([1] * n)
 
     @staticmethod
     def linear(slopes: Sequence) -> "FlowSchedule":
@@ -69,8 +69,7 @@ class FlowSchedule:
             raise ScheduleError("slopes must be nonnegative")
         if sum(cs) != n:
             raise ScheduleError(f"slopes must sum to n={n}, got {sum(cs)}")
-        label = ",".join(str(c) for c in cs)
-        return FlowSchedule(n=n, name=f"linear:{label}", slopes=cs)
+        return FlowSchedule(n=n, slopes=cs)
 
     @staticmethod
     def preset(text: str, n: int) -> "FlowSchedule":
@@ -112,7 +111,6 @@ class FlowSchedule:
 
 @dataclass
 class FlowClassification:
-    n: int
     n0: int
     uniform: bool
 
@@ -126,7 +124,6 @@ def classify(schedule: FlowSchedule) -> FlowClassification:
     """
     s = schedule.slopes
     return FlowClassification(
-        n=schedule.n,
         n0=sum(1 for c in s if c > 0),
         uniform=all(c == s[0] for c in s),
     )
@@ -135,59 +132,34 @@ def classify(schedule: FlowSchedule) -> FlowClassification:
 # -- Vandermonde constants -----------------------------------------------------------
 
 
-@dataclass
-class VandermondeConstants:
-    d: int
-    interval: Tuple[Q, Q]
-    certified: float
-    empirical: float
-    certified_exact: Q
-    empirical_exact: Q
-    nodes: Tuple[Q, ...]
+class VandermondeConstants(NamedTuple):
+    certified: Q
+    empirical: Q
 
 
 def vandermonde_constant(d: int, interval: Tuple) -> VandermondeConstants:
-    """Sup-norm coefficient constants on equispaced nodes.
+    """Exact sup-norm coefficient constants on equispaced nodes.
 
     certified is the closed form |J|^d / (d^(d+1) (1 + eta_d)); empirical
     is the sharp constant 1 / ||V^{-1}||_inf (max row sum of the inverse
-    Vandermonde), computed exactly.  For degree-d polynomials f with
-    coefficients c, sup_J |f| >= empirical * max|c_i| always, and the
-    certified form is a valid (smaller) floor on intervals near the origin
-    like [1, 2].
+    Vandermonde).  For degree-d polynomials f with coefficients c,
+    sup_J |f| >= empirical * max|c_i| always, and the certified form is a
+    valid (smaller) floor on intervals near the origin like [1, 2].
     """
-    from . import exact
-
     if d < 0:
         raise ValueError("d must be nonnegative")
     a, b = Q(interval[0]), Q(interval[1])
     if not b > a:
         raise ValueError("degenerate interval")
     if d == 0:
-        return VandermondeConstants(
-            d=0,
-            interval=(a, b),
-            certified=1.0,
-            empirical=1.0,
-            certified_exact=Q(1),
-            empirical_exact=Q(1),
-            nodes=(a,),
-        )
+        return VandermondeConstants(Q(1), Q(1))
     length = b - a
     nodes = tuple(a + Q(i, d) * length for i in range(d + 1))
     v = tuple(tuple(node ** j for j in range(d + 1)) for node in nodes)
-    v_inv = exact.inverse(v)
-    max_row_sum = max(sum(abs(x) for x in row) for row in v_inv)
-    empirical_exact = 1 / max_row_sum
-    certified_exact = length ** d / (Q(d) ** (d + 1) * (1 + b))
+    max_row_sum = max(sum(abs(x) for x in row) for row in exact.inverse(v))
     return VandermondeConstants(
-        d=d,
-        interval=(a, b),
-        certified=float(certified_exact),
-        empirical=float(empirical_exact),
-        certified_exact=certified_exact,
-        empirical_exact=empirical_exact,
-        nodes=nodes,
+        certified=length ** d / (Q(d) ** (d + 1) * (1 + b)),
+        empirical=1 / max_row_sum,
     )
 
 
@@ -282,9 +254,9 @@ def assemble_expansion_bound(module: WeightModule, frame: CurveFrame) -> float:
     inherits grid resolution (see the shipped notes on the gap).
     """
     degree = frame_degree_bound(module, frame)
-    c_cert = vandermonde_constant(degree, WINDOW).certified
+    c_cert = float(vandermonde_constant(degree, WINDOW).certified)
     kappa = [Q(float(k)) for k in frame.kappa]
-    d1_min = min(estimate_D1(module, b, kappa).value for b in module.level_set())
+    d1_min = min(estimate_D1(module, b, kappa) for b in module.level_set())
     return c_cert * d1_min / 2.0
 
 

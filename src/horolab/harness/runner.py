@@ -87,8 +87,7 @@ def _run_identity_suite(cfg: ExperimentConfig, samples: Samples) -> Result:
     passed = 0
     total = 0
     for n in range(1, n_max + 1):
-        rep = identity_suite(n)
-        for item in rep.items:
+        for item in identity_suite(n):
             rows.append([n, item.name, item.passed, item.detail])
             total += 1
             passed += int(item.passed)
@@ -244,16 +243,17 @@ def _run_vandermonde(cfg: ExperimentConfig, samples: Samples) -> Result:
     violations_all = 0
     for d in range(0, 7):
         consts = fl.vandermonde_constant(d, interval)
+        certified = float(consts.certified)
         length = interval[1] - interval[0]
         formula = 1.0 if d == 0 else length**d / (d ** (d + 1) * (1.0 + interval[1]))
-        worst_formula = max(worst_formula, abs(consts.certified - formula))
-        formula_ok = abs(consts.certified - formula) <= 1e-12
+        worst_formula = max(worst_formula, abs(certified - formula))
+        formula_ok = abs(certified - formula) <= 1e-12
         formula_ok_all = formula_ok_all and formula_ok
         violations = 0
         for trial in range(trials):
             coeffs = rng.uniform(-1.0, 1.0, d + 1)
             sup = float(np.abs(np.polyval(coeffs[::-1], grid)).max())
-            floor = consts.certified * float(np.abs(coeffs).max())
+            floor = certified * float(np.abs(coeffs).max())
             if sup < floor:
                 violations += 1
                 failures.append(
@@ -261,7 +261,7 @@ def _run_vandermonde(cfg: ExperimentConfig, samples: Samples) -> Result:
                      "sup": repr(sup), "floor": repr(floor)}
                 )
         violations_all += violations
-        rows.append([d, repr(consts.certified), repr(consts.empirical),
+        rows.append([d, repr(certified), repr(float(consts.empirical)),
                      formula_ok, trials, violations])
     check = CheckResult(
         passed=formula_ok_all and violations_all == 0,

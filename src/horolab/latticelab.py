@@ -358,7 +358,7 @@ def translate_sample(
     base: LatticeBasis,
     t: float,
     count: int,
-    seed: int = 0,
+    seed: int,
 ) -> EmpiricalMeasure:
     """Empirical law of the systole along flowed curve translates.
 
@@ -384,7 +384,7 @@ def orbit_oracle(
     schedule,
     t: float,
     count: int,
-    seed: int = 0,
+    seed: int,
 ) -> EmpiricalMeasure:
     """Independent reference law from the expanded-orbit parametrization.
 

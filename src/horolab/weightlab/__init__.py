@@ -1,6 +1,6 @@
 """Exact weight combinatorics for modules over sl(n+1)."""
 
-from .cartan import Weight, h_block, h_last_row, h_principal, sl2_coroot
+from .cartan import h_block, h_principal, sl2_coroot
 from .groups import (
     a_x,
     corner_log_lower,
@@ -12,15 +12,10 @@ from .groups import (
     upper_ones,
     w_limit,
 )
-from .identities import IdentitySuiteReport, identity_suite
+from .identities import identity_suite
 from .lemmas import (
-    D1Estimate,
-    Sl2Report,
-    SSetReport,
-    delta_plus_indices,
     estimate_D1,
     fixed_check,
-    level_indices,
     s_sets,
     sl2_maxweight_check,
     subgroup_generators,
@@ -36,27 +31,19 @@ from .modules import (
 )
 
 __all__ = [
-    "Weight",
     "WeightModule",
     "ModuleVector",
-    "IdentitySuiteReport",
-    "SSetReport",
-    "Sl2Report",
-    "D1Estimate",
     "a_x",
     "act",
     "act_algebra",
     "basis_vector",
     "build_module",
     "corner_log_lower",
-    "delta_plus_indices",
     "estimate_D1",
     "fixed_check",
     "h_block",
-    "h_last_row",
     "h_principal",
     "identity_suite",
-    "level_indices",
     "lower_ones",
     "s_sets",
     "sigma",

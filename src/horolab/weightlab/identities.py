@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Optional, Tuple
+from typing import List, Tuple
 
 from .. import exact
 from ..exact import Mat
@@ -30,35 +30,17 @@ from .modules import ModuleVector, act, build_module, vector
 @dataclass
 class IdentityItem:
     name: str
-    description: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class IdentitySuiteReport:
-    n: int
-    items: Tuple[IdentityItem, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-    def summary(self) -> str:
-        lines = [f"identity suite, n={self.n}"]
-        for item in self.items:
-            status = "ok" if item.passed else "FAIL"
-            extra = f" ({item.detail})" if item.detail else ""
-            lines.append(f"  [{status}] {item.name}{extra}")
-        return "\n".join(lines)
-
-
-def _mat_equal_detail(a: Mat, b: Mat) -> Optional[str]:
+def _mismatch(a: Mat, b: Mat, label: str = "") -> List[str]:
+    """The first differing entry of a and b as a one-item list, [] if a == b."""
     for i, (ra, rb) in enumerate(zip(a, b)):
         for j, (x, y) in enumerate(zip(ra, rb)):
             if x != y:
-                return f"entry ({i},{j}): {x} vs {y}"
-    return None
+                return [f"{label}entry ({i},{j}): {x} vs {y}"]
+    return []
 
 
 def _exp_nilpotent(x: Mat) -> Mat:
@@ -85,47 +67,37 @@ def _conj_principal_scaling(m: Mat, h: Q) -> Mat:
     )
 
 
-def _ones_factorization(n: int) -> IdentityItem:
+def _ones_factorization(n: int) -> List[str]:
+    """All-ones top unipotent equals corner rotation times inverse
+    upper-ones times lower-ones."""
     lhs = u_top(tuple(Q(1) for _ in range(n)))
     rhs = exact.matmul(
         exact.matmul(sigma(n), exact.inverse(upper_ones(n))), lower_ones(n)
     )
-    detail = _mat_equal_detail(lhs, rhs)
-    return IdentityItem(
-        name="ones_factorization",
-        description="all-ones top unipotent equals corner rotation times "
-        "inverse upper-ones times lower-ones",
-        passed=detail is None,
-        detail=detail or "",
-    )
+    return _mismatch(lhs, rhs)
 
 
-def _corner_reflection_conjugate(n: int) -> IdentityItem:
+def _corner_reflection_conjugate(n: int) -> List[str]:
+    """Full block element minus principal element equals minus the
+    corner-rotated principal element."""
     s = sigma(n)
     hc = exact.diag(h_principal(n))
     hn = exact.diag(h_block(n, n))
     lhs = exact.sub(hn, hc)
     rhs = exact.scale(-1, exact.matmul(exact.matmul(s, hc), exact.inverse(s)))
-    detail = _mat_equal_detail(lhs, rhs)
-    return IdentityItem(
-        name="corner_reflection_conjugate",
-        description="full block element minus principal element equals minus "
-        "the corner-rotated principal element",
-        passed=detail is None,
-        detail=detail or "",
-    )
+    return _mismatch(lhs, rhs)
 
 
-def _scaling_normalizes_tail(n: int) -> IdentityItem:
+def _scaling_normalizes_tail(n: int) -> List[str]:
+    """Conjugating the degree-weighted top unipotent by the principal
+    scaling strips all scale factors."""
     failures = []
     for h in (Q(1, 2), Q(3, 7), Q(-2, 5)):
         for c_seed in (1, 2):
             c = tuple(Q((-1) ** (i + c_seed) * (i + c_seed), i + 2) for i in range(1, n + 1))
             tail = tuple(ci * h ** i for i, ci in enumerate(c, start=1))
             conj = _conj_principal_scaling(u_top(tail), h)
-            detail = _mat_equal_detail(conj, u_top(c))
-            if detail is not None:
-                failures.append(f"h={h}: {detail}")
+            failures += _mismatch(conj, u_top(c), f"h={h}: ")
     # the exponent shift a - b is exactly the coordinate degree, which is
     # what makes the h powers cancel; record that the shift matches the
     # principal values too
@@ -133,16 +105,12 @@ def _scaling_normalizes_tail(n: int) -> IdentityItem:
     for i in range(1, n + 1):
         if hp[0] - hp[i] != i:
             failures.append(f"principal value at slot {i} is {hp[0] - hp[i]}, not {i}")
-    return IdentityItem(
-        name="scaling_normalizes_tail",
-        description="conjugating the degree-weighted top unipotent by the "
-        "principal scaling strips all scale factors",
-        passed=not failures,
-        detail="; ".join(failures),
-    )
+    return failures
 
 
-def _diagonal_rescaling(n: int) -> IdentityItem:
+def _diagonal_rescaling(n: int) -> List[str]:
+    """Conjugation by diag(1, 1/x) turns the all-ones top row into x and
+    scales each elementary matrix by the slot ratio."""
     failures = []
     samples = [
         tuple(Q(i + 1) for i in range(n)),
@@ -153,9 +121,7 @@ def _diagonal_rescaling(n: int) -> IdentityItem:
         d = a_x(x)
         d_inv = exact.inverse(d)
         lhs = exact.matmul(exact.matmul(d, u_top(tuple(Q(1) for _ in range(n)))), d_inv)
-        detail = _mat_equal_detail(lhs, u_top(x))
-        if detail is not None:
-            failures.append(f"x={x}: {detail}")
+        failures += _mismatch(lhs, u_top(x), f"x={x}: ")
         # elementary scaling factors under the same conjugation
         ext = (Q(1),) + tuple(d[i][i] for i in range(1, n + 1))
         for i in range(n + 1):
@@ -164,27 +130,13 @@ def _diagonal_rescaling(n: int) -> IdentityItem:
                     continue
                 got = exact.matmul(exact.matmul(d, exact.elementary(n + 1, i, j)), d_inv)
                 want = exact.elementary(n + 1, i, j, ext[i] / ext[j])
-                detail = _mat_equal_detail(got, want)
-                if detail is not None:
-                    failures.append(f"x={x}, E({i},{j}): {detail}")
-    return IdentityItem(
-        name="diagonal_rescaling",
-        description="conjugation by diag(1, 1/x) turns the all-ones top row "
-        "into x and scales each elementary matrix by the slot ratio",
-        passed=not failures,
-        detail="; ".join(failures),
-    )
+                failures += _mismatch(got, want, f"x={x}, E({i},{j}): ")
+    return failures
 
 
-def _corner_to_bottom_row(n: int) -> IdentityItem:
-    if n < 2:
-        return IdentityItem(
-            name="corner_to_bottom_row",
-            description="corner rotation carries the slot-1 top unipotent to "
-            "a bottom-row unipotent",
-            passed=True,
-            detail="vacuous for n=1 (slot 1 and the bottom row coincide)",
-        )
+def _corner_to_bottom_row(n: int) -> List[str]:
+    """Corner rotation carries the slot-1 top unipotent to a bottom-row
+    unipotent with ratio -zeta/kappa (n >= 2)."""
     failures = []
     for kappa in (Q(1), Q(2, 3), Q(-5, 4)):
         for zeta in (Q(1), Q(-3, 2)):
@@ -193,25 +145,16 @@ def _corner_to_bottom_row(n: int) -> IdentityItem:
                 exact.matmul(s, u_elem(n, 0, 1, zeta)), exact.inverse(s)
             )
             rhs = u_elem(n, n, 1, -zeta / kappa)
-            detail = _mat_equal_detail(lhs, rhs)
-            if detail is not None:
-                failures.append(f"kappa={kappa}, zeta={zeta}: {detail}")
-    return IdentityItem(
-        name="corner_to_bottom_row",
-        description="corner rotation carries the slot-1 top unipotent to a "
-        "bottom-row unipotent with ratio -zeta/kappa",
-        passed=not failures,
-        detail="; ".join(failures),
-    )
+            failures += _mismatch(lhs, rhs, f"kappa={kappa}, zeta={zeta}: ")
+    return failures
 
 
-def _bottom_row_brackets(n: int) -> IdentityItem:
-    failures = []
+def _bottom_row_brackets(n: int) -> List[str]:
+    """Iterated brackets of the lower-ones log against the last-row
+    grading element sweep out the whole bottom row."""
     x = corner_log_lower(n)
     # x really is the log of the all-ones lower unipotent
-    detail = _mat_equal_detail(_exp_nilpotent(x), lower_ones(n))
-    if detail is not None:
-        failures.append(f"exp mismatch: {detail}")
+    failures = _mismatch(_exp_nilpotent(x), lower_ones(n), "exp mismatch: ")
     h = exact.diag(h_last_row(n))
     y = exact.scale(Q(-1, n + 1), exact.commutator(h, x))
     expected_first = tuple(
@@ -221,9 +164,7 @@ def _bottom_row_brackets(n: int) -> IdentityItem:
         )
         for i in range(n + 1)
     )
-    detail = _mat_equal_detail(y, expected_first)
-    if detail is not None:
-        failures.append(f"first bracket: {detail}")
+    failures += _mismatch(y, expected_first, "first bracket: ")
     ys = [y]
     for k in range(2, n + 1):
         prev = ys[-1]
@@ -252,13 +193,7 @@ def _bottom_row_brackets(n: int) -> IdentityItem:
             negative = d[i] - d[j] < 0
             if negative != (i == n and j < n):
                 failures.append(f"grading sign unexpected at ({i},{j})")
-    return IdentityItem(
-        name="bottom_row_brackets",
-        description="iterated brackets of the lower-ones log against the "
-        "last-row grading element sweep out the whole bottom row",
-        passed=not failures,
-        detail="; ".join(failures),
-    )
+    return failures
 
 
 def _extreme_level(v: ModuleVector, minimum: bool) -> Tuple[Q, ModuleVector]:
@@ -271,7 +206,9 @@ def _extreme_level(v: ModuleVector, minimum: bool) -> Tuple[Q, ModuleVector]:
     return lev, ModuleVector(v.module, coords)
 
 
-def _triangular_preserves_extreme_level(n: int) -> IdentityItem:
+def _triangular_preserves_extreme_level(n: int) -> List[str]:
+    """Upper unipotents fix the lowest level and its component; lower
+    unipotents fix the highest."""
     failures = []
     kinds = ["standard", "exterior(2)", "adjoint"] if n >= 2 else ["standard", "adjoint"]
     uppers = [
@@ -306,26 +243,31 @@ def _triangular_preserves_extreme_level(n: int) -> IdentityItem:
                 lev_after, comp_after = _extreme_level(moved, minimum=False)
                 if lev_before != lev_after or comp_after.coords != comp_before.coords:
                     failures.append(f"{kind}: lower move shifted the top level")
-    return IdentityItem(
-        name="triangular_preserves_extreme_level",
-        description="upper unipotents fix the lowest level and its component; "
-        "lower unipotents fix the highest",
-        passed=not failures,
-        detail="; ".join(sorted(set(failures))),
-    )
+    return sorted(set(failures))
 
 
-def identity_suite(n: int) -> IdentitySuiteReport:
+# every identity by name; each check returns its failures, [] when it holds
+_CHECKS = (
+    ("ones_factorization", _ones_factorization),
+    ("corner_reflection_conjugate", _corner_reflection_conjugate),
+    ("scaling_normalizes_tail", _scaling_normalizes_tail),
+    ("diagonal_rescaling", _diagonal_rescaling),
+    ("corner_to_bottom_row", _corner_to_bottom_row),
+    ("bottom_row_brackets", _bottom_row_brackets),
+    ("triangular_preserves_extreme_level", _triangular_preserves_extreme_level),
+)
+
+
+def identity_suite(n: int) -> Tuple[IdentityItem, ...]:
     """Run every identity check for the given rank, 1 <= n <= 6."""
     if not 1 <= n <= 6:
         raise ValueError("suite supports 1 <= n <= 6")
-    items = (
-        _ones_factorization(n),
-        _corner_reflection_conjugate(n),
-        _scaling_normalizes_tail(n),
-        _diagonal_rescaling(n),
-        _corner_to_bottom_row(n),
-        _bottom_row_brackets(n),
-        _triangular_preserves_extreme_level(n),
-    )
-    return IdentitySuiteReport(n=n, items=items)
+    items = []
+    for name, check in _CHECKS:
+        if name == "corner_to_bottom_row" and n == 1:
+            items.append(IdentityItem(
+                name, True, "vacuous for n=1 (slot 1 and the bottom row coincide)"))
+            continue
+        failures = check(n)
+        items.append(IdentityItem(name, not failures, "; ".join(failures)))
+    return tuple(items)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -146,32 +146,13 @@ def s_sets(v: ModuleVector, x: Sequence) -> SSetReport:
 
 @dataclass
 class Sl2Report:
-    slot: int
-    r: Q
+    """Top levels of v and of its translate under the slot coroot, whether
+    they sum to zero, and whether every part of the check held."""
+
     lam_max_v: Q
     lam_max_w: Q
-    inequality_ok: bool
     equality: bool
-    recovery_ok: bool
-    rotated_top_ok: bool
-    characterization_ok: bool
-    eigenvector: bool
-    fixed_lower: Optional[bool] = None
-    fixed_upper: Optional[bool] = None
-    eigen_equality_ok: Optional[bool] = None
-    eigen_same_level_ok: Optional[bool] = None
-    eigen_both_zero_ok: Optional[bool] = None
-
-    @property
-    def ok(self) -> bool:
-        checks = [self.inequality_ok, self.characterization_ok]
-        if self.eigenvector:
-            checks += [
-                bool(self.eigen_equality_ok),
-                bool(self.eigen_same_level_ok),
-                bool(self.eigen_both_zero_ok),
-            ]
-        return all(checks)
+    ok: bool
 
 
 def _sigma1(n: int, i: int, r: Q) -> Mat:
@@ -233,42 +214,27 @@ def sl2_maxweight_check(i: int, r, v: ModuleVector) -> Sl2Report:
     lam_v = _level_max(v, a)
     w = ModuleVector(mod, up(v.coords))
     lam_w = _level_max(w, a)
-    inequality_ok = lam_w + lam_v >= 0
     equality = lam_w + lam_v == 0
 
+    # equality happens exactly when v is recovered from its top component
+    # and the translate's top component is the rotated top component
     v_max = _level_component(v, a, lam_v)
     w_max = _level_component(w, a, lam_w)
-    recovery_ok = down(v_max.coords) == v.coords
-    rotated_top_ok = sigma(v_max.coords) == w_max.coords
-    characterization_ok = equality == (recovery_ok and rotated_top_ok)
+    recovered = down(v_max.coords) == v.coords
+    rotated_top = sigma(v_max.coords) == w_max.coords
+    ok = lam_w + lam_v >= 0 and equality == (recovered and rotated_top)
 
-    support_levels = {lev for lev, c in zip(mod.grading(a), v.coords) if c != 0}
-    eigen = len(support_levels) == 1
-    report = Sl2Report(
-        slot=i,
-        r=rq,
-        lam_max_v=lam_v,
-        lam_max_w=lam_w,
-        inequality_ok=inequality_ok,
-        equality=equality,
-        recovery_ok=recovery_ok,
-        rotated_top_ok=rotated_top_ok,
-        characterization_ok=characterization_ok,
-        eigenvector=eigen,
-    )
-    if eigen:
+    # for an eigenvector of the coroot, equality, equal levels and both
+    # levels zero are the invariances under the lower, upper and both
+    # unipotents; in the equality case the translate's top is the rotated v
+    if len({lev for lev, c in zip(mod.grading(a), v.coords) if c != 0}) == 1:
         fixed_lower = not any(lower(v.coords))
         fixed_upper = not any(upper(v.coords))
-        rotated_full = sigma(v.coords) == w_max.coords
-        report.fixed_lower = fixed_lower
-        report.fixed_upper = fixed_upper
-        report.eigen_equality_ok = (equality == fixed_lower) and (
-            equality == rotated_full
-        )
-        report.eigen_same_level_ok = (lam_w == lam_v) == fixed_upper
-        both_zero = lam_v == 0 and lam_w == 0
-        report.eigen_both_zero_ok = both_zero == (fixed_lower and fixed_upper)
-    return report
+        ok = (ok and equality == fixed_lower
+              and equality == (sigma(v.coords) == w_max.coords)
+              and (lam_w == lam_v) == fixed_upper
+              and (lam_v == 0 and lam_w == 0) == (fixed_lower and fixed_upper))
+    return Sl2Report(lam_max_v=lam_v, lam_max_w=lam_w, equality=equality, ok=ok)
 
 
 # -- lower estimate for the surviving component ------------------------------------
@@ -292,19 +258,11 @@ def level_indices(module: WeightModule, b: Q) -> Tuple[int, ...]:
     return tuple(idx for idx, level in enumerate(module.levels) if level == b)
 
 
-@dataclass
-class D1Estimate:
-    value: float
-    dim: int
-    grid_points: int
-    face_density: int
-
-
 # Ticks per free coordinate on each face of the unit cube in estimate_D1.
 _FACE_DENSITY = 7
 
 
-def estimate_D1(module: WeightModule, b, x: Sequence) -> D1Estimate:
+def estimate_D1(module: WeightModule, b, x: Sequence) -> float:
     """Grid estimate of the smallest surviving component norm.
 
     Over unit sup-norm vectors v in the level-b eigenspace, estimates the
@@ -331,8 +289,7 @@ def estimate_D1(module: WeightModule, b, x: Sequence) -> D1Estimate:
     )
     dim = len(cols)
     if dim == 1:
-        vals = np.abs(m[:, 0])
-        return D1Estimate(value=float(vals.max()), dim=1, grid_points=2, face_density=1)
+        return float(np.abs(m[:, 0]).max())
 
     density = _FACE_DENSITY
     # keep the face grid affordable for wide levels
@@ -340,7 +297,6 @@ def estimate_D1(module: WeightModule, b, x: Sequence) -> D1Estimate:
         density -= 1
     ticks = np.linspace(-1.0, 1.0, density)
     best = np.inf
-    count = 0
     for face in range(dim):
         for sign in (1.0, -1.0):
             for rest in itertools.product(ticks, repeat=dim - 1):
@@ -352,10 +308,5 @@ def estimate_D1(module: WeightModule, b, x: Sequence) -> D1Estimate:
                         continue
                     vec[j] = rest[pos]
                     pos += 1
-                val = np.abs(m @ vec).max()
-                count += 1
-                if val < best:
-                    best = val
-    return D1Estimate(
-        value=float(best), dim=dim, grid_points=count, face_density=density
-    )
+                best = min(best, np.abs(m @ vec).max())
+    return float(best)

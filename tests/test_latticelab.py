@@ -101,7 +101,17 @@ def test_translate_sample_is_one_series_per_seed():
 def test_translate_sample_needs_a_polynomial_curve():
     with pytest.raises(CurveError, match="polynomial"):
         ll.translate_sample(CurveSpec.preset("trig"), fl.FlowSchedule.preset("equal", n=2),
-                            ll.LatticeBasis.from_rows(np.eye(3).tolist()), t=1.0, count=3)
+                            ll.LatticeBasis.from_rows(np.eye(3).tolist()), t=1.0, count=3,
+                            seed=0)
+
+
+def test_samplers_need_a_seed():
+    # a forgotten seed is an error, not a silent reuse of series 0
+    sched = fl.FlowSchedule.preset("equal", n=1)
+    with pytest.raises(TypeError, match="seed"):
+        ll.translate_sample(CurveSpec.moment(1), sched, ll.catalog_basis(0), t=1.0, count=3)
+    with pytest.raises(TypeError, match="seed"):
+        ll.orbit_oracle(sched, t=1.0, count=3)
 
 
 def test_catalog_bases_are_unimodular():

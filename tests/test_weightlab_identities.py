@@ -21,13 +21,16 @@ from horolab.weightlab import (
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_suite_all_exact(n):
-    rep = identity_suite(n)
-    for item in rep.items:
+    for item in identity_suite(n):
         assert item.passed, f"{item.name} at n={n}: {item.detail}"
 
 
 def test_suite_has_stable_size():
-    assert len(identity_suite(1).items) == len(identity_suite(3).items) == 7
+    assert len(identity_suite(1)) == len(identity_suite(3)) == 7
+    # at n = 1 the corner-to-bottom-row identity is vacuous, and says so
+    vacuous = identity_suite(1)[4]
+    assert vacuous.name == "corner_to_bottom_row" and vacuous.passed
+    assert vacuous.detail == "vacuous for n=1 (slot 1 and the bottom row coincide)"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -50,8 +53,9 @@ def test_lower_upper_ones_are_transposes():
 def test_sigma_rotates_last_slot_to_first(n):
     s = sigma(n)
     assert exact.det(s) == 1
-    e_last = [Q(0)] * n + [Q(1)]
-    assert exact.matvec(s, e_last) == tuple([Q(1)] + [Q(0)] * n)
+    # the last column of sigma is the image of the last basis vector
+    e_last = [[Q(0)]] * n + [[Q(1)]]
+    assert exact.matmul(s, e_last) == ((Q(1),),) + ((Q(0),),) * n
 
 
 def test_sigma_kappa_corner_entries():

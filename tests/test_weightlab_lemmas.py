@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horolab import exact
+from horolab.weightlab import lemmas
 from horolab.weightlab import (
     basis_vector,
     build_module,
@@ -71,9 +72,7 @@ def test_fixed_check_sl2_slot():
 
 def test_estimate_d1_positive_and_small():
     mod = build_module("standard", 2)
-    est = estimate_D1(mod, Q(1), [Q(1), Q(1)])
-    assert 0 < est.value <= 1
-    assert est.grid_points > 0
+    assert 0 < estimate_D1(mod, Q(1), [Q(1), Q(1)]) <= 1
 
 
 small_q = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -91,17 +90,17 @@ def test_sl2_inequality_always_holds(coords, r, slot):
     if all(c == 0 for c in coords):
         coords = [Q(1)] + list(coords)[1:]
     rep = sl2_maxweight_check(slot, r, vector(mod, coords))
-    assert rep.inequality_ok
-    assert rep.characterization_ok
+    assert rep.lam_max_w + rep.lam_max_v >= 0
+    assert rep.equality == (rep.lam_max_w + rep.lam_max_v == 0)
+    assert rep.ok
 
 
 def test_sl2_equality_mixed_vector():
     # both weight lines populated; equality forces the exact recovery form
     mod = build_module("standard", 1)
     rep = sl2_maxweight_check(1, Q(-3, 2), vector(mod, [Q(7, 2), Q(7, 3)]))
-    assert rep.equality
-    assert rep.recovery_ok and rep.rotated_top_ok
-    assert rep.ok
+    assert (rep.lam_max_v, rep.lam_max_w) == (1, -1)
+    assert rep.equality and rep.ok
 
 
 def test_sl2_equality_needs_matching_ratio():
@@ -110,7 +109,7 @@ def test_sl2_equality_needs_matching_ratio():
     rep = sl2_maxweight_check(1, Q(1, 2), vector(mod, [Q(7, 2), Q(7, 3)]))
     assert not rep.equality
     assert rep.lam_max_w + rep.lam_max_v > 0
-    assert rep.characterization_ok
+    assert rep.ok
 
 
 def test_sl2_low_eigenvector_is_always_equality():
@@ -118,8 +117,25 @@ def test_sl2_low_eigenvector_is_always_equality():
     v = basis_vector(mod, 1)  # pure weight line below the top
     for r in (Q(1), Q(-2), Q(5, 3)):
         rep = sl2_maxweight_check(1, r, v)
+        assert (rep.lam_max_v, rep.lam_max_w) == (-1, 1)
         assert rep.equality and rep.ok
-        assert rep.eigenvector
+
+
+def test_sl2_eigenvector_branch_decides_ok(monkeypatch):
+    # v spans one level of the slot-1 coroot, so equality must coincide with
+    # invariance under the lower unipotent; a lower rule that fixes nothing
+    # breaks that, and only the eigenvector branch sees it
+    honest = lemmas._sl2_rules
+
+    def identity_lower(mod, i, r):
+        up, down, sigma, lower, upper = honest(mod, i, r)
+        return up, down, sigma, lambda coords: coords, upper
+
+    monkeypatch.setattr(lemmas, "_sl2_rules", identity_lower)
+    mod = build_module("standard", 2)
+    rep = sl2_maxweight_check(1, Q(1), basis_vector(mod, 1))
+    assert rep.equality
+    assert not rep.ok
 
 
 def test_sl2_rejects_degenerate_input():
