@@ -11,8 +11,10 @@ endpoints) run on Python ints, and only the final lengths are floated.
 The reduction record is the input basis, the unimodular row transform and
 the integral Gram-Schmidt data of the reduced rows: the ball walk reads the
 Gram-Schmidt data alone, and a caller that needs a reduced row applies the
-transform to the input rows.  The shortest length is the shrinking-radius
-case of that walk, returned exactly as a squared length.
+transform to the input rows.  The shortest length is returned exactly as
+a squared length: in rank 2 it is the Lagrange-Gauss minimum of the integer
+Gram form, which needs neither LLL nor the walk; in higher ranks it is the
+shrinking-radius case of the walk on the LLL record.
 
 Every lattice an experiment draws has the form D u(x) B: a diagonal D, the
 unipotent shear u(x) with first row (1, x), and a base B.  ``shear_basis``
@@ -272,8 +274,33 @@ def _enumerate_shortest(red: ReducedBasis) -> Q:
     return Q(best, red.basis.denom**2)
 
 
+def _gauss_minimum(a: Sequence[int], b: Sequence[int]) -> int:
+    """Minimum of the integer binary form of rows a, b: Lagrange-Gauss
+    reduction of (A, B, C) = (|a|^2, a.b, |b|^2).
+
+    Each pass size-reduces b against a (b -= r a, r = B / A rounded half
+    up), which leaves -A <= 2B < A; if then C < A the rows swap, so A
+    strictly decreases at each swap and the loop ends.  Once C >= A,
+    |m a + n b|^2 >= (m^2 - |mn| + n^2) A >= A for integers (m, n) != 0,
+    so A is the minimum.
+    """
+    A, B, C = sum(map(mul, a, a)), sum(map(mul, a, b)), sum(map(mul, b, b))
+    while True:
+        r = (2 * B + A) // (2 * A)
+        B, C = B - r * A, C - r * (2 * B - r * A)
+        if C >= A:
+            return A
+        A, C = C, A
+
+
 def shortest_vector(basis: LatticeBasis) -> Q:
-    """Exact squared length of the shortest nonzero lattice vector."""
+    """Exact squared length of the shortest nonzero lattice vector.
+
+    Rank 2 is the Lagrange-Gauss minimum of the integer Gram form; higher
+    ranks walk the ball on the LLL record.
+    """
+    if len(basis.ints) == 2:
+        return Q(_gauss_minimum(*basis.ints), basis.denom**2)
     return _enumerate_shortest(lll_reduce(basis))
 
 

@@ -172,6 +172,69 @@ def test_skewed_t20_bases_agree_with_brute_force():
         assert slow == fast, basis.ints
 
 
+def _rank2_bases():
+    # a_t u(x) translates of the catalog bases, as the samplers draw them
+    draws = generator(7, "rank2-cross-check").uniform(-3.0, 3.0, size=4).tolist()
+    for t in (0.0, 0.5, 2.0, 5.0, 10.0, 15.0, 20.0):
+        a_t = (math.exp(t), math.exp(-t))
+        for idx in range(len(ll.CATALOG_BASES)):
+            for x in draws + [0.5, math.exp(-2 * t)]:
+                yield ll.shear_basis(a_t, (x,), ll.catalog_basis(idx))
+    # rational bases of any covolume
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        rows = [[Q(int(rng.integers(-99, 100)), int(rng.integers(1, 12))) for _ in range(2)]
+                for _ in range(2)]
+        i, k = int(rng.integers(0, 2)), int(rng.integers(1, 500))
+        rows[i] = [c * k for c in rows[i]]  # skew the input
+        try:
+            yield ll.LatticeBasis.from_rows(rows, expect_unimodular=False)
+        except ll.LatticeError:
+            continue
+    # the rounding boundaries 2B = A and 2B = -A, and the stop test C = A
+    # met at once and after one size reduction
+    for rows in (((2, 0), (1, 5)), ((2, 0), (-1, 5)), ((3, 1), (-1, 3)), ((3, 1), (2, 4)),
+                 ((1, 0), (0, 1)), ((2, 1), (1, 2))):
+        yield ll.LatticeBasis.from_rows(rows, expect_unimodular=False)
+
+
+def test_rank2_minimum_matches_the_generic_kernel():
+    # the LLL-plus-walk route stays the rank-2 reference
+    brute = 0
+    for basis in _rank2_bases():
+        swapped = ll.LatticeBasis(basis.ints[::-1], basis.denom, expect_unimodular=False)
+        fast = ll.shortest_vector(basis)
+        assert fast == ll.shortest_vector(swapped), basis.ints
+        assert fast == ll._enumerate_shortest(ll.lll_reduce(basis)), basis.ints
+        assert fast == ll._enumerate_shortest(ll.lll_reduce(swapped)), basis.ints
+        try:
+            slow = brute_force_shortest(basis, radius=math.sqrt(fast) * (1 + 1e-9))
+        except ll.LatticeError:  # the oracle's box is too large
+            continue
+        assert slow == fast, basis.ints
+        brute += 1
+    assert brute >= 100
+
+
+def test_rank2_minimum_needs_no_lll(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def refuse(basis):
+        raise Reached
+
+    monkeypatch.setattr(ll, "lll_reduce", refuse)
+    sched = fl.FlowSchedule.preset("equal", n=1)
+    ll.translate_sample(CurveSpec.moment(1), sched, ll.catalog_basis(1), t=3.0, count=5, seed=0)
+    assert ll.systole(ll.catalog_basis(1)) == 1.0
+    # rows (2, 0) and (2/3, 1/2)
+    assert ll.shortest_vector(ll.shear_basis((2, Q(1, 2)), (Q(1, 3),))) == Q(25, 36)
+    with pytest.raises(Reached):
+        ll.shortest_vector(random_unimodular_basis(3, seed=0))
+    with pytest.raises(Reached):
+        ll.systole(random_real_basis(3, seed=0))
+
+
 def _fraction_gso(rows):
     star, mu = [], {}
     for i, row in enumerate(rows):
