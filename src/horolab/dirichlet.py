@@ -14,16 +14,17 @@ holds with that uncertainty added on the unfavourable side, so ``found`` is
 never a false positive; a miss within half an ulp of the boundary may be
 conservative.
 
-Each form is one sweep per xi that answers a list of (box, mu) targets.
-The primal sweep evaluates ``|q . xi - p|`` in floats once over the union
-of the boxes, held in canonical (shell-first) order so that each target
-reads its box as a prefix, or as a mask of one; it walks only the q whose
-first nonzero coordinate is positive, since -q answers alike and sorts
-later.  The dual sweep does the same over ``q = 1 .. max prod N``.  Every
-point of the float band, widened by a bound on the rounding of the sweep,
-is confirmed in integer arithmetic over the common denominator of xi.
-Nothing is shortlisted or capped, so the primal witness is the exact
-smallest-error one and the dual witness has the exact smallest q.
+Each form is a sweep that takes any list of queries, grouped by xi and, for
+the primal form, by dimension.  The primal sweep evaluates ``|q . xi - p|``
+in floats for several xi at once over the union box of a group, held in
+canonical (shell-first) order so that each query reads the shells up to its
+largest bound; it walks only the q whose first nonzero coordinate is
+positive, since -q answers alike and sorts later.  The dual sweep does the
+same over ``q = 1 .. max prod N`` for each xi.  Every point of the float
+band, widened by a bound on the rounding of the sweep, is confirmed in
+integer arithmetic over the common denominator of xi.  Nothing is
+shortlisted or capped, so the primal witness is the exact smallest-error one
+and the dual witness has the exact smallest q.
 """
 
 from __future__ import annotations
@@ -33,19 +34,26 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .curvejet import CurveSpec, _poly_eval_exact
-from .exact import _scaled, diag
+from .exact import _ratio, _scaled, diag
 from .latticelab import LatticeBasis, enumerate_ball, lll_reduce, shear_basis
 
 Number = Union[int, float, Q]
 
 SEARCH_BUDGET = 10**7
-_CHUNK = 1 << 20  # points (or q values) per slab of a sweep; bounds its memory
+_CHUNK = 1 << 20  # points per slab of the primal sweep; bounds its memory
+# q values per slab of the dual sweep: a query stops at its first witness, and
+# each float array stays within 128 KiB
+_DUAL_CHUNK = 1 << 13
 _CONFIRM_BLOCK = 1 << 16  # band points confirmed at once; bounds the Python-int arrays
+_ROW_BLOCK = 1 << 15  # float errors (xi rows x points) computed at once, past one row
+# A primal query reads its group's union up to its largest bound: at most this
+# many times its own box, or the floor (any boxes with N_i <= 8 in 3 dimensions).
+_UNION_SLACK, _UNION_FLOOR = 4, 1 << 13
 _FLOAT_MARGIN = 1e-9
 
 
@@ -53,13 +61,13 @@ class SearchBudgetError(RuntimeError):
     """Raised when a requested scan exceeds the desk-scale point budget."""
 
 
-def _exact(x: Number) -> Tuple[Q, Q]:
-    """Exact value of a number plus its outward-rounding allowance."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError("coordinates must be finite")
-        return Q(x), Q(math.ulp(abs(x)) if x else math.ulp(0.0)) / 2
-    return Q(x), Q(0)
+def _allowance(x: Number) -> Number:
+    """Outward-rounding allowance: half an ulp for a float, 0 for an exact number."""
+    if not isinstance(x, float):
+        return 0
+    if not math.isfinite(x):
+        raise ValueError("coordinates must be finite")
+    return math.ulp(x) / 2 or Q(1, 2**1075)  # half the least subnormal is no float
 
 
 def _canonical_key(q: Sequence[int]) -> Tuple:
@@ -89,8 +97,7 @@ class DIQuery:
             raise ValueError("xi and bounds must have equal positive length")
         if any(b < 1 for b in self.bounds):
             raise ValueError("box sizes must be >= 1")
-        mu_exact, _ = _exact(self.mu)
-        if not 0 < mu_exact <= 1:
+        if not 0 < self.mu <= 1:  # exact for every Number; NaN fails it
             raise ValueError("improvement factor must lie in (0, 1]")
 
     @property
@@ -99,10 +106,7 @@ class DIQuery:
 
     @property
     def box_product(self) -> int:
-        p = 1
-        for b in self.bounds:
-            p *= b
-        return p
+        return math.prod(self.bounds)
 
 
 @dataclass(frozen=True)
@@ -126,25 +130,9 @@ def _check_budget(points: int) -> None:
         raise SearchBudgetError(f"{points} points exceeds budget {SEARCH_BUDGET}")
 
 
-def _shared_xi(queries: Sequence[DIQuery]) -> Tuple[Number, ...]:
-    """The target vector of a batch, after checking the batch is one sweep."""
-    if not queries:
-        raise ValueError("a sweep needs at least one query")
-    xi = queries[0].xi
-    # a float and an equal Fraction differ in their half-ulp allowance
-    typed = [(type(x), x) for x in xi]
-    if any([(type(x), x) for x in q.xi] != typed for q in queries):
-        raise ValueError("queries in one sweep must share xi")
-    for q in queries:
-        _check_budget(q.box_product)
-    return xi
-
-
-def _scaled_xi(xi: Sequence[Number]) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
-    """xi and its half-ulp allowances as integers over one common denominator."""
-    pairs = [_exact(x) for x in xi]
-    (nums, ulps), denom = _scaled([[v for v, _ in pairs], [u for _, u in pairs]])
-    return nums, ulps, denom
+def _xi_key(xi: Sequence[Number]) -> Tuple:
+    """xi with its types: a float and an equal Fraction differ in allowance."""
+    return tuple((type(x), x) for x in xi)
 
 
 def _float_error(bounds: Sequence[int], xi_f: Sequence[float]) -> float:
@@ -165,7 +153,8 @@ def _nearest(t, denom: int):
 # -- primal sweep ----------------------------------------------------------------------
 
 
-def _count(bounds: Sequence[int], level: int) -> int:
+@functools.lru_cache(maxsize=1 << 12)
+def _count(bounds: Tuple[int, ...], level: int) -> int:
     """Nonzero box points with max |q_i| <= level."""
     return math.prod(2 * min(b, level) + 1 for b in bounds) - 1
 
@@ -200,9 +189,10 @@ def _shells(bounds: Tuple[int, ...], lo: int, hi: int) -> np.ndarray:
     return pts[:, np.lexsort(keys)]
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=8)
 def _canonical_box(bounds: Tuple[int, ...]) -> np.ndarray:
-    """The positive-first half of a box that fits one slab, read-only."""
+    """The positive-first half of a box that fits one slab, read-only; kept
+    across calls, as a batch walks a few union boxes and a scan one box."""
     box = _shells(bounds, 1, max(bounds))
     box.flags.writeable = False
     return box
@@ -225,91 +215,145 @@ def _box_slabs(bounds: Tuple[int, ...]) -> Iterator[Tuple[int, int, np.ndarray]]
         lo = hi + 1
 
 
-def _sweep_error(box: np.ndarray, xi_f: Sequence[float]) -> np.ndarray:
-    """Float |q . xi - p| with p nearest, for each column q of a box slab."""
-    r = box[0] * xi_f[0]
-    for i in range(1, len(xi_f)):
-        r += box[i] * xi_f[i]
-    return np.abs(r - np.rint(r))
+def _sweep_error(box: np.ndarray, xi_f) -> np.ndarray:
+    """Float |q . xi - p| with p nearest, for each column q of a box slab:
+    one vector for one xi, one row per xi for a sequence of them."""
+    x = np.asarray(xi_f, dtype=float).T[..., None]
+    r = box[0] * x[0]
+    for i in range(1, len(x)):
+        r += box[i] * x[i]
+    r -= np.rint(r)
+    return np.abs(r, out=r)
 
 
-@dataclass(frozen=True)
-class _PrimalTarget:
-    bounds: Tuple[int, ...]
-    level: int          # max bound: the target lies in the union's first shells
-    prefix: bool        # the target is exactly those shells of the union
-    band: float         # no witness has a float error above this
-    limit: int          # integer threshold on (error + shrink) * denom
-
-
-def primal_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
-    """Primal searches for queries sharing xi, in one pass over their union box.
-
-    Each result is the exact smallest-error witness of its own box, ties
-    broken toward the canonical-first q and then the smaller p; it is what
-    ``di_witness`` returns for that query alone.  Only q with a positive
-    first nonzero coordinate are walked: -q has the same exact error and
-    shrink, the same float error bit for bit (IEEE arithmetic and ``rint``
-    are sign-symmetric) and sorts after q, so the answers are the full
-    box's.  Every point whose float error lies in some target's band is
-    confirmed in integers, with the half-ulp shrink of float inputs.
-    """
-    xi = _shared_xi(queries)
-    nums, ulps, denom = _scaled_xi(xi)
-    xi_f = [float(Q(a, denom)) for a in nums]
-    union = tuple(map(max, zip(*(q.bounds for q in queries))))
-    targets = []
-    for q in queries:
+def _primal_groups(queries: Sequence[DIQuery]) -> List[List[int]]:
+    """Query indices split into primal sweeps of one dimension each: a query
+    joins the latest sweep of its dimension unless the grown union would pass
+    the budget or some member's cap (``_UNION_SLACK``), kept per level."""
+    groups: List[List[int]] = []
+    latest: Dict[int, Tuple] = {}  # dimension -> (union, caps by level, members)
+    for k, q in enumerate(queries):
+        _check_budget(q.box_product)
         level = max(q.bounds)
-        bound = _exact(q.mu)[0] / q.box_product
-        targets.append(_PrimalTarget(
-            q.bounds, level, all(t == min(u, level) for t, u in zip(q.bounds, union)),
-            float(bound) + _float_error(q.bounds, xi_f),
-            math.floor(bound * denom)))
-    # Python ints only when int64 could overflow.
-    big = 2 * (sum(b * (abs(a) + u) for b, a, u in zip(union, nums, ulps)) + denom)
-    dtype = np.int64 if big < 2**62 else object
-    nums_v, ulps_v = np.array(nums, dtype=dtype), np.array(ulps, dtype=dtype)
+        cap = max(_UNION_FLOOR, _UNION_SLACK * _count(q.bounds, level))
+        union, caps, members = latest.get(q.dimension, (q.bounds, {}, None))
+        grown = tuple(map(max, union, q.bounds))
+        checks = [(level, cap)] + (list(caps.items()) if grown != union else [])
+        if (members is None or math.prod(grown) > SEARCH_BUDGET
+                or any(_count(grown, lv) > c for lv, c in checks)):
+            grown, caps, members = q.bounds, {}, []
+            groups.append(members)
+        caps[level] = min(cap, caps.get(level, cap))
+        members.append(k)
+        latest[q.dimension] = (grown, caps, members)
+    return groups
 
-    best: List[Optional[Tuple]] = [None] * len(targets)
-    for lo, hi, box in _box_slabs(union):
-        err = _sweep_error(box, xi_f)
-        keep = np.zeros(box.shape[1], dtype=bool)
-        spans = []
-        for t in targets:
-            end = max(0, _count(union, min(t.level, hi)) - _count(union, lo - 1)) // 2
-            inside = None if t.prefix else (
-                np.abs(box[:, :end]) <= np.array(t.bounds)[:, None]).all(axis=0)
-            band = err[:end] <= t.band
-            keep[:end] |= band if inside is None else band & inside
-            spans.append((end, inside))
-        candidates = np.flatnonzero(keep)
-        for start in range(0, candidates.size, _CONFIRM_BLOCK):
-            idx = candidates[start : start + _CONFIRM_BLOCK]
-            qs = box[:, idx].astype(dtype)
-            p, e = _nearest(nums_v @ qs, denom)
-            total = e + ulps_v @ np.abs(qs)
-            for k, (t, (end, inside)) in enumerate(zip(targets, spans)):
-                size = int(np.searchsorted(idx, end))
+
+class _PrimalTarget(NamedTuple):
+    k: int                        # position in the batch
+    level: int                    # max bound: the target lies in the union's first shells
+    inside: Optional[np.ndarray]  # bounds as a column; None if the box is those shells
+    band: float                   # no witness has a float error above this
+    limit: int                    # integer threshold on (error + shrink) * denom
+
+
+class _PrimalRow:
+    """One xi of a group: its floats, its integers over one denominator, and
+    the targets that ask about it."""
+
+    def __init__(self, xi: Sequence[Number], union: Tuple[int, ...]) -> None:
+        (nums, ulps), self.denom = _scaled([xi, [_allowance(x) for x in xi]])
+        # Python ints only when int64 could overflow.
+        big = 2 * (sum(b * (abs(a) + u) for b, a, u in zip(union, nums, ulps)) + self.denom)
+        dtype = np.int64 if big < 2**62 else object
+        self.nums, self.ulps = np.array(nums, dtype=dtype), np.array(ulps, dtype=dtype)
+        self.xi_f = tuple(a / self.denom for a in nums)
+        self.targets: List[_PrimalTarget] = []
+        self.level = 0
+
+    def confirm(self, box: np.ndarray, cands: np.ndarray, stops: List[int], best: List) -> None:
+        """Integer test of band points, each target reading the slab up to its
+        stop; keeps the smallest error, ties to the earlier (canonical) q."""
+        for start in range(0, cands.size, _CONFIRM_BLOCK):
+            idx = cands[start : start + _CONFIRM_BLOCK]
+            qs = box[:, idx]
+            mag = np.abs(qs)
+            p, e = _nearest(self.nums @ qs.astype(self.nums.dtype), self.denom)
+            total = e + self.ulps @ mag.astype(self.nums.dtype)
+            for t, stop in zip(self.targets, stops):
+                size = int(np.searchsorted(idx, stop))
                 ok = total[:size] <= t.limit
-                if inside is not None:
-                    ok &= inside[idx[:size]]
+                if t.inside is not None:
+                    ok &= (mag[:, :size] <= t.inside).all(axis=0)
                 hits = np.flatnonzero(ok)
                 if hits.size:
                     j = hits[np.argmin(e[hits])]
-                    if best[k] is None or e[j] < best[k][0]:
-                        best[k] = (int(e[j]), tuple(int(c) for c in box[:, idx[j]]), int(p[j]))
+                    if best[t.k] is None or e[j] < best[t.k][0]:
+                        best[t.k] = (int(e[j]), tuple(int(c) for c in qs[:, j]), int(p[j]))
 
-    return [WitnessResult(hit is not None, None if hit is None else hit[1:],
-                          _count(t.bounds, t.level))
-            for t, hit in zip(targets, best)]
+
+def _primal_group(queries: Sequence[DIQuery], members: List[int], best: List) -> None:
+    """The queries ``members`` of one dimension, in one pass over their union."""
+    union = tuple(map(max, zip(*(queries[k].bounds for k in members))))
+    rows: Dict[Tuple, _PrimalRow] = {}
+    for k in members:
+        q = queries[k]
+        key = _xi_key(q.xi)
+        row = rows.get(key) or rows.setdefault(key, _PrimalRow(q.xi, union))
+        level = max(q.bounds)
+        prefix = all(b == min(u, level) for b, u in zip(q.bounds, union))
+        mu_num, mu_den = _ratio(q.mu)
+        scale = mu_den * q.box_product  # the bound mu / prod N is mu_num / scale
+        row.targets.append(_PrimalTarget(
+            k, level, None if prefix else np.array(q.bounds)[:, None],
+            mu_num / scale + _float_error(q.bounds, row.xi_f), mu_num * row.denom // scale))
+        row.level = max(row.level, level)
+    order = sorted(rows.values(), key=lambda row: row.level)  # short reads first
+
+    for lo, hi, box in _box_slabs(union):
+        base = _count(union, lo - 1)
+
+        def end(level: int) -> int:  # slab points in the shells up to level
+            return max(0, _count(union, min(level, hi)) - base) // 2
+
+        live = [(row, end(row.level)) for row in order if row.level >= lo]
+        step = max(1, _ROW_BLOCK // max((width for _, width in live), default=1))
+        for i in range(0, len(live), step):  # reads ascend: a block is as wide as its last
+            block = live[i : i + step]
+            err = _sweep_error(box[:, : block[-1][1]], [row.xi_f for row, _ in block])
+            for (row, width), row_err in zip(block, err):
+                stops = [end(t.level) for t in row.targets]
+                keep = np.zeros(width, dtype=bool)
+                for t, stop in zip(row.targets, stops):
+                    keep[:stop] |= row_err[:stop] <= t.band
+                row.confirm(box, np.flatnonzero(keep), stops, best)
+
+
+def primal_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
+    """Primal searches for any list of queries, one pass per union box.
+
+    ``_primal_groups`` splits the queries by dimension; each group walks its
+    union box once, with one float error row per distinct xi.  Each result
+    is the exact smallest-error witness of its own box, ties broken toward
+    the canonical-first q and then the smaller p: what ``di_witness`` returns
+    for that query alone.  Walking only the positive-first q loses nothing:
+    -q has the same exact error and shrink, the same float error bit for bit
+    (IEEE arithmetic and ``rint`` are sign-symmetric) and sorts after q.
+    """
+    if not queries:
+        raise ValueError("a sweep needs at least one query")
+    best: List[Optional[Tuple]] = [None] * len(queries)
+    for members in _primal_groups(queries):
+        _primal_group(queries, members, best)
+    return [WitnessResult(hit is not None, hit and hit[1:], _count(q.bounds, max(q.bounds)))
+            for q, hit in zip(queries, best)]
 
 
 def di_witness(query: DIQuery) -> WitnessResult:
     """Exhaustive primal search; returns the smallest-error witness.
 
     Ties in the error are broken toward the small positive corner of the
-    box.  The one-target case of ``primal_sweep``.
+    box.  The one-query case of ``primal_sweep``.
     """
     return primal_sweep([query])[0]
 
@@ -317,58 +361,58 @@ def di_witness(query: DIQuery) -> WitnessResult:
 # -- dual sweep ------------------------------------------------------------------------
 
 
-def _dual_confirm(q: int, nums, ulps, denom: int, limits) -> Optional[Tuple[int, ...]]:
-    """Exact dual test at one q: the nearest p_i, or None if some coordinate fails."""
-    ps = []
-    for a, u, limit in zip(nums, ulps, limits):
-        p, e = _nearest(q * a, denom)
-        if e + q * u > limit:
-            return None
-        ps.append(p)
-    return tuple(ps)
-
-
 def dual_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
-    """Dual searches for queries sharing xi, in one pass over q = 1 .. max prod N.
+    """Dual searches for any list of queries, one pass over q = 1 .. max prod N
+    per distinct xi.
 
-    Each target takes the first q of its own range that the integer test
+    Each query takes the first q of its own range that the integer test
     confirms, so its witness has the exact smallest q > 0 (witnesses come
     in +-(q, p) pairs); it is what ``di_dual_witness`` returns for that
     query alone.
     """
-    xi = _shared_xi(queries)
-    nums, ulps, denom = _scaled_xi(xi)
-    xi_f = np.array([float(Q(a, denom)) for a in nums])
-    tops = [q.box_product for q in queries]
-    allowances = [[_exact(q.mu)[0] / n for n in q.bounds] for q in queries]
-    limits = [[math.floor(a * denom) for a in allow] for allow in allowances]
-    bands = [np.array([float(a) + _float_error([top], [x]) for a, x in zip(allow, xi_f)])
-             for allow, top in zip(allowances, tops)]
-
+    if not queries:
+        raise ValueError("a sweep needs at least one query")
+    by_xi: Dict[Tuple, List[int]] = {}
+    for k, q in enumerate(queries):
+        _check_budget(q.box_product)
+        by_xi.setdefault(_xi_key(q.xi), []).append(k)
     results: List[Optional[WitnessResult]] = [None] * len(queries)
-    for start in range(1, max(tops) + 1, _CHUNK):
-        open_ = [k for k, top in enumerate(tops) if results[k] is None and start <= top]
-        if not open_:
-            break
-        qs = np.arange(start, min(start + _CHUNK, max(tops) + 1), dtype=np.int64)
-        r = np.outer(xi_f, qs)
-        err = np.abs(r - np.rint(r))
-        for k in open_:
-            rows = err[:, : tops[k] + 1 - start]
-            for i in np.flatnonzero((rows <= bands[k][:, None]).all(axis=0)):
-                q = start + int(i)
-                ps = _dual_confirm(q, nums, ulps, denom, limits[k])
-                if ps is not None:
-                    results[k] = WitnessResult(True, (q, ps), q)
-                    break
-    return [res or WitnessResult(False, None, top) for res, top in zip(results, tops)]
+    for members in by_xi.values():
+        xi = queries[members[0]].xi
+        (nums, ulps), denom = _scaled([xi, [_allowance(x) for x in xi]])
+        xi_f = np.array([a / denom for a in nums])
+        tops, limits, bands = {}, {}, {}
+        for k in members:
+            q = queries[k]
+            tops[k] = q.box_product
+            mu_num, mu_den = _ratio(q.mu)  # the allowance mu / N_i is mu_num / (mu_den N_i)
+            limits[k] = [mu_num * denom // (mu_den * n) for n in q.bounds]
+            bands[k] = np.array([mu_num / (mu_den * n) + _float_error([tops[k]], [x])
+                                 for n, x in zip(q.bounds, xi_f)])
+        for start in range(1, max(tops.values()) + 1, _DUAL_CHUNK):
+            open_ = [k for k in members if results[k] is None and start <= tops[k]]
+            if not open_:
+                break
+            qs = np.arange(start, min(start + _DUAL_CHUNK, max(tops.values()) + 1), dtype=np.int64)
+            r = np.outer(xi_f, qs)
+            err = np.abs(r - np.rint(r))
+            for k in open_:
+                rows = err[:, : tops[k] + 1 - start]
+                for i in np.flatnonzero((rows <= bands[k][:, None]).all(axis=0)):
+                    q = start + int(i)  # exact test: the nearest p_i, each within its limit
+                    near = [_nearest(q * a, denom) for a in nums]
+                    if all(e + q * u <= lim for (_, e), u, lim in zip(near, ulps, limits[k])):
+                        results[k] = WitnessResult(True, (q, tuple(p for p, _ in near)), q)
+                        break
+    return [res or WitnessResult(False, None, q.box_product)
+            for res, q in zip(results, queries)]
 
 
 def di_dual_witness(query: DIQuery) -> WitnessResult:
     """Exhaustive dual search; returns the smallest-|q| witness.
 
     Witness pairs come in +-(q, p) pairs, so only positive q are scanned
-    and the reported witness has q > 0.  The one-target case of
+    and the reported witness has q > 0.  The one-query case of
     ``dual_sweep``.
     """
     return dual_sweep([query])[0]
@@ -399,8 +443,10 @@ def box_point_search(query: DIQuery) -> WitnessResult:
     the rounding convention, so verdict agreement with ``di_witness`` is a
     real consistency check.
     """
-    xi = [_exact(x)[0] for x in query.xi]
-    widths = (_exact(query.mu)[0] / query.box_product,) + tuple(Q(b) for b in query.bounds)
+    widths = (Q(query.mu) / query.box_product,) + tuple(Q(b) for b in query.bounds)
+    # The shrink in units of the box: sum_i (u_i / width) |q_i| = shrink . |q| / sden.
+    (shrink,), sden = _scaled([[Q(_allowance(x)) / widths[0] for x in query.xi]])
+    xi = [Q(x) for x in query.xi]
     _check_budget(math.prod(2 * b + 1 for b in query.bounds))
     basis = shear_basis([1 / w for w in widths], xi, _dani_base(len(xi)),
                         expect_unimodular=False)
@@ -410,8 +456,6 @@ def box_point_search(query: DIQuery) -> WitnessResult:
     # first coordinate of each reduced row, off the transform
     head = [row[0] for row in basis.ints]
     first = tuple(sum(map(mul, row, head)) for row in red.transform)
-    # The shrink in units of the box: sum_i (u_i / width) |q_i| = shrink . |q| / sden.
-    (shrink,), sden = _scaled([[_exact(x)[1] / widths[0] for x in query.xi]])
     hits = []
     volume = 0
 
@@ -566,42 +610,23 @@ def curve_scan(
     if not targets:
         raise ValueError("empty target prefix")
     s_values = tuple(float(s) for s in np.linspace(interval[0], interval[1], s_grid))
-
-    cells: List[ScanCell] = []
-    hints: List[int] = []
     inside = [ni for ni, bounds in enumerate(targets) if math.prod(bounds) <= SEARCH_BUDGET]
+    cells: List[ScanCell] = []
     for si, s in enumerate(s_values):
-        xi = _curve_xi(curve, s)
-        if _rational_hint(s) and curve.poly is not None:
-            hints.append(si)
-        answers: Dict[Tuple[int, str], WitnessResult] = {}
-        if inside:
-            queries = [DIQuery(xi, targets[ni], mu) for ni in inside]
-            for form, sweep in (("primal", primal_sweep), ("dual", dual_sweep)):
-                answers.update(((ni, form), res) for ni, res in zip(inside, sweep(queries)))
+        queries = [DIQuery(_curve_xi(curve, s), targets[ni], mu) for ni in inside]
+        answers = {form: iter(sweep(queries) if queries else ())
+                   for form, sweep in (("primal", primal_sweep), ("dual", dual_sweep))}
         for ni in range(len(targets)):
             for form in ("primal", "dual"):
-                res = answers.get((ni, form))
-                if res is None:
-                    cells.append(ScanCell(si, s, ni, form, False, None, 0, True))
-                else:
-                    cells.append(ScanCell(si, s, ni, form, res.found, res.witness,
-                                          res.search_volume, False))
+                res = next(answers[form]) if ni in inside else WitnessResult(False, None, 0)
+                cells.append(ScanCell(si, s, ni, form, res.found, res.witness,
+                                      res.search_volume, ni not in inside))
 
-    by_s: Dict[int, List[ScanCell]] = {}
-    for c in cells:
-        by_s.setdefault(c.s_index, []).append(c)
     fractions: List[float] = []
     for length in range(1, len(targets) + 1):
-        hits = 0
-        denom = 0
-        for si in range(len(s_values)):
-            window = [c for c in by_s[si] if c.n_index < length]
-            if any(c.skipped for c in window):
-                continue
-            denom += 1
-            if all(c.found for c in window):
-                hits += 1
-        fractions.append(hits / denom if denom else math.nan)
-
+        windows = [cells[i : i + 2 * length] for i in range(0, len(cells), 2 * len(targets))]
+        counted = [w for w in windows if not any(c.skipped for c in w)]
+        hits = sum(all(c.found for c in w) for w in counted)
+        fractions.append(hits / len(counted) if counted else math.nan)
+    hints = [si for si, s in enumerate(s_values) if curve.poly is not None and _rational_hint(s)]
     return ScanTable(tuple(cells), tuple(fractions), tuple(hints))

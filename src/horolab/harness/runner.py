@@ -515,10 +515,9 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     failures: List[Dict] = []
 
     rng = generator(cfg.seed, "di-equivalence")
+    queries = [_random_query(rng, (0.3, 0.6, 0.9)) for _ in range(n_queries)]
     agree = 0
-    for trial in range(n_queries):
-        query = _random_query(rng, (0.3, 0.6, 0.9))
-        a = di.di_witness(query)
+    for trial, (query, a) in enumerate(zip(queries, di.primal_sweep(queries))):
         b = di.box_point_search(query)
         same = a.found == b.found
         agree += int(same)
@@ -530,10 +529,9 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
                              "bounds": list(query.bounds), "mu": query.mu})
 
     rng = generator(cfg.seed, "di-complete")
+    queries = [_random_query(rng, (1.0,)) for _ in range(n_queries)]
     complete = 0
-    for trial in range(n_queries):
-        query = _random_query(rng, (1.0,))
-        res = di.di_witness(query)
+    for trial, (query, res) in enumerate(zip(queries, di.primal_sweep(queries))):
         complete += int(res.found)
         query_rows.append(["completeness", trial, query.dimension,
                            str(query.bounds), 1.0, res.found, res.found, res.found])
@@ -545,10 +543,11 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     rng = generator(cfg.seed, "di-monotone")
     monotone = 0
     mu_grid = (0.2, 0.4, 0.6, 0.8, 1.0)
-    for trial in range(n_mono):
-        base = _random_query(rng, (0.5,))
-        flags = [res.found for res in di.primal_sweep(
-            [di.DIQuery(base.xi, base.bounds, mu) for mu in mu_grid])]
+    bases = [_random_query(rng, (0.5,)) for _ in range(n_mono)]
+    sweep = iter(di.primal_sweep(
+        [di.DIQuery(base.xi, base.bounds, mu) for base in bases for mu in mu_grid]))
+    for trial, base in enumerate(bases):
+        flags = [next(sweep).found for _ in mu_grid]
         ok = all(b or not a for a, b in zip(flags, flags[1:]))
         monotone += int(ok)
         query_rows.append(["monotonicity", trial, base.dimension,
@@ -569,11 +568,8 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     curve = CurveSpec.preset(cfg.curve or "moment", n=cfg.n or 2)
     interval = cfg.interval or (0.0, 1.0)
     table = di.curve_scan(curve, interval, _SCAN_PREFIX, _SCAN_MU, s_grid)
-    scan_rows = [
-        [r["s"], r["n_index"], r["form"], r["found"], r["witness"],
-         r["search_volume"]]
-        for r in table.rows()
-    ]
+    scan_header = ["s", "n_index", "form", "found", "witness", "search_volume"]
+    scan_rows = [[r[key] for key in scan_header] for r in table.rows()]
     fraction = table.all_improvable_fraction
     scan_ok = fraction < 0.5
     if not scan_ok:
@@ -595,7 +591,6 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     )
     query_header = ["check", "trial", "n", "bounds", "mu", "primal_found",
                     "box_found", "passed"]
-    scan_header = ["s", "n_index", "form", "found", "witness", "search_volume"]
     return [
         ("dirichlet_queries.csv", query_header, query_rows),
         ("dirichlet_scan.csv", scan_header, scan_rows),

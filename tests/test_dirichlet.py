@@ -140,8 +140,19 @@ def test_budget_guard():
 def test_query_validation():
     with pytest.raises(ValueError):
         di.DIQuery((0.5,), (0,), 0.5)
-    with pytest.raises(ValueError):
-        di.DIQuery((0.5,), (2,), 1.5)
+    bad_mu = [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.5, 1.0 + 2**-52,
+              0, -1, 2, Q(0), Q(-1, 3), Q(3, 2), 1 + Q(1, 10**30)]
+    for mu in bad_mu:
+        with pytest.raises(ValueError):
+            di.DIQuery((0.5,), (2,), mu)
+    for mu in (1, 1.0, Q(1), 5e-324, Q(1, 10**30)):
+        assert di.DIQuery((0.5,), (2,), mu).mu == mu
+    # xi is checked when a sweep takes it: a float coordinate must be finite
+    for x in (math.nan, math.inf, -math.inf):
+        query = di.DIQuery((0.5, x), (2, 2), 0.5)
+        for sweep in (di.primal_sweep, di.dual_sweep):
+            with pytest.raises(ValueError):
+                sweep([query])
 
 
 @given(
@@ -452,16 +463,94 @@ def test_sweeps_match_single_searches_in_any_slab_size(monkeypatch):
     for (_, search, batch), results in zip(batches, whole):
         assert results == [search(q) for q in batch]
     monkeypatch.setattr(di, "_CHUNK", 5)
+    monkeypatch.setattr(di, "_DUAL_CHUNK", 5)
     monkeypatch.setattr(di, "_CONFIRM_BLOCK", 2)
     assert sweep_all() == whole
 
 
-def test_sweeps_reject_mixed_batches():
-    with pytest.raises(ValueError):
-        di.primal_sweep([di.DIQuery((0.3,), (2,), 0.5),
-                         di.DIQuery((0.4,), (2,), 0.5)])
-    with pytest.raises(ValueError):
-        di.primal_sweep([di.DIQuery((0.5,), (2,), 0.5),
-                         di.DIQuery((Q(1, 2),), (2,), 0.5)])
-    with pytest.raises(ValueError):
-        di.primal_sweep([])
+def _mixed_batch():
+    """Queries of dimensions 1-3 in shuffled order, each xi asked with several
+    boxes and factors, and the float 0.5 next to the Fraction 1/2."""
+    rng = np.random.default_rng(11)
+    batch = []
+    for _ in range(12):
+        n = int(rng.integers(1, 4))
+        xi = tuple(float(x) for x in rng.uniform(-2, 2, n))
+        if rng.integers(0, 2):
+            xi = tuple(Q(x).limit_denominator(int(rng.integers(2, 40))) for x in xi)
+        for mu in (0.3, 0.7, 1.0):
+            batch.append(di.DIQuery(xi, tuple(int(b) for b in rng.integers(1, 9, n)), mu))
+    # q = 2 meets 2 xi = 1 exactly; the half-ulp shrink of the float (2^-53)
+    # is over the bound 2^-61, so only the Fraction finds it
+    batch += [di.DIQuery((x, 0.25), (2, 1), Q(1, 2**60)) for x in (0.5, Q(1, 2))]
+    return [batch[k] for k in rng.permutation(len(batch))]
+
+
+def test_mixed_batches_equal_single_searches(monkeypatch):
+    # a sweep takes any list of queries: grouping by xi and dimension, slabs,
+    # row blocks and confirmation blocks change no result
+    batch = _mixed_batch()
+    forms = ((di.primal_sweep, di.di_witness), (di.dual_sweep, di.di_dual_witness))
+    single = [[search(q) for q in batch] for _, search in forms]
+    exact, rounded = (next(r for q, r in zip(batch, single[0])
+                           if q.mu == Q(1, 2**60) and type(q.xi[0]) is t) for t in (Q, float))
+    assert exact.witness == ((2, 0), 1) and not rounded.found
+    for (sweep, _), want in zip(forms, single):
+        assert sweep(batch) == want
+    monkeypatch.setattr(di, "_CHUNK", 5)
+    monkeypatch.setattr(di, "_DUAL_CHUNK", 3)
+    monkeypatch.setattr(di, "_CONFIRM_BLOCK", 2)
+    monkeypatch.setattr(di, "_ROW_BLOCK", 7)
+    for (sweep, _), want in zip(forms, single):
+        assert sweep(batch) == want
+    for sweep, _ in forms:
+        with pytest.raises(ValueError):
+            sweep([])
+
+
+def _counting(monkeypatch, name):
+    """Replace ``di.<name>`` by a wrapper that records its arguments."""
+    calls = []
+    inner = getattr(di, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(di, name, wrapper)
+    return calls
+
+
+def test_a_witness_suite_builds_each_union_box_once(monkeypatch, tmp_path):
+    # one box build per union shape for the whole run, the scan's box included
+    from horolab.harness import run, validate_config
+
+    di._canonical_box.cache_clear()
+    built = _counting(monkeypatch, "_shells")
+    walked = _counting(monkeypatch, "_box_slabs")
+    cfg = validate_config({"kind": "dirichlet-scan", "n": 2, "curve": "moment",
+                           "interval": [0, 1], "seed": 3,
+                           "samples": {"grid": 9, "monotonicity": 20, "queries": 40}})
+    assert run(cfg, tmp_path).exit_code == 0
+    shapes = {args[0] for args in walked}
+    assert (256, 256) in shapes and len(walked) > len(shapes)
+    assert len(built) <= len(shapes)
+
+
+def test_groups_never_walk_a_union_far_beyond_their_boxes(monkeypatch):
+    # (10^4, 1) and (1, 10^4) have a union of 10^8 points: each sweeps alone
+    batch = [di.DIQuery((0.3, 0.7), (10**4, 1), 0.5),
+             di.DIQuery((0.6, 0.1), (10**4, 1), 0.9),
+             di.DIQuery((0.3, 0.7), (1, 10**4), 0.5)]
+    assert di._primal_groups(batch) == [[0, 1], [2]]
+    # within the budget, a union read 3000 times wider than a member's box
+    # splits too, while nested cubes share one walk
+    for shapes in ([(3000, 1), (1, 3000)], [(1, 3000), (3000, 3000)]):
+        thin = [di.DIQuery((0.3, 0.7), b, 0.5) for b in shapes]
+        assert di._primal_groups(thin) == [[0], [1]]
+    cubes = [di.DIQuery((0.3, 0.7), (2**k, 2**k), 0.5) for k in range(1, 9)]
+    assert di._primal_groups(cubes) == [list(range(8))]
+    want = [di.di_witness(q) for q in batch]
+    walked = _counting(monkeypatch, "_box_slabs")
+    assert di.primal_sweep(batch) == want
+    assert sorted(args[0] for args in walked) == [(1, 10**4), (10**4, 1)]
