@@ -309,59 +309,59 @@ def systole(basis: LatticeBasis) -> float:
     return math.sqrt(float(shortest_vector(basis)))
 
 
-# -- empirical measures ----------------------------------------------------------------
+# -- systole laws ----------------------------------------------------------------------
+#
+# a_t u(s) Z^2 holds the vectors (e^t (p + s q), e^-t q).  At r <= 1 and t > 0
+# none with q = 0 is shorter than r, and at most one +-pair is (two independent
+# ones span an area >= 1), so for s uniform on [0, 1) the systole is <= r on
+# the disjoint intervals |s - a/q| <= e^-t sqrt(r^2 - e^-2t q^2) / q, gcd(a, q)
+# = 1: the law F_t.  As t grows it tends to 2 (6/pi^2) int_0^r sqrt(r^2 - u^2)
+# du = 3 r^2 / pi, the Haar law.
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    count: int
-    values: Tuple[float, ...]
-    bin_edges: Tuple[float, ...]
-    masses: Tuple[float, ...]
+def horocycle_law(t: float, r: np.ndarray) -> np.ndarray:
+    """F_t at the sorted points r of [0, 1]: the sum over q <= r e^t of
+    phi(q) 2 e^-t sqrt(r^2 - e^-2t q^2) / q, with Euler's phi sieved.
 
-    def __post_init__(self):
-        if self.count != len(self.values):
-            raise ValueError("count does not match sample size")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("values must be sorted")
-        if self.masses and abs(sum(self.masses) - 1.0) > 1e-9:
-            raise ValueError("masses must sum to 1")
-
-    @staticmethod
-    def from_values(values: Sequence[float]) -> "EmpiricalMeasure":
-        arr = np.sort(np.asarray(values, dtype=float))
-        if arr.size == 0:
-            raise ValueError("empty sample")
-        if not np.all(np.isfinite(arr)):
-            raise LatticeError("non-finite observable values")
-        lo, hi = float(arr[0]), float(arr[-1])
-        if hi <= lo:
-            hi = lo + 1.0
-        counts, edges = np.histogram(arr, bins=32, range=(lo, hi))
-        return EmpiricalMeasure(
-            count=int(arr.size),
-            values=tuple(float(x) for x in arr),
-            bin_edges=tuple(float(x) for x in edges),
-            masses=tuple(float(c) / arr.size for c in counts),
-        )
+    One q at a time over the suffix of r it reaches, so the memory is one
+    copy of r.
+    """
+    r = np.asarray(r, dtype=float)
+    if t <= 0 or not (0 <= r[0] and r[-1] <= 1 and np.all(np.diff(r) >= 0)):
+        raise ValueError("the horocycle law needs t > 0 and sorted r in [0, 1]")
+    shrink = math.exp(-t)
+    phi = np.arange(int(r[-1] / shrink) + 1)
+    law = np.zeros_like(r)
+    for q in range(1, phi.size):
+        if q > 1 and phi[q] == q:  # q is prime
+            phi[q::q] -= phi[q::q] // q
+        edge = shrink * q
+        start = int(np.searchsorted(r, edge, side="right"))
+        tail = r[start:]
+        law[start:] += (2 * shrink * int(phi[q]) / q) * np.sqrt((tail - edge) * (tail + edge))
+    return law
 
 
-def consistency_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
-    if m1.count == 0 or m2.count == 0:
-        raise ValueError("empty samples")
-    a = np.asarray(m1.values)
-    b = np.asarray(m2.values)
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
+def haar_law(r: np.ndarray) -> np.ndarray:
+    """3 r^2 / pi: the Haar probability of systole <= r (r <= 1) in rank 2."""
+    return 3 * np.square(r) / math.pi
 
 
-def ks_null_quantile(n1: int, n2: int, alpha: float = 0.05) -> float:
-    """Asymptotic two-sample KS quantile c(alpha) sqrt((n1+n2)/(n1 n2))."""
-    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
-    return c * math.sqrt((n1 + n2) / (n1 * n2))
+def ks_distance(values: np.ndarray, law: Callable[[np.ndarray], np.ndarray]) -> float:
+    """One-sample Kolmogorov-Smirnov distance sup_{r <= 1} |F_n(r) - law(r)|
+    of a sorted sample and a continuous law taken at sorted points of [0, 1]."""
+    head = values[: np.searchsorted(values, 1.0, side="right")]
+    cdf = law(np.append(head, 1.0))
+    rank = np.arange(head.size + 1) / values.size
+    return float(max(np.max(rank[1:] - cdf[:-1], initial=0.0),
+                     np.max(cdf - rank, initial=0.0)))
+
+
+def ks_null_quantile(n: int, alpha: float) -> float:
+    """sqrt(ln(2 / alpha) / 2) / sqrt(n), which a sample of n from a continuous
+    law exceeds with probability at most alpha (Dvoretzky-Kiefer-Wolfowitz,
+    Massart's constant), on r <= 1 as on the whole line."""
+    return math.sqrt(math.log(2 / alpha) / 2 / n)
 
 
 # -- translated sampling ----------------------------------------------------------------
@@ -375,7 +375,7 @@ CATALOG_BASES: Tuple[Tuple[Tuple[float, ...], ...], ...] = (
 
 
 def catalog_basis(index: int) -> LatticeBasis:
-    """Fixed compact-part base points used by consistency experiments."""
+    """Fixed base points of the translate experiments; base 0 is Z^2."""
     return LatticeBasis.from_rows(CATALOG_BASES[index])
 
 
@@ -386,8 +386,8 @@ def translate_sample(
     t: float,
     count: int,
     seed: int,
-) -> EmpiricalMeasure:
-    """Empirical law of the systole along flowed curve translates.
+) -> np.ndarray:
+    """The sorted systoles of flowed curve translates.
 
     Draws all s of the series at once, uniformly on [0, 1], from the
     series generator ``generator(seed, "translate-sample")``, and
@@ -401,34 +401,9 @@ def translate_sample(
         raise CurveError("translate sampling needs a polynomial curve")
     diagonal = np.exp(schedule.exponents(t)).tolist()
     draws = generator(seed, "translate-sample").uniform(0.0, 1.0, size=count)
-    return EmpiricalMeasure.from_values([
+    return np.sort([
         systole(shear_basis(diagonal, [_poly_eval_exact(row, s) for row in curve.poly], base))
         for s in draws.tolist()
-    ])
-
-
-def orbit_oracle(
-    schedule,
-    t: float,
-    count: int,
-    seed: int,
-) -> EmpiricalMeasure:
-    """Independent reference law from the expanded-orbit parametrization.
-
-    a_t u(s) = u(e^{2t} s) a_t for n = 1, so the t-translate of a unit
-    window equals a length-e^{2t} unipotent window at a fixed diagonal
-    point; this path builds u(w) a_t Z^2 = a_t u(w d_1 / d_0) Z^2 directly,
-    bypassing the curve and translate machinery.  All w of the series come
-    from one generator, as in ``translate_sample``.
-    """
-    if schedule.n != 1:
-        raise ValueError("orbit oracle is a dimension-1 reference")
-    diagonal = np.exp(schedule.exponents(t)).tolist()
-    ratio = Q(diagonal[1]) / Q(diagonal[0])
-    draws = generator(seed, "orbit-oracle").uniform(0.0, math.exp(2 * t), size=count)
-    return EmpiricalMeasure.from_values([
-        systole(shear_basis(diagonal, (Q(w) * ratio,)))
-        for w in draws.tolist()
     ])
 
 

@@ -5,6 +5,7 @@ exit code, and pins the numeric thresholds the artifacts must meet.  Where an
 independent spot check is cheap, it is recomputed here from the library.
 """
 
+import csv
 import math
 from fractions import Fraction as Q
 
@@ -85,11 +86,28 @@ def test_criterion_07_fixed_limit_residuals(preset_run):
 def test_criterion_08_equidistribution(preset_run):
     outcome, elapsed = preset_run("acceptance-08")
     entry = _check(outcome, "acceptance-08")
-    assert entry["counts"]["samples"] == 10_000
-    assert entry["metrics"]["ks_pair"] < 0.05
-    assert entry["metrics"]["ks_oracle"] < 0.07
+    assert entry["counts"] == {"samples": 10_000, "gates": 4}
+    # every gate at the one-sample alpha = 1e-3 threshold sqrt(ln(2000) / 2) / 100
+    threshold = math.sqrt(math.log(2 / 1e-3) / 2) / math.sqrt(10_000)
+    assert abs(threshold - 0.0195) < 1e-4
+    with (outcome.artifact_dir / "ks.csv").open() as f:
+        gates = list(csv.DictReader(f))
+    assert [(g["series"], g["t"], g["law"]) for g in gates] == [
+        ("catalog-0", "2.0", "horocycle"), ("catalog-0", "3.0", "horocycle"),
+        ("catalog-0", "8.0", "horocycle"), ("catalog-1", "8.0", "haar")]
+    for gate in gates:
+        assert float(gate["distance"]) <= threshold
+        assert abs(float(gate["threshold"]) - threshold) <= 1e-15
+        assert gate["passed"] == "true"
+    # the Haar mass of each bin of r <= 1, recomputed: 3 (hi^2 - lo^2) / pi
+    with (outcome.artifact_dir / "distributions.csv").open() as f:
+        haar = [row for row in csv.DictReader(f) if row["law"] == "haar"]
+    for row in haar[:-1]:
+        lo, hi = float(row["bin_lo"]), float(row["bin_hi"])
+        assert abs(float(row["law_mass"]) - 3 * (hi * hi - lo * lo) / math.pi) <= 1e-12
+    assert abs(sum(float(row["mass"]) for row in haar) - 1.0) <= 1e-12
     # tripwire: one exact D u(x) B lattice and one generator per series run
-    # this in about 4 s
+    # this in about 1 s
     assert elapsed < 10.0
 
 

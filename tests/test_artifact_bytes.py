@@ -62,13 +62,13 @@ PINNED = {
     "acceptance-07/summary.json":
         "8e6b868b463efe925818dfa70524bdf28d553439c1b0bb630ddeb0642b9dc786",
     "acceptance-08/distributions.csv":
-        "d46b9253d192fa05ad51708b1fbd43422ac6c8545e1558ea9a5591ca113865b7",
+        "c6759e42c8ad4ce5e2dd8b43cc83cf270c467d1539eaa2a8a3967c360233aee3",
     "acceptance-08/ks.csv":
-        "15d4a622cfc34ff768abd04cb2e31c81eddd6bbfcf8e3ed9f20302e0cbcfa601",
+        "2ed614af3124234dc0298bca6fb4d696f2a1f7d23af09483f10caa2c19b844d2",
     "acceptance-08/manifest.json":
-        "e0c0e980811b33010027ca686b7c53b8981ef79fab411bf9d8d992c1678d284a",
+        "4b944368dd466ed8eb34c6ce1be37dc910944389866b0fdb313e449d26feba9b",
     "acceptance-08/summary.json":
-        "25449d8f54be05a7bc44a471c443c3caeeba5ed7233590a85e57971306b8bd4a",
+        "ead435a3190b6bc2fdad8f3d3703561a65bef4379d24a4f43681109f4f35f44d",
     "acceptance-09/escape.csv":
         "64911e8bd62d519499fb6a11a342f35a4f5f04a2b86461a326009b557c8e5513",
     "acceptance-09/manifest.json":

@@ -19,6 +19,7 @@ from horolab.harness import (
 )
 from horolab import exact
 from horolab import flowlab as fl
+from horolab import latticelab as ll
 from horolab.harness import cli, runner
 from horolab.weightlab import modules
 from horolab.dirichlet import SearchBudgetError
@@ -73,7 +74,7 @@ def test_seed_mandatory_for_stochastic_kinds():
 
 
 def test_experiment_schema_fragment_rejects_values():
-    # the catalog bases and the orbit oracle are rank 2
+    # the catalog bases are rank 2
     with pytest.raises(ConfigError, match="at n: 1 was expected"):
         validate_config({"kind": "equidistribution", "n": 2, "seed": 1,
                          "samples": 20})
@@ -220,20 +221,28 @@ def test_escape_check_fails_on_a_perturbed_systole(tmp_path, monkeypatch):
                for i in instances)
 
 
-def test_equidistribution_fails_on_an_unflowed_oracle(tmp_path, monkeypatch):
-    # the honest oracle at t = 1 instead of the check's t = 8: its closed
-    # horocycle of length e^2 is far from equidistributed
-    honest = runner.ll.orbit_oracle
-    monkeypatch.setattr(runner.ll, "orbit_oracle",
-                        lambda schedule, t, count, seed: honest(schedule, 1.0, count, seed))
-    raw = {"kind": "equidistribution", "seed": 42, "samples": 3000, "t_ladder": [8], "n": 1}
+@pytest.mark.parametrize("shift, rung, ladder, count", [
+    (1.0, 2.0, [2, 8], 3000),
+    (3.0, 2.0, [2, 3], 10_000),
+], ids=["t1-at-rung-2", "t3-at-rung-2"])
+def test_equidistribution_fails_on_translates_at_the_wrong_flow_time(
+        tmp_path, monkeypatch, shift, rung, ladder, count):
+    # catalog 0 flowed to the shifted time at one rung, gated against that
+    # rung's law: sup |F_1 - F_2| = 0.126 against 0.0356 at 3000 samples,
+    # sup |F_2 - F_3| = 0.030 against 0.0195 at 10,000
+    honest = runner.ll.translate_sample
+    monkeypatch.setattr(
+        runner.ll, "translate_sample",
+        lambda curve, schedule, base, t, count, seed:
+            honest(curve, schedule, base, shift if t == rung else t, count, seed))
+    raw = {"kind": "equidistribution", "seed": 42, "samples": count, "t_ladder": ladder,
+           "n": 1}
     out = run(validate_config(raw), tmp_path / "o")
-    assert out.exit_code == 3
-    assert not out.summary["all_pass"]
-    recorded = json.loads((tmp_path / "o" / "failures.json").read_text())
-    instances = recorded["failures"][0]["instances"]
-    assert [i["pair"] for i in instances] == ["catalog-0 vs orbit-oracle"]
-    assert float(instances[0]["distance"]) >= 0.07
+    instances = _failure_instances(out, tmp_path / "o")
+    assert [(i["series"], i["t"], i["law"]) for i in instances] == [
+        ("catalog-0", rung, "horocycle")]
+    assert instances[0]["threshold"] == ll.ks_null_quantile(count, 1e-3)
+    assert instances[0]["distance"] > instances[0]["threshold"]
 
 
 def _failure_instances(out, out_dir):
@@ -390,13 +399,20 @@ def test_cli_rejects_config_the_experiment_cannot_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("raw, path", [
     ({"kind": "equidistribution", "curve": "trig"}, "curve"),
+    ({"kind": "equidistribution", "curve": "poly:0,1"}, "curve"),
     ({"kind": "equidistribution", "schedule": "linear:2,0"}, "schedule"),
+    ({"kind": "equidistribution", "t_ladder": [2, 0]}, "t_ladder/1"),
+    ({"kind": "equidistribution", "t_ladder": [13]}, "t_ladder/0"),
     ({"kind": "curve-frames", "curve": "bogus"}, "curve"),
+    ({"kind": "curve-frames", "curve": "poly:1/0,1"}, "curve"),
+    ({"kind": "curve-frames", "curve": "trig", "n": 5}, "n"),
+    ({"kind": "curve-frames", "curve": "poly:0,1;0,0,1;0,0,0,1", "n": 1}, "n"),
     ({"kind": "basic-lemma-fuzz", "modules": ["standard", "bogus"]}, "modules/1"),
     ({"kind": "dirichlet-scan", "n": 3}, "n"),
     ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [2, 1]},
      "interval"),
-], ids=["equi-curve", "equi-schedule", "unknown-curve", "unknown-module",
+], ids=["equi-curve", "equi-poly-curve", "equi-schedule", "equi-t-zero", "equi-t-large",
+        "unknown-curve", "zero-denominator", "trig-n", "poly-n", "unknown-module",
         "dirichlet-n", "reversed-interval"])
 def test_cli_rejects_values_the_body_cannot_build(tmp_path, capsys, raw, path):
     cfg_path = tmp_path / "bad.json"
@@ -468,12 +484,14 @@ def test_curve_frames_fails_on_scan_failures_alone(tmp_path):
 
 
 def test_curve_frames_order_follows_the_curve(tmp_path):
-    # trig is planar whatever the config n; the frame order is the curve's
-    cfg = validate_config({"kind": "curve-frames", "curve": "trig", "n": 1,
-                           "samples": 8})
+    # trig is planar: without n the frame order is the curve's, and an n the
+    # curve does not have is rejected, not ignored
+    cfg = validate_config({"kind": "curve-frames", "curve": "trig", "samples": 8})
     out = run(cfg, tmp_path / "cf")
     assert out.exit_code == 0
     assert out.summary["checks"]["curve-frames"]["counts"]["failures"] == 0
+    with pytest.raises(ConfigError, match="at n: 'trig' has 2 coordinates"):
+        validate_config({"kind": "curve-frames", "curve": "trig", "n": 1, "samples": 8})
 
 
 def test_cli_seed_override(tmp_path):

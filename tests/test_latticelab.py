@@ -84,18 +84,18 @@ def test_translate_sample_is_one_series_per_seed():
     base = ll.catalog_basis(1)
     alone = ll.translate_sample(curve, sched, base, t=3.0, count=60, seed=5)
     # other series drawn in between change nothing
-    ll.orbit_oracle(sched, t=3.0, count=40, seed=5)
+    ll.translate_sample(curve, sched, ll.catalog_basis(0), t=3.0, count=40, seed=5)
     ll.translate_sample(curve, sched, base, t=3.0, count=40, seed=6)
     again = ll.translate_sample(curve, sched, base, t=3.0, count=60, seed=5)
-    assert again.values == alone.values
+    assert again.tolist() == alone.tolist()
     # the series is the seeded generator's draws in order, so a shorter
     # run is a prefix of a longer one
     draws = generator(5, "translate-sample").uniform(0.0, 1.0, size=60)
     diagonal = np.exp(sched.exponents(3.0)).tolist()
     systoles = [ll.systole(ll.shear_basis(diagonal, (s,), base)) for s in draws.tolist()]
-    assert alone.values == tuple(sorted(systoles))
+    assert alone.tolist() == sorted(systoles)
     head = ll.translate_sample(curve, sched, base, t=3.0, count=25, seed=5)
-    assert head.values == tuple(sorted(systoles[:25]))
+    assert head.tolist() == sorted(systoles[:25])
 
 
 def test_translate_sample_needs_a_polynomial_curve():
@@ -110,8 +110,6 @@ def test_samplers_need_a_seed():
     sched = fl.FlowSchedule.preset("equal", n=1)
     with pytest.raises(TypeError, match="seed"):
         ll.translate_sample(CurveSpec.moment(1), sched, ll.catalog_basis(0), t=1.0, count=3)
-    with pytest.raises(TypeError, match="seed"):
-        ll.orbit_oracle(sched, t=1.0, count=3)
 
 
 def test_catalog_bases_are_unimodular():
@@ -355,24 +353,87 @@ def test_translate_sample_is_deterministic():
     kw = dict(t=3.0, count=400, seed=123)
     m1 = ll.translate_sample(curve, sched, ll.catalog_basis(0), **kw)
     m2 = ll.translate_sample(curve, sched, ll.catalog_basis(0), **kw)
-    assert m1.values == m2.values
-    assert ll.consistency_distance(m1, m2) == 0.0
+    assert m1.tolist() == m2.tolist()
 
 
-def test_consistency_distance_detects_shift():
+def _farey_length(t, r):
+    """Independent reference for F_t(r): the length of the union of the
+    s-intervals in [0, 1) on which some primitive (p, q) has
+    |(e^t (p + s q), e^-t q)| <= r, merged after sorting."""
+    shrink = math.exp(-t)
+    pieces = []
+    for q in range(1, int(r / shrink) + 1):
+        room = r * r - (shrink * q) ** 2
+        if room <= 0:
+            continue
+        half = shrink * math.sqrt(room) / q
+        pieces += [(max(a / q - half, 0.0), min(a / q + half, 1.0))
+                   for a in range(q + 1) if math.gcd(a, q) == 1]
+    total, end = 0.0, 0.0
+    for lo, hi in sorted(pieces):
+        if hi > end:
+            total += hi - max(lo, end)
+            end = hi
+    return total
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0])
+def test_horocycle_law_is_the_farey_length(t):
+    r = np.linspace(0.0, 1.0, 201)
+    law = ll.horocycle_law(t, r)
+    assert max(abs(a - _farey_length(t, b)) for a, b in zip(law.tolist(), r.tolist())) <= 1e-12
+
+
+def test_horocycle_law_vanishes_below_the_first_vector_and_tends_to_haar():
+    for t in (0.5, 1.0, 2.0, 3.0):
+        r = np.linspace(0.0, math.exp(-t), 50)
+        assert not ll.horocycle_law(t, r).any()
+    r = np.linspace(0.0, 1.0, 2001)
+    assert np.abs(ll.horocycle_law(8.0, r) - ll.haar_law(r)).max() <= 1e-4
+    assert ll.haar_law(np.array([1.0]))[0] == 3 / math.pi
+
+
+def test_horocycle_law_rejects_what_it_does_not_cover():
+    for t, r in ((0.0, [0.5]), (1.0, [0.5, 1.5]), (1.0, [0.6, 0.5]), (1.0, [-0.1, 0.5])):
+        with pytest.raises(ValueError):
+            ll.horocycle_law(t, np.array(r))
+
+
+def _sup_distance(values, law):
+    """sup over r <= 1 of |F_n(r) - law(r)|, from its definition: the
+    empirical CDF jumps only at sample points, so the sup is attained at or
+    just below one of them, or at r = 1."""
+    n = len(values)
+    probes = [x for x in values if x <= 1] + [1.0]
+    gaps = [abs(sum(v <= r for v in values) / n - law(r)) for r in probes]
+    gaps += [abs(sum(v < r for v in values) / n - law(r)) for r in probes]
+    return max(gaps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=1, max_size=40))
+def test_ks_distance_is_the_sup_over_r_at_most_one(points):
+    values = np.sort(points)
+    for law in (ll.haar_law, lambda r: np.asarray(r, dtype=float)):
+        want = _sup_distance(values.tolist(), lambda r: float(law(np.array([r]))[0]))
+        assert abs(ll.ks_distance(values, law) - want) <= 1e-12
+
+
+def test_ks_distance_separates_flow_times():
     curve = CurveSpec.moment(1)
     sched = fl.FlowSchedule.preset("equal", n=1)
-    base = ll.translate_sample(curve, sched, ll.catalog_basis(0),
-                               t=1.0, count=400, seed=1)
-    far = ll.translate_sample(curve, sched, ll.catalog_basis(0),
-                              t=6.0, count=400, seed=2)
-    assert ll.consistency_distance(base, far) > 0.05
+    values = ll.translate_sample(curve, sched, ll.catalog_basis(0), t=1.0, count=400, seed=1)
+    threshold = ll.ks_null_quantile(400, 1e-3)
+    assert ll.ks_distance(values, lambda r: ll.horocycle_law(1.0, r)) <= threshold
+    assert ll.ks_distance(values, lambda r: ll.horocycle_law(6.0, r)) > threshold
 
 
 def test_ks_null_quantile_shrinks_with_samples():
-    q_small = ll.ks_null_quantile(100, 100)
-    q_large = ll.ks_null_quantile(10_000, 10_000)
-    assert q_large < q_small < 1.0
+    # sqrt(ln(2 / alpha) / 2) / sqrt(n): 1.949 / sqrt(n) at alpha = 1e-3
+    assert abs(ll.ks_null_quantile(10_000, 1e-3) - 0.019495) < 1e-6
+    assert abs(ll.ks_null_quantile(3000, 1e-3) - 0.035592) < 1e-6
+    assert ll.ks_null_quantile(10_000, 1e-3) < ll.ks_null_quantile(100, 1e-3) < 1.0
+    assert ll.ks_null_quantile(100, 0.05) < ll.ks_null_quantile(100, 1e-3)
 
 
 def test_escape_probe_super_regime():
