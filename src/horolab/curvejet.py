@@ -52,14 +52,16 @@ def _poly_derive(coeffs: Tuple[Q, ...], m: int) -> Tuple[Q, ...]:
     return out
 
 
-def _poly_eval_exact(coeffs: Sequence[Q], s) -> Q:
-    """Exact value at a Fraction or float s, by Horner's rule on integers."""
+def _poly_ratio(coeffs: Sequence[Q], s) -> Tuple[int, int]:
+    """Exact value at a Fraction or float s, by Horner's rule on integers:
+    the reduced integer ratio, with no Fraction built."""
     p, q = s.as_integer_ratio()
     num, den = 0, 1
     for c in reversed(coeffs):
         a, b = c.as_integer_ratio()
         num, den = num * p * b + a * den * q, den * q * b
-    return Q(num, den)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def jet_exact(curve: CurveSpec, s, k: int) -> List[Vec]:
     out = []
     for m in range(1, k + 1):
         out.append(
-            tuple(_poly_eval_exact(_poly_derive(row, m), sq) for row in curve.poly)
+            tuple(Q(*_poly_ratio(_poly_derive(row, m), sq)) for row in curve.poly)
         )
     return out
 

@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from .curvejet import CurveSpec, _poly_eval_exact
+from .curvejet import CurveSpec, _poly_ratio
 from .exact import _ratio, _scaled, diag
 from .latticelab import LatticeBasis, enumerate_ball, lll_reduce, shear_basis
 
@@ -579,7 +579,7 @@ class ScanTable:
 def _curve_xi(curve: CurveSpec, s: float) -> Tuple[Number, ...]:
     """Curve point as exact rationals when the curve is polynomial."""
     if curve.poly is not None:
-        return tuple(_poly_eval_exact(coeffs, s) for coeffs in curve.poly)
+        return tuple(Q(*_poly_ratio(coeffs, s)) for coeffs in curve.poly)
     return tuple(float(x) for x in curve.fn(s))
 
 

@@ -440,9 +440,9 @@ def _run_equidistribution(cfg: ExperimentConfig, samples: Samples) -> Result:
     schedule = fl.FlowSchedule.preset(cfg.schedule or "equal", n=1)
     threshold = ll.ks_null_quantile(count, _KS_ALPHA)
     # catalog 0 (Z^2) at every rung against its exact law F_t; catalog 1 at
-    # the last rung against the Haar law F_t tends to
+    # the largest rung against the Haar law, the limit of F_t as t grows
     gates = [(0, t, cfg.seed, "horocycle", partial(ll.horocycle_law, t)) for t in ladder]
-    gates.append((1, ladder[-1], cfg.seed + 1, "haar", ll.haar_law))
+    gates.append((1, max(ladder), cfg.seed + 1, "haar", ll.haar_law))
     edges = np.linspace(0.0, 1.0, 33)
 
     bin_rows: List[Row] = []
@@ -450,13 +450,20 @@ def _run_equidistribution(cfg: ExperimentConfig, samples: Samples) -> Result:
     for base, t, seed, law_name, law in gates:
         values = ll.translate_sample(curve, schedule, ll.catalog_basis(base), t, count, seed=seed)
         series = [f"catalog-{base}", t, law_name]
+        # the law once, at the sample points <= 1 and the bin edges (r = 1 among
+        # them), for the bins and the distance (np.union1d costs 0.5 MiB of RSS)
+        grid = np.sort(np.concatenate((values[: np.searchsorted(values, 1.0, side="right")],
+                                       edges)))
+        cdf = law(grid)
+        def on_grid(r):
+            return cdf[np.searchsorted(grid, r)]
         # the bins of [0, 1], then the tail r > 1, which holds the law's rest
         masses = np.diff(np.searchsorted(values, edges, side="right"), append=count) / count
-        law_masses = np.diff(law(edges), append=1.0)
+        law_masses = np.diff(on_grid(edges), append=1.0)
         for row in zip(edges.tolist(), [*edges[1:].tolist(), math.inf],
                        masses.tolist(), law_masses.tolist()):
             bin_rows.append([*series, *row])
-        distance = ll.ks_distance(values, law)
+        distance = ll.ks_distance(values, on_grid)
         ks_rows.append([*series, distance, threshold, distance <= threshold])
 
     ks_header = ["series", "t", "law", "distance", "threshold", "passed"]
@@ -718,8 +725,9 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                 "schedule": {"enum": ["equal", "linear:1"]},
                 "t_ladder": {"items": {"exclusiveMinimum": 0, "maximum": 12}}},
                _run_equidistribution),
-    Experiment("escape", "", "acceptance-09",
-               "escape-rate dichotomy", False, {}, {"t_ladder": {}}, _run_escape),
+    # e^{4t} must stay finite in the regime test and e^{-2t} far from subnormal
+    Experiment("escape", "", "acceptance-09", "escape-rate dichotomy", False, {},
+               {"t_ladder": {"items": {"maximum": 100}}}, _run_escape),
     Experiment("dirichlet-scan", "", "acceptance-10",
                "improvability witness suite", True,
                {"queries": 500, "monotonicity": 200, "grid": 200},

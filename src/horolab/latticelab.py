@@ -17,10 +17,11 @@ Gram form, which needs neither LLL nor the walk; in higher ranks it is the
 shrinking-radius case of the walk on the LLL record.
 
 Every lattice an experiment draws has the form D u(x) B: a diagonal D, the
-unipotent shear u(x) with first row (1, x), and a base B.  ``shear_basis``
-is the one constructor for it; it writes the integer rows straight from
-the integer ratios of D and x, and its determinant is prod D det B exactly,
-with det B computed once per base.
+unipotent shear u(x) with first row (1, x), and a base B.  ``_shear_rows``
+is its one row formula, on the integer ratios of D and x; the determinant
+is prod D det B exactly, with det B computed once per base.  ``shear_basis``
+reduces the rows to a ``LatticeBasis``; ``translate_sample`` checks D once
+per series and takes each sample's minimum from its unreduced rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .curvejet import CurveError, _poly_eval_exact
+from .curvejet import CurveError, _poly_ratio
 from .exact import IntRows, _bareiss_det, _ratio, _scaled
 from .rng import generator
 
@@ -101,38 +102,53 @@ def shear_basis(
     """The lattice D u(x) B, with D = diag(diagonal) and u(x) the identity
     with first row (1, x_1, ..., x_n).
 
-    Each generator row v of B (Z^{n+1} when no base is given) becomes
-    (d_0 (v_0 + x . v'), d_1 v_1, ..., d_n v_n).  Entries are exact numbers
-    (ints, Fractions, or floats at their binary value); the integer rows
-    over one common denominator come straight from their integer ratios, and
-    the determinant is prod D det B, so the unimodularity check needs no
-    elimination.  The 1e-9 tolerance is for D made of rounded exponentials.
+    B is Z^{n+1} when no base is given.  Entries are exact numbers (ints,
+    Fractions, or floats at their binary value); the rows come from
+    ``_shear_rows``, reduced to the least common denominator.  The 1e-9
+    tolerance is for D made of rounded exponentials.
     """
     d = len(diagonal)
     if base is None:
         base = _standard_basis(d)
-    if len(shear) != d - 1 or len(base.ints) != d:
-        raise LatticeError(f"need {d - 1} shear entries and a rank-{d} base")
-    ratios = [_ratio(c) for c in diagonal]
-    xs = [_ratio(c) for c in shear]
-    xden = math.lcm(*[b for _, b in xs])
-    xnum = [a * (xden // b) for a, b in xs]
-    # coordinate 0 is d_0 (xden v_0 + xnum . v') / xden
-    dnum, dden = zip(*ratios)
-    common = math.lcm(dden[0] * xden, *dden[1:])
-    head = dnum[0] * (common // (dden[0] * xden))
-    tail = [a * (common // b) for a, b in ratios[1:]]
-    ints = [
-        (head * (xden * w[0] + sum(map(mul, xnum, w[1:]))), *map(mul, tail, w[1:]))
-        for w in base.ints
-    ]
+    ratios = _diagonal_ratios(diagonal, len(shear), base, expect_unimodular)
+    ints, common = _shear_rows(ratios, [_ratio(c) for c in shear], base.ints)
     denom = common * base.denom
     g = math.gcd(denom, *[a for row in ints for a in row])
     if g > 1:
         ints = [[a // g for a in row] for row in ints]
+    return LatticeBasis(tuple(map(tuple, ints)), denom // g, expect_unimodular, checked=True)
+
+
+def _diagonal_ratios(diagonal: Sequence, width: int, base: LatticeBasis,
+                     expect_unimodular: bool) -> List[Tuple[int, int]]:
+    """The integer ratios of D, once D u(x) B is known to be square and to
+    have the allowed |det| = prod D det B, which no shear x changes."""
+    d = len(diagonal)
+    if width != d - 1 or len(base.ints) != d:
+        raise LatticeError(f"need {d - 1} shear entries and a rank-{d} base")
+    ratios = [_ratio(c) for c in diagonal]
+    dnum, dden = zip(*ratios)
     _check_det(math.prod(dnum) * base.det.numerator, math.prod(dden) * base.det.denominator,
                expect_unimodular)
-    return LatticeBasis(tuple(map(tuple, ints)), denom // g, expect_unimodular, checked=True)
+    return ratios
+
+
+def _shear_rows(ratios: Sequence[Tuple[int, int]], xs: Sequence[Tuple[int, int]],
+                rows: IntRows) -> Tuple[List[Tuple[int, ...]], int]:
+    """Each integer row w of B becomes (d_0 (w_0 + x . w'), d_1 w_1, ...,
+    d_n w_n), D and x given by integer ratios; returns these rows, not
+    reduced, and the lcm of the denominators of d_0 x and d_1..d_n."""
+    xden = math.lcm(*[b for _, b in xs])
+    xnum = [a * (xden // b) for a, b in xs]
+    # coordinate 0 is d_0 (xden w_0 + xnum . w') / xden
+    (n0, d0), *rest = ratios
+    common = math.lcm(d0 * xden, *[b for _, b in rest])
+    head = n0 * (common // (d0 * xden))
+    tail = [a * (common // b) for a, b in rest]
+    return [
+        (head * (xden * w[0] + sum(map(mul, xnum, w[1:]))), *map(mul, tail, w[1:]))
+        for w in rows
+    ], common
 
 
 # -- reduction ---------------------------------------------------------------------
@@ -284,7 +300,8 @@ def _gauss_minimum(a: Sequence[int], b: Sequence[int]) -> int:
     |m a + n b|^2 >= (m^2 - |mn| + n^2) A >= A for integers (m, n) != 0,
     so A is the minimum.
     """
-    A, B, C = sum(map(mul, a, a)), sum(map(mul, a, b)), sum(map(mul, b, b))
+    (a0, a1), (b0, b1) = a, b
+    A, B, C = a0 * a0 + a1 * a1, a0 * b0 + a1 * b1, b0 * b0 + b1 * b1
     while True:
         r = (2 * B + A) // (2 * A)
         B, C = B - r * A, C - r * (2 * B - r * A)
@@ -293,15 +310,17 @@ def _gauss_minimum(a: Sequence[int], b: Sequence[int]) -> int:
         A, C = C, A
 
 
-def shortest_vector(basis: LatticeBasis) -> Q:
-    """Exact squared length of the shortest nonzero lattice vector.
+def _minimum(ints: IntRows) -> int:
+    """Exact minimum of |v|^2 over the nonzero integer combinations v of
+    the rows: Lagrange-Gauss in rank 2, the walk on the LLL record above."""
+    if len(ints) == 2:
+        return _gauss_minimum(*ints)
+    return _enumerate_shortest(lll_reduce(LatticeBasis(ints, 1, False, checked=True))).numerator
 
-    Rank 2 is the Lagrange-Gauss minimum of the integer Gram form; higher
-    ranks walk the ball on the LLL record.
-    """
-    if len(basis.ints) == 2:
-        return Q(_gauss_minimum(*basis.ints), basis.denom**2)
-    return _enumerate_shortest(lll_reduce(basis))
+
+def shortest_vector(basis: LatticeBasis) -> Q:
+    """Exact squared length of the shortest nonzero lattice vector."""
+    return Q(_minimum(basis.ints), basis.denom**2)
 
 
 def systole(basis: LatticeBasis) -> float:
@@ -323,22 +342,27 @@ def horocycle_law(t: float, r: np.ndarray) -> np.ndarray:
     """F_t at the sorted points r of [0, 1]: the sum over q <= r e^t of
     phi(q) 2 e^-t sqrt(r^2 - e^-2t q^2) / q, with Euler's phi sieved.
 
-    One q at a time over the suffix of r it reaches, so the memory is one
-    copy of r.
+    Each point sums its terms in the order q = 1, 2, ...; one q at a time
+    over the suffix of r it reaches, in place on two buffers the size of r.
     """
     r = np.asarray(r, dtype=float)
-    if t <= 0 or not (0 <= r[0] and r[-1] <= 1 and np.all(np.diff(r) >= 0)):
-        raise ValueError("the horocycle law needs t > 0 and sorted r in [0, 1]")
+    if t <= 0 or not (r.size and 0 <= r[0] and r[-1] <= 1 and np.all(np.diff(r) >= 0)):
+        raise ValueError("the horocycle law needs t > 0 and sorted r in [0, 1], not empty")
     shrink = math.exp(-t)
-    phi = np.arange(int(r[-1] / shrink) + 1)
-    law = np.zeros_like(r)
-    for q in range(1, phi.size):
+    phi = list(range(int(r[-1] / shrink) + 1))
+    starts = np.searchsorted(r, shrink * np.arange(len(phi)), side="right").tolist()
+    law, low, high = np.zeros_like(r), np.empty_like(r), np.empty_like(r)
+    for q in range(1, len(phi)):
         if q > 1 and phi[q] == q:  # q is prime
-            phi[q::q] -= phi[q::q] // q
-        edge = shrink * q
-        start = int(np.searchsorted(r, edge, side="right"))
-        tail = r[start:]
-        law[start:] += (2 * shrink * int(phi[q]) / q) * np.sqrt((tail - edge) * (tail + edge))
+            phi[q::q] = [v - v // q for v in phi[q::q]]
+        edge, start = shrink * q, starts[q]
+        tail, lo, hi, acc = r[start:], low[start:], high[start:], law[start:]
+        np.subtract(tail, edge, lo)
+        np.add(tail, edge, hi)
+        np.multiply(lo, hi, lo)
+        np.sqrt(lo, lo)
+        np.multiply(lo, 2 * shrink * phi[q] / q, lo)
+        np.add(acc, lo, acc)
     return law
 
 
@@ -350,6 +374,8 @@ def haar_law(r: np.ndarray) -> np.ndarray:
 def ks_distance(values: np.ndarray, law: Callable[[np.ndarray], np.ndarray]) -> float:
     """One-sample Kolmogorov-Smirnov distance sup_{r <= 1} |F_n(r) - law(r)|
     of a sorted sample and a continuous law taken at sorted points of [0, 1]."""
+    if not values.size:
+        raise ValueError("the KS distance needs a non-empty sample")
     head = values[: np.searchsorted(values, 1.0, side="right")]
     cdf = law(np.append(head, 1.0))
     rank = np.arange(head.size + 1) / values.size
@@ -394,17 +420,20 @@ def translate_sample(
     measures a_t u(phi(s)) base, with a_t the exact values of the float
     exponentials and phi(s) the exact value of the polynomial curve at the
     float s.  A series depends on its seed alone, not on what ran before.
+    Each systole is sqrt(A / den^2), A the exact minimum of the unreduced
+    rows over den: int division rounds correctly, as ``systole`` does.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if curve.poly is None:
         raise CurveError("translate sampling needs a polynomial curve")
-    diagonal = np.exp(schedule.exponents(t)).tolist()
+    ratios = _diagonal_ratios(np.exp(schedule.exponents(t)).tolist(), len(curve.poly), base, True)
     draws = generator(seed, "translate-sample").uniform(0.0, 1.0, size=count)
-    return np.sort([
-        systole(shear_basis(diagonal, [_poly_eval_exact(row, s) for row in curve.poly], base))
-        for s in draws.tolist()
-    ])
+    values = []
+    for s in draws.tolist():
+        ints, common = _shear_rows(ratios, [_poly_ratio(row, s) for row in curve.poly], base.ints)
+        values.append(math.sqrt(_minimum(ints) / (common * base.denom) ** 2))
+    return np.sort(values)
 
 
 # -- escape scenarios -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Config validation, artifact layout, reruns, and the CLI surface."""
 
+import csv
 import dataclasses
 import json
 from fractions import Fraction as Q
@@ -245,6 +246,39 @@ def test_equidistribution_fails_on_translates_at_the_wrong_flow_time(
     assert instances[0]["distance"] > instances[0]["threshold"]
 
 
+def test_equidistribution_gates_haar_at_the_largest_rung(tmp_path):
+    # Haar is the t -> infinity limit: at t = 2 catalog 1 is 0.034 from it,
+    # against 0.0195 at 10,000 samples, and at t = 8 it is 0.0040
+    raw = {"kind": "equidistribution", "seed": 42, "samples": 10_000, "t_ladder": [8, 2],
+           "n": 1}
+    out = run(validate_config(raw), tmp_path / "o")
+    assert out.exit_code == 0
+    with (tmp_path / "o" / "ks.csv").open() as f:
+        gates = list(csv.DictReader(f))
+    assert [(g["series"], g["t"], g["law"]) for g in gates] == [
+        ("catalog-0", "8.0", "horocycle"), ("catalog-0", "2.0", "horocycle"),
+        ("catalog-1", "8.0", "haar")]
+
+
+def test_equidistribution_evaluates_each_law_once_per_gate(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(name):
+        honest = getattr(ll, name)
+
+        def law(*args):
+            calls.append(name)
+            return honest(*args)
+        return law
+
+    for name in ("horocycle_law", "haar_law"):
+        monkeypatch.setattr(ll, name, counted(name))
+    raw = {"kind": "equidistribution", "seed": 3, "samples": 500, "t_ladder": [2, 8], "n": 1}
+    out = run(validate_config(raw), tmp_path / "o")
+    assert out.exit_code == 0
+    assert calls == ["horocycle_law", "horocycle_law", "haar_law"]
+
+
 def _failure_instances(out, out_dir):
     """The recorded instances of a run whose one check failed."""
     assert out.exit_code == 3
@@ -403,6 +437,8 @@ def test_cli_rejects_config_the_experiment_cannot_run(tmp_path, capsys):
     ({"kind": "equidistribution", "schedule": "linear:2,0"}, "schedule"),
     ({"kind": "equidistribution", "t_ladder": [2, 0]}, "t_ladder/1"),
     ({"kind": "equidistribution", "t_ladder": [13]}, "t_ladder/0"),
+    ({"kind": "escape", "t_ladder": [178]}, "t_ladder/0"),
+    ({"kind": "escape", "t_ladder": [2, 800]}, "t_ladder/1"),
     ({"kind": "curve-frames", "curve": "bogus"}, "curve"),
     ({"kind": "curve-frames", "curve": "poly:1/0,1"}, "curve"),
     ({"kind": "curve-frames", "curve": "trig", "n": 5}, "n"),
@@ -412,11 +448,13 @@ def test_cli_rejects_config_the_experiment_cannot_run(tmp_path, capsys):
     ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [2, 1]},
      "interval"),
 ], ids=["equi-curve", "equi-poly-curve", "equi-schedule", "equi-t-zero", "equi-t-large",
-        "unknown-curve", "zero-denominator", "trig-n", "poly-n", "unknown-module",
-        "dirichlet-n", "reversed-interval"])
+        "escape-t-178", "escape-t-800", "unknown-curve", "zero-denominator", "trig-n",
+        "poly-n", "unknown-module", "dirichlet-n", "reversed-interval"])
 def test_cli_rejects_values_the_body_cannot_build(tmp_path, capsys, raw, path):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"seed": 1, "samples": 5, **raw}))
+    # few samples keep a wrongly accepted run short; escape reads none
+    base = {"seed": 1} if raw["kind"] == "escape" else {"seed": 1, "samples": 5}
+    cfg_path.write_text(json.dumps({**base, **raw}))
     rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"config rejected at {path}:" in capsys.readouterr().err

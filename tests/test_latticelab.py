@@ -98,6 +98,44 @@ def test_translate_sample_is_one_series_per_seed():
     assert head.tolist() == sorted(systoles[:25])
 
 
+@pytest.mark.parametrize("t", [0.5, 3.0, 8.0, 12.0])
+def test_translate_sample_is_the_systole_of_each_built_lattice(t):
+    # the sampler's hoisted rows and unreduced minimum give the same floats,
+    # bit for bit, as the reduced LatticeBasis and its Fraction systole
+    curve = CurveSpec.moment(1)
+    sched = fl.FlowSchedule.preset("equal", n=1)
+    draws = generator(9, "translate-sample").uniform(0.0, 1.0, size=150).tolist()
+    diagonal = np.exp(sched.exponents(t)).tolist()
+    for index in range(3):
+        base = ll.catalog_basis(index)
+        want = np.sort([ll.systole(ll.shear_basis(diagonal, (s,), base)) for s in draws])
+        got = ll.translate_sample(curve, sched, base, t=t, count=150, seed=9)
+        assert np.array_equal(got, want), (index, t)
+
+
+def test_translate_sample_in_rank_three_walks_the_lll_record():
+    curve = CurveSpec.moment(2)
+    sched = fl.FlowSchedule.preset("equal", n=2)
+    base = ll.LatticeBasis.from_rows(np.eye(3).tolist())
+    draws = generator(4, "translate-sample").uniform(0.0, 1.0, size=30).tolist()
+    diagonal = np.exp(sched.exponents(3.0)).tolist()
+    want = np.sort([ll.systole(ll.shear_basis(diagonal, (Q(s), Q(s) ** 2), base)) for s in draws])
+    assert np.array_equal(ll.translate_sample(curve, sched, base, t=3.0, count=30, seed=4), want)
+
+
+def test_translate_sample_builds_no_lattice_per_sample(monkeypatch):
+    base = ll.catalog_basis(2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-sample lattice was built")
+
+    monkeypatch.setattr(ll, "shear_basis", refuse)
+    monkeypatch.setattr(ll, "systole", refuse)
+    values = ll.translate_sample(CurveSpec.moment(1), fl.FlowSchedule.preset("equal", n=1),
+                                 base, t=3.0, count=20, seed=0)
+    assert values.size == 20 and 0 < values[0] <= values[-1]
+
+
 def test_translate_sample_needs_a_polynomial_curve():
     with pytest.raises(CurveError, match="polynomial"):
         ll.translate_sample(CurveSpec.preset("trig"), fl.FlowSchedule.preset("equal", n=2),
@@ -394,9 +432,40 @@ def test_horocycle_law_vanishes_below_the_first_vector_and_tends_to_haar():
 
 
 def test_horocycle_law_rejects_what_it_does_not_cover():
-    for t, r in ((0.0, [0.5]), (1.0, [0.5, 1.5]), (1.0, [0.6, 0.5]), (1.0, [-0.1, 0.5])):
+    for t, r in ((0.0, [0.5]), (1.0, [0.5, 1.5]), (1.0, [0.6, 0.5]), (1.0, [-0.1, 0.5]),
+                 (1.0, [])):
         with pytest.raises(ValueError):
             ll.horocycle_law(t, np.array(r))
+
+
+def _per_q_law(t, r):
+    """F_t as first written: a fresh searchsorted and fresh temporaries per q."""
+    shrink = math.exp(-t)
+    phi = np.arange(int(r[-1] / shrink) + 1)
+    law = np.zeros_like(r)
+    for q in range(1, phi.size):
+        if q > 1 and phi[q] == q:
+            phi[q::q] -= phi[q::q] // q
+        edge = shrink * q
+        start = int(np.searchsorted(r, edge, side="right"))
+        tail = r[start:]
+        law[start:] += (2 * shrink * int(phi[q]) / q) * np.sqrt((tail - edge) * (tail + edge))
+    return law
+
+
+@pytest.mark.parametrize("t, top", [(1.0, 1.0), (2.0, 1.0), (8.0, 1.0), (12.0, 0.25)])
+def test_horocycle_law_is_the_per_q_sum_bit_for_bit(t, top):
+    # each point's value is its own ordered sum over q: the same on a merged
+    # grid as on each part, and the same as the per-q loop (F_12 sums over
+    # 40,000 denominators at r = 1/4 and 163,000 at r = 1)
+    rng = np.random.default_rng(int(t))
+    part_a = np.sort(rng.uniform(0.0, top, 60))
+    part_b = np.linspace(0.0, top, 33)
+    merged = np.union1d(part_a, part_b)
+    law = ll.horocycle_law(t, merged)
+    assert np.array_equal(law, _per_q_law(t, merged))
+    for part in (part_a, part_b):
+        assert np.array_equal(ll.horocycle_law(t, part), law[np.searchsorted(merged, part)])
 
 
 def _sup_distance(values, law):
@@ -417,6 +486,11 @@ def test_ks_distance_is_the_sup_over_r_at_most_one(points):
     for law in (ll.haar_law, lambda r: np.asarray(r, dtype=float)):
         want = _sup_distance(values.tolist(), lambda r: float(law(np.array([r]))[0]))
         assert abs(ll.ks_distance(values, law) - want) <= 1e-12
+
+
+def test_ks_distance_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="non-empty"):
+        ll.ks_distance(np.array([]), ll.haar_law)
 
 
 def test_ks_distance_separates_flow_times():
