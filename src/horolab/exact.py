@@ -7,9 +7,11 @@ heuristics beyond what exactness requires.
 
 Products, determinants and inverses compute on integer rows over one common
 denominator (``_scaled``) with fraction-free (Bareiss) elimination, and build
-one normalised ``Fraction`` per result entry.  ``_scaled`` and
-``_bareiss_det`` are the package's one integer-over-denominator form; the
-``latticelab`` bases and the ``weightlab`` vector rules use them too.
+one normalised ``Fraction`` per result entry.  ``_scaled`` and the integer
+kernels (``_imul``, ``_imatvec``, ``_inverse_ints``, ``_bareiss_det``) are the
+package's one integer-over-denominator form.  The ``latticelab`` bases use it,
+and so do the ``weightlab`` vectors and vector rules, which stay integer rows
+over one denominator and never pass through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Q
 from operator import mul
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Vec = Tuple[Q, ...]
 Mat = Tuple[Tuple[Q, ...], ...]
@@ -80,23 +82,18 @@ def _ibracket(a: IntRows, b: IntRows) -> IntRows:
     )
 
 
+_ZERO = Q(0)
+
+
 def _over(ints: IntRows, denom: int) -> Mat:
-    """The rational matrix ``ints / denom``."""
-    return tuple(tuple(Q(a, denom) for a in row) for row in ints)
+    """The rational matrix ``ints / denom``; its zero entries share one
+    Fraction, which is immutable."""
+    return tuple(tuple(Q(a, denom) if a else _ZERO for a in row) for row in ints)
 
 
 def _imatvec(a: IntRows, w: Sequence[int]) -> List[int]:
     """Integer matrix times integer vector."""
     return [sum(map(mul, row, w)) for row in a]
-
-
-def _apply(image: Callable[[Tuple[int, ...]], Iterable[int]], denom: int,
-           v: Sequence) -> Vec:
-    """The rational vector image(w) / (denom d), where v = w / d with w
-    integral: an integer linear map applied to an exact vector."""
-    (w,), d = _scaled((v,))
-    d *= denom
-    return tuple(Q(a, d) for a in image(w))
 
 
 def _bareiss_det(rows: IntRows) -> int:

@@ -202,7 +202,9 @@ def _eta_grid(count: int) -> np.ndarray:
     uniform = np.linspace(a, b, count)
     j = np.arange(count)
     cheb = (a + b) / 2 + (b - a) / 2 * np.cos(np.pi * j / (count - 1))
-    return np.unique(np.concatenate([uniform, cheb]))
+    # np.unique, without the numpy.ma import it makes on first use
+    grid = np.sort(np.concatenate([uniform, cheb]))
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def expansion_supremum(
@@ -228,10 +230,10 @@ def expansion_supremum(
     if any(coords.shape != (module.dim,) for coords in stack):
         raise ValueError("vector has wrong dimension")
     etas = _eta_grid(max(4 * (frame_degree_bound(module, frame) + 1), 33))
-    tq = Q(t)
-    weight_shift = np.array(
-        [float(level * tq) for level in module.grading(schedule.log_diagonal)]
-    )
+    levels, d = module.grading(schedule.log_diagonal)
+    tn, td = exact._ratio(t)
+    # each level times t, rounded once (int / int is correctly rounded)
+    weight_shift = np.array([a * tn / (d * td) for a in levels])
     u = np.tile(np.eye(module.n + 1), (len(etas), 1, 1))
     u[:, 0, 1:] = frame.r_poly(math.exp(-t) * etas)
     action = module.group_action_float(u)

@@ -31,6 +31,7 @@ from ..rng import generator
 from ..weightlab import (
     basis_vector,
     build_module,
+    h_principal,
     identity_suite,
     s_sets,
     sl2_maxweight_check,
@@ -106,16 +107,15 @@ def _run_identity_suite(cfg: ExperimentConfig, samples: Samples) -> Result:
 
 
 def _random_eigenvector(module, rng):
-    levels: Dict[Q, List[int]] = {}
-    for idx, level in enumerate(module.levels):
-        levels.setdefault(level, []).append(idx)
-    level = sorted(levels)[int(rng.integers(0, len(levels)))]
-    indices = levels[level]
-    coords = [Q(0)] * module.dim
+    ints, d = module.grading(h_principal(module.n))  # integer levels, over d
+    levels = sorted(set(ints))
+    level = levels[int(rng.integers(0, len(levels)))]
+    indices = [i for i, a in enumerate(ints) if a == level]
+    coords = [0] * module.dim
     while all(coords[i] == 0 for i in indices):
         for i in indices:
             coords[i] = _random_rational(rng)
-    return vector(module, coords), level
+    return vector(module, coords), Q(level, d)
 
 
 def _run_lemma_parts(cfg: ExperimentConfig, samples: Samples) -> Result:

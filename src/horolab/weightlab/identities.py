@@ -24,7 +24,8 @@ from .groups import (
     u_top,
     upper_ones,
 )
-from .modules import ModuleVector, act, build_module, vector
+from . import modules
+from .modules import basis_vector, build_module, extreme_part, vector
 
 
 @dataclass
@@ -196,16 +197,6 @@ def _bottom_row_brackets(n: int) -> List[str]:
     return failures
 
 
-def _extreme_level(v: ModuleVector, minimum: bool) -> Tuple[Q, ModuleVector]:
-    levels = v.module.levels
-    vals = [lev for lev, c in zip(levels, v.coords) if c != 0]
-    lev = min(vals) if minimum else max(vals)
-    coords = tuple(
-        c if (c != 0 and level == lev) else Q(0) for c, level in zip(v.coords, levels)
-    )
-    return lev, ModuleVector(v.module, coords)
-
-
 def _triangular_preserves_extreme_level(n: int) -> List[str]:
     """Upper unipotents fix the lowest level and its component; lower
     unipotents fix the highest."""
@@ -217,32 +208,22 @@ def _triangular_preserves_extreme_level(n: int) -> List[str]:
     ]
     if n >= 2:
         uppers.append(exact.matmul(u_elem(n, 0, 1, Q(3, 2)), u_elem(n, 1, 2, Q(-1))))
-    lowers = [exact.transpose(g) for g in uppers]
+    # (pick, elements, what moved): uppers keep the bottom, lowers the top
+    moves = ((min, uppers, "upper move shifted the bottom level"),
+             (max, [exact.transpose(g) for g in uppers], "lower move shifted the top level"))
     for kind in kinds:
         mod = build_module(kind, n)
-        samples = [
-            vector(mod, tuple(Q(1) if i == 0 else Q(0) for i in range(mod.dim))),
-            vector(mod, tuple(Q((-1) ** i * (i + 1), 2) for i in range(mod.dim))),
-            vector(
-                mod,
-                tuple(Q(1) if i % 3 == 0 else Q(0) for i in range(mod.dim)),
-            ),
-        ]
-        for v in samples:
-            if v.is_zero():
-                continue
-            for g in uppers:
-                lev_before, comp_before = _extreme_level(v, minimum=True)
-                moved = act(g, v)
-                lev_after, comp_after = _extreme_level(moved, minimum=True)
-                if lev_before != lev_after or comp_after.coords != comp_before.coords:
-                    failures.append(f"{kind}: upper move shifted the bottom level")
-            for g in lowers:
-                lev_before, comp_before = _extreme_level(v, minimum=False)
-                moved = act(g, v)
-                lev_after, comp_after = _extreme_level(moved, minimum=False)
-                if lev_before != lev_after or comp_after.coords != comp_before.coords:
-                    failures.append(f"{kind}: lower move shifted the top level")
+        levels, _ = mod.grading(h_principal(n))
+        samples = [basis_vector(mod, 0),
+                   vector(mod, [Q((-1) ** i * (i + 1), 2) for i in range(mod.dim)]),
+                   vector(mod, [int(i % 3 == 0) for i in range(mod.dim)])]
+        for pick, elements, what in moves:
+            # one rule per element, applied to every sample
+            for rule in [modules._group_rule(mod, *exact._scaled(g)) for g in elements]:
+                for v in samples:
+                    moved = modules._apply_rule(rule, v)
+                    if extreme_part(moved, levels, pick) != extreme_part(v, levels, pick):
+                        failures.append(f"{kind}: {what}")
     return sorted(set(failures))
 
 

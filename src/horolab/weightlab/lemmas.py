@@ -3,14 +3,16 @@
 The central object: given an eigenvector v of the principal diagonal element
 and a translation u(x) with all x_i nonzero, classify which weights survive
 in u(x) v and certify the sign and equality structure of their values
-against the block diagonal elements.  Everything is exact rational
-arithmetic; conclusions about invariance are cross-checked by the derived
-action, never inferred.
+against the block diagonal elements.  Everything is exact: vectors, rules
+and levels are integers over one denominator each, so no check builds a
+``Fraction`` per rule application.  Conclusions about invariance are
+cross-checked by the derived action, never inferred.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Sequence, Tuple, Union
@@ -18,19 +20,32 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .. import exact
-from ..exact import Mat
+from ..exact import IntRows, Mat
+from .cartan import h_block, h_principal, sl2_coroot
+from .groups import u_top
 from . import modules
-from .cartan import h_block, sl2_coroot
-from .groups import u_elem, u_top
-from .modules import (
-    ModuleVector,
-    WeightModule,
-    act,
-    act_algebra,
-    support_indices,
-)
+from .modules import ModuleVector, WeightModule, extreme_part, support_indices
 
 SubgroupSpec = Union[str, Tuple[str, int]]
+
+
+def _generator_slots(n: int, spec: SubgroupSpec) -> Tuple[Tuple[int, int], ...]:
+    """The positions (i, j) of the elementary generators E_ij of a subgroup."""
+    if spec in ("G", "Q"):
+        spec = (spec, n)
+    if not (isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[1], int)):
+        raise ValueError(f"unknown subgroup: {spec!r}")
+    name, m = spec
+    if name in ("G", "Q"):
+        if not 0 <= m <= n:
+            raise ValueError(f"block size {m} out of range")
+        cols = n + 1 if name == "G" else n
+        return tuple((i, j) for i in range(m + 1) for j in range(cols) if i != j)
+    if name == "sl2":
+        if not 1 <= m <= n:
+            raise ValueError(f"slot {m} out of range")
+        return ((0, m), (m, 0))
+    raise ValueError(f"unknown subgroup: {spec!r}")
 
 
 def subgroup_generators(n: int, spec: SubgroupSpec) -> Tuple[Mat, ...]:
@@ -41,34 +56,27 @@ def subgroup_generators(n: int, spec: SubgroupSpec) -> Tuple[Mat, ...]:
     intersection with the stabilizer "Q" = ("Q", n) of the last basis
     vector; ("sl2", i) is the rank one subgroup through slot i.
     """
-    if spec in ("G", "Q"):
-        spec = (spec, n)
-    if not (isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[1], int)):
-        raise ValueError(f"unknown subgroup: {spec!r}")
-    name, m = spec
-    if name in ("G", "Q"):
-        if not 0 <= m <= n:
-            raise ValueError(f"block size {m} out of range")
-        cols = n + 1 if name == "G" else n
-        return tuple(
-            exact.elementary(n + 1, i, j)
-            for i in range(m + 1)
-            for j in range(cols)
-            if i != j
-        )
-    if name == "sl2":
-        if not 1 <= m <= n:
-            raise ValueError(f"slot {m} out of range")
-        return (exact.elementary(n + 1, 0, m), exact.elementary(n + 1, m, 0))
-    raise ValueError(f"unknown subgroup: {spec!r}")
+    return tuple(exact.elementary(n + 1, i, j) for i, j in _generator_slots(n, spec))
+
+
+def _rows(m: int, diag: int, entries: dict) -> IntRows:
+    """Integer rows of size m: diag on the diagonal, then the given entries."""
+    rows = [[diag * (a == b) for b in range(m)] for a in range(m)]
+    for (a, b), c in entries.items():
+        rows[a][b] = c
+    return rows
 
 
 def fixed_check(v: ModuleVector, subgroup: SubgroupSpec) -> bool:
     """Whether the derived action of every generator kills v (exact)."""
-    for x in subgroup_generators(v.module.n, subgroup):
-        if not act_algebra(x, v).is_zero():
-            return False
-    return True
+    mod = v.module
+    slots = _generator_slots(mod.n, subgroup)
+    images = mod._cache.get(slots)
+    if images is None:
+        images = mod._cache[slots] = tuple(
+            modules._algebra_rule(mod, _rows(mod.n + 1, 0, {(i, j): 1}), 1)[0]
+            for i, j in slots)
+    return not any(any(image(v.ints)) for image in images)
 
 
 # -- S-set classification -------------------------------------------------------
@@ -92,6 +100,20 @@ class SSetReport:
     consistent: bool
 
 
+def _block_levels(mod: WeightModule) -> Tuple[IntRows, int]:
+    """The principal levels and the gradings of the block elements k = 1..n,
+    as integer rows over one denominator, built once per module."""
+    out = mod._cache.get("blocks")
+    if out is None:
+        n = mod.n
+        gradings = [mod.grading(h_principal(n))]
+        gradings += [mod.grading(h_block(n, k)) for k in range(1, n + 1)]
+        d = math.lcm(*(gd for _, gd in gradings))
+        out = mod._cache["blocks"] = (
+            tuple(tuple(a * (d // gd) for a in g) for g, gd in gradings), d)
+    return out
+
+
 def s_sets(v: ModuleVector, x: Sequence) -> SSetReport:
     """Classify the weight support of u(x) v for an eigenvector v.
 
@@ -100,21 +122,22 @@ def s_sets(v: ModuleVector, x: Sequence) -> SSetReport:
     """
     mod = v.module
     n = mod.n
-    xs = tuple(Q(c) for c in x)
-    if len(xs) != n:
+    (xi,), xd = exact._scaled((x,))
+    if len(xi) != n:
         raise ValueError(f"x must have length {n}")
-    if any(c == 0 for c in xs):
+    if not all(xi):
         raise ValueError("all entries of x must be nonzero")
     if v.is_zero():
         raise ValueError("v must be nonzero")
-    own_levels = {lev for lev, c in zip(mod.levels, v.coords) if c != 0}
+    (principal, *blocks), _ = _block_levels(mod)
+    own_levels = {lev for lev, c in zip(principal, v.ints) if c}
     if len(own_levels) != 1:
         raise ValueError("v is not an eigenvector of the principal element")
     b = own_levels.pop()
 
-    idx = support_indices(act(u_top(xs), v))
-    blocks = [mod.grading(h_block(n, k)) for k in range(1, n + 1)]
-    levels = [mod.levels[i] - b for i in idx]
+    top = _rows(n + 1, xd, {(0, j): c for j, c in enumerate(xi, 1)})  # u(x) over xd
+    idx = support_indices(modules._apply_rule(modules._group_rule(mod, top, xd), v))
+    levels = [principal[i] - b for i in idx]
     margins = [[block[i] - lev for block in blocks] for i, lev in zip(idx, levels)]
     s_n = [m for m, row in enumerate(margins) if row[n - 1] >= 0]
     s_all = [m for m, row in enumerate(margins) if min(row) >= 0]
@@ -155,42 +178,30 @@ class Sl2Report:
     ok: bool
 
 
-def _sigma1(n: int, i: int, r: Q) -> Mat:
-    rows = [[Q(1) if a == b else Q(0) for b in range(n + 1)] for a in range(n + 1)]
-    rows[0][0] = Q(0)
-    rows[i][i] = Q(0)
-    rows[0][i] = r
-    rows[i][0] = -1 / r
-    return exact.mat(rows)
-
-
 def _sl2_rules(mod: WeightModule, i: int, r: Q) -> tuple:
-    """Rules of u(r E_0i), u(-E_i0 / r) and sigma_1 at slot i and derived
-    rules of E_i0 and E_0i, built once per (module, slot, r)."""
-    rules = mod._rules.get(("sl2", i, r))
+    """Rules of u(r E_0i), u(-E_i0 / r) and sigma_1, the corner rotation
+    with r at (0, i) and -1/r at (i, 0), at slot i; built once per (module,
+    slot, r) from integer rows."""
+    rules = mod._cache.get(("sl2", i, r))
     if rules is None:
-        n = mod.n
-        groups = (u_elem(n, 0, i, r), u_elem(n, i, 0, -1 / r), _sigma1(n, i, r))
-        algebra = (exact.elementary(n + 1, i, 0), exact.elementary(n + 1, 0, i))
-        rules = mod._rules["sl2", i, r] = tuple(
-            [modules._group_rule(mod, g) for g in groups]
-            + [modules._algebra_rule(mod, x) for x in algebra])
+        m = mod.n + 1
+        p, q = r.as_integer_ratio()
+        a, s = abs(p), (1 if p > 0 else -1)  # r = p / q and -1 / r = -s q / a
+        groups = ((_rows(m, q, {(0, i): p}), q), (_rows(m, a, {(i, 0): -s * q}), a),
+                  (_rows(m, q * a, {(0, 0): 0, (i, i): 0, (0, i): p * a, (i, 0): -s * q * q}),
+                   q * a))
+        rules = mod._cache["sl2", i, r] = tuple(modules._group_rule(mod, *g) for g in groups)
     return rules
 
 
-def _level_max(v: ModuleVector, a_diag) -> Q:
-    vals = [lev for lev, c in zip(v.module.grading(a_diag), v.coords) if c != 0]
-    if not vals:
-        raise ValueError("zero vector has no top level")
-    return max(vals)
-
-
-def _level_component(v: ModuleVector, a_diag, level: Q) -> ModuleVector:
-    coords = tuple(
-        c if (c != 0 and lev == level) else Q(0)
-        for c, lev in zip(v.coords, v.module.grading(a_diag))
-    )
-    return ModuleVector(v.module, coords)
+def _sl2_algebra_rules(mod: WeightModule, i: int) -> tuple:
+    """Derived rules of E_i0 and E_0i, built once per (module, slot)."""
+    rules = mod._cache.get(("sl2", i))
+    if rules is None:
+        m = mod.n + 1
+        rules = mod._cache["sl2", i] = (modules._algebra_rule(mod, _rows(m, 0, {(i, 0): 1}), 1),
+                                        modules._algebra_rule(mod, _rows(m, 0, {(0, i): 1}), 1))
+    return rules
 
 
 def sl2_maxweight_check(i: int, r, v: ModuleVector) -> Sl2Report:
@@ -206,35 +217,33 @@ def sl2_maxweight_check(i: int, r, v: ModuleVector) -> Sl2Report:
     if rq == 0:
         raise ValueError("r must be nonzero")
     mod = v.module
-    n = mod.n
     if v.is_zero():
         raise ValueError("v must be nonzero")
-    a = sl2_coroot(n, i)
-    up, down, sigma, lower, upper = _sl2_rules(mod, i, rq)
-    lam_v = _level_max(v, a)
-    w = ModuleVector(mod, up(v.coords))
-    lam_w = _level_max(w, a)
+    levels, d = mod.grading(sl2_coroot(mod.n, i))
+    up, down, sigma = _sl2_rules(mod, i, rq)
+    w = modules._apply_rule(up, v)
+    lam_v, v_max = extreme_part(v, levels)
+    lam_w, w_max = extreme_part(w, levels)
     equality = lam_w + lam_v == 0
 
     # equality happens exactly when v is recovered from its top component
     # and the translate's top component is the rotated top component
-    v_max = _level_component(v, a, lam_v)
-    w_max = _level_component(w, a, lam_w)
-    recovered = down(v_max.coords) == v.coords
-    rotated_top = sigma(v_max.coords) == w_max.coords
+    recovered = modules._apply_rule(down, v_max) == v
+    rotated_top = modules._apply_rule(sigma, v_max) == w_max
     ok = lam_w + lam_v >= 0 and equality == (recovered and rotated_top)
 
     # for an eigenvector of the coroot, equality, equal levels and both
     # levels zero are the invariances under the lower, upper and both
     # unipotents; in the equality case the translate's top is the rotated v
-    if len({lev for lev, c in zip(mod.grading(a), v.coords) if c != 0}) == 1:
-        fixed_lower = not any(lower(v.coords))
-        fixed_upper = not any(upper(v.coords))
+    if v_max == v:
+        (lower, _), (upper, _) = _sl2_algebra_rules(mod, i)
+        fixed_lower = not any(lower(v.ints))
+        fixed_upper = not any(upper(v.ints))
         ok = (ok and equality == fixed_lower
-              and equality == (sigma(v.coords) == w_max.coords)
+              and equality == (modules._apply_rule(sigma, v) == w_max)
               and (lam_w == lam_v) == fixed_upper
               and (lam_v == 0 and lam_w == 0) == (fixed_lower and fixed_upper))
-    return Sl2Report(lam_max_v=lam_v, lam_max_w=lam_w, equality=equality, ok=ok)
+    return Sl2Report(lam_max_v=Q(lam_v, d), lam_max_w=Q(lam_w, d), equality=equality, ok=ok)
 
 
 # -- lower estimate for the surviving component ------------------------------------
@@ -243,13 +252,12 @@ def sl2_maxweight_check(i: int, r, v: ModuleVector) -> Sl2Report:
 def delta_plus_indices(module: WeightModule, b: Q) -> Tuple[int, ...]:
     """Basis indices whose weight mu has mu(principal) - b >= 0 and
     nonnegative margin against every block element."""
-    blocks = [module.grading(h_block(module.n, k)) for k in range(1, module.n + 1)]
+    (principal, *blocks), d = _block_levels(module)
+    bn, bd = b.as_integer_ratio()
     out = []
-    for idx, level in enumerate(module.levels):
-        lev = level - b
-        if lev < 0:
-            continue
-        if all(block[idx] - lev >= 0 for block in blocks):
+    for idx, level in enumerate(principal):
+        lev = level * bd - bn * d  # mu(principal) - b, over d * bd
+        if lev >= 0 and all(block[idx] * bd - lev >= 0 for block in blocks):
             out.append(idx)
     return tuple(out)
 

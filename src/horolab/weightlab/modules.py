@@ -1,30 +1,42 @@
 """Finite dimensional modules with exact rational weight bookkeeping.
 
 Supported kinds: "standard", "exterior(d)", "adjoint", and one tensor layer
-"tensor(a,b)" whose operands are non-tensor kinds.  Group and algebra
-elements act on the coordinate vector itself, through one exact rule per kind
-over the rationals; the matrix of an action, where one is needed, is that
-rule applied to each basis vector.  The diagonal flow acts through weights.
-No tolerances appear anywhere in this package.
+"tensor(a,b)" whose operands are non-tensor kinds.  A vector is a row of
+integer coordinates over one positive denominator, and a grading a row of
+integer levels over one denominator.  Group and algebra elements act on the
+row through one exact rule per kind, an integer map with a denominator built
+from the element's integer rows, so applying a rule makes no ``Fraction``;
+the matrix of an action, where one is needed, is that rule applied to each
+basis vector.  The diagonal flow acts through weights.  No tolerances
+appear anywhere in this package.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import mul
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from .. import exact
-from ..exact import Mat, Vec
-from .cartan import Weight, h_principal
+from ..exact import IntRows, Mat, Vec
+from .cartan import h_principal
 
 _EXTERIOR_RE = re.compile(r"^exterior\((\d+)\)$")
 _TENSOR_RE = re.compile(r"^tensor\(([^,]+),([^,]+)\)$")
+
+
+def _beta_row(eps: Sequence[int]) -> Tuple[int, ...]:
+    """The weight sum_j eps_j e_j in beta coordinates, over n + 1: on
+    traceless diagonals it is sum_i m_i beta_i, m_i = sum(eps)/(n+1) - eps_i."""
+    total, m = sum(eps), len(eps)
+    return tuple(total - m * e for e in eps[1:])
 
 
 @dataclass(frozen=True)
@@ -33,7 +45,10 @@ class WeightModule:
     kind: str
     dim: int
     labels: Tuple[str, ...]
-    weights: Tuple[Weight, ...]
+    # each basis weight by its coefficients (m_1, ..., m_n) on the functionals
+    # beta_i(diag(a_0, ..., a_n)) = a_0 - a_i, as integers over n + 1; sorting
+    # these rows sorts the weights
+    weights: IntRows
     # kind-specific basis data (index tuples for exterior, (i, j) pairs and
     # diagonal slots for adjoint, operand pair for tensor)
     basis_data: tuple
@@ -44,28 +59,37 @@ class WeightModule:
     # -- weight structure ---------------------------------------------------
 
     @functools.cached_property
-    def _gradings(self) -> Dict[tuple, Tuple[Q, ...]]:
+    def _gradings(self) -> Dict[tuple, Tuple[Tuple[int, ...], int]]:
         return {}
 
     @functools.cached_property
-    def _rules(self) -> Dict[tuple, tuple]:
-        """Vector rules of fixed elements, built once and kept under their
-        caller's key."""
+    def _cache(self) -> Dict[tuple, tuple]:
+        """Rules of fixed elements and integer level tables, built once and
+        kept under their caller's key."""
         return {}
 
-    def grading(self, h: Sequence) -> Tuple[Q, ...]:
-        """Exact level of every basis index on the diagonal element h,
-        evaluated once per module and h."""
+    def grading(self, h: Sequence) -> Tuple[Tuple[int, ...], int]:
+        """Exact level of every basis index on the diagonal element h, as
+        integers over one denominator, n + 1 times the common denominator
+        of h's entries; evaluated once per module and h."""
         key = tuple(map(exact._ratio, h))  # hashes faster than Fractions
         out = self._gradings.get(key)
         if out is None:
-            out = self._gradings[key] = tuple(w.evaluate(h) for w in self.weights)
+            if len(key) != self.n + 1:
+                raise ValueError("diagonal has wrong size")
+            hd = math.lcm(*(b for _, b in key))
+            hi = [a * (hd // b) for a, b in key]
+            diffs = [hi[0] - c for c in hi[1:]]  # the beta values of h, over hd
+            out = self._gradings[key] = (
+                tuple(sum(map(mul, row, diffs)) for row in self.weights), (self.n + 1) * hd)
         return out
 
     @functools.cached_property
     def levels(self) -> Tuple[Q, ...]:
-        """Values of each basis weight on the principal diagonal element."""
-        return self.grading(h_principal(self.n))
+        """Values of each basis weight on the principal diagonal element, as
+        exact Fractions for reports and the float layers."""
+        ints, d = self.grading(h_principal(self.n))
+        return tuple(Q(a, d) for a in ints)
 
     def level_set(self) -> Tuple[Q, ...]:
         return tuple(sorted(set(self.levels)))
@@ -75,12 +99,12 @@ class WeightModule:
     def group_action(self, g: Mat) -> Mat:
         """Exact matrix of the module action of g in GL(n+1, Q): the vector
         rule of ``act`` applied to each basis vector."""
-        return _matrix_of(self, _group_rule(self, g))
+        return _matrix_of(self, _group_rule(self, *exact._scaled(g)))
 
     def algebra_action(self, x: Mat) -> Mat:
         """Exact matrix of the derived action of x in gl(n+1, Q): the vector
         rule of ``act_algebra`` applied to each basis vector."""
-        return _matrix_of(self, _algebra_rule(self, x))
+        return _matrix_of(self, _algebra_rule(self, *exact._scaled(x)))
 
     def group_action_float(self, g: np.ndarray) -> np.ndarray:
         """Float matrices of the action of a stack (..., n+1, n+1) of group
@@ -103,9 +127,7 @@ def build_module(kind: str, n: int) -> WeightModule:
     if kind == "standard":
         labels = tuple(f"e{j}" for j in range(n + 1))
         weights = tuple(
-            Weight.from_eps(tuple(1 if i == j else 0 for i in range(n + 1)))
-            for j in range(n + 1)
-        )
+            _beta_row([int(i == j) for i in range(n + 1)]) for j in range(n + 1))
         return WeightModule(n, "standard", n + 1, labels, weights, ("standard",))
     m = _EXTERIOR_RE.match(kind)
     if m:
@@ -119,7 +141,7 @@ def build_module(kind: str, n: int) -> WeightModule:
             eps = [0] * (n + 1)
             for j in c:
                 eps[j] = 1
-            weights.append(Weight.from_eps(eps))
+            weights.append(_beta_row(eps))
         return WeightModule(
             n, f"exterior({d})", len(combos), labels, tuple(weights), ("exterior", d, combos)
         )
@@ -131,10 +153,10 @@ def build_module(kind: str, n: int) -> WeightModule:
             eps = [0] * (n + 1)
             eps[i] += 1
             eps[j] -= 1
-            weights.append(Weight.from_eps(eps))
+            weights.append(_beta_row(eps))
         for k in range(n):
             labels.append(f"D{k}")
-            weights.append(Weight.zero(n))
+            weights.append((0,) * n)
         dim = (n + 1) ** 2 - 1
         return WeightModule(
             n, "adjoint", dim, tuple(labels), tuple(weights), ("adjoint", pairs)
@@ -146,7 +168,8 @@ def build_module(kind: str, n: int) -> WeightModule:
         labels = tuple(
             f"{a}*{b}" for a in left.labels for b in right.labels
         )
-        weights = tuple(wa + wb for wa in left.weights for wb in right.weights)
+        weights = tuple(tuple(map(sum, zip(wa, wb)))
+                        for wa in left.weights for wb in right.weights)
         return WeightModule(
             n,
             f"tensor({left.kind},{right.kind})",
@@ -160,29 +183,29 @@ def build_module(kind: str, n: int) -> WeightModule:
 
 # -- the action on vectors, one exact rule per kind ----------------------------
 
-Rule = Callable[[Vec], Vec]
+# A rule is an integer map on coordinate rows with its nonzero denominator:
+# it sends the vector w / d to image(w) / (d * denom).
+Image = Callable[[Sequence[int]], Sequence[int]]
+Rule = Tuple[Image, int]
 
 
-def _group_rule(mod: WeightModule, g: Mat) -> Rule:
-    """The map v -> g v on coordinate tuples.
-
-    Except for tensors, g is scaled to integer rows once, and the rule is an
-    integer map on the scaled coordinates over a fixed denominator.
-    """
-    if len(g) != mod.n + 1:
+def _group_rule(mod: WeightModule, gi: IntRows, gd: int) -> Rule:
+    """The map v -> g v, for g = gi / gd given by integer rows over a
+    nonzero denominator."""
+    if len(gi) != mod.n + 1 or any(len(row) != mod.n + 1 for row in gi):
         raise ValueError("group element has wrong size")
     tag = mod.basis_data[0]
     if tag == "tensor":
         # rho_a(g) V rho_b(g)^T on the dim_a x dim_b coefficient matrix V
         _, left, right = mod.basis_data
-        rho_a, rho_b = _group_rule(left, g), _group_rule(right, g)
-        return lambda v: _on_cols(rho_a, _on_rows(rho_b, v, right.dim), right.dim)
-    gi, gd = exact._scaled(g)
+        (rho_a, da), (rho_b, db) = _group_rule(left, gi, gd), _group_rule(right, gi, gd)
+        return (lambda w: _on_cols(rho_a, _on_rows(rho_b, w, right.dim), right.dim),
+                da * db)
     if tag == "standard":
-        return functools.partial(exact._apply, lambda w: exact._imatvec(gi, w), gd)
+        return functools.partial(exact._imatvec, gi), gd
     if tag == "exterior":
         # g(e_I) = sum over J of minor(g; J, I) e_J; the minors of the integer
-        # rows are over gd^d, one column I at a time as v needs it
+        # rows are over gd^d, one column I at a time as w needs it
         _, d, combos = mod.basis_data
 
         @functools.cache
@@ -199,31 +222,31 @@ def _group_rule(mod: WeightModule, g: Mat) -> Rule:
                     out = [a + c * m for a, m in zip(out, column(cols))]
             return out
 
-        return functools.partial(exact._apply, image, gd**d)
+        return image, gd**d
     if tag == "adjoint":
         hi, hd = exact._inverse_ints(gi, gd)
-        return functools.partial(exact._apply, lambda w: _adjoint_coords(
+        return (lambda w: _adjoint_coords(
             mod, exact._imul(exact._imul(gi, _adjoint_matrix(mod, w)), hi)), gd * hd)
     raise AssertionError(tag)
 
 
-def _algebra_rule(mod: WeightModule, x: Mat) -> Rule:
-    """The map v -> x v of the derived action on coordinate tuples, with x
-    scaled to integer rows once as in ``_group_rule``."""
-    if len(x) != mod.n + 1:
+def _algebra_rule(mod: WeightModule, xi: IntRows, xd: int) -> Rule:
+    """The map v -> x v of the derived action, for x = xi / xd given by
+    integer rows over a nonzero denominator."""
+    if len(xi) != mod.n + 1 or any(len(row) != mod.n + 1 for row in xi):
         raise ValueError("algebra element has wrong size")
     tag = mod.basis_data[0]
     if tag == "tensor":
-        # x V + V x^T on the dim_a x dim_b coefficient matrix V
+        # x V + V x^T on the dim_a x dim_b coefficient matrix V; both operand
+        # rules are over xd
         _, left, right = mod.basis_data
-        x_a, x_b = _algebra_rule(left, x), _algebra_rule(right, x)
-        return lambda v: tuple(
+        (x_a, _), (x_b, _) = _algebra_rule(left, xi, xd), _algebra_rule(right, xi, xd)
+        return (lambda w: tuple(
             p + q
-            for p, q in zip(_on_cols(x_a, v, right.dim), _on_rows(x_b, v, right.dim))
-        )
-    xi, xd = exact._scaled(x)
+            for p, q in zip(_on_cols(x_a, w, right.dim), _on_rows(x_b, w, right.dim))
+        ), xd)
     if tag == "standard":
-        return functools.partial(exact._apply, lambda w: exact._imatvec(xi, w), xd)
+        return functools.partial(exact._imatvec, xi), xd
     if tag == "exterior":
         # x acts as a derivation: x e_j = sum_i x_ij e_i in each factor of e_I
         combos = mod.basis_data[2]
@@ -242,28 +265,29 @@ def _algebra_rule(mod: WeightModule, x: Mat) -> Rule:
                         out[where[target]] += sign * xi[i][j] * c
             return out
 
-        return functools.partial(exact._apply, image, xd)
+        return image, xd
     if tag == "adjoint":
-        return functools.partial(exact._apply, lambda w: _adjoint_coords(
+        return (lambda w: _adjoint_coords(
             mod, exact._ibracket(xi, _adjoint_matrix(mod, w))), xd)
     raise AssertionError(tag)
 
 
-def _on_rows(rule: Rule, v: Vec, width: int) -> Vec:
-    """V -> V rule^T on the row-major coefficient matrix V of a tensor."""
-    return tuple(c for i in range(0, len(v), width) for c in rule(v[i : i + width]))
+def _on_rows(image: Image, w: Sequence[int], width: int) -> tuple:
+    """W -> W image^T on the row-major coefficient matrix W of a tensor."""
+    return tuple(c for i in range(0, len(w), width) for c in image(w[i : i + width]))
 
 
-def _on_cols(rule: Rule, v: Vec, width: int) -> Vec:
-    """V -> rule V on the row-major coefficient matrix V of a tensor."""
-    cols = [rule(v[k::width]) for k in range(width)]
+def _on_cols(image: Image, w: Sequence[int], width: int) -> tuple:
+    """W -> image W on the row-major coefficient matrix W of a tensor."""
+    cols = [image(w[k::width]) for k in range(width)]
     return tuple(c for row in zip(*cols) for c in row)
 
 
 def _matrix_of(mod: WeightModule, rule: Rule) -> Mat:
     """The matrix whose column b is the rule applied to basis vector b."""
-    cols = [rule(basis_vector(mod, b).coords) for b in range(mod.dim)]
-    return exact.mat(zip(*cols))
+    image, denom = rule
+    cols = [image(basis_vector(mod, b).ints) for b in range(mod.dim)]
+    return exact._over(zip(*cols), denom)
 
 
 def _adjoint_matrix(mod: WeightModule, v: Sequence) -> tuple:
@@ -310,7 +334,7 @@ def _group_action_float(mod: WeightModule, g: np.ndarray) -> np.ndarray:
         # column b holds the adjoint coordinates of g X_b g^{-1}
         basis = np.array([
             [[float(c) for c in row]
-             for row in _adjoint_matrix(mod, basis_vector(mod, b).coords)]
+             for row in _adjoint_matrix(mod, basis_vector(mod, b).ints)]
             for b in range(mod.dim)
         ])
         y = g[..., None, :, :] @ basis @ np.linalg.inv(g)[..., None, :, :]
@@ -330,47 +354,66 @@ def _group_action_float(mod: WeightModule, g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModuleVector:
+    """A module vector: integer coordinates ``ints`` over one positive
+    denominator, normalised to gcd 1, so equal vectors have equal fields."""
+
     module: WeightModule
-    coords: Vec
+    ints: Tuple[int, ...]
+    denom: int = 1
 
     def __post_init__(self):
-        if len(self.coords) != self.module.dim:
+        if len(self.ints) != self.module.dim:
             raise ValueError("coordinate count does not match module dimension")
-        object.__setattr__(self, "coords", exact.vec(self.coords))
+        if self.denom == 0:
+            raise ZeroDivisionError("vector denominator is zero")
+        g = math.gcd(*self.ints, self.denom)
+        if self.denom < 0:
+            g = -g
+        object.__setattr__(self, "ints", tuple(a // g for a in self.ints))
+        object.__setattr__(self, "denom", self.denom // g)
+
+    @property
+    def coords(self) -> Vec:
+        """The coordinates as exact Fractions, for reports and tests."""
+        return tuple(Q(a, self.denom) for a in self.ints)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.ints)
 
     def to_floats(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coords])
+        # int / int is correctly rounded, like float() of each coordinate
+        return np.array([a / self.denom for a in self.ints])
 
     def __repr__(self) -> str:
-        parts = [
-            f"{c}*{lab}"
-            for c, lab in zip(self.coords, self.module.labels)
-            if c != 0
-        ]
-        return "ModuleVector(" + (" + ".join(parts) if parts else "0") + ")"
+        parts = [f"{c}*{lab}" for c, lab in zip(self.coords, self.module.labels) if c]
+        return "ModuleVector(" + (" + ".join(parts) or "0") + ")"
 
 
 def basis_vector(module: WeightModule, index: int) -> ModuleVector:
-    return ModuleVector(
-        module, tuple(Q(1) if i == index else Q(0) for i in range(module.dim))
-    )
+    return ModuleVector(module, tuple(int(i == index) for i in range(module.dim)))
 
 
 def vector(module: WeightModule, coords: Sequence) -> ModuleVector:
-    return ModuleVector(module, tuple(coords))
+    """The vector with the given exact coordinates (floats at their exact
+    binary values)."""
+    (ints,), denom = exact._scaled((coords,))
+    return ModuleVector(module, ints, denom)
+
+
+def _apply_rule(rule: Rule, v: ModuleVector) -> ModuleVector:
+    """The image of v under a vector rule, in integers throughout."""
+    image, denom = rule
+    return ModuleVector(v.module, image(v.ints), v.denom * denom)
 
 
 def act(g: Mat, v: ModuleVector) -> ModuleVector:
     """Apply an exact group element (an (n+1)x(n+1) rational matrix)."""
-    return ModuleVector(v.module, _group_rule(v.module, exact.mat(g))(v.coords))
+    return _apply_rule(_group_rule(v.module, *exact._scaled(g)), v)
 
 
 def act_algebra(x: Mat, v: ModuleVector) -> ModuleVector:
     """Apply the derived action of an algebra element, exactly."""
-    return ModuleVector(v.module, _algebra_rule(v.module, exact.mat(x))(v.coords))
+    return _apply_rule(_algebra_rule(v.module, *exact._scaled(x)), v)
 
 
 # -- support -------------------------------------------------------------------
@@ -379,8 +422,17 @@ def act_algebra(x: Mat, v: ModuleVector) -> ModuleVector:
 def support_indices(v: ModuleVector) -> Tuple[int, ...]:
     """One basis index per distinct weight carrying a nonzero coordinate
     (the first), in sorted weight order."""
-    seen: Dict[Tuple[Q, ...], int] = {}
-    for idx, (c, w) in enumerate(zip(v.coords, v.module.weights)):
-        if c != 0:
-            seen.setdefault(w.coeffs, idx)
+    seen: Dict[Tuple[int, ...], int] = {}
+    for idx, (c, beta) in enumerate(zip(v.ints, v.module.weights)):
+        if c:
+            seen.setdefault(beta, idx)
     return tuple(seen[key] for key in sorted(seen))
+
+
+def extreme_part(v: ModuleVector, levels: Sequence[int],
+                 pick=max) -> Tuple[int, ModuleVector]:
+    """The top level of a nonzero v in the grading ``levels`` (the bottom one
+    with ``pick=min``) and the part of v at that level."""
+    top = pick(lev for lev, c in zip(levels, v.ints) if c)
+    return top, ModuleVector(v.module, tuple(c if lev == top else 0
+                                             for c, lev in zip(v.ints, levels)), v.denom)

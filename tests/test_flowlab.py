@@ -1,6 +1,10 @@
 """Flow schedules, expansion floors, and the fixed-limit construction."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from horolab import flowlab as fl
 from horolab.weightlab import basis_vector, build_module, vector
+from weight_helpers import weight_levels
 
 
 # -- schedules ---------------------------------------------------------------
@@ -104,9 +109,29 @@ def test_log_diagonal_grades_the_exponents():
     assert sched.log_diagonal == (2, Q(-3, 2), Q(-1, 2))
     for t in (1.0, 7.5, 20.0):
         exps = sched.exponents(t)
-        assert [level * Q(t) for level in module.grading(sched.log_diagonal)] == [
-            w.evaluate(exps) for w in module.weights
-        ]
+        levels, d = module.grading(sched.log_diagonal)
+        assert [Q(a, d) * Q(t) for a in levels] == list(weight_levels(module, exps))
+
+
+@pytest.mark.parametrize("count", [2, 3, 5, 33, 34, 40, 64, 129])
+def test_eta_grid_is_np_unique_bit_for_bit(count):
+    # the presets use 33 points; the others are a few more sizes
+    a, b = map(float, fl.WINDOW)
+    j = np.arange(count)
+    cheb = (a + b) / 2 + (b - a) / 2 * np.cos(np.pi * j / (count - 1))
+    want = np.unique(np.concatenate([np.linspace(a, b, count), cheb]))
+    got = fl._eta_grid(count)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_eta_grid_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use; the grid must not
+    code = ("import sys; from horolab import flowlab; flowlab._eta_grid(33); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(fl.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- polynomial floor constants ------------------------------------------------

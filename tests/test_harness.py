@@ -144,18 +144,22 @@ def test_corrupted_predicate_hook_fails_loud(tmp_path):
 
 def _adjoint_rule_without_inverse(real):
     """The group rule with the adjoint kind acting by g X g, trace removed,
-    in place of g X g^-1: a traceless result, but not an action."""
-    def rule(mod, g):
+    in place of g X g^-1: a traceless result, but not an action.  Like the
+    real rule it maps integer rows, here (n+1) Y - tr(Y) I for Y = G X G
+    over (n+1) gd^2, where g = G / gd."""
+    def rule(mod, gi, gd):
         if mod.kind != "adjoint":
-            return real(mod, g)
+            return real(mod, gi, gd)
+        m = mod.n + 1
 
-        def wrong(v):
-            y = exact.matmul(exact.matmul(g, modules._adjoint_matrix(mod, v)), g)
-            shift = sum(y[k][k] for k in range(mod.n + 1)) / (mod.n + 1)
-            return modules._adjoint_coords(
-                mod, exact.sub(y, exact.scale(shift, exact.identity(mod.n + 1))))
+        def wrong(w):
+            y = exact._imul(exact._imul(gi, modules._adjoint_matrix(mod, w)), gi)
+            trace = sum(y[k][k] for k in range(m))
+            return modules._adjoint_coords(mod, tuple(
+                tuple(m * c - trace * (a == b) for b, c in enumerate(row))
+                for a, row in enumerate(y)))
 
-        return wrong
+        return wrong, m * gd * gd
 
     return rule
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horolab import exact
+from horolab.rng import generator
 from horolab.weightlab import lemmas
 from horolab.weightlab import (
     basis_vector,
@@ -18,6 +19,13 @@ from horolab.weightlab import (
     sl2_maxweight_check,
     subgroup_generators,
     vector,
+)
+from weight_helpers import (
+    random_eigenvector,
+    random_rational,
+    random_vector,
+    s_sets_oracle,
+    sl2_oracle,
 )
 
 
@@ -124,14 +132,15 @@ def test_sl2_low_eigenvector_is_always_equality():
 def test_sl2_eigenvector_branch_decides_ok(monkeypatch):
     # v spans one level of the slot-1 coroot, so equality must coincide with
     # invariance under the lower unipotent; a lower rule that fixes nothing
-    # breaks that, and only the eigenvector branch sees it
-    honest = lemmas._sl2_rules
+    # breaks that, and only the eigenvector branch sees it.  The derived
+    # rules are built per slot, apart from the group rules of each r.
+    honest = lemmas._sl2_algebra_rules
 
-    def identity_lower(mod, i, r):
-        up, down, sigma, lower, upper = honest(mod, i, r)
-        return up, down, sigma, lambda coords: coords, upper
+    def identity_lower(mod, i):
+        _, upper = honest(mod, i)
+        return (lambda ints: ints, 1), upper
 
-    monkeypatch.setattr(lemmas, "_sl2_rules", identity_lower)
+    monkeypatch.setattr(lemmas, "_sl2_algebra_rules", identity_lower)
     mod = build_module("standard", 2)
     rep = sl2_maxweight_check(1, Q(1), basis_vector(mod, 1))
     assert rep.equality
@@ -144,3 +153,43 @@ def test_sl2_rejects_degenerate_input():
         sl2_maxweight_check(1, 0, basis_vector(mod, 0))
     with pytest.raises(ValueError):
         sl2_maxweight_check(1, Q(1), vector(mod, [Q(0)] * 3))
+
+
+# Seeds that no preset uses; every kind, exterior(3) and a tensor included.
+ORACLE_SEEDS = (3, 5, 8)
+ORACLE_MODULES = [
+    (n, kind)
+    for n in (1, 2, 3)
+    for kind in ["standard", "exterior(2)", "adjoint", "tensor(standard,exterior(2))"]
+    + (["exterior(3)"] if n >= 2 else [])
+]
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_s_sets_matches_the_fraction_oracle(seed):
+    for n, kind in ORACLE_MODULES:
+        mod = build_module(kind, n)
+        rng = generator(seed, f"s-sets-oracle-{kind}", n)
+        for _ in range(4):
+            v = random_eigenvector(mod, rng)
+            x = [random_rational(rng, nonzero=True) for _ in range(n)]
+            assert s_sets(v, x) == s_sets_oracle(v, x), (kind, n, v, x)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_sl2_check_matches_the_fraction_oracle(seed):
+    equalities = 0
+    for n, kind in ORACLE_MODULES:
+        mod = build_module(kind, n)
+        rng = generator(seed, f"sl2-oracle-{kind}", n)
+        inputs = [(basis_vector(mod, int(rng.integers(0, mod.dim))),
+                   int(rng.integers(1, n + 1)), random_rational(rng, nonzero=True))
+                  for _ in range(3)]
+        inputs += [(random_vector(mod, rng), int(rng.integers(1, n + 1)),
+                    random_rational(rng, nonzero=True)) for _ in range(3)]
+        for v, slot, r in inputs:
+            rep = sl2_maxweight_check(slot, r, v)
+            assert rep == sl2_oracle(slot, r, v), (kind, n, slot, r, v)
+            assert type(rep.lam_max_v) is Q and type(rep.lam_max_w) is Q
+            equalities += rep.equality
+    assert equalities  # the equality branch is exercised

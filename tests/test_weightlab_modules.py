@@ -1,5 +1,7 @@
 """Representation bookkeeping: dimensions, weights, and the two actions."""
 
+import math
+import random
 from fractions import Fraction as Q
 from math import comb
 
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 from horolab import exact
 from horolab.weightlab import modules
 from horolab.weightlab import (
+    ModuleVector,
     act,
     act_algebra,
+    basis_vector,
     build_module,
     h_block,
     h_principal,
@@ -20,6 +24,7 @@ from horolab.weightlab import (
     u_elem,
     vector,
 )
+from weight_helpers import weight_levels
 
 
 def _minus(a, b):
@@ -38,7 +43,7 @@ def test_dimensions(n):
 def test_adjoint_weights_sum_to_zero():
     mod = build_module("adjoint", 2)
     hp = h_principal(2)
-    total = sum(w.evaluate(hp) for w in mod.weights)
+    total = sum(weight_levels(mod, hp))
     assert total == 0
 
 
@@ -199,9 +204,11 @@ def test_graded_levels_equal_weight_evaluation(n):
     for kind in kinds:
         mod = build_module(kind, n)
         for h in elements:
-            assert mod.grading(h) == tuple(w.evaluate(h) for w in mod.weights)
+            levels, d = mod.grading(h)
+            assert all(type(a) is int for a in levels) and d > 0
+            assert tuple(Q(a, d) for a in levels) == weight_levels(mod, h)
             assert mod.grading(list(h)) is mod.grading(h)  # evaluated once
-        assert mod.levels == mod.grading(h_principal(n))
+        assert mod.levels == weight_levels(mod, h_principal(n))
 
 
 def test_adjoint_coordinates_reject_a_matrix_with_trace():
@@ -209,3 +216,51 @@ def test_adjoint_coordinates_reject_a_matrix_with_trace():
     with pytest.raises(ValueError):
         modules._adjoint_coords(mod, exact.identity(3))
 
+
+# -- vectors: integer rows over one denominator ---------------------------------
+
+
+def test_vectors_normalise_to_one_integer_row():
+    mod = build_module("standard", 2)
+    v = vector(mod, [Q(1, 2), 1, 0])
+    assert v == vector(mod, [Q(2, 4), Q(2, 2), 0]) == vector(mod, [0.5, 1.0, 0.0])
+    assert (v.ints, v.denom) == ((1, 2, 0), 2)
+    assert math.gcd(*v.ints, v.denom) == 1
+    # a negative or unreduced denominator is normalised the same way
+    assert ModuleVector(mod, (-3, -6, 0), -6) == v
+    assert ModuleVector(mod, (0, 0, 0), -7) == ModuleVector(mod, (0, 0, 0))
+    assert ModuleVector(mod, (0, 0, 0), -7).denom == 1
+    assert vector(mod, [Q(1, 3), 0, 0]) != v
+    with pytest.raises(ValueError):
+        ModuleVector(mod, (1, 2), 1)
+    with pytest.raises(ZeroDivisionError):
+        ModuleVector(mod, (1, 2, 0), 0)
+
+
+@given(coords=st.lists(st.fractions(max_denominator=10**6), min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_vector_coords_round_trip(coords):
+    v = vector(build_module("standard", 3), coords)
+    assert v.coords == tuple(Q(c) for c in coords)
+    assert all(type(c) is Q for c in v.coords)
+    assert vector(v.module, v.coords) == v
+    assert v.denom > 0 and math.gcd(*v.ints, v.denom) == 1
+    assert v.is_zero() == (not any(coords))
+
+
+def test_is_zero():
+    mod = build_module("exterior(2)", 3)
+    assert vector(mod, [0] * mod.dim).is_zero()
+    assert not any(basis_vector(mod, b).is_zero() for b in range(mod.dim))
+    assert not vector(mod, [0] * (mod.dim - 1) + [Q(-1, 10**30)]).is_zero()
+
+
+def test_to_floats_matches_float_of_each_coordinate_at_200_bits():
+    mod = build_module("tensor(standard,standard)", 2)
+    rnd = random.Random(20)
+    for _ in range(200):
+        coords = [Q(rnd.getrandbits(240) - 2**239, rnd.getrandbits(200) | 1)
+                  for _ in range(mod.dim)]
+        got = vector(mod, coords).to_floats()
+        want = np.array([float(c) for c in coords])
+        assert got.tobytes() == want.tobytes()
