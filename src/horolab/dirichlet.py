@@ -14,17 +14,16 @@ holds with that uncertainty added on the unfavourable side, so ``found`` is
 never a false positive; a miss within half an ulp of the boundary may be
 conservative.
 
-Each form is a sweep that takes any list of queries, grouped by xi and, for
-the primal form, by dimension.  The primal sweep evaluates ``|q . xi - p|``
-in floats for several xi at once over the union box of a group, held in
-canonical (shell-first) order so that each query reads the shells up to its
-largest bound; it walks only the q whose first nonzero coordinate is
-positive, since -q answers alike and sorts later.  The dual sweep does the
-same over ``q = 1 .. max prod N`` for each xi.  Every point of the float
-band, widened by a bound on the rounding of the sweep, is confirmed in
-integer arithmetic over the common denominator of xi.  Nothing is
-shortlisted or capped, so the primal witness is the exact smallest-error one
-and the dual witness has the exact smallest q.
+Each form is a sweep that takes any list of queries.  The primal sweep meets
+in the middle: each head point ``(q_1 .. q_{n-1})`` of a box finds the
+``q_n`` that could complete a witness in at most three windows of the sorted
+float residues of ``q_n xi_n``, for the q whose first nonzero coordinate is
+positive (-q answers alike and sorts later).  The dual sweep walks
+``q = 1 .. max prod N`` per xi.  Every candidate, within a band widened by a
+bound on the float rounding, is confirmed in integer arithmetic over the
+denominator of xi; the half-ulp shrink keeps its own.  Nothing is shortlisted
+or capped: the primal witness is the exact smallest-error one, and the dual
+witness has the exact smallest q.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from operator import mul
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import index, mul
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,15 +44,13 @@ from .latticelab import LatticeBasis, enumerate_ball, lll_reduce, shear_basis
 Number = Union[int, float, Q]
 
 SEARCH_BUDGET = 10**7
-_CHUNK = 1 << 20  # points per slab of the primal sweep; bounds its memory
 # q values per slab of the dual sweep: a query stops at its first witness, and
 # each float array stays within 128 KiB
 _DUAL_CHUNK = 1 << 13
-_CONFIRM_BLOCK = 1 << 16  # band points confirmed at once; bounds the Python-int arrays
-_ROW_BLOCK = 1 << 15  # float errors (xi rows x points) computed at once, past one row
-# A primal query reads its group's union up to its largest bound: at most this
-# many times its own box, or the floor (any boxes with N_i <= 8 in 3 dimensions).
-_UNION_SLACK, _UNION_FLOOR = 4, 1 << 13
+# head points and tail residues, and then candidates, per block of the primal
+# sweep; bounds its memory
+_BLOCK = 1 << 12
+_SHIFTS = (-1, 0, 1)  # the integers m of the primal windows m - c(h) +- band
 _FLOAT_MARGIN = 1e-9
 
 
@@ -65,8 +62,6 @@ def _allowance(x: Number) -> Number:
     """Outward-rounding allowance: half an ulp for a float, 0 for an exact number."""
     if not isinstance(x, float):
         return 0
-    if not math.isfinite(x):
-        raise ValueError("coordinates must be finite")
     return math.ulp(x) / 2 or Q(1, 2**1075)  # half the least subnormal is no float
 
 
@@ -92,11 +87,14 @@ class DIQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "xi", tuple(self.xi))
-        object.__setattr__(self, "bounds", tuple(int(b) for b in self.bounds))
+        if any(isinstance(b, (bool, np.bool_)) or not hasattr(type(b), "__index__") or b < 1
+               for b in self.bounds):  # int() would take 2.7 as 2 and True as 1
+            raise ValueError(f"box sizes must be integers >= 1, not {self.bounds}")
+        object.__setattr__(self, "bounds", tuple(map(index, self.bounds)))
         if len(self.xi) != len(self.bounds) or not self.xi:
             raise ValueError("xi and bounds must have equal positive length")
-        if any(b < 1 for b in self.bounds):
-            raise ValueError("box sizes must be >= 1")
+        if any(isinstance(x, float) and not math.isfinite(x) for x in self.xi):
+            raise ValueError("coordinates must be finite")
         if not 0 < self.mu <= 1:  # exact for every Number; NaN fails it
             raise ValueError("improvement factor must lie in (0, 1]")
 
@@ -132,7 +130,7 @@ def _check_budget(points: int) -> None:
 
 def _xi_key(xi: Sequence[Number]) -> Tuple:
     """xi with its types: a float and an equal Fraction differ in allowance."""
-    return tuple((type(x), x) for x in xi)
+    return tuple((type(x), _ratio(x)) for x in xi)
 
 
 def _float_error(bounds: Sequence[int], xi_f: Sequence[float]) -> float:
@@ -151,201 +149,201 @@ def _nearest(t, denom: int):
 
 
 # -- primal sweep ----------------------------------------------------------------------
+#
+# Write q = (h, q_n) with the head h = (q_1 .. q_{n-1}), and let x_i be the
+# float of xi_i less its nearest integer.  The residues c(h) = h . x - rint(h . x)
+# and b(q_n) = q_n x_n - rint(q_n x_n) lie in [-1/2, 1/2]; q is a candidate
+# when b(q_n) lies in a window m - c(h) +- band, m = -1, 0, 1.
+#
+# Every exact witness is one.  Its error is at most beta = mu / prod N.
+# Rounding xi to x moves q . x by at most sum N_i ulp(x_i) / 2; the n - 1
+# products and n - 2 sums of c and the product of b round by less than
+# n 2^-52 sum N_i |x_i|, and ``rint`` and its subtraction are exact.  So c + b
+# lies within beta + eps of an integer m, eps below ``_float_error`` less its
+# margin: m is -1, 0 or 1 when beta < 1/2, and for beta >= 1/2 the band
+# passes 1/2 and the windows cover [-1/2, 1/2].  A window end m - c -+ band
+# takes two roundings of magnitude at most 2.5, 2^-51 in all, within the
+# margin.  The band stays below 3/2, so an end stays within 5/2 of its unit's
+# offset, 4 from the next; adding offsets keeps every candidate, since
+# rounding is monotone.  A witness with c + b near +-1 has the twin
+# (h, -q_n), error |c - b| no larger and the same shrink: the side windows
+# change a result only where the two tie, at a residue of exactly 1/2.
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _count(bounds: Tuple[int, ...], level: int) -> int:
-    """Nonzero box points with max |q_i| <= level."""
-    return math.prod(2 * min(b, level) + 1 for b in bounds) - 1
+class _Row:
+    """One xi less its nearest integers ``shift``, over its own denominator and
+    as floats, and its half-ulp allowances over a denominator of theirs."""
+
+    def __init__(self, xi: Sequence[Number]) -> None:
+        (nums,), self.denom = _scaled([xi])
+        self.shift = [_nearest(a, self.denom)[0] for a in nums]
+        self.nums = [a - s * self.denom for a, s in zip(nums, self.shift)]
+        self.xi_f = [a / self.denom for a in self.nums]
+        (self.rates,), self.rate_den = _scaled([[_allowance(x) for x in xi]])
 
 
-def _shells(bounds: Tuple[int, ...], lo: int, hi: int) -> np.ndarray:
-    """Box points with lo <= max |q_i| <= hi and a positive first nonzero
-    coordinate in canonical order, as the columns of an int32 array with one
-    row per coordinate.
-
-    The points split into product sets by the first axis j with
-    |q_j| >= lo; the union keeps the positive-first half (its negation sorts
-    later) and is sorted by ``_canonical_key`` in one lexsort.
-    """
-    n = len(bounds)
-    pieces = []
-    for j, bj in enumerate(bounds):
-        if min(bj, hi) < lo:
-            continue
-        axes = []
-        for i, b in enumerate(bounds):
-            reach = min(b, hi) if i > j else min(b, lo - 1)
-            axes.append(np.arange(-reach, reach + 1, dtype=np.int32))
-        side = np.arange(lo, min(bj, hi) + 1, dtype=np.int32)
-        axes[j] = np.concatenate([-side[::-1], side])
-        grid = np.meshgrid(*axes, indexing="ij")
-        pieces.append(np.stack([g.ravel() for g in grid]))
-    pts = np.concatenate(pieces, axis=1)
-    lead = pts[(pts != 0).argmax(axis=0), np.arange(pts.shape[1])]  # first nonzero entry
-    pts = pts[:, lead > 0]
-    mag = np.abs(pts).astype(np.min_scalar_type(hi))  # narrow keys sort by radix
-    keys = [pts[i] < 0 for i in reversed(range(n))] + list(mag) + [mag.max(axis=0)]
-    return pts[:, np.lexsort(keys)]
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + sizes[i] - 1, concatenated."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if ends.size else 0)
 
 
-@functools.lru_cache(maxsize=8)
-def _canonical_box(bounds: Tuple[int, ...]) -> np.ndarray:
-    """The positive-first half of a box that fits one slab, read-only; kept
-    across calls, as a batch walks a few union boxes and a scan one box."""
-    box = _shells(bounds, 1, max(bounds))
-    box.flags.writeable = False
-    return box
+def _blocks(bounds: np.ndarray) -> Iterator[np.ndarray]:
+    """Units (query, head ranks h0 .. h1 - 1, tails t0 .. t1 - 1) covering the
+    positive-first half of each box (a column of ``bounds``), in blocks of
+    about ``_BLOCK`` heads and tails.  In lexicographic rank the zero head,
+    which takes the tails q_n > 0, is top // 2, and the positive-first follow."""
+    step, block, size = max(1, _BLOCK // 2), [], 0
+    for k, (*head, tail) in enumerate(bounds.T.tolist()):
+        top = math.prod(2 * b + 1 for b in head)
+        heads = [(h, min(h + step, top), -tail) for h in range(top // 2 + 1, top, step)]
+        for h0, h1, first in [(top // 2, top // 2 + 1, 1), *heads]:
+            for t0 in range(first, tail + 1, step):
+                t1 = min(t0 + step, tail + 1)
+                if block and size + h1 - h0 + t1 - t0 > _BLOCK:
+                    yield np.array(block).T
+                    block, size = [], 0
+                block.append((k, h0, h1, t0, t1))
+                size += h1 - h0 + t1 - t0
+    yield np.array(block).T
 
 
-def _box_slabs(bounds: Tuple[int, ...]) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """The positive-first box points (half of ``_count``) in canonical order,
-    as slabs of whole shells lo..hi with at most ``_CHUNK`` points each (a
-    single shell may exceed it)."""
-    top, lo = max(bounds), 1
-    while lo <= top:
-        base, hi, b = _count(bounds, lo - 1), lo, top
-        while hi < b:
-            mid = (hi + b + 1) // 2
-            if (_count(bounds, mid) - base) // 2 <= _CHUNK:
-                hi = mid
-            else:
-                b = mid - 1
-        yield lo, hi, _canonical_box(bounds) if (lo, hi) == (1, top) else _shells(bounds, lo, hi)
-        lo = hi + 1
+class _Sweep:
+    """Queries padded in front to one dimension n (box size 0), with their rows,
+    float bands and integer tests; ``small`` marks tests that fit int64."""
+
+    def __init__(self, queries: Sequence[DIQuery]) -> None:
+        self.queries, self.n = queries, max(q.dimension for q in queries)
+        rows: Dict[Tuple, _Row] = {}
+        self.rows, bounds, table, tests, bands, small = [], [], [], [], [], []
+        for query in queries:
+            _check_budget(query.box_product)
+            pad, key = (0,) * (self.n - query.dimension), _xi_key(query.xi)
+            row = rows.get(key) or rows.setdefault(key, _Row(pad + query.xi))
+            box = pad + query.bounds
+            mu_num, mu_den = _ratio(query.mu)
+            scale = mu_den * query.box_product  # the bound mu / prod N is mu_num / scale
+            shrink = sum(map(mul, row.rates, box))  # over rate_den
+            sure = (mu_num * row.rate_den - shrink * scale) * row.denom // (scale * row.rate_den)
+            # error * denom within limit: in the bound; within sure: also with any shrink
+            table.append([*row.nums, row.denom, mu_num * row.denom // scale, max(-1, sure)])
+            tests.append([scale * row.rate_den, *(scale * row.denom * u for u in row.rates),
+                          mu_num * row.denom * row.rate_den])  # a e + sum b_i |q_i| <= c
+            bands.append(mu_num / scale + _float_error(box, row.xi_f))
+            small.append(sum(map(mul, box, map(abs, row.nums))) + row.denom < 2**61)
+            self.rows.append(row)
+            bounds.append(box)
+        self.table, self.tests = np.array(table, dtype=object).T, np.array(tests, dtype=object).T
+        self.bounds, self.bands, self.small = np.array(bounds).T, np.array(bands), np.array(small)
+        self.xs = np.array([row.xi_f for row in self.rows]).T
+
+    def candidates(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Query positions and points q (columns) of every positive-first box
+        point whose residues fall in a window, at most ``_BLOCK`` at a time."""
+        n, bounds, xs, shifts = self.n, self.bounds, self.xs, np.array(_SHIFTS, dtype=float)
+        for k, h0, h1, t0, t1 in _blocks(bounds):
+            # the residues of each unit's tails, sorted, offset by 4 per unit
+            units = np.arange(k.size)
+            tails = _ranges(t0, t1 - t0)
+            b = tails * xs[n - 1, np.repeat(k, t1 - t0)]
+            b -= np.rint(b)
+            b += np.repeat(4.0 * units, t1 - t0)
+            order = np.argsort(b)
+            keys, tails = b[order], tails[order]
+            # head points from their ranks, and their residues
+            unit = np.repeat(units, h1 - h0)
+            kh, rank = k[unit], _ranges(h0, h1 - h0)
+            head, c = np.empty((n - 1, rank.size), dtype=np.int64), np.zeros(rank.size)
+            for i in reversed(range(n - 1)):
+                rank, head[i] = np.divmod(rank, 2 * bounds[i, kh] + 1)
+                head[i] -= bounds[i, kh]
+                c += head[i] * xs[i, kh]
+            c -= np.rint(c)
+            # the windows that meet [-1/2, 1/2], head-major, each starting
+            # where the one before it ends
+            mid, band, base = shifts - c[:, None], self.bands[kh][:, None], 4.0 * unit[:, None]
+            live = np.abs(mid) <= band + 0.5  # a witness lies a margin inside its window
+            start, stop = np.zeros((2,) + live.shape, dtype=np.int64)
+            start[live] = np.searchsorted(keys, (mid - band + base)[live], "left")
+            stop[live] = np.searchsorted(keys, (mid + band + base)[live], "right")
+            stop = np.maximum.accumulate(stop, axis=1)
+            start[:, 1:] = np.maximum(start[:, 1:], stop[:, :-1])
+            # whole windows, at most half a block each, about a block at a time
+            size, start = (stop - start).ravel(), start.ravel()
+            end = np.cumsum(size)
+            cuts = [0, *np.searchsorted(end, np.arange(_BLOCK, end[-1], _BLOCK)), end.size]
+            for w0, w1 in zip(cuts, cuts[1:]):
+                at = np.repeat(np.arange(w0, w1) // shifts.size, size[w0:w1])
+                q = np.array([*(h[at] for h in head), tails[_ranges(start[w0:w1], size[w0:w1])]])
+                if at.size:
+                    yield kh[at], q
+
+    def confirm(self, kq: np.ndarray, q: np.ndarray, best: List) -> None:
+        """Integer test of candidates: each query keeps its smallest exact
+        error, ties to the canonical-first q; p is nearest q . xi, ties low."""
+        small = self.small[kq]
+        for part in (small, ~small):
+            if not part.any():
+                continue
+            kp, qp = (kq, q) if part.all() else (kq[part], q[:, part])
+            edges = _runs(kp)
+            cols = self.table[:, kp[edges[:-1]]]
+            *nums, denom, limit, sure = np.repeat(cols.astype(np.int64) if part is small else cols,
+                                                  np.diff(edges), axis=1)
+            t = sum(map(mul, nums, qp))
+            e = t % denom
+            e = np.minimum(e, denom - e)
+            ok = e <= limit
+            test = np.flatnonzero(ok & (e > sure))  # only there can the shrink decide
+            a, *b, c = self.tests[:, kp[test]]
+            ok[test] = e[test] * a + sum(map(mul, b, np.abs(qp[:, test]))) <= c
+            keys = [lambda i: e[i], lambda i: functools.reduce(np.maximum, (abs(x[i]) for x in qp)),
+                    *(lambda i, r=r: np.abs(qp[r, i]) for r in reversed(range(self.n))),
+                    *(lambda i, r=r: qp[r, i] < 0 for r in range(self.n))]
+            for k in _least(kp, keys, np.flatnonzero(ok)):
+                row, pad = self.rows[kp[k]], self.n - self.queries[kp[k]].dimension
+                qv = tuple(int(c) for c in qp[pad:, k])
+                p = _nearest(int(t[k]), row.denom)[0] + sum(map(mul, row.shift[pad:], qv))
+                hit = (int(e[k]), _canonical_key(qv), qv, p)
+                if best[kp[k]] is None or hit < best[kp[k]]:
+                    best[kp[k]] = hit
 
 
-def _sweep_error(box: np.ndarray, xi_f) -> np.ndarray:
-    """Float |q . xi - p| with p nearest, for each column q of a box slab:
-    one vector for one xi, one row per xi for a sequence of them."""
-    x = np.asarray(xi_f, dtype=float).T[..., None]
-    r = box[0] * x[0]
-    for i in range(1, len(x)):
-        r += box[i] * x[i]
-    r -= np.rint(r)
-    return np.abs(r, out=r)
+def _least(group: np.ndarray, keys: Sequence, idx: np.ndarray) -> np.ndarray:
+    """Of the positions ``idx``, the one with the least tuple of keys (maps of
+    positions) in each run of equal ``group`` entries, by minimum filters."""
+    for key in keys:
+        edges = _runs(group[idx])
+        if edges.size > idx.size:
+            break
+        v = key(idx)
+        low = np.minimum.reduceat(v, edges[:-1])
+        idx = idx[v == np.repeat(low, np.diff(edges))]
+    return idx
 
 
-def _primal_groups(queries: Sequence[DIQuery]) -> List[List[int]]:
-    """Query indices split into primal sweeps of one dimension each: a query
-    joins the latest sweep of its dimension unless the grown union would pass
-    the budget or some member's cap (``_UNION_SLACK``), kept per level."""
-    groups: List[List[int]] = []
-    latest: Dict[int, Tuple] = {}  # dimension -> (union, caps by level, members)
-    for k, q in enumerate(queries):
-        _check_budget(q.box_product)
-        level = max(q.bounds)
-        cap = max(_UNION_FLOOR, _UNION_SLACK * _count(q.bounds, level))
-        union, caps, members = latest.get(q.dimension, (q.bounds, {}, None))
-        grown = tuple(map(max, union, q.bounds))
-        checks = [(level, cap)] + (list(caps.items()) if grown != union else [])
-        if (members is None or math.prod(grown) > SEARCH_BUDGET
-                or any(_count(grown, lv) > c for lv, c in checks)):
-            grown, caps, members = q.bounds, {}, []
-            groups.append(members)
-        caps[level] = min(cap, caps.get(level, cap))
-        members.append(k)
-        latest[q.dimension] = (grown, caps, members)
-    return groups
-
-
-class _PrimalTarget(NamedTuple):
-    k: int                        # position in the batch
-    level: int                    # max bound: the target lies in the union's first shells
-    inside: Optional[np.ndarray]  # bounds as a column; None if the box is those shells
-    band: float                   # no witness has a float error above this
-    limit: int                    # integer threshold on (error + shrink) * denom
-
-
-class _PrimalRow:
-    """One xi of a group: its floats, its integers over one denominator, and
-    the targets that ask about it."""
-
-    def __init__(self, xi: Sequence[Number], union: Tuple[int, ...]) -> None:
-        (nums, ulps), self.denom = _scaled([xi, [_allowance(x) for x in xi]])
-        # Python ints only when int64 could overflow.
-        big = 2 * (sum(b * (abs(a) + u) for b, a, u in zip(union, nums, ulps)) + self.denom)
-        dtype = np.int64 if big < 2**62 else object
-        self.nums, self.ulps = np.array(nums, dtype=dtype), np.array(ulps, dtype=dtype)
-        self.xi_f = tuple(a / self.denom for a in nums)
-        self.targets: List[_PrimalTarget] = []
-        self.level = 0
-
-    def confirm(self, box: np.ndarray, cands: np.ndarray, stops: List[int], best: List) -> None:
-        """Integer test of band points, each target reading the slab up to its
-        stop; keeps the smallest error, ties to the earlier (canonical) q."""
-        for start in range(0, cands.size, _CONFIRM_BLOCK):
-            idx = cands[start : start + _CONFIRM_BLOCK]
-            qs = box[:, idx]
-            mag = np.abs(qs)
-            p, e = _nearest(self.nums @ qs.astype(self.nums.dtype), self.denom)
-            total = e + self.ulps @ mag.astype(self.nums.dtype)
-            for t, stop in zip(self.targets, stops):
-                size = int(np.searchsorted(idx, stop))
-                ok = total[:size] <= t.limit
-                if t.inside is not None:
-                    ok &= (mag[:, :size] <= t.inside).all(axis=0)
-                hits = np.flatnonzero(ok)
-                if hits.size:
-                    j = hits[np.argmin(e[hits])]
-                    if best[t.k] is None or e[j] < best[t.k][0]:
-                        best[t.k] = (int(e[j]), tuple(int(c) for c in qs[:, j]), int(p[j]))
-
-
-def _primal_group(queries: Sequence[DIQuery], members: List[int], best: List) -> None:
-    """The queries ``members`` of one dimension, in one pass over their union."""
-    union = tuple(map(max, zip(*(queries[k].bounds for k in members))))
-    rows: Dict[Tuple, _PrimalRow] = {}
-    for k in members:
-        q = queries[k]
-        key = _xi_key(q.xi)
-        row = rows.get(key) or rows.setdefault(key, _PrimalRow(q.xi, union))
-        level = max(q.bounds)
-        prefix = all(b == min(u, level) for b, u in zip(q.bounds, union))
-        mu_num, mu_den = _ratio(q.mu)
-        scale = mu_den * q.box_product  # the bound mu / prod N is mu_num / scale
-        row.targets.append(_PrimalTarget(
-            k, level, None if prefix else np.array(q.bounds)[:, None],
-            mu_num / scale + _float_error(q.bounds, row.xi_f), mu_num * row.denom // scale))
-        row.level = max(row.level, level)
-    order = sorted(rows.values(), key=lambda row: row.level)  # short reads first
-
-    for lo, hi, box in _box_slabs(union):
-        base = _count(union, lo - 1)
-
-        def end(level: int) -> int:  # slab points in the shells up to level
-            return max(0, _count(union, min(level, hi)) - base) // 2
-
-        live = [(row, end(row.level)) for row in order if row.level >= lo]
-        step = max(1, _ROW_BLOCK // max((width for _, width in live), default=1))
-        for i in range(0, len(live), step):  # reads ascend: a block is as wide as its last
-            block = live[i : i + step]
-            err = _sweep_error(box[:, : block[-1][1]], [row.xi_f for row, _ in block])
-            for (row, width), row_err in zip(block, err):
-                stops = [end(t.level) for t in row.targets]
-                keep = np.zeros(width, dtype=bool)
-                for t, stop in zip(row.targets, stops):
-                    keep[:stop] |= row_err[:stop] <= t.band
-                row.confirm(box, np.flatnonzero(keep), stops, best)
+def _runs(group: np.ndarray) -> np.ndarray:
+    """The start of each run of equal entries, then the length."""
+    return np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1], [True])))
 
 
 def primal_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
-    """Primal searches for any list of queries, one pass per union box.
+    """Primal searches for any list of queries, in blocks of the whole list.
 
-    ``_primal_groups`` splits the queries by dimension; each group walks its
-    union box once, with one float error row per distinct xi.  Each result
-    is the exact smallest-error witness of its own box, ties broken toward
-    the canonical-first q and then the smaller p: what ``di_witness`` returns
-    for that query alone.  Walking only the positive-first q loses nothing:
-    -q has the same exact error and shrink, the same float error bit for bit
-    (IEEE arithmetic and ``rint`` are sign-symmetric) and sorts after q.
+    Each positive-first head point of a box finds its candidates in at most
+    three windows of the sorted tail residues (see the derivation above).
+    Each result is the exact smallest-error witness of its own box, ties
+    broken toward the canonical-first q and then the smaller p: what
+    ``di_witness`` returns for that query alone.
     """
     if not queries:
         raise ValueError("a sweep needs at least one query")
     best: List[Optional[Tuple]] = [None] * len(queries)
-    for members in _primal_groups(queries):
-        _primal_group(queries, members, best)
-    return [WitnessResult(hit is not None, hit and hit[1:], _count(q.bounds, max(q.bounds)))
+    sweep = _Sweep(queries)
+    for kq, q in sweep.candidates():
+        sweep.confirm(kq, q, best)
+    return [WitnessResult(hit is not None, hit and hit[2:],
+                          math.prod(2 * b + 1 for b in q.bounds) - 1)
             for q, hit in zip(queries, best)]
 
 
@@ -598,7 +596,7 @@ def curve_scan(
 ) -> ScanTable:
     """Run both witness searches at every (grid point, target) cell.
 
-    Each grid point takes one primal and one dual sweep over all targets;
+    One primal and one dual sweep take every (grid point, target) query;
     every cell equals its own ``di_witness`` / ``di_dual_witness`` call.
     Cells are reported in (s, target, form) lexicographic order.  Targets
     over the search budget mark their cells skipped rather than aborting
@@ -612,10 +610,11 @@ def curve_scan(
     s_values = tuple(float(s) for s in np.linspace(interval[0], interval[1], s_grid))
     inside = [ni for ni, bounds in enumerate(targets) if math.prod(bounds) <= SEARCH_BUDGET]
     cells: List[ScanCell] = []
+    queries = [DIQuery(xi, targets[ni], mu)
+               for xi in (_curve_xi(curve, s) for s in s_values) for ni in inside]
+    answers = {form: iter(sweep(queries) if queries else ())
+               for form, sweep in (("primal", primal_sweep), ("dual", dual_sweep))}
     for si, s in enumerate(s_values):
-        queries = [DIQuery(_curve_xi(curve, s), targets[ni], mu) for ni in inside]
-        answers = {form: iter(sweep(queries) if queries else ())
-                   for form, sweep in (("primal", primal_sweep), ("dual", dual_sweep))}
         for ni in range(len(targets)):
             for form in ("primal", "dual"):
                 res = next(answers[form]) if ni in inside else WitnessResult(False, None, 0)

@@ -147,12 +147,16 @@ def test_query_validation():
             di.DIQuery((0.5,), (2,), mu)
     for mu in (1, 1.0, Q(1), 5e-324, Q(1, 10**30)):
         assert di.DIQuery((0.5,), (2,), mu).mu == mu
-    # xi is checked when a sweep takes it: a float coordinate must be finite
+    # a float coordinate must be finite, before any search runs
     for x in (math.nan, math.inf, -math.inf):
-        query = di.DIQuery((0.5, x), (2, 2), 0.5)
-        for sweep in (di.primal_sweep, di.dual_sweep):
-            with pytest.raises(ValueError):
-                sweep([query])
+        with pytest.raises(ValueError):
+            di.DIQuery((0.5, x), (2, 2), 0.5)
+    # box sizes are integers: no truncated float, no bool, no string
+    for bounds in [(2.7,), (2.0,), (True,), (2, False), (np.True_,), ("2",), (Q(2),), (0,)]:
+        with pytest.raises(ValueError):
+            di.DIQuery((0.5,) * len(bounds), bounds, 0.5)
+    sized = di.DIQuery((0.5, 0.25), (np.int64(3), 2), 0.5)
+    assert sized.bounds == (3, 2) and all(type(b) is int for b in sized.bounds)
 
 
 @given(
@@ -412,18 +416,98 @@ def test_curve_scan_cells_equal_single_searches(prefix):
                 single.found, single.witness, single.search_volume)
 
 
-def test_slabs_cover_the_box_in_canonical_order(monkeypatch):
-    # the slabs hold the positive-first half; with its negation that is the box
-    monkeypatch.setattr(di, "_CHUNK", 2)
+def _window_candidates(query):
+    """The positive-first points the window search confirms for one query."""
+    return [tuple(int(c) for c in col) for _, q in di._Sweep([query]).candidates() for col in q.T]
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, None])
+def test_a_zero_target_makes_every_positive_first_point_a_candidate_once(monkeypatch, block):
+    # every residue of xi = 0 is 0, so each window of a head holds its whole
+    # tail: the units, blocks and de-duplicated windows must cover the
+    # positive-first half exactly once, in any block size
+    if block is not None:
+        monkeypatch.setattr(di, "_BLOCK", block)
     for bounds in [(3,), (3, 2), (1, 4), (2, 2, 1)]:
-        slabs = list(di._box_slabs(bounds))
-        assert len(slabs) > 1
-        assert all(box.shape[1] <= 2 or lo == hi for lo, hi, box in slabs)
-        got = [tuple(int(c) for c in col) for _, _, box in slabs for col in box.T]
+        got = _window_candidates(di.DIQuery((0.0,) * len(bounds), bounds, 1.0))
         every = [q for q in itertools.product(*(range(-b, b + 1) for b in bounds)) if any(q)]
         half = [q for q in every if next(c for c in q if c) > 0]
-        assert got == sorted(half, key=_canonical)
+        assert sorted(got) == sorted(half)
         assert sorted(got + [tuple(-c for c in q) for q in got]) == sorted(every)
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+            0.5, -0.5, 1 / 3]
+
+
+@st.composite
+def _window_queries(draw):
+    """Queries of dimension 1-3 mixing extreme floats, floats and Fractions
+    near small rationals, and factors at the edge of a witness."""
+    n = draw(st.integers(1, 3))
+    xi = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["special", "float", "fraction"]))
+        if kind == "special":
+            xi.append(draw(st.sampled_from(_SPECIAL)))
+            continue
+        b = draw(st.integers(1, 12))
+        x = Q(draw(st.integers(-2 * b, 2 * b)), b)
+        x += Q(draw(st.integers(-3, 3)), 2 ** draw(st.integers(20, 60)))
+        xi.append(float(x) if kind == "float" else x)
+    bounds = tuple(draw(st.integers(1, 4)) for _ in range(n))
+    edge = min(
+        abs(r - round(r))
+        for q in itertools.product(*(range(-b, b + 1) for b in bounds)) if any(q)
+        for r in [sum(Q(x) * c for x, c in zip(xi, q))]
+    ) * math.prod(bounds)
+    mu = draw(st.sampled_from([Q(1), Q(1, 2), edge * (1 + Q(1, 2**30)), edge]))
+    return di.DIQuery(tuple(xi), bounds, min(max(mu, Q(1, 2**40)), Q(1)))
+
+
+@given(query=_window_queries())
+@settings(max_examples=150, deadline=None)
+def test_every_exact_witness_is_a_window_candidate(query):
+    # the band covers the window arithmetic: each exact witness, taken with its
+    # positive-first sign, is among the candidates, and no candidate repeats
+    got = _window_candidates(query)
+    assert len(got) == len(set(got))
+    for _, q, _ in _plain_witnesses(query):
+        lead = next(c for c in q if c)
+        assert (q if lead > 0 else tuple(-c for c in q)) in set(got)
+
+
+def test_the_side_windows_keep_ties_at_half_residues(monkeypatch):
+    # c(h) = b(q_n) = 1/2 for q = (1, 1): q . xi = 1 wraps to the window at
+    # m = 1.  Its twin (1, -1) ties at error 0 and sorts later, so without the
+    # side windows the witness changes; a wrapped witness never has a smaller
+    # error than its twin, so only such ties depend on them.
+    for x in (0.5, Q(1, 2)):
+        query = di.DIQuery((x, x), (1, 1), 0.25)
+        _, q, p = min(_plain_witnesses(query), key=lambda w: (w[0], _canonical(w[1]), w[2]))
+        assert di.di_witness(query).witness == (q, p) == ((1, 1), 1)
+        monkeypatch.setattr(di, "_SHIFTS", (0,))
+        assert di.di_witness(query).witness == ((1, -1), 0)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("xi", [(0.0, 0.5), (-0.0, 0.5), (5e-324, 0.5), (0.5, -0.0, 5e-324),
+                                (0.0, 0.25), (5e-324,)])
+@pytest.mark.parametrize("mu", [Q(1), Q(1, 2), Q(1, 2**60)])
+def test_tiny_floats_match_a_plain_exact_scan(xi, mu):
+    # the half-ulp allowance of 0.0 is 2^-1075: it keeps its own denominator,
+    # so the integer test of xi stays in int64 (a subnormal xi itself is over
+    # 2^1074 and does not)
+    query = di.DIQuery(xi, (3,) * len(xi), mu)
+    witnesses = _plain_witnesses(query)
+    res = di.di_witness(query)
+    assert res.found == bool(witnesses)
+    if witnesses:
+        _, q, p = min(witnesses, key=lambda w: (w[0], _canonical(w[1]), w[2]))
+        assert res.witness == (q, p)
+    assert di.box_point_search(query).found == res.found
+    big = di.DIQuery(xi, (3000,) * len(xi) if len(xi) < 3 else (200, 200, 200), 0.5)
+    assert di._Sweep([big]).small[0] == (5e-324 not in xi)
 
 
 def test_tie_with_the_negation_goes_to_the_positive_first_point():
@@ -432,18 +516,8 @@ def test_tie_with_the_negation_goes_to_the_positive_first_point():
     assert di.di_witness(query).witness == ((0, 2), 1)
 
 
-@given(xi=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=3),
-       reach=st.integers(1, 6))
-@settings(max_examples=200, deadline=None)
-def test_sweep_float_error_is_sign_symmetric(xi, reach):
-    box = np.array(list(itertools.product(range(-reach, reach + 1), repeat=len(xi))),
-                   dtype=np.int32).T
-    plus, minus = di._sweep_error(box, xi), di._sweep_error(-box, xi)
-    assert plus.view(np.uint64).tolist() == minus.view(np.uint64).tolist()
-
-
 def test_sweeps_match_single_searches_in_any_slab_size(monkeypatch):
-    # slabs and confirmation blocks only bound memory; they change no result
+    # primal blocks and dual slabs only bound memory; they change no result
     rng = np.random.default_rng(5)
     forms = ((di.primal_sweep, di.di_witness), (di.dual_sweep, di.di_dual_witness))
     batches = []
@@ -462,9 +536,8 @@ def test_sweeps_match_single_searches_in_any_slab_size(monkeypatch):
     whole = sweep_all()
     for (_, search, batch), results in zip(batches, whole):
         assert results == [search(q) for q in batch]
-    monkeypatch.setattr(di, "_CHUNK", 5)
+    monkeypatch.setattr(di, "_BLOCK", 5)
     monkeypatch.setattr(di, "_DUAL_CHUNK", 5)
-    monkeypatch.setattr(di, "_CONFIRM_BLOCK", 2)
     assert sweep_all() == whole
 
 
@@ -487,8 +560,8 @@ def _mixed_batch():
 
 
 def test_mixed_batches_equal_single_searches(monkeypatch):
-    # a sweep takes any list of queries: grouping by xi and dimension, slabs,
-    # row blocks and confirmation blocks change no result
+    # a sweep takes any list of queries: mixed dimensions, shared xi, blocks
+    # and slabs change no result
     batch = _mixed_batch()
     forms = ((di.primal_sweep, di.di_witness), (di.dual_sweep, di.di_dual_witness))
     single = [[search(q) for q in batch] for _, search in forms]
@@ -497,10 +570,8 @@ def test_mixed_batches_equal_single_searches(monkeypatch):
     assert exact.witness == ((2, 0), 1) and not rounded.found
     for (sweep, _), want in zip(forms, single):
         assert sweep(batch) == want
-    monkeypatch.setattr(di, "_CHUNK", 5)
+    monkeypatch.setattr(di, "_BLOCK", 3)
     monkeypatch.setattr(di, "_DUAL_CHUNK", 3)
-    monkeypatch.setattr(di, "_CONFIRM_BLOCK", 2)
-    monkeypatch.setattr(di, "_ROW_BLOCK", 7)
     for (sweep, _), want in zip(forms, single):
         assert sweep(batch) == want
     for sweep, _ in forms:
@@ -521,36 +592,58 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_a_witness_suite_builds_each_union_box_once(monkeypatch, tmp_path):
-    # one box build per union shape for the whole run, the scan's box included
+def test_a_curve_scan_makes_one_sweep_per_form(monkeypatch, tmp_path):
+    # acceptance-10 sweeps its three query batches and its whole scan, one
+    # primal call each; the scan's grid points share one dual call
     from horolab.harness import run, validate_config
 
-    di._canonical_box.cache_clear()
-    built = _counting(monkeypatch, "_shells")
-    walked = _counting(monkeypatch, "_box_slabs")
+    primal = _counting(monkeypatch, "primal_sweep")
+    dual = _counting(monkeypatch, "dual_sweep")
     cfg = validate_config({"kind": "dirichlet-scan", "n": 2, "curve": "moment",
                            "interval": [0, 1], "seed": 3,
                            "samples": {"grid": 9, "monotonicity": 20, "queries": 40}})
     assert run(cfg, tmp_path).exit_code == 0
-    shapes = {args[0] for args in walked}
-    assert (256, 256) in shapes and len(walked) > len(shapes)
-    assert len(built) <= len(shapes)
+    assert [len(args[0]) for args in primal] == [40, 40, 100, 9 * 8]
+    assert [len(args[0]) for args in dual] == [9 * 8]
 
 
-def test_groups_never_walk_a_union_far_beyond_their_boxes(monkeypatch):
-    # (10^4, 1) and (1, 10^4) have a union of 10^8 points: each sweeps alone
+def test_blocks_bound_the_kernel_memory(monkeypatch):
+    # thin boxes split into units, and a target whose whole box ties at
+    # error 0 splits its candidates, without changing a result
     batch = [di.DIQuery((0.3, 0.7), (10**4, 1), 0.5),
-             di.DIQuery((0.6, 0.1), (10**4, 1), 0.9),
-             di.DIQuery((0.3, 0.7), (1, 10**4), 0.5)]
-    assert di._primal_groups(batch) == [[0, 1], [2]]
-    # within the budget, a union read 3000 times wider than a member's box
-    # splits too, while nested cubes share one walk
-    for shapes in ([(3000, 1), (1, 3000)], [(1, 3000), (3000, 3000)]):
-        thin = [di.DIQuery((0.3, 0.7), b, 0.5) for b in shapes]
-        assert di._primal_groups(thin) == [[0], [1]]
-    cubes = [di.DIQuery((0.3, 0.7), (2**k, 2**k), 0.5) for k in range(1, 9)]
-    assert di._primal_groups(cubes) == [list(range(8))]
+             di.DIQuery((0.3, 0.7), (1, 10**4), 0.5),
+             di.DIQuery((Q(0), Q(0)), (20, 20), 0.3),
+             di.DIQuery((0.3, 0.7, 0.1), (5, 1, 6), 0.9)]
     want = [di.di_witness(q) for q in batch]
-    walked = _counting(monkeypatch, "_box_slabs")
+    assert want[2].witness == ((1, 0), 0)
+    monkeypatch.setattr(di, "_BLOCK", 64)
+    blocks = []
+    inner = di._blocks
+
+    def sizes(bounds):
+        for k, h0, h1, t0, t1 in inner(bounds):
+            blocks.append(int((h1 - h0 + t1 - t0).sum()))
+            yield k, h0, h1, t0, t1
+
+    monkeypatch.setattr(di, "_blocks", sizes)
+    chunks = [kq.size for kq, _ in di._Sweep(batch).candidates()]
+    # a chunk takes whole windows of at most half a block each: at most 1.5 blocks
+    assert max(blocks) <= 64 and max(chunks) <= 96 and sum(chunks) >= 20 * 41
     assert di.primal_sweep(batch) == want
-    assert sorted(args[0] for args in walked) == [(1, 10**4), (10**4, 1)]
+
+
+@pytest.mark.parametrize("prefix", [((2, 2), (4, 4), (8, 8), (16, 16)), ((3, 5), (8, 2))])
+def test_scan_rows_at_rational_points_equal_a_plain_exact_scan(prefix):
+    # s = 0 and s = 1 tie every box point at error 0; s = 1/3 and 2/3 put a
+    # ninth of each box near an integer
+    table = di.curve_scan(di.CurveSpec.moment(2), (0.0, 1.0), prefix, 0.3, 4)
+    assert [c.s for c in table.cells[:: 2 * len(prefix)]] == [0.0, 1 / 3, 2 / 3, 1.0]
+    for cell in table.cells:
+        query = di.DIQuery((Q(cell.s), Q(cell.s) ** 2), prefix[cell.n_index], 0.3)
+        if cell.form == "primal":
+            witnesses = _plain_witnesses(query)
+            want = witnesses and min(witnesses, key=lambda w: (w[0], _canonical(w[1]), w[2]))
+            assert cell.witness == (want[1:] if want else None)
+        else:
+            assert cell.witness == _plain_dual_witness(query)
+        assert cell.found == (cell.witness is not None)

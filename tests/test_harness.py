@@ -213,6 +213,21 @@ def test_witness_suite_fails_on_a_wrong_box_verdict(tmp_path, monkeypatch):
     assert [(i["check"], i["trial"]) for i in instances] == [("equivalence", 6)]
 
 
+def test_witness_suite_fails_without_the_centre_window(tmp_path, monkeypatch):
+    # with only the windows at m = -1 and 1, the primal sweep misses most
+    # witnesses; the lattice search still finds them.  (Dropping the side
+    # windows instead changes no verdict, only ties at half residues: see
+    # test_the_side_windows_keep_ties_at_half_residues.)
+    monkeypatch.setattr(runner.di, "_SHIFTS", (-1, 1))
+    out = run(resolve_config("acceptance-10"), tmp_path / "o")
+    assert out.exit_code == 3
+    counts = out.summary["checks"]["acceptance-10"]["counts"]
+    assert counts["completeness"] < 500 and counts["equivalence"] < 500
+    recorded = json.loads((tmp_path / "o" / "failures.json").read_text())
+    checks = {i["check"] for i in recorded["failures"][0]["instances"]}
+    assert {"completeness", "equivalence"} <= checks
+
+
 def test_escape_check_fails_on_a_perturbed_systole(tmp_path, monkeypatch):
     honest = runner.ll.systole
     monkeypatch.setattr(runner.ll, "systole", lambda basis: honest(basis) * (1 + 1e-9))
