@@ -480,23 +480,13 @@ def box_point_search(query: DIQuery) -> WitnessResult:
 # -- target-sequence exponent ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rbar1Result:
-    """Largest ratio log(max N_i) / log(prod N_i) over a finite sequence."""
-
-    value: Union[Q, float]
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.value, Q)
-
-
-def rbar1(targets: Sequence[Sequence[int]]) -> Rbar1Result:
+def rbar1(targets: Sequence[Sequence[int]]) -> Union[Q, float]:
     """Largest log(max N_i)/log(prod N_i) over the sequence.
 
     Entries with prod N_i = 1 carry no information (both logs vanish) and are
-    skipped.  When the winning ratio is a rational a/b certified
-    by the integer identity max^b == prod^a, the value is returned exactly.
+    skipped.  When the winning ratio is a rational a/b certified by the
+    integer identity max^b == prod^a, it is returned exactly as a Fraction;
+    otherwise as the float of the logs.
     """
     entries = [tuple(int(x) for x in t) for t in targets]
     if not entries:
@@ -522,8 +512,8 @@ def rbar1(targets: Sequence[Sequence[int]]) -> Rbar1Result:
     # search finds a/b whenever it exists.
     cand = Q(best).limit_denominator(prod.bit_length())
     if 0 < cand <= 1 and max(t) ** cand.denominator == prod ** cand.numerator:
-        return Rbar1Result(cand)
-    return Rbar1Result(best)
+        return cand
+    return best
 
 
 # -- curve scans -------------------------------------------------------------------------
@@ -533,45 +523,12 @@ def rbar1(targets: Sequence[Sequence[int]]) -> Rbar1Result:
 class ScanCell:
     """One (grid point, target, form) search outcome."""
 
-    s_index: int
     s: float
     n_index: int
     form: str
     found: bool
     witness: Optional[Tuple]
     search_volume: int
-    skipped: bool
-
-
-@dataclass(frozen=True)
-class ScanTable:
-    """Improvable-fraction table for a curve against a target prefix.
-
-    ``prefix_fractions[L-1]`` is the fraction of grid points for which every
-    target among the first L admits witnesses in both forms.  Grid points
-    with a budget-skipped cell are excluded from those fractions.
-    ``rational_hints`` holds the grid indices that sit on small-denominator
-    rationals.
-    """
-
-    cells: Tuple[ScanCell, ...]
-    prefix_fractions: Tuple[float, ...]
-    rational_hints: Tuple[int, ...]
-
-    @property
-    def all_improvable_fraction(self) -> float:
-        return self.prefix_fractions[-1]
-
-    def rows(self) -> Iterator[Dict]:
-        for c in self.cells:
-            yield {
-                "s": c.s,
-                "n_index": c.n_index,
-                "form": c.form,
-                "found": c.found,
-                "witness": "" if c.witness is None else repr(c.witness),
-                "search_volume": c.search_volume,
-            }
 
 
 def _curve_xi(curve: CurveSpec, s: float) -> Tuple[Number, ...]:
@@ -581,51 +538,34 @@ def _curve_xi(curve: CurveSpec, s: float) -> Tuple[Number, ...]:
     return tuple(float(x) for x in curve.fn(s))
 
 
-def _rational_hint(s: float) -> bool:
-    """Does the grid point sit on a small-denominator rational?"""
-    near = Q(s).limit_denominator(64)
-    return abs(near - Q(s)) <= Q(1, 10**9)
-
-
 def curve_scan(
     curve: CurveSpec,
     interval: Tuple[float, float],
     prefix: Sequence[Sequence[int]],
     mu: float,
     s_grid: int,
-) -> ScanTable:
+) -> Tuple[List[ScanCell], float]:
     """Run both witness searches at every (grid point, target) cell.
 
     One primal and one dual sweep take every (grid point, target) query;
-    every cell equals its own ``di_witness`` / ``di_dual_witness`` call.
-    Cells are reported in (s, target, form) lexicographic order.  Targets
-    over the search budget mark their cells skipped rather than aborting
-    the scan.  Grid points lying on small-denominator rationals are
-    flagged: a rational point is improvable for every target once the
-    denominators divide, so it belongs to the known countable exception.
+    every cell equals its own ``di_witness`` / ``di_dual_witness`` call,
+    and a target over the search budget raises ``SearchBudgetError``.
+    Cells are reported in (s, target, form) lexicographic order, with the
+    fraction of grid points at which every target admits witnesses in both
+    forms.
     """
     targets = tuple(tuple(int(x) for x in t) for t in prefix)
     if not targets:
         raise ValueError("empty target prefix")
     s_values = tuple(float(s) for s in np.linspace(interval[0], interval[1], s_grid))
-    inside = [ni for ni, bounds in enumerate(targets) if math.prod(bounds) <= SEARCH_BUDGET]
+    queries = [DIQuery(xi, bounds, mu)
+               for xi in (_curve_xi(curve, s) for s in s_values) for bounds in targets]
+    answers = zip(primal_sweep(queries), dual_sweep(queries))
     cells: List[ScanCell] = []
-    queries = [DIQuery(xi, targets[ni], mu)
-               for xi in (_curve_xi(curve, s) for s in s_values) for ni in inside]
-    answers = {form: iter(sweep(queries) if queries else ())
-               for form, sweep in (("primal", primal_sweep), ("dual", dual_sweep))}
-    for si, s in enumerate(s_values):
+    for s in s_values:
         for ni in range(len(targets)):
-            for form in ("primal", "dual"):
-                res = next(answers[form]) if ni in inside else WitnessResult(False, None, 0)
-                cells.append(ScanCell(si, s, ni, form, res.found, res.witness,
-                                      res.search_volume, ni not in inside))
-
-    fractions: List[float] = []
-    for length in range(1, len(targets) + 1):
-        windows = [cells[i : i + 2 * length] for i in range(0, len(cells), 2 * len(targets))]
-        counted = [w for w in windows if not any(c.skipped for c in w)]
-        hits = sum(all(c.found for c in w) for w in counted)
-        fractions.append(hits / len(counted) if counted else math.nan)
-    hints = [si for si, s in enumerate(s_values) if curve.poly is not None and _rational_hint(s)]
-    return ScanTable(tuple(cells), tuple(fractions), tuple(hints))
+            for form, res in zip(("primal", "dual"), next(answers)):
+                cells.append(ScanCell(s, ni, form, res.found, res.witness, res.search_volume))
+    width = 2 * len(targets)
+    improvable = sum(all(c.found for c in cells[i : i + width]) for i in range(0, len(cells), width))
+    return cells, improvable / len(s_values)

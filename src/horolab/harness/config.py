@@ -143,7 +143,7 @@ def validate_config(raw: Dict) -> ExperimentConfig:
             f"config rejected at {unread[0]}: {name} does not read "
             f"{', '.join(unread)}"
         )
-    _validate(raw, {"properties": exp.keys})
+    _validate(raw, {"$schema": CONFIG_SCHEMA["$schema"], "properties": exp.keys})
     curve = raw.get("curve", "moment")
     if curve != "moment":  # the moment curve has every n
         try:

@@ -70,10 +70,6 @@ class LatticeBasis:
         """Exact determinant of the generator rows."""
         return Q(_bareiss_det(self.ints), self.denom ** len(self.ints))
 
-    @cached_property
-    def rows(self) -> Tuple[Tuple[Q, ...], ...]:
-        return tuple(tuple(Q(a, self.denom) for a in row) for row in self.ints)
-
     @staticmethod
     def from_rows(rows, expect_unimodular: bool = True) -> "LatticeBasis":
         return LatticeBasis(*_scaled(rows), expect_unimodular)
@@ -434,54 +430,3 @@ def translate_sample(
         ints, common = _shear_rows(ratios, [_poly_ratio(row, s) for row in curve.poly], base.ints)
         values.append(math.sqrt(_minimum(ints) / (common * base.denom) ** 2))
     return np.sort(values)
-
-
-# -- escape scenarios -------------------------------------------------------------------
-
-
-@dataclass
-class EscapeRow:
-    t: float
-    value: float
-    closed_form: Optional[float]
-    rel_err: Optional[float]
-    in_regime: bool = True
-
-
-def escape_probe(t_ladder: Sequence[float], eta: float, rate: str = "super") -> List[EscapeRow]:
-    """Systole decay of a_t u(w_t eta) Z^2 along a t-ladder, one row per t.
-
-    rate "super" shrinks the translate at w_t = e^{-2t}: then
-    a_t u(e^{-2t} eta) = u(eta) a_t exactly, so the systole is
-    e^{-t} sqrt(1 + eta^2) and the orbit escapes.  rate "critical" uses
-    w_t = e^{-t}, where the window matches the expansion and the systole
-    stays bounded below: the dichotomy pair.
-
-    The closed form is the systole once 1 + eta^2 <= e^{4t}; below that
-    crossover an integer shear of the base lattice is shorter (at t = 0,
-    eta = 1 the lattice is plain Z^2 with systole 1), and the row is
-    marked in_regime=False.
-    """
-    if rate not in ("super", "critical"):
-        raise ValueError("rate must be 'super' or 'critical'")
-    rows: List[EscapeRow] = []
-    for t in t_ladder:
-        t = float(t)
-        e_plus = Q(math.exp(t))
-        e_minus = Q(math.exp(-t))
-        shrink = Q(math.exp(-2 * t)) if rate == "super" else e_minus
-        val = systole(shear_basis((e_plus, e_minus), (Q(eta) * shrink,)))
-        if rate == "super":
-            cf = math.exp(-t) * math.sqrt(1.0 + eta * eta)
-            rows.append(
-                EscapeRow(
-                    t=t, value=val, closed_form=cf,
-                    rel_err=abs(val - cf) / cf,
-                    in_regime=1.0 + eta * eta <= math.exp(4 * t),
-                )
-            )
-        else:
-            rows.append(
-                EscapeRow(t=t, value=val, closed_form=None, rel_err=None)
-            )
-    return rows

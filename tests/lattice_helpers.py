@@ -1,14 +1,15 @@
 """Test-only lattice oracles and random bases.
 
-A reduction-free shortest-vector scan to check ``latticelab`` against, and
-seeded random bases for the reduction and enumeration tests.
+A reduction-free shortest-vector scan to check ``latticelab`` against, the
+rows of a basis as Fractions, and seeded random bases for the reduction and
+enumeration tests.
 """
 
 import itertools
 import math
 from fractions import Fraction as Q
 from operator import mul
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -16,6 +17,11 @@ from horolab import exact
 from horolab.exact import _bareiss_det
 from horolab.latticelab import LatticeBasis, LatticeError
 from horolab.rng import generator
+
+
+def basis_rows(basis: LatticeBasis) -> Tuple[Tuple[Q, ...], ...]:
+    """The generator rows of a basis as Fractions, ``ints / denom``."""
+    return tuple(tuple(Q(a, basis.denom) for a in row) for row in basis.ints)
 
 
 def brute_force_shortest(
@@ -33,7 +39,7 @@ def brute_force_shortest(
     d = len(rows)
     if radius is None:
         radius = math.sqrt(min(sum(map(mul, row, row)) for row in rows) / basis.denom**2)
-    inv = exact.inverse(basis.rows)
+    inv = exact.inverse(basis_rows(basis))
     bounds = [
         int(math.ceil(radius * math.hypot(*(float(r[i]) for r in inv)))) + 1
         for i in range(d)

@@ -263,10 +263,11 @@ def test_mu_monotonicity():
 
 
 def test_rbar1_exact_values():
+    # a certified ratio is a Fraction; 0.5 == Q(1, 2) would pass as a float too
     half = di.rbar1([(2**k, 2**k) for k in range(1, 21)])
-    assert half.exact and half.value == Q(1, 2)
+    assert isinstance(half, Q) and half == Q(1, 2)
     two_thirds = di.rbar1([(4**k, 2**k) for k in range(1, 21)])
-    assert two_thirds.exact and two_thirds.value == Q(2, 3)
+    assert isinstance(two_thirds, Q) and two_thirds == Q(2, 3)
 
 
 @pytest.mark.parametrize("target, value", [
@@ -276,17 +277,17 @@ def test_rbar1_exact_values():
 ])
 def test_rbar1_certifies_exact_ratios_at_large_products(target, value):
     res = di.rbar1([target])
-    assert res.exact and res.value == value
+    assert isinstance(res, Q) and res == value
 
 
 def test_rbar1_trivial_direction():
     res = di.rbar1([(2**k, 1) for k in range(1, 11)])
-    assert res.value == 1
+    assert res == 1
 
 
 def test_rbar1_skips_degenerate_entries():
     # (1, 1) has both logs zero; the other two give 1/2
-    assert di.rbar1([(1, 1), (4, 4), (8, 8)]).value == Q(1, 2)
+    assert di.rbar1([(1, 1), (4, 4), (8, 8)]) == Q(1, 2)
     with pytest.raises(ValueError):
         di.rbar1([(1, 1)])
 
@@ -301,44 +302,64 @@ def test_rbar1_range_invariant():
         if all(math.prod(t) == 1 for t in seq):
             continue
         res = di.rbar1(seq)
-        assert Q(1, n) <= res.value <= 1
+        assert Q(1, n) <= res <= 1
+    # a ratio no integer identity certifies stays a float
+    assert isinstance(di.rbar1([(3, 2)]), float)
 
 
 # -- curve scans ---------------------------------------------------------------
 
 
+def _improvable(cells, targets):
+    """Fraction of grid points whose cells all found a witness, recounted."""
+    by_s = {}
+    for cell in cells:
+        by_s.setdefault(cell.s, []).append(cell.found)
+    assert all(len(found) == 2 * targets for found in by_s.values())
+    return sum(all(found) for found in by_s.values()) / len(by_s)
+
+
 def test_curve_scan_small_table():
     curve = di.CurveSpec.moment(2)
-    table = di.curve_scan(curve, (0.0, 1.0), ((2, 2), (4, 4)), 0.3, 12)
-    assert len({cell.s_index for cell in table.cells}) == 12
-    assert len(table.cells) == 12 * 2 * 2  # two forms per (s, N)
-    assert len(table.prefix_fractions) == 2
-    assert 0.0 <= table.all_improvable_fraction <= 1.0
-    # every grid point k/11 is a small-denominator rational, so all are hinted
-    assert table.rational_hints == tuple(range(12))
+    cells, fraction = di.curve_scan(curve, (0.0, 1.0), ((2, 2), (4, 4)), 0.3, 12)
+    assert len({cell.s for cell in cells}) == 12
+    assert len(cells) == 12 * 2 * 2  # two forms per (s, N)
+    assert [(c.n_index, c.form) for c in cells[:4]] == [
+        (0, "primal"), (0, "dual"), (1, "primal"), (1, "dual")]
+    assert 0.0 <= fraction <= 1.0
+    assert fraction == _improvable(cells, 2)
 
 
-def test_curve_scan_skips_targets_over_the_budget(monkeypatch):
-    # prod N = 16 for (4, 4) is over a budget of 10; (2, 2) still runs
+def test_curve_scan_raises_on_a_target_over_the_budget(monkeypatch):
+    # prod N = 16 for (4, 4) is over a budget of 10; no cell is made up for it
     monkeypatch.setattr(di, "SEARCH_BUDGET", 10)
     curve = di.CurveSpec.moment(2)
-    table = di.curve_scan(curve, (0.0, 1.0), ((2, 2), (4, 4)), 0.3, 12)
-    over = [cell for cell in table.cells if cell.n_index == 1]
-    assert len(over) == 12 * 2
-    assert all(c.skipped and not c.found and c.search_volume == 0 for c in over)
-    assert not any(c.skipped for c in table.cells if c.n_index == 0)
-    # the first fraction still counts every grid point; the second has none left
-    improvable = sum(all(c.found for c in table.cells if c.s_index == si and c.n_index == 0)
-                     for si in range(12))
-    assert table.prefix_fractions[0] == improvable / 12
-    assert math.isnan(table.all_improvable_fraction)
+    with pytest.raises(di.SearchBudgetError, match="16 points exceeds budget 10"):
+        di.curve_scan(curve, (0.0, 1.0), ((2, 2), (4, 4)), 0.3, 12)
+    cells, _ = di.curve_scan(curve, (0.0, 1.0), ((2, 2),), 0.3, 12)
+    assert len(cells) == 12 * 2
+
+
+def test_a_dirichlet_scan_over_the_budget_exits_4(monkeypatch, tmp_path):
+    # the scan's targets (2^k, 2^k) pass 1,000 at (32, 32); seed 3's few random
+    # queries stay within it, so the scan is what stops the run
+    from horolab.harness import run, validate_config
+
+    monkeypatch.setattr(di, "SEARCH_BUDGET", 1000)
+    cfg = validate_config({"kind": "dirichlet-scan", "n": 2, "curve": "moment", "seed": 3,
+                           "samples": {"grid": 3, "monotonicity": 2, "queries": 2}})
+    out = run(cfg, tmp_path)
+    assert out.exit_code == 4
+    entry = out.summary["checks"]["acceptance-10"]
+    assert entry["budget_exceeded"] and not entry["pass"]
+    assert "1024 points exceeds budget 1000" in entry["detail"]
 
 
 def test_curve_scan_mu_one_everything_found():
     curve = di.CurveSpec.moment(2)
-    table = di.curve_scan(curve, (0.1, 0.9), ((2, 2), (2, 4)), 1.0, 6)
-    assert all(cell.found for cell in table.cells if not cell.skipped)
-    assert table.all_improvable_fraction == 1.0
+    cells, fraction = di.curve_scan(curve, (0.1, 0.9), ((2, 2), (2, 4)), 1.0, 6)
+    assert all(cell.found for cell in cells)
+    assert fraction == 1.0
 
 
 # -- exact sweeps --------------------------------------------------------------
@@ -406,8 +427,9 @@ def test_searches_match_a_plain_exact_scan(query):
 def test_curve_scan_cells_equal_single_searches(prefix):
     curve = di.CurveSpec.moment(2)
     for interval in ((0.0, 1.0), (0.05, 0.95)):
-        table = di.curve_scan(curve, interval, prefix, 0.3, 12)
-        for cell in table.cells:
+        cells, fraction = di.curve_scan(curve, interval, prefix, 0.3, 12)
+        assert fraction == _improvable(cells, len(prefix))
+        for cell in cells:
             sq = Q(cell.s)
             query = di.DIQuery((sq, sq * sq), prefix[cell.n_index], 0.3)
             search = di.di_witness if cell.form == "primal" else di.di_dual_witness
@@ -636,9 +658,9 @@ def test_blocks_bound_the_kernel_memory(monkeypatch):
 def test_scan_rows_at_rational_points_equal_a_plain_exact_scan(prefix):
     # s = 0 and s = 1 tie every box point at error 0; s = 1/3 and 2/3 put a
     # ninth of each box near an integer
-    table = di.curve_scan(di.CurveSpec.moment(2), (0.0, 1.0), prefix, 0.3, 4)
-    assert [c.s for c in table.cells[:: 2 * len(prefix)]] == [0.0, 1 / 3, 2 / 3, 1.0]
-    for cell in table.cells:
+    cells, _ = di.curve_scan(di.CurveSpec.moment(2), (0.0, 1.0), prefix, 0.3, 4)
+    assert [c.s for c in cells[:: 2 * len(prefix)]] == [0.0, 1 / 3, 2 / 3, 1.0]
+    for cell in cells:
         query = di.DIQuery((Q(cell.s), Q(cell.s) ** 2), prefix[cell.n_index], 0.3)
         if cell.form == "primal":
             witnesses = _plain_witnesses(query)

@@ -466,9 +466,23 @@ def test_cli_rejects_config_the_experiment_cannot_run(tmp_path, capsys):
     ({"kind": "dirichlet-scan", "n": 3}, "n"),
     ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [2, 1]},
      "interval"),
+    # the certified floor divides by 1 + b, and turns negative below b = -1
+    ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [-2, -1]},
+     "interval/1"),
+    ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [-3, -2]},
+     "interval/1"),
+    # a slope needs two distinct rungs
+    ({"kind": "expansion-ladder", "variant": "certification", "t_ladder": [5]},
+     "t_ladder"),
+    ({"kind": "expansion-ladder", "variant": "certification", "modules": ["adjoint"],
+      "t_ladder": [0]}, "t_ladder"),
+    ({"kind": "expansion-ladder", "variant": "certification", "t_ladder": [5, 5]},
+     "t_ladder"),
 ], ids=["equi-curve", "equi-poly-curve", "equi-schedule", "equi-t-zero", "equi-t-large",
         "escape-t-178", "escape-t-800", "unknown-curve", "zero-denominator", "trig-n",
-        "poly-n", "unknown-module", "dirichlet-n", "reversed-interval"])
+        "poly-n", "unknown-module", "dirichlet-n", "reversed-interval",
+        "vandermonde-b-minus-1", "vandermonde-b-below-minus-1", "certification-one-rung",
+        "certification-one-rung-at-0", "certification-repeated-rung"])
 def test_cli_rejects_values_the_body_cannot_build(tmp_path, capsys, raw, path):
     cfg_path = tmp_path / "bad.json"
     # few samples keep a wrongly accepted run short; escape reads none

@@ -1,6 +1,7 @@
 """The D u(x) B builder, reduction, shortest vectors, sampling, and the
-escape-rate probes."""
+escape-rate probes of the escape experiment."""
 
+import csv
 import math
 from fractions import Fraction as Q
 
@@ -12,8 +13,10 @@ from horolab import exact
 from horolab import latticelab as ll
 from horolab import flowlab as fl
 from horolab.curvejet import CurveError, CurveSpec
+from horolab.harness import run, validate_config
 from horolab.rng import generator
-from lattice_helpers import brute_force_shortest, random_real_basis, random_unimodular_basis
+from lattice_helpers import (basis_rows, brute_force_shortest, random_real_basis,
+                             random_unimodular_basis)
 
 
 _EXACT = st.one_of(
@@ -29,7 +32,9 @@ def _reference(diagonal, shear, base):
     u = [[Q(int(i == j)) for j in range(d)] for i in range(d)]
     u[0][1:] = map(Q, shear)
     g = exact.matmul(exact.diag(diagonal), exact.mat(u))
-    rows = exact.transpose(g) if base is None else exact.matmul(base.rows, exact.transpose(g))
+    rows = exact.transpose(g)
+    if base is not None:
+        rows = exact.matmul(basis_rows(base), rows)
     return ll.LatticeBasis.from_rows(rows, expect_unimodular=False)
 
 
@@ -51,7 +56,7 @@ def test_shear_basis_matches_the_exact_product(data, d, with_base):
     assert (built.ints, built.denom) == (want.ints, want.denom)
     # the determinant the builder checks is the one elimination finds
     det_b = base.det if base else 1
-    assert built.det == math.prod(map(Q, diagonal)) * det_b == exact.det(want.rows)
+    assert built.det == math.prod(map(Q, diagonal)) * det_b == exact.det(basis_rows(want))
 
 
 def test_shear_basis_rejects_a_non_unimodular_diagonal():
@@ -67,15 +72,29 @@ def test_shear_basis_rejects_a_non_unimodular_diagonal():
         ll.shear_basis((1, 1, 1), (1,))
 
 
-def test_escape_probe_matches_the_group_element_lattice():
+_GOLDEN_ETA = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _escape_rows(tmp_path, ladder):
+    """The escape.csv rows of the escape experiment along a t-ladder."""
+    out = run(validate_config({"kind": "escape", "t_ladder": ladder}), tmp_path / "escape")
+    with (out.artifact_dir / "escape.csv").open() as f:
+        return list(csv.DictReader(f))
+
+
+def test_escape_probe_matches_the_group_element_lattice(tmp_path):
     # the path before the builder: the columns of g = ((e^t, e^t x), (0, e^-t))
-    for eta, rate in ((1.0, "super"), ((math.sqrt(5.0) - 1.0) / 2.0, "critical")):
-        for row in ll.escape_probe([float(t) for t in range(1, 21)], eta=eta, rate=rate):
-            e_plus, e_minus = Q(math.exp(row.t)), Q(math.exp(-row.t))
-            shrink = Q(math.exp(-2 * row.t)) if rate == "super" else e_minus
-            x = Q(eta) * shrink
-            g = ((e_plus, e_plus * x), (Q(0), e_minus))
-            assert row.value == ll.systole(ll.LatticeBasis.from_rows(tuple(zip(*g))))
+    rows = _escape_rows(tmp_path, list(range(1, 21)))
+    assert [row["rate"] for row in rows] == ["super"] * 20 + ["critical"] * 20
+    for row in rows:
+        t = float(row["t"])
+        e_plus, e_minus = Q(math.exp(t)), Q(math.exp(-t))
+        if row["rate"] == "super":
+            x = Q(math.exp(-2 * t))
+        else:
+            x = Q(_GOLDEN_ETA) * e_minus
+        g = ((e_plus, e_plus * x), (Q(0), e_minus))
+        assert float(row["value"]) == ll.systole(ll.LatticeBasis.from_rows(tuple(zip(*g))))
 
 
 def test_translate_sample_is_one_series_per_seed():
@@ -154,7 +173,7 @@ def test_catalog_bases_are_unimodular():
     # rotations enter as exact images of floats, so unimodular up to rounding
     for idx in range(len(ll.CATALOG_BASES)):
         basis = ll.catalog_basis(idx)
-        assert abs(abs(float(exact.det(basis.rows))) - 1.0) < 1e-12
+        assert abs(abs(float(exact.det(basis_rows(basis)))) - 1.0) < 1e-12
 
 
 def _reduced_ints(red):
@@ -297,7 +316,7 @@ def test_lll_output_is_reduced_on_fraction_bases(dim):
         red = ll.lll_reduce(basis)
         swaps += red.swaps
         assert abs(exact.det(red.transform)) == 1
-        reduced = exact.matmul(red.transform, basis.rows)
+        reduced = exact.matmul(red.transform, basis_rows(basis))
         assert red.gso == ll._integral_gso(_reduced_ints(red))
         mu, norms = _fraction_gso(reduced)
         assert all(abs(m) <= Q(1, 2) for m in mu.values())
@@ -326,8 +345,8 @@ def test_enumeration_alone_is_exact_on_unreduced_bases():
     for dim in (2, 3, 4):
         for seed in range(20):
             basis = random_real_basis(dim, seed=seed)
-            shear = random_unimodular_basis(dim, seed=seed + 100).rows
-            skewed = ll.LatticeBasis.from_rows(exact.matmul(shear, basis.rows))
+            shear = basis_rows(random_unimodular_basis(dim, seed=seed + 100))
+            skewed = ll.LatticeBasis.from_rows(exact.matmul(shear, basis_rows(basis)))
             identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
             red = ll.ReducedBasis(skewed, identity, 0, ll._integral_gso(skewed.ints))
             assert ll._enumerate_shortest(red) == ll.shortest_vector(basis)
@@ -352,7 +371,7 @@ def test_ball_walk_visits_every_point_once():
                 return radius
 
             ll.enumerate_ball(red, radius, visit)
-            inv = exact.inverse(exact.matmul(red.transform, basis.rows))
+            inv = exact.inverse(exact.matmul(red.transform, basis_rows(basis)))
             reach = math.sqrt(radius) / basis.denom
             spans = [int(reach * math.hypot(*(float(r[i]) for r in inv))) + 1
                      for i in range(dim)]
@@ -380,9 +399,9 @@ def test_brute_force_rejects_oversized_cell():
 def test_integer_shear_stabilizes_integer_lattice():
     # an integer unimodular map permutes Z^2 with itself
     moved = ll.shear_basis((1, 1), (1,), ll.catalog_basis(0))
-    assert moved.rows == ((Q(1), Q(0)), (Q(1), Q(1)))
+    assert basis_rows(moved) == ((Q(1), Q(0)), (Q(1), Q(1)))
     assert abs(ll.systole(moved) - 1.0) < 1e-9
-    assert abs(exact.det(moved.rows)) == 1
+    assert abs(exact.det(basis_rows(moved))) == 1
 
 
 def test_translate_sample_is_deterministic():
@@ -510,16 +529,19 @@ def test_ks_null_quantile_shrinks_with_samples():
     assert ll.ks_null_quantile(100, 0.05) < ll.ks_null_quantile(100, 1e-3)
 
 
-def test_escape_probe_super_regime():
-    for row in ll.escape_probe([float(t) for t in range(1, 16)], eta=1.0, rate="super"):
-        expected = math.exp(-row.t) * math.sqrt(2.0)
-        if row.in_regime:
-            assert abs(row.value - expected) <= 1e-12 * expected
-            assert row.rel_err <= 1e-12
+def test_escape_probe_super_regime(tmp_path):
+    rows = [row for row in _escape_rows(tmp_path, list(range(16))) if row["rate"] == "super"]
+    # at t = 0 the translate is u(1) Z^2 = Z^2, below the crossover 2 <= e^{4t}
+    assert (rows[0]["in_regime"], float(rows[0]["value"])) == ("false", 1.0)
+    for row in rows[1:]:
+        t, value = float(row["t"]), float(row["value"])
+        expected = math.exp(-t) * math.sqrt(2.0)
+        assert row["in_regime"] == "true"
+        assert abs(value - expected) <= 1e-12 * expected
+        assert float(row["rel_err"]) == abs(value - expected) / expected <= 1e-12
 
 
-def test_escape_probe_critical_stays_positive():
-    eta = (math.sqrt(5.0) - 1.0) / 2.0
-    table = ll.escape_probe([float(t) for t in range(1, 16)], eta=eta, rate="critical")
-    assert min(row.value for row in table) > 0.1
-
+def test_escape_probe_critical_stays_positive(tmp_path):
+    rows = [row for row in _escape_rows(tmp_path, list(range(16))) if row["rate"] == "critical"]
+    assert len(rows) == 16
+    assert min(float(row["value"]) for row in rows) > 0.1
