@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import index, mul
@@ -38,8 +39,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .curvejet import CurveSpec, _poly_ratio
-from .exact import _ratio, _scaled, diag
-from .latticelab import LatticeBasis, enumerate_ball, lll_reduce, shear_basis
+from .exact import _ratio, _scaled
+from .latticelab import _lowest_terms, _shear_rows, enumerate_ball, lll_reduce
 
 Number = Union[int, float, Q]
 
@@ -95,8 +96,11 @@ class DIQuery:
             raise ValueError("xi and bounds must have equal positive length")
         if any(isinstance(x, float) and not math.isfinite(x) for x in self.xi):
             raise ValueError("coordinates must be finite")
-        if not 0 < self.mu <= 1:  # exact for every Number; NaN fails it
-            raise ValueError("improvement factor must lie in (0, 1]")
+        # a bool is no factor (np.bool_ is no Real); the comparison is exact
+        # for every Number, and NaN fails it
+        mu = self.mu
+        if isinstance(mu, bool) or not isinstance(mu, numbers.Real) or not 0 < mu <= 1:
+            raise ValueError(f"improvement factor must be a real number in (0, 1], not {mu!r}")
 
     @property
     def dimension(self) -> int:
@@ -419,21 +423,16 @@ def di_dual_witness(query: DIQuery) -> WitnessResult:
 # -- lattice-box reformulation ---------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _dani_base(n: int) -> LatticeBasis:
-    """diag(-1, 1, ..., 1) in rank n + 1, the base that u(xi) shears."""
-    return LatticeBasis.from_rows(diag((-1,) + (1,) * n))
-
-
 def box_point_search(query: DIQuery) -> WitnessResult:
     """Independent primal verdict: enumerate lattice points inside the box.
 
     The primal witnesses are the lattice points ``(xi . q - p, q)`` of the
     Dani lattice u(xi) diag(-1, 1, ..., 1), rows ``(-1, 0, ..., 0)`` and
     ``(xi_i, e_i)``, that lie in the box ``[-mu/prod N, mu/prod N] x
-    prod [-N_i, N_i]`` with q nonzero.  The search builds that lattice with
-    D = 1 / half-widths, so the box becomes the unit cube (covolume 1/mu),
-    reduces it with the integral LLL and walks every lattice point of the
+    prod [-N_i, N_i]`` with q nonzero.  The search writes the integer rows
+    of D u(xi) diag(-1, 1, ..., 1) with D = 1 / half-widths, so the box
+    becomes the unit cube (covolume 1/mu), brings them to lowest terms,
+    reduces them with the integral LLL and walks every lattice point of the
     circumscribed ball with ``latticelab.enumerate_ball``.  Each point gets
     the exact box test with the half-ulp shrink, and the canonical-first q
     wins, with the p nearest ``xi . q``.  ``search_volume`` counts the
@@ -444,15 +443,17 @@ def box_point_search(query: DIQuery) -> WitnessResult:
     widths = (Q(query.mu) / query.box_product,) + tuple(Q(b) for b in query.bounds)
     # The shrink in units of the box: sum_i (u_i / width) |q_i| = shrink . |q| / sden.
     (shrink,), sden = _scaled([[Q(_allowance(x)) / widths[0] for x in query.xi]])
-    xi = [Q(x) for x in query.xi]
     _check_budget(math.prod(2 * b + 1 for b in query.bounds))
-    basis = shear_basis([1 / w for w in widths], xi, _dani_base(len(xi)),
-                        expect_unimodular=False)
-    red = lll_reduce(basis)
-    denom = basis.denom
+    n = query.dimension
+    dani = [(-1,) + (0,) * n] + [(0,) * i + (1,) + (0,) * (n - i) for i in range(1, n + 1)]
+    # the common gcd of the raw rows runs to 52 bits on random float queries;
+    # dividing it out keeps LLL on narrower integers
+    ints, denom = _lowest_terms(*_shear_rows([_ratio(1 / w) for w in widths],
+                                             [_ratio(x) for x in query.xi], dani))
+    red = lll_reduce(ints)
     cols = tuple(zip(*red.transform))
     # first coordinate of each reduced row, off the transform
-    head = [row[0] for row in basis.ints]
+    head = [row[0] for row in ints]
     first = tuple(sum(map(mul, row, head)) for row in red.transform)
     hits = []
     volume = 0

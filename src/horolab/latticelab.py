@@ -8,26 +8,29 @@ form, with ``exact._bareiss_det`` for the determinant check), so reduction
 (integral LLL) and enumeration (Fincke-Pohst with integer interval
 endpoints) run on Python ints, and only the final lengths are floated.
 
-The reduction record is the input basis, the unimodular row transform and
-the integral Gram-Schmidt data of the reduced rows: the ball walk reads the
-Gram-Schmidt data alone, and a caller that needs a reduced row applies the
-transform to the input rows.  The shortest length is returned exactly as
-a squared length: in rank 2 it is the Lagrange-Gauss minimum of the integer
-Gram form, which needs neither LLL nor the walk; in higher ranks it is the
+The kernel takes plain integer rows of any covolume; ``LatticeBasis`` is
+only the unimodular lattice that enters from outside, |det| verified.  The
+reduction record of integer rows is their unimodular row transform, the
+swap count and the integral Gram-Schmidt data of the reduced rows: the ball
+walk reads the Gram-Schmidt data alone, and a caller that needs a reduced
+row applies the transform to its own rows.  The minimum of integer rows is
+exact: in rank 2 it is the Lagrange-Gauss minimum of the integer Gram form,
+which needs neither LLL nor the walk; in higher ranks it is the
 shrinking-radius case of the walk on the LLL record.
 
 Every lattice an experiment draws has the form D u(x) B: a diagonal D, the
 unipotent shear u(x) with first row (1, x), and a base B.  ``_shear_rows``
 is its one row formula, on the integer ratios of D and x; the determinant
 is prod D det B exactly, with det B computed once per base.  ``shear_basis``
-reduces the rows to a ``LatticeBasis``; ``translate_sample`` checks D once
-per series and takes each sample's minimum from its unreduced rows.
+brings the rows to lowest terms as a ``LatticeBasis``; ``translate_sample``
+checks D once per series and takes each sample's minimum from its
+unreduced rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache, cached_property
 from operator import mul
@@ -46,24 +49,21 @@ class LatticeError(Exception):
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Full-rank lattice basis: generator rows ``ints / denom``.
+    """Unimodular lattice basis: generator rows ``ints / denom`` with
+    |det| = 1 within 1e-9.
 
     ``denom`` is the lcm of the entry denominators; build from arbitrary
-    exact or float rows with ``from_rows``.  ``checked`` is for bases whose
-    maker checked |det|: LLL output and the D u(x) B of ``shear_basis``.
+    exact or float rows with ``from_rows``.
     """
 
     ints: IntRows
     denom: int
-    expect_unimodular: bool = True
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked: bool = False):
+    def __post_init__(self):
         d = len(self.ints)
         if d == 0 or any(len(r) != d for r in self.ints):
             raise LatticeError("basis must be square")
-        if not checked:
-            _check_det(self.det.numerator, self.det.denominator, self.expect_unimodular)
+        _check_det(self.det.numerator, self.det.denominator)
 
     @cached_property
     def det(self) -> Q:
@@ -71,16 +71,16 @@ class LatticeBasis:
         return Q(_bareiss_det(self.ints), self.denom ** len(self.ints))
 
     @staticmethod
-    def from_rows(rows, expect_unimodular: bool = True) -> "LatticeBasis":
-        return LatticeBasis(*_scaled(rows), expect_unimodular)
+    def from_rows(rows) -> "LatticeBasis":
+        return LatticeBasis(*_scaled(rows))
 
 
-def _check_det(num: int, den: int, expect_unimodular: bool) -> None:
-    """Reject det = num / den if it is 0, or if |det| is off 1 by > 1e-9 where 1 is expected."""
+def _check_det(num: int, den: int) -> None:
+    """Reject det = num / den if it is 0, or if |det| is off 1 by > 1e-9."""
     if num == 0:
         raise LatticeError("rows are linearly dependent")
     size = abs(num) / den
-    if expect_unimodular and abs(size - 1.0) > 1e-9:
+    if abs(size - 1.0) > 1e-9:
         raise LatticeError(f"basis is not unimodular: |det| = {size!r}")
 
 
@@ -89,43 +89,34 @@ def _standard_basis(d: int) -> LatticeBasis:
     return LatticeBasis(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1)
 
 
-def shear_basis(
-    diagonal: Sequence,
-    shear: Sequence,
-    base: Optional[LatticeBasis] = None,
-    expect_unimodular: bool = True,
-) -> LatticeBasis:
+def shear_basis(diagonal: Sequence, shear: Sequence,
+                base: Optional[LatticeBasis] = None) -> LatticeBasis:
     """The lattice D u(x) B, with D = diag(diagonal) and u(x) the identity
     with first row (1, x_1, ..., x_n).
 
     B is Z^{n+1} when no base is given.  Entries are exact numbers (ints,
     Fractions, or floats at their binary value); the rows come from
-    ``_shear_rows``, reduced to the least common denominator.  The 1e-9
-    tolerance is for D made of rounded exponentials.
+    ``_shear_rows``, brought to lowest terms.  The 1e-9 tolerance is for
+    D made of rounded exponentials.
     """
     d = len(diagonal)
     if base is None:
         base = _standard_basis(d)
-    ratios = _diagonal_ratios(diagonal, len(shear), base, expect_unimodular)
+    ratios = _diagonal_ratios(diagonal, len(shear), base)
     ints, common = _shear_rows(ratios, [_ratio(c) for c in shear], base.ints)
-    denom = common * base.denom
-    g = math.gcd(denom, *[a for row in ints for a in row])
-    if g > 1:
-        ints = [[a // g for a in row] for row in ints]
-    return LatticeBasis(tuple(map(tuple, ints)), denom // g, expect_unimodular, checked=True)
+    return LatticeBasis(*_lowest_terms(ints, common * base.denom))
 
 
-def _diagonal_ratios(diagonal: Sequence, width: int, base: LatticeBasis,
-                     expect_unimodular: bool) -> List[Tuple[int, int]]:
-    """The integer ratios of D, once D u(x) B is known to be square and to
-    have the allowed |det| = prod D det B, which no shear x changes."""
+def _diagonal_ratios(diagonal: Sequence, width: int,
+                     base: LatticeBasis) -> List[Tuple[int, int]]:
+    """The integer ratios of D, once D u(x) B is known to be square and
+    unimodular: |det| = prod D |det B|, which no shear x changes."""
     d = len(diagonal)
     if width != d - 1 or len(base.ints) != d:
         raise LatticeError(f"need {d - 1} shear entries and a rank-{d} base")
     ratios = [_ratio(c) for c in diagonal]
     dnum, dden = zip(*ratios)
-    _check_det(math.prod(dnum) * base.det.numerator, math.prod(dden) * base.det.denominator,
-               expect_unimodular)
+    _check_det(math.prod(dnum) * base.det.numerator, math.prod(dden) * base.det.denominator)
     return ratios
 
 
@@ -147,15 +138,20 @@ def _shear_rows(ratios: Sequence[Tuple[int, int]], xs: Sequence[Tuple[int, int]]
     ], common
 
 
+def _lowest_terms(ints: IntRows, denom: int) -> Tuple[IntRows, int]:
+    """Integer rows over ``denom``, both divided by their common gcd."""
+    g = math.gcd(denom, *[a for row in ints for a in row])
+    return tuple(tuple(a // g for a in row) for row in ints), denom // g
+
+
 # -- reduction ---------------------------------------------------------------------
 
 
 @dataclass
 class ReducedBasis:
-    """LLL output: the reduced rows are ``transform`` applied to the rows of
-    the input ``basis``, and ``gso`` is their ``_integral_gso`` data."""
+    """LLL output: the reduced rows are ``transform`` applied to the input
+    rows, and ``gso`` is their ``_integral_gso`` data."""
 
-    basis: LatticeBasis
     transform: List[List[int]]
     swaps: int
     gso: Tuple[List[int], List[List[int]]]
@@ -183,8 +179,9 @@ def _integral_gso(rows: IntRows) -> Tuple[List[int], List[List[int]]]:
     return dd, lam
 
 
-def lll_reduce(basis: LatticeBasis) -> ReducedBasis:
-    """Exact integral LLL reduction; records the unimodular row transform.
+def lll_reduce(rows: IntRows) -> ReducedBasis:
+    """Exact integral LLL reduction of independent integer rows; records the
+    unimodular row transform.
 
     Runs on the integral Gram-Schmidt data and the transform alone,
     updating both in place after each size-reduction step and swap, and
@@ -192,9 +189,9 @@ def lll_reduce(basis: LatticeBasis) -> ReducedBasis:
     test B_k >= (3/4 - mu^2) B_{k-1} is cleared of denominators:
     4 (dd[k-1] dd[k+1] + lam[k][k-1]^2) >= 3 dd[k]^2.
     """
-    n = len(basis.ints)
+    n = len(rows)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    dd, lam = _integral_gso(basis.ints)
+    dd, lam = _integral_gso(rows)
     swaps, k = 0, 1
     while k < n:
         lam_k = lam[k]
@@ -221,7 +218,7 @@ def lll_reduce(basis: LatticeBasis) -> ReducedBasis:
         dd[k] = b
         swaps += 1
         k = max(k - 1, 1)
-    return ReducedBasis(basis, u, swaps, (dd, lam))
+    return ReducedBasis(u, swaps, (dd, lam))
 
 
 # -- shortest vector ------------------------------------------------------------------
@@ -230,7 +227,8 @@ def lll_reduce(basis: LatticeBasis) -> ReducedBasis:
 def enumerate_ball(
     red: ReducedBasis, radius: int, visit: Callable[[List[int], int], int]
 ) -> None:
-    """Walk every lattice point x with ``|x|^2 denom^2 <= radius``.
+    """Walk every integer combination x of the reduced rows with
+    ``|x|^2 <= radius``.
 
     Depth-first (Fincke-Pohst) enumeration over Gram-Schmidt levels, on
     integers only: S_i = dd[i] * |pi_i(x)|^2, with pi_i the projection
@@ -240,7 +238,7 @@ def enumerate_ball(
     and S_0 is the integer quadratic form, so no float decides the walk.
 
     ``visit(coords, norm)`` gets the coordinates over the reduced rows (a
-    list reused between calls) and the integer ``|x|^2 denom^2``; it
+    list reused between calls) and the integer ``|x|^2``; it
     returns the radius for the rest of the walk, so a search may shrink it.
     """
     dd, lam = red.gso
@@ -267,25 +265,6 @@ def enumerate_ball(
     descend(n - 1, 0)
 
 
-def _enumerate_shortest(red: ReducedBasis) -> Q:
-    """Exact squared length of the shortest nonzero vector: the ball walk
-    with the radius shrunk to each shorter point found.
-
-    The walk starts at the shortest of the first reduced row (``dd[1]``)
-    and the input rows, so it stays narrow on an unreduced record too.
-    """
-    best = min(red.gso[0][1], *[sum(map(mul, row, row)) for row in red.basis.ints])
-
-    def shorter(coords: List[int], norm: int) -> int:
-        nonlocal best
-        if 0 < norm < best:
-            best = norm
-        return best
-
-    enumerate_ball(red, best, shorter)
-    return Q(best, red.basis.denom**2)
-
-
 def _gauss_minimum(a: Sequence[int], b: Sequence[int]) -> int:
     """Minimum of the integer binary form of rows a, b: Lagrange-Gauss
     reduction of (A, B, C) = (|a|^2, a.b, |b|^2).
@@ -308,10 +287,22 @@ def _gauss_minimum(a: Sequence[int], b: Sequence[int]) -> int:
 
 def _minimum(ints: IntRows) -> int:
     """Exact minimum of |v|^2 over the nonzero integer combinations v of
-    the rows: Lagrange-Gauss in rank 2, the walk on the LLL record above."""
+    the rows: Lagrange-Gauss in rank 2; above it the ball walk on the LLL
+    record, from the first reduced row (``dd[1]``) with the radius shrunk
+    to each shorter point found."""
     if len(ints) == 2:
         return _gauss_minimum(*ints)
-    return _enumerate_shortest(lll_reduce(LatticeBasis(ints, 1, False, checked=True))).numerator
+    red = lll_reduce(ints)
+    best = red.gso[0][1]
+
+    def shorter(coords: List[int], norm: int) -> int:
+        nonlocal best
+        if 0 < norm < best:
+            best = norm
+        return best
+
+    enumerate_ball(red, best, shorter)
+    return best
 
 
 def shortest_vector(basis: LatticeBasis) -> Q:
@@ -423,7 +414,7 @@ def translate_sample(
         raise ValueError("count must be positive")
     if curve.poly is None:
         raise CurveError("translate sampling needs a polynomial curve")
-    ratios = _diagonal_ratios(np.exp(schedule.exponents(t)).tolist(), len(curve.poly), base, True)
+    ratios = _diagonal_ratios(np.exp(schedule.exponents(t)).tolist(), len(curve.poly), base)
     draws = generator(seed, "translate-sample").uniform(0.0, 1.0, size=count)
     values = []
     for s in draws.tolist():

@@ -1,21 +1,21 @@
 """Test-only lattice oracles and random bases.
 
 A reduction-free shortest-vector scan to check ``latticelab`` against, the
-rows of a basis as Fractions, and seeded random bases for the reduction and
-enumeration tests.
+shrinking-radius ball walk on a given record, the rows of a basis as
+Fractions, and seeded random bases for the reduction and enumeration tests.
 """
 
 import itertools
 import math
 from fractions import Fraction as Q
 from operator import mul
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from horolab import exact
-from horolab.exact import _bareiss_det
-from horolab.latticelab import LatticeBasis, LatticeError
+from horolab.exact import IntRows, _bareiss_det
+from horolab.latticelab import LatticeBasis, LatticeError, ReducedBasis, enumerate_ball
 from horolab.rng import generator
 
 
@@ -24,22 +24,20 @@ def basis_rows(basis: LatticeBasis) -> Tuple[Tuple[Q, ...], ...]:
     return tuple(tuple(Q(a, basis.denom) for a in row) for row in basis.ints)
 
 
-def brute_force_shortest(
-    basis: LatticeBasis, radius: Optional[float] = None
-) -> Q:
-    """Reduction-free oracle: the exact squared length of the shortest
-    nonzero vector, scanning every lattice point within a radius.
+def brute_force_shortest(rows: IntRows, radius: Optional[float] = None) -> int:
+    """Reduction-free oracle: the exact minimum of |v|^2 over the nonzero
+    integer combinations v of independent integer rows, scanning every
+    lattice point within a radius (by default the shortest row's length).
 
-    Coefficient bounds come from the inverse basis (|c_i| <= r * column
+    Coefficient bounds come from the inverse rows (|c_i| <= r * column
     norm of B^{-1}), so the box is valid regardless of how skew the input
     rows are.  Exponential in dimension; a desk-scale check, not a
     production path.
     """
-    rows = basis.ints
     d = len(rows)
     if radius is None:
-        radius = math.sqrt(min(sum(map(mul, row, row)) for row in rows) / basis.denom**2)
-    inv = exact.inverse(basis_rows(basis))
+        radius = math.sqrt(min(sum(map(mul, row, row)) for row in rows))
+    inv = exact.inverse(rows)
     bounds = [
         int(math.ceil(radius * math.hypot(*(float(r[i]) for r in inv)))) + 1
         for i in range(d)
@@ -57,7 +55,23 @@ def brute_force_shortest(
             nsq = v_sq + c * (v_last + c * last_sq)  # |v + c * last|^2
             if nsq and (best is None or nsq < best):
                 best = nsq
-    return Q(best, basis.denom**2)
+    return best
+
+
+def walk_minimum(red: ReducedBasis, radius: int) -> int:
+    """The ball walk on a record with its radius shrunk to each shorter
+    point found: the exact minimum of the nonzero |x|^2, given a radius at
+    least that large."""
+    best = radius
+
+    def shorter(coords: List[int], norm: int) -> int:
+        nonlocal best
+        if 0 < norm < best:
+            best = norm
+        return best
+
+    enumerate_ball(red, best, shorter)
+    return best
 
 
 def random_unimodular_basis(dim: int, seed: int, shears: int = 12) -> LatticeBasis:

@@ -142,10 +142,12 @@ def test_query_validation():
         di.DIQuery((0.5,), (0,), 0.5)
     bad_mu = [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.5, 1.0 + 2**-52,
               0, -1, 2, Q(0), Q(-1, 3), Q(3, 2), 1 + Q(1, 10**30)]
+    # a bool or a non-real is no factor, not even True as 1
+    bad_mu += [True, False, np.True_, "0.5", None, 0.5j, [0.5]]
     for mu in bad_mu:
         with pytest.raises(ValueError):
             di.DIQuery((0.5,), (2,), mu)
-    for mu in (1, 1.0, Q(1), 5e-324, Q(1, 10**30)):
+    for mu in (1, 1.0, Q(1), 5e-324, Q(1, 10**30), np.float64(0.5)):
         assert di.DIQuery((0.5,), (2,), mu).mu == mu
     # a float coordinate must be finite, before any search runs
     for x in (math.nan, math.inf, -math.inf):

@@ -354,6 +354,7 @@ def test_qfixed_fails_on_a_shifted_limit(tmp_path, monkeypatch):
     assert [i.get("schedule") for i in instances] == ["equal", "linear:2,0", None]
     assert all(float(i.get("residual", i.get("closed_form_error"))) > 1e-3
                for i in instances)
+    assert "NOT below 1e-6" in out.summary["checks"]["acceptance-07"]["detail"]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -478,15 +479,18 @@ def test_cli_rejects_config_the_experiment_cannot_run(tmp_path, capsys):
       "t_ladder": [0]}, "t_ladder"),
     ({"kind": "expansion-ladder", "variant": "certification", "t_ladder": [5, 5]},
      "t_ladder"),
+    # qfixed measures one flow time, so a ladder would run its last rung only
+    ({"kind": "expansion-ladder", "variant": "qfixed", "t_ladder": [20, 1]}, "t_ladder"),
 ], ids=["equi-curve", "equi-poly-curve", "equi-schedule", "equi-t-zero", "equi-t-large",
         "escape-t-178", "escape-t-800", "unknown-curve", "zero-denominator", "trig-n",
         "poly-n", "unknown-module", "dirichlet-n", "reversed-interval",
         "vandermonde-b-minus-1", "vandermonde-b-below-minus-1", "certification-one-rung",
-        "certification-one-rung-at-0", "certification-repeated-rung"])
+        "certification-one-rung-at-0", "certification-repeated-rung", "qfixed-ladder"])
 def test_cli_rejects_values_the_body_cannot_build(tmp_path, capsys, raw, path):
     cfg_path = tmp_path / "bad.json"
-    # few samples keep a wrongly accepted run short; escape reads none
-    base = {"seed": 1} if raw["kind"] == "escape" else {"seed": 1, "samples": 5}
+    # few samples keep a wrongly accepted run short; escape and qfixed read none
+    reads_none = raw["kind"] == "escape" or raw.get("variant") == "qfixed"
+    base = {"seed": 1} if reads_none else {"seed": 1, "samples": 5}
     cfg_path.write_text(json.dumps({**base, **raw}))
     rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 2

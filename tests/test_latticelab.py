@@ -16,7 +16,7 @@ from horolab.curvejet import CurveError, CurveSpec
 from horolab.harness import run, validate_config
 from horolab.rng import generator
 from lattice_helpers import (basis_rows, brute_force_shortest, random_real_basis,
-                             random_unimodular_basis)
+                             random_unimodular_basis, walk_minimum)
 
 
 _EXACT = st.one_of(
@@ -35,28 +35,31 @@ def _reference(diagonal, shear, base):
     rows = exact.transpose(g)
     if base is not None:
         rows = exact.matmul(basis_rows(base), rows)
-    return ll.LatticeBasis.from_rows(rows, expect_unimodular=False)
+    return rows
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(min_value=2, max_value=4), st.booleans())
 def test_shear_basis_matches_the_exact_product(data, d, with_base):
-    diagonal = data.draw(st.lists(_EXACT.filter(bool), min_size=d, max_size=d))
+    head = data.draw(st.lists(_EXACT.filter(bool), min_size=d - 1, max_size=d - 1))
     shear = data.draw(st.lists(_EXACT, min_size=d - 1, max_size=d - 1))
     base = None
     if with_base:
-        rows = data.draw(st.lists(st.lists(_EXACT, min_size=d, max_size=d),
-                                  min_size=d, max_size=d))
-        try:
-            base = ll.LatticeBasis.from_rows(rows, expect_unimodular=False)
-        except ll.LatticeError:
-            base = ll.LatticeBasis.from_rows(np.eye(d).tolist())
-    built = ll.shear_basis(diagonal, shear, base, expect_unimodular=False)
-    want = _reference(diagonal, shear, base)
-    assert (built.ints, built.denom) == (want.ints, want.denom)
-    # the determinant the builder checks is the one elimination finds
+        rows = [list(map(Q, row)) for row in data.draw(
+            st.lists(st.lists(_EXACT, min_size=d, max_size=d), min_size=d, max_size=d))]
+        det = exact.det(rows)
+        if det:  # the first row over det B makes the base unimodular
+            rows[0] = [c / det for c in rows[0]]
+            base = ll.LatticeBasis.from_rows(rows)
     det_b = base.det if base else 1
-    assert built.det == math.prod(map(Q, diagonal)) * det_b == exact.det(basis_rows(want))
+    # the last entry of D makes prod D det B = 1
+    diagonal = head + [1 / (math.prod(map(Q, head)) * det_b)]
+    built = ll.shear_basis(diagonal, shear, base)
+    want = _reference(diagonal, shear, base)
+    # the lowest-terms rows are the exact rows over their least denominator
+    assert (built.ints, built.denom) == exact._scaled(want)
+    # the determinant the builder checks is the one elimination finds
+    assert built.det == math.prod(map(Q, diagonal)) * det_b == exact.det(want) == 1
 
 
 def test_shear_basis_rejects_a_non_unimodular_diagonal():
@@ -67,7 +70,7 @@ def test_shear_basis_rejects_a_non_unimodular_diagonal():
     with pytest.raises(ll.LatticeError, match="not unimodular"):
         ll.shear_basis((Q(1), Q(1) - Q(1, 10**6)), (Q(1, 3),), ll.catalog_basis(2))
     with pytest.raises(ll.LatticeError, match="dependent"):
-        ll.shear_basis((0, 1), (1,), expect_unimodular=False)
+        ll.shear_basis((0, 1), (1,))
     with pytest.raises(ll.LatticeError, match="shear entries"):
         ll.shear_basis((1, 1, 1), (1,))
 
@@ -176,19 +179,12 @@ def test_catalog_bases_are_unimodular():
         assert abs(abs(float(exact.det(basis_rows(basis)))) - 1.0) < 1e-12
 
 
-def _reduced_ints(red):
-    """The reduced integer rows, transform x input rows."""
-    return tuple(tuple(sum(u * b[k] for u, b in zip(row, red.basis.ints))
-                       for k in range(len(row))) for row in red.transform)
-
-
 def test_lll_transform_is_unimodular():
-    basis = random_unimodular_basis(3, seed=11)
-    red = ll.lll_reduce(basis)
-    assert red.basis is basis
+    rows = random_unimodular_basis(3, seed=11).ints
+    red = ll.lll_reduce(rows)
     assert abs(exact.det(red.transform)) == 1
     # the Gram-Schmidt data updated in place are those of transform x rows
-    assert red.gso == ll._integral_gso(_reduced_ints(red))
+    assert red.gso == ll._integral_gso(exact._imul(red.transform, rows))
 
 
 def test_integer_unimodular_systole_is_one():
@@ -203,7 +199,7 @@ def test_reduction_agrees_with_enumeration(dim):
     for seed in range(60):
         basis = random_real_basis(dim, seed=seed)
         fast = ll.shortest_vector(basis)
-        slow = brute_force_shortest(basis)
+        slow = Q(brute_force_shortest(basis.ints), basis.denom**2)
         assert math.isclose(float(fast), float(slow), rel_tol=1e-9), f"dim={dim} seed={seed}"
 
 
@@ -222,51 +218,51 @@ def _skewed_t20_bases():
 
 def test_skewed_t20_bases_agree_with_brute_force():
     for basis in _skewed_t20_bases():
-        fast = ll.shortest_vector(basis)
-        slow = brute_force_shortest(basis, radius=math.sqrt(fast) * (1 + 1e-9))
+        fast = ll._minimum(basis.ints)
+        slow = brute_force_shortest(basis.ints, radius=math.sqrt(fast) * (1 + 1e-9))
         assert slow == fast, basis.ints
+        assert ll.shortest_vector(basis) == Q(fast, basis.denom**2)
 
 
-def _rank2_bases():
+def _rank2_rows():
     # a_t u(x) translates of the catalog bases, as the samplers draw them
     draws = generator(7, "rank2-cross-check").uniform(-3.0, 3.0, size=4).tolist()
     for t in (0.0, 0.5, 2.0, 5.0, 10.0, 15.0, 20.0):
         a_t = (math.exp(t), math.exp(-t))
         for idx in range(len(ll.CATALOG_BASES)):
             for x in draws + [0.5, math.exp(-2 * t)]:
-                yield ll.shear_basis(a_t, (x,), ll.catalog_basis(idx))
-    # rational bases of any covolume
+                yield ll.shear_basis(a_t, (x,), ll.catalog_basis(idx)).ints
+    # rational bases of any covolume, scaled to integer rows
     rng = np.random.default_rng(2)
     for _ in range(40):
         rows = [[Q(int(rng.integers(-99, 100)), int(rng.integers(1, 12))) for _ in range(2)]
                 for _ in range(2)]
         i, k = int(rng.integers(0, 2)), int(rng.integers(1, 500))
         rows[i] = [c * k for c in rows[i]]  # skew the input
-        try:
-            yield ll.LatticeBasis.from_rows(rows, expect_unimodular=False)
-        except ll.LatticeError:
-            continue
+        ints, _ = exact._scaled(rows)
+        if exact._bareiss_det(ints):
+            yield ints
     # the rounding boundaries 2B = A and 2B = -A, and the stop test C = A
     # met at once and after one size reduction
-    for rows in (((2, 0), (1, 5)), ((2, 0), (-1, 5)), ((3, 1), (-1, 3)), ((3, 1), (2, 4)),
-                 ((1, 0), (0, 1)), ((2, 1), (1, 2))):
-        yield ll.LatticeBasis.from_rows(rows, expect_unimodular=False)
+    yield from (((2, 0), (1, 5)), ((2, 0), (-1, 5)), ((3, 1), (-1, 3)), ((3, 1), (2, 4)),
+                ((1, 0), (0, 1)), ((2, 1), (1, 2)))
 
 
 def test_rank2_minimum_matches_the_generic_kernel():
     # the LLL-plus-walk route stays the rank-2 reference
     brute = 0
-    for basis in _rank2_bases():
-        swapped = ll.LatticeBasis(basis.ints[::-1], basis.denom, expect_unimodular=False)
-        fast = ll.shortest_vector(basis)
-        assert fast == ll.shortest_vector(swapped), basis.ints
-        assert fast == ll._enumerate_shortest(ll.lll_reduce(basis)), basis.ints
-        assert fast == ll._enumerate_shortest(ll.lll_reduce(swapped)), basis.ints
+    for rows in _rank2_rows():
+        swapped = rows[::-1]
+        fast = ll._minimum(rows)
+        assert fast == ll._minimum(swapped), rows
+        for order in (rows, swapped):
+            red = ll.lll_reduce(order)
+            assert fast == walk_minimum(red, red.gso[0][1]), rows
         try:
-            slow = brute_force_shortest(basis, radius=math.sqrt(fast) * (1 + 1e-9))
+            slow = brute_force_shortest(rows, radius=math.sqrt(fast) * (1 + 1e-9))
         except ll.LatticeError:  # the oracle's box is too large
             continue
-        assert slow == fast, basis.ints
+        assert slow == fast, rows
         brute += 1
     assert brute >= 100
 
@@ -309,16 +305,15 @@ def test_lll_output_is_reduced_on_fraction_bases(dim):
         rows = [[Q(int(rng.integers(-99, 100)), int(rng.integers(1, 12)))
                  for _ in range(dim)] for _ in range(dim)]
         rows[0] = [c * 1000 for c in rows[0]]  # skew the input
-        try:
-            basis = ll.LatticeBasis.from_rows(rows, expect_unimodular=False)
-        except ll.LatticeError:
+        ints, _ = exact._scaled(rows)
+        if not exact._bareiss_det(ints):
             continue
-        red = ll.lll_reduce(basis)
+        red = ll.lll_reduce(ints)
         swaps += red.swaps
         assert abs(exact.det(red.transform)) == 1
-        reduced = exact.matmul(red.transform, basis_rows(basis))
-        assert red.gso == ll._integral_gso(_reduced_ints(red))
-        mu, norms = _fraction_gso(reduced)
+        assert red.gso == ll._integral_gso(exact._imul(red.transform, ints))
+        # reduced over the integer rows is reduced over the Fraction rows
+        mu, norms = _fraction_gso(exact.matmul(red.transform, rows))
         assert all(abs(m) <= Q(1, 2) for m in mu.values())
         for k in range(1, dim):
             assert norms[k] >= (Q(3, 4) - mu[k, k - 1] ** 2) * norms[k - 1]
@@ -334,7 +329,9 @@ def test_basis_failure_paths():
         ll.LatticeBasis.from_rows([[0, 1, 0], [0, 2, 0], [1, 0, 0]])
     with pytest.raises(ll.LatticeError, match="not unimodular"):
         ll.LatticeBasis.from_rows([[2, 0], [0, Q(3, 5)]])
-    ll.LatticeBasis.from_rows([[2, 0], [0, Q(3, 5)]], expect_unimodular=False)
+    # the kernel takes the integer rows of that lattice all the same
+    ints, denom = exact._scaled([[2, 0], [0, Q(3, 5)]])
+    assert Q(ll._minimum(ints), denom**2) == Q(9, 25)
     # a zero leading pivot is not a dependency
     ll.LatticeBasis.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
@@ -345,11 +342,13 @@ def test_enumeration_alone_is_exact_on_unreduced_bases():
     for dim in (2, 3, 4):
         for seed in range(20):
             basis = random_real_basis(dim, seed=seed)
-            shear = basis_rows(random_unimodular_basis(dim, seed=seed + 100))
-            skewed = ll.LatticeBasis.from_rows(exact.matmul(shear, basis_rows(basis)))
-            identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-            red = ll.ReducedBasis(skewed, identity, 0, ll._integral_gso(skewed.ints))
-            assert ll._enumerate_shortest(red) == ll.shortest_vector(basis)
+            shear = random_unimodular_basis(dim, seed=seed + 100).ints
+            skewed = exact._imul(shear, basis.ints)
+            identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+            red = ll.ReducedBasis(identity, 0, ll._integral_gso(skewed))
+            # from the shortest input row, which bounds the minimum
+            radius = min(sum(c * c for c in row) for row in skewed)
+            assert walk_minimum(red, radius) == ll._minimum(basis.ints)
 
 
 def test_ball_walk_visits_every_point_once():
@@ -359,9 +358,9 @@ def test_ball_walk_visits_every_point_once():
 
     for dim in (2, 3, 4):
         for seed in range(6):
-            basis = random_real_basis(dim, seed=seed)
-            red = ll.lll_reduce(basis)
-            rows = _reduced_ints(red)
+            ints = random_real_basis(dim, seed=seed).ints
+            red = ll.lll_reduce(ints)
+            rows = exact._imul(red.transform, ints)
             # the longest reduced row lies on the sphere itself
             radius = max(sum(c * c for c in row) for row in rows)
             walked = []
@@ -371,8 +370,8 @@ def test_ball_walk_visits_every_point_once():
                 return radius
 
             ll.enumerate_ball(red, radius, visit)
-            inv = exact.inverse(exact.matmul(red.transform, basis_rows(basis)))
-            reach = math.sqrt(radius) / basis.denom
+            inv = exact.inverse(rows)
+            reach = math.sqrt(radius)
             spans = [int(reach * math.hypot(*(float(r[i]) for r in inv))) + 1
                      for i in range(dim)]
             expected = []
@@ -385,15 +384,14 @@ def test_ball_walk_visits_every_point_once():
 
 
 def test_brute_force_radius_controls_cost():
-    basis = ll.catalog_basis(0)
-    hit = brute_force_shortest(basis, radius=1.5)
+    hit = brute_force_shortest(ll.catalog_basis(0).ints, radius=1.5)
     assert hit == 1
 
 
 def test_brute_force_rejects_oversized_cell():
     basis = random_real_basis(3, seed=2)
     with pytest.raises(ll.LatticeError):
-        brute_force_shortest(basis, radius=500.0)
+        brute_force_shortest(basis.ints, radius=500.0 * basis.denom)
 
 
 def test_integer_shear_stabilizes_integer_lattice():
