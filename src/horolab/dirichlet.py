@@ -94,6 +94,11 @@ class DIQuery:
         object.__setattr__(self, "bounds", tuple(map(index, self.bounds)))
         if len(self.xi) != len(self.bounds) or not self.xi:
             raise ValueError("xi and bounds must have equal positive length")
+        # the searches read each coordinate exactly, as Fraction does: a bool,
+        # a string or a float narrower than a double is no coordinate
+        if any(isinstance(x, bool) or not isinstance(x, (numbers.Rational, float))
+               for x in self.xi):
+            raise ValueError(f"coordinates must be rational or float numbers, not {self.xi!r}")
         if any(isinstance(x, float) and not math.isfinite(x) for x in self.xi):
             raise ValueError("coordinates must be finite")
         # a bool is no factor (np.bool_ is no Real); the comparison is exact

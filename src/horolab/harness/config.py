@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import json
+import operator
+import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
-
-import jsonschema
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .runner import EXPERIMENTS
-from ..curvejet import CurveSpec  # after .runner: the other order lifts peak RSS 0.9 MiB
+from ..curvejet import CurveSpec  # after .runner: the other order lifts peak RSS 0.5-1.0 MiB
 
 CONFIG_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "additionalProperties": False,
     "required": ["kind"],
@@ -93,12 +93,115 @@ class ExperimentConfig:
     raw: Dict = field(repr=False)
 
 
+# -- the schema checker ----------------------------------------------------------------
+#
+# The draft-07 keywords that CONFIG_SCHEMA and the experiments' fragments use,
+# with two stricter types: an integer is an int (2.0 is none), and a number is
+# finite as a float (JSON has no NaN or Infinity, and 10**400 has no float).
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and _is_real(v),
+    "number": lambda v: _is_real(v) and abs(v) <= sys.float_info.max,
+}
+_BOUNDS = (("minimum", operator.lt, "less than the minimum"),
+           ("exclusiveMinimum", operator.le, "less than or equal to the minimum"),
+           ("maximum", operator.gt, "greater than the maximum"))
+_KEYWORDS = {"type", "enum", "const", "pattern", "items", "minItems", "maxItems",
+             "uniqueItems", "properties", "additionalProperties", "required", "oneOf",
+             *(word for word, _, _ in _BOUNDS)}
+
+
+def _json_key(x):
+    """A hashable stand-in for ``x`` under JSON equality: 1 equals 1.0, True does not."""
+    if isinstance(x, list):
+        return "array", tuple(map(_json_key, x))
+    if isinstance(x, dict):
+        return "object", frozenset((k, _json_key(v)) for k, v in x.items())
+    return isinstance(x, bool), x
+
+
+def _depth(violation):
+    return -len(violation[0]), violation[0]
+
+
+def _violations(value, schema: Dict, path: tuple = ()) -> Iterator[Tuple[tuple, str]]:
+    """Yield ``(path, message)`` for every keyword of ``schema`` that ``value`` breaks."""
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise NotImplementedError(f"schema keyword(s) {sorted(unknown)} are not checked")
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        yield path, f"{value!r} is not of type {kind!r}"
+    if "enum" in schema and _json_key(value) not in map(_json_key, schema["enum"]):
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if "const" in schema and _json_key(value) != _json_key(schema["const"]):
+        yield path, f"{schema['const']!r} was expected"
+    if "pattern" in schema and isinstance(value, str) and not re.search(schema["pattern"], value):
+        yield path, f"{value!r} does not match {schema['pattern']!r}"
+    for word, breaks, text in _BOUNDS:
+        if _is_real(value) and word in schema and breaks(value, schema[word]):
+            yield path, f"{value!r} is {text} of {schema[word]!r}"
+    if isinstance(value, list):
+        items = schema.get("items", {})
+        pairs = zip(value, items) if isinstance(items, list) else ((v, items) for v in value)
+        for i, (item, sub) in enumerate(pairs):
+            yield from _violations(item, sub, (*path, i))
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"{value!r} is too short"
+        if len(value) > schema.get("maxItems", len(value)):
+            yield path, f"{value!r} is too long"
+        if schema.get("uniqueItems") and len(set(map(_json_key, value))) < len(value):
+            yield path, f"{value!r} has non-unique elements"
+    if isinstance(value, dict):
+        for name in schema.get("required", ()):
+            if name not in value:
+                yield path, f"{name!r} is a required property"
+        known = schema.get("properties", {})
+        rest = schema.get("additionalProperties", {})
+        extra = sorted(value.keys() - known.keys())
+        if rest is False and extra:
+            yield path, (f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                         f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        for name, item in value.items():
+            sub = known.get(name, rest)
+            if sub is not False:
+                yield from _violations(item, sub, (*path, name))
+    if "oneOf" in schema:
+        branches = schema["oneOf"]
+        passed = sum(not any(_violations(value, b, path)) for b in branches)
+        if passed > 1:
+            yield path, f"{value!r} is valid under more than one of the given schemas"
+        elif not passed:
+            near = sorted((v for b in branches if "type" not in b or _TYPES[b["type"]](value)
+                           for v in _violations(value, b, path)), key=_depth)
+            if near and (len(near) == 1 or near[0][0] != near[1][0]):
+                yield near[0]
+            else:  # no branch, or no one deepest violation, to blame
+                yield path, f"{value!r} is not valid under any of the given schemas"
+
+
 def _validate(raw: Dict, schema: Dict) -> None:
-    try:
-        jsonschema.validate(raw, schema)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config rejected at {path}: {exc.message}") from exc
+    """Raise ``ConfigError`` naming one violation of ``schema`` by ``raw``.
+
+    It names the shallowest violation, and of two at one depth the one whose
+    path sorts last.  Where no branch of a ``oneOf`` holds, it names the
+    deepest violation of a branch whose type fits, if that one is alone at
+    its path, and the ``oneOf`` otherwise.  A draft-07 validator's best match
+    picks the same path, so a diagnostic points where it did before.
+    """
+    worst = max(_violations(raw, schema), key=_depth, default=None)
+    if worst is not None:
+        path, message = worst
+        raise ConfigError(f"config rejected at {'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
 def validate_config(raw: Dict) -> ExperimentConfig:
@@ -143,7 +246,7 @@ def validate_config(raw: Dict) -> ExperimentConfig:
             f"config rejected at {unread[0]}: {name} does not read "
             f"{', '.join(unread)}"
         )
-    _validate(raw, {"$schema": CONFIG_SCHEMA["$schema"], "properties": exp.keys})
+    _validate(raw, {"properties": exp.keys})
     curve = raw.get("curve", "moment")
     if curve != "moment":  # the moment curve has every n
         try:

@@ -153,6 +153,12 @@ def test_query_validation():
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             di.DIQuery((0.5, x), (2, 2), 0.5)
+    # a coordinate is a number read exactly: no bool as 1, string, complex or float32
+    for x in (True, np.True_, "0.5", None, 0.5 + 0j, np.float32(0.5), [0.5]):
+        with pytest.raises(ValueError, match="coordinates"):
+            di.DIQuery((0.5, x), (2, 2), 0.5)
+    for x in (np.float64(0.5), Q(1, 2), 1, np.int64(1)):
+        assert di.DIQuery((0.5, x), (2, 2), 0.5).xi == (0.5, x)
     # box sizes are integers: no truncated float, no bool, no string
     for bounds in [(2.7,), (2.0,), (True,), (2, False), (np.True_,), ("2",), (Q(2),), (0,)]:
         with pytest.raises(ValueError):

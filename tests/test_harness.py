@@ -3,7 +3,13 @@
 import csv
 import dataclasses
 import json
+import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +24,11 @@ from horolab.harness import (
     run,
     validate_config,
 )
+import horolab
 from horolab import exact
 from horolab import flowlab as fl
 from horolab import latticelab as ll
-from horolab.harness import cli, runner
+from horolab.harness import cli, config, runner
 from horolab.weightlab import modules
 from horolab.dirichlet import SearchBudgetError
 
@@ -115,6 +122,119 @@ def test_all_presets_validate():
         pairs.add((cfg.kind, cfg.variant))
     # every registered experiment ships a preset, and no preset is orphaned
     assert pairs == {(e.kind, e.variant) for e in runner.EXPERIMENTS}
+
+
+def test_presets_validate_and_run_without_jsonschema(tmp_path):
+    out = tmp_path / "a"
+    script = "\n".join([
+        "import sys",
+        "sys.modules['jsonschema'] = None",
+        "from horolab.harness import cli, list_presets",
+        "assert len(list_presets()) == 11",
+        f"sys.exit(cli.main(['run', '--config', 'acceptance-01', '--out', {str(out)!r}]))",
+    ])
+    src = str(Path(horolab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "summary.json").exists()
+
+
+def test_schema_checker_refuses_keywords_it_does_not_check(monkeypatch):
+    escape = next(e for e in runner.EXPERIMENTS if e.kind == "escape")
+    widened = dataclasses.replace(escape, keys={"t_ladder": {"items": {"multipleOf": 0.5}}})
+    monkeypatch.setattr(config, "EXPERIMENTS", (widened,))
+    with pytest.raises(NotImplementedError, match="multipleOf"):
+        validate_config({"kind": "escape", "t_ladder": [1.5]})
+
+
+# -- the schema checker against a draft-07 validator ---------------------------------
+
+# values for every key of the shared schema; several break more than one keyword
+_GRID_VALUES = [
+    None, True, False, 0, 1, 2, 3, 6, 7, -1, 1.0, 2.0, 2.5, -0.5, 12.5, 13, 101, -7.5,
+    math.nan, math.inf, -math.inf, 10**400, "", "x", "moment", "trig", "poly:0,1",
+    "poly:0,1;0,0,1", "equal", "linear:1", "linear:2,0", "standard", "bogus",
+    [], [0], [1], [-1], [2.0], [13], [101], [math.nan], [10**400], [5, 5], [5, 5.0],
+    [1, True], [2, 1], [0, 1], [-2, -1], [-1, 0.5], [0, math.inf], [1, 2, 3], [-1, "x"],
+    ["x", -1], [-1, -2], ["standard"], ["bogus"], ["standard", "bogus", 3],
+    ["tensor(standard,adjoint)"], {}, {"corrupt_sk_predicate": True},
+    {"corrupt_sk_predicate": 1}, {"bogus": True}, {"trials": 0}, {"grid": 2},
+    {"grid": 2.0}, {"grid": 2.5}, {"grid": -2.0}, {"grid": -7.5}, {"grid": 0, "queries": 0},
+    {"grid": -7.5, "queries": "x"}, {"x": "y"},
+]
+
+
+def _only_the_checker_rejects(value) -> bool:
+    """Whether ``value`` holds an integral or non-finite float, or an int no float holds."""
+    if isinstance(value, (list, dict)):
+        return any(map(_only_the_checker_rejects,
+                       value.values() if isinstance(value, dict) else value))
+    if isinstance(value, float):
+        return value.is_integer() or not math.isfinite(value)
+    return type(value) is int and abs(value) > sys.float_info.max
+
+
+def _assert_checker_agrees(raw, schema):
+    jsonschema = pytest.importorskip("jsonschema")
+    best = jsonschema.exceptions.best_match(jsonschema.Draft7Validator(schema).iter_errors(raw))
+    theirs = best and ("/".join(map(str, best.absolute_path)) or "<root>")
+    try:
+        config._validate(raw, schema)
+        ours = None
+    except ConfigError as exc:
+        ours = re.match(r"config rejected at (\S+): ", str(exc)).group(1)
+    # the checker is stricter on exactly these values
+    if ours != theirs:
+        assert ours is not None and _only_the_checker_rejects(raw), (raw, ours, theirs)
+    return ours is None and theirs is None
+
+
+def _assert_both_phases_agree(raw):
+    if not _assert_checker_agrees(raw, config.CONFIG_SCHEMA):
+        return
+    records = [e for e in runner.EXPERIMENTS if e.kind == raw["kind"]]
+    exp = next((e for e in records if e.variant == raw.get("variant", records[0].variant)),
+               None)
+    if exp is not None:
+        _assert_checker_agrees(raw, {"properties": exp.keys})
+
+
+def test_schema_checker_agrees_with_a_draft7_validator():
+    pytest.importorskip("jsonschema")
+    presets = [json.loads(p.read_text()) for p in config.presets_dir().glob("*.json")]
+    rejected = [_with_base(raw) for raw, _ in BODY_REJECTS] + NEGATIVE_T + [
+        {**GOOD, "extra": True}, {**GOOD, "out": "artifacts"}, {**GOOD, "kind": "numerology"},
+        {**GOOD, "variant": "qfixed"}, {"kind": "identity-suite", "variant": "parts"},
+        {"kind": "dirichlet-scan", "seed": 1, "samples": {"query": 10}},
+        {"kind": "escape", "samples": 3},
+        {"kind": "escape", "modules": ["adjoint"], "n": 5, "t_ladder": [1, 2],
+         "test_hooks": {"corrupt_sk_predicate": True}},
+        {"kind": "equidistribution", "n": 2, "seed": 1, "samples": 20},
+        {"kind": "expansion-ladder", "variant": "vandermonde"},
+        {"kind": "curve-frames", "curve": "trig", "n": 1, "samples": 8},
+        {}, [], {"kind": "escape", "seed": -1, "n": 0, "extra": 1},
+    ]
+    for raw in presets + rejected:
+        _assert_both_phases_agree(raw)
+    # JSON equality (1 equals 1.0, True does not equal 1) and a oneOf that two
+    # branches satisfy, which the config schema itself cannot show
+    for value, schema in [
+        (True, {"const": 1}), (1.0, {"const": 1}), (False, {"enum": [0, "x"]}),
+        (1.0, {"enum": [1]}), ([1, True], {"uniqueItems": True}),
+        ([[1], [1.0]], {"uniqueItems": True}), ([[1], [True]], {"uniqueItems": True}),
+        ([{"a": 1}, {"a": True}], {"uniqueItems": True}),
+        (3, {"oneOf": [{"minimum": 0}, {"maximum": 5}]}),
+        (-3, {"oneOf": [{"minimum": 0}, {"maximum": 5}]}),
+    ]:
+        _assert_checker_agrees({"x": value}, {"properties": {"x": schema}})
+    for exp in runner.EXPERIMENTS:
+        base = {"kind": exp.kind, **({"variant": exp.variant} if exp.variant else {}),
+                **({"seed": 1} if exp.stochastic else {})}
+        for key in config.CONFIG_SCHEMA["properties"]:
+            for value in _GRID_VALUES:
+                _assert_both_phases_agree({**base, key: value})
 
 
 # -- run artifacts --------------------------------------------------------------
@@ -451,7 +571,7 @@ def test_cli_rejects_config_the_experiment_cannot_run(tmp_path, capsys):
     assert "config rejected at n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw, path", [
+BODY_REJECTS = [
     ({"kind": "equidistribution", "curve": "trig"}, "curve"),
     ({"kind": "equidistribution", "curve": "poly:0,1"}, "curve"),
     ({"kind": "equidistribution", "schedule": "linear:2,0"}, "schedule"),
@@ -481,17 +601,42 @@ def test_cli_rejects_config_the_experiment_cannot_run(tmp_path, capsys):
      "t_ladder"),
     # qfixed measures one flow time, so a ladder would run its last rung only
     ({"kind": "expansion-ladder", "variant": "qfixed", "t_ladder": [20, 1]}, "t_ladder"),
-], ids=["equi-curve", "equi-poly-curve", "equi-schedule", "equi-t-zero", "equi-t-large",
+    # the body builds an int n and sample count, and finite floats
+    ({"kind": "identity-suite", "n": 2.0}, "n"),
+    ({"kind": "basic-lemma-fuzz", "samples": 2.0}, "samples"),
+    ({"kind": "dirichlet-scan", "n": 2.0}, "n"),
+    ({"kind": "escape", "t_ladder": [math.nan]}, "t_ladder/0"),
+    ({"kind": "equidistribution", "t_ladder": [math.nan]}, "t_ladder/0"),
+    ({"kind": "expansion-ladder", "variant": "certification", "t_ladder": [5, math.nan]},
+     "t_ladder/1"),
+    ({"kind": "expansion-ladder", "variant": "certification", "t_ladder": [5, 10**400]},
+     "t_ladder/1"),
+    ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [0, math.inf]},
+     "interval/1"),
+    ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [0, 10**400]},
+     "interval/1"),
+]
+BODY_REJECT_IDS = ["equi-curve", "equi-poly-curve", "equi-schedule", "equi-t-zero", "equi-t-large",
         "escape-t-178", "escape-t-800", "unknown-curve", "zero-denominator", "trig-n",
         "poly-n", "unknown-module", "dirichlet-n", "reversed-interval",
         "vandermonde-b-minus-1", "vandermonde-b-below-minus-1", "certification-one-rung",
-        "certification-one-rung-at-0", "certification-repeated-rung", "qfixed-ladder"])
+        "certification-one-rung-at-0", "certification-repeated-rung", "qfixed-ladder",
+    "identity-float-n", "float-samples", "dirichlet-float-n", "escape-t-nan", "equi-t-nan",
+    "certification-t-nan", "certification-t-beyond-float", "vandermonde-b-infinite",
+    "vandermonde-b-beyond-float"]
+
+
+def _with_base(raw):
+    # few samples keep a wrongly accepted run short; some experiments read none
+    reads_none = (raw["kind"] in ("escape", "identity-suite")
+                  or raw.get("variant") == "qfixed")
+    return {"seed": 1, **({} if reads_none else {"samples": 5}), **raw}
+
+
+@pytest.mark.parametrize("raw, path", BODY_REJECTS, ids=BODY_REJECT_IDS)
 def test_cli_rejects_values_the_body_cannot_build(tmp_path, capsys, raw, path):
     cfg_path = tmp_path / "bad.json"
-    # few samples keep a wrongly accepted run short; escape and qfixed read none
-    reads_none = raw["kind"] == "escape" or raw.get("variant") == "qfixed"
-    base = {"seed": 1} if reads_none else {"seed": 1, "samples": 5}
-    cfg_path.write_text(json.dumps({**base, **raw}))
+    cfg_path.write_text(json.dumps(_with_base(raw)))
     rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"config rejected at {path}:" in capsys.readouterr().err
@@ -516,15 +661,19 @@ def test_curve_frames_ladder_above_the_floor_must_decrease(tmp_path, monkeypatch
     assert "STALLS" in out.summary["checks"]["curve-frames"]["detail"]
 
 
-@pytest.mark.parametrize("raw", [
+NEGATIVE_T = [{"seed": 1, **raw, "t_ladder": [-1, 2]} for raw in (
     {"kind": "equidistribution"},
     {"kind": "expansion-ladder", "variant": "qfixed"},
     {"kind": "expansion-ladder", "variant": "certification"},
     {"kind": "escape"},
-], ids=["equidistribution", "qfixed", "certification", "escape"])
+)]
+
+
+@pytest.mark.parametrize("raw", NEGATIVE_T,
+                         ids=["equidistribution", "qfixed", "certification", "escape"])
 def test_cli_rejects_negative_t(tmp_path, capsys, raw):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"seed": 1, **raw, "t_ladder": [-1, 2]}))
+    cfg_path.write_text(json.dumps(raw))
     rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config rejected at t_ladder/0:" in capsys.readouterr().err
