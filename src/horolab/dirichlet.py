@@ -21,9 +21,12 @@ float residues of ``q_n xi_n``, for the q whose first nonzero coordinate is
 positive (-q answers alike and sorts later).  The dual sweep walks
 ``q = 1 .. max prod N`` per xi.  Every candidate, within a band widened by a
 bound on the float rounding, is confirmed in integer arithmetic over the
-denominator of xi; the half-ulp shrink keeps its own.  Nothing is shortlisted
-or capped: the primal witness is the exact smallest-error one, and the dual
-witness has the exact smallest q.
+denominator of xi: a primal candidate's residue ``q . a - p D`` in int64 limbs
+wide enough for its box, whatever the denominator D, and a dual candidate in
+Python ints.  The half-ulp shrink keeps its own denominator and, where it can
+decide, its own Python-int test.  Nothing is shortlisted or capped: the primal
+witness is the exact smallest-error one, and the dual witness has the exact
+smallest q.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .curvejet import CurveSpec, _poly_ratio
+from . import limbs
 from .exact import _ratio, _scaled
 from .latticelab import _lowest_terms, _shear_rows, enumerate_ball, lll_reduce
 
@@ -124,12 +128,17 @@ class WitnessResult:
     ``(q, (p_1..p_n))`` for the dual form, and ``None`` on a miss.
     ``search_volume`` counts what the search walked: the nonzero box points
     (primal), the q values up to the witness or the end (dual), or the
-    nonzero lattice points of the ball (lattice search).
+    nonzero lattice points of the ball (lattice search).  A primal sweep
+    also counts the candidates it ``confirmed`` in integer limbs, and of
+    those the ``python_int`` ones whose half-ulp shrink took a Python-int
+    test; the other searches leave both 0.
     """
 
     found: bool
     witness: Optional[Tuple]
     search_volume: int
+    confirmed: int = 0
+    python_int: int = 0
 
 
 def _check_budget(points: int) -> None:
@@ -217,14 +226,39 @@ def _blocks(bounds: np.ndarray) -> Iterator[np.ndarray]:
     yield np.array(block).T
 
 
+# -- the integer test, in limbs
+#
+# Take a query's xi less its nearest integers as a_i / D (|a_i| <= D / 2) and
+# a candidate q, and let p = rint(fl(q . x)).  fl(q . x) lies within the
+# window bound above of q . a / D, far below 1/2, so |q . a / D - p| < 1, and
+# with the residue r = q . a - p D the exact error is min(|r|, D - |r|) / D.
+#
+# Each integer is written in K ``limbs`` of S bits, K S >= bitlen(D), the
+# lower ones in [0, 2^S) and the top one signed.  So every limb of D and of
+# the a_i (|a_i| < 2^(KS - 1)) is at most A = 2^S - 1 in magnitude.  With
+# M = sum N_i, |q_i| <= N_i, and |fl(q . x)| <= M / 2 (every |x_i| <= 1/2 and
+# rounding is monotone), so |p| <= ceil(M / 2).  A limb sum
+# L_j = sum_i a_ij q_i - D_j p is then at most A W in magnitude, with
+# W = M + ceil(M / 2), and a carry c = floor((L_j + c') / 2^S) with |c'| <= W
+# stays within W, since |L_j + c'| <= A W + W = 2^S W.  No int64 value passes
+# 2^S W, so S = 63 - bitlen(W) is the widest limb with 2^S W < 2^63; the
+# point budget keeps M near 10^7 at most, and S above 38.  After the carries
+# |r| < D fits the K limbs, as do |r|, D - |r| and each query's bounds, all in
+# [0, 2^(KS)], where carried limbs compare as their numbers do.  A sweep takes
+# the narrowest S of its queries, and a batch the largest K of its own, a
+# query's limbs above its own K being 0.  One limb is the plain int64 test of
+# q . a - p D.
+
+
 class _Sweep:
     """Queries padded in front to one dimension n (box size 0), with their rows,
-    float bands and integer tests; ``small`` marks tests that fit int64."""
+    float bands, the limbs of their integer tests, and the count of candidates
+    each one confirmed and sent to a Python-int shrink test."""
 
     def __init__(self, queries: Sequence[DIQuery]) -> None:
         self.queries, self.n = queries, max(q.dimension for q in queries)
         rows: Dict[Tuple, _Row] = {}
-        self.rows, bounds, table, tests, bands, small = [], [], [], [], [], []
+        self.rows, bounds, ints, self.tests, bands = [], [], [], [], []
         for query in queries:
             _check_budget(query.box_product)
             pad, key = (0,) * (self.n - query.dimension), _xi_key(query.xi)
@@ -234,17 +268,19 @@ class _Sweep:
             scale = mu_den * query.box_product  # the bound mu / prod N is mu_num / scale
             shrink = sum(map(mul, row.rates, box))  # over rate_den
             sure = (mu_num * row.rate_den - shrink * scale) * row.denom // (scale * row.rate_den)
-            # error * denom within limit: in the bound; within sure: also with any shrink
-            table.append([*row.nums, row.denom, mu_num * row.denom // scale, max(-1, sure)])
-            tests.append([scale * row.rate_den, *(scale * row.denom * u for u in row.rates),
-                          mu_num * row.denom * row.rate_den])  # a e + sum b_i |q_i| <= c
+            # error * denom within limit: in the bound; below sure: also with any shrink
+            ints.append([*row.nums, row.denom, mu_num * row.denom // scale, max(0, sure + 1)])
+            self.tests.append((scale * row.rate_den, *(scale * row.denom * u for u in row.rates),
+                               mu_num * row.denom * row.rate_den))  # a e + sum b_i |q_i| <= c
             bands.append(mu_num / scale + _float_error(box, row.xi_f))
-            small.append(sum(map(mul, box, map(abs, row.nums))) + row.denom < 2**61)
             self.rows.append(row)
             bounds.append(box)
-        self.table, self.tests = np.array(table, dtype=object).T, np.array(tests, dtype=object).T
-        self.bounds, self.bands, self.small = np.array(bounds).T, np.array(bands), np.array(small)
+        self.bits = min(63 - (sum(b) + (sum(b) + 1) // 2).bit_length() for b in bounds)
+        self.widths = np.array([-(-row.denom.bit_length() // self.bits) for row in self.rows])
+        self.table = limbs.table(ints, self.bits, self.widths.tolist())  # the a_i, D, limit, sure
+        self.bounds, self.bands = np.array(bounds).T, np.array(bands)
         self.xs = np.array([row.xi_f for row in self.rows]).T
+        self.confirmed, self.python_int = np.zeros((2, len(queries)), dtype=np.int64)
 
     def candidates(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Query positions and points q (columns) of every positive-first box
@@ -288,34 +324,44 @@ class _Sweep:
                     yield kh[at], q
 
     def confirm(self, kq: np.ndarray, q: np.ndarray, best: List) -> None:
-        """Integer test of candidates: each query keeps its smallest exact
-        error, ties to the canonical-first q; p is nearest q . xi, ties low."""
-        small = self.small[kq]
-        for part in (small, ~small):
-            if not part.any():
-                continue
-            kp, qp = (kq, q) if part.all() else (kq[part], q[:, part])
-            edges = _runs(kp)
-            cols = self.table[:, kp[edges[:-1]]]
-            *nums, denom, limit, sure = np.repeat(cols.astype(np.int64) if part is small else cols,
-                                                  np.diff(edges), axis=1)
-            t = sum(map(mul, nums, qp))
-            e = t % denom
-            e = np.minimum(e, denom - e)
-            ok = e <= limit
-            test = np.flatnonzero(ok & (e > sure))  # only there can the shrink decide
-            a, *b, c = self.tests[:, kp[test]]
-            ok[test] = e[test] * a + sum(map(mul, b, np.abs(qp[:, test]))) <= c
-            keys = [lambda i: e[i], lambda i: functools.reduce(np.maximum, (abs(x[i]) for x in qp)),
-                    *(lambda i, r=r: np.abs(qp[r, i]) for r in reversed(range(self.n))),
-                    *(lambda i, r=r: qp[r, i] < 0 for r in range(self.n))]
-            for k in _least(kp, keys, np.flatnonzero(ok)):
-                row, pad = self.rows[kp[k]], self.n - self.queries[kp[k]].dimension
-                qv = tuple(int(c) for c in qp[pad:, k])
-                p = _nearest(int(t[k]), row.denom)[0] + sum(map(mul, row.shift[pad:], qv))
-                hit = (int(e[k]), _canonical_key(qv), qv, p)
-                if best[kp[k]] is None or hit < best[kp[k]]:
-                    best[kp[k]] = hit
+        """Integer test of candidates in limbs (see above): each query keeps
+        its smallest exact error, ties to the canonical-first q; p is nearest
+        q . xi, ties low."""
+        n, bits = self.n, self.bits
+        edges = _runs(kq)
+        first, sizes = kq[edges[:-1]], np.diff(edges)
+        np.add.at(self.confirmed, first, sizes)
+        # each run's limbs (number, limb, run) and floats, spread over its
+        # candidates one number at a time; a single run broadcasts
+        ints = self.table[:, : self.widths[first].max(), first]
+
+        def spread(x: np.ndarray) -> np.ndarray:
+            return np.repeat(x, sizes, axis=-1) if first.size > 1 else x
+
+        p = np.rint((spread(self.xs[:, first]) * q).sum(axis=0)).astype(np.int64)
+        r = spread(ints[n]) * -p
+        for i in range(n):
+            r += spread(ints[i]) * q[i]
+        e = limbs.nearest_error(r, spread(ints[n]), bits)
+        ok = limbs.below(e, spread(ints[n + 1]), False)
+        # only from sure on can the shrink decide
+        test = np.flatnonzero(ok & ~limbs.below(e, spread(ints[n + 2]), True))
+        for t in test.tolist():
+            self.python_int[kq[t]] += 1
+            a, *b, c = self.tests[kq[t]]
+            err = limbs.join(e[:, t], bits)
+            ok[t] = err * a + sum(u * abs(int(x)) for u, x in zip(b, q[:, t])) <= c
+        keys = [*(lambda i, part=part: part[i] for part in reversed(e)),
+                lambda i: functools.reduce(np.maximum, (abs(x[i]) for x in q)),
+                *(lambda i, c=c: np.abs(q[c, i]) for c in reversed(range(n))),
+                *(lambda i, c=c: q[c, i] < 0 for c in range(n))]
+        for k in _least(kq, keys, np.flatnonzero(ok)):
+            row, pad = self.rows[kq[k]], n - self.queries[kq[k]].dimension
+            qv = tuple(int(c) for c in q[pad:, k])
+            p, err = _nearest(sum(map(mul, row.nums[pad:], qv)), row.denom)
+            hit = (err, _canonical_key(qv), qv, p + sum(map(mul, row.shift[pad:], qv)))
+            if best[kq[k]] is None or hit < best[kq[k]]:
+                best[kq[k]] = hit
 
 
 def _least(group: np.ndarray, keys: Sequence, idx: np.ndarray) -> np.ndarray:
@@ -352,8 +398,8 @@ def primal_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
     for kq, q in sweep.candidates():
         sweep.confirm(kq, q, best)
     return [WitnessResult(hit is not None, hit and hit[2:],
-                          math.prod(2 * b + 1 for b in q.bounds) - 1)
-            for q, hit in zip(queries, best)]
+                          math.prod(2 * b + 1 for b in q.bounds) - 1, int(c), int(t))
+            for q, hit, c, t in zip(queries, best, sweep.confirmed, sweep.python_int)]
 
 
 def di_witness(query: DIQuery) -> WitnessResult:
@@ -385,31 +431,32 @@ def dual_sweep(queries: Sequence[DIQuery]) -> List[WitnessResult]:
         by_xi.setdefault(_xi_key(q.xi), []).append(k)
     results: List[Optional[WitnessResult]] = [None] * len(queries)
     for members in by_xi.values():
-        xi = queries[members[0]].xi
-        (nums, ulps), denom = _scaled([xi, [_allowance(x) for x in xi]])
-        xi_f = np.array([a / denom for a in nums])
+        row = _Row(queries[members[0]].xi)
+        denom, rate_den = row.denom, row.rate_den
         tops, limits, bands = {}, {}, {}
         for k in members:
             q = queries[k]
             tops[k] = q.box_product
             mu_num, mu_den = _ratio(q.mu)  # the allowance mu / N_i is mu_num / (mu_den N_i)
-            limits[k] = [mu_num * denom // (mu_den * n) for n in q.bounds]
+            limits[k] = [mu_num * denom * rate_den // (mu_den * n) for n in q.bounds]
             bands[k] = np.array([mu_num / (mu_den * n) + _float_error([tops[k]], [x])
-                                 for n, x in zip(q.bounds, xi_f)])
+                                 for n, x in zip(q.bounds, row.xi_f)])
         for start in range(1, max(tops.values()) + 1, _DUAL_CHUNK):
             open_ = [k for k in members if results[k] is None and start <= tops[k]]
             if not open_:
                 break
             qs = np.arange(start, min(start + _DUAL_CHUNK, max(tops.values()) + 1), dtype=np.int64)
-            r = np.outer(xi_f, qs)
+            r = np.outer(row.xi_f, qs)
             err = np.abs(r - np.rint(r))
             for k in open_:
                 rows = err[:, : tops[k] + 1 - start]
                 for i in np.flatnonzero((rows <= bands[k][:, None]).all(axis=0)):
                     q = start + int(i)  # exact test: the nearest p_i, each within its limit
-                    near = [_nearest(q * a, denom) for a in nums]
-                    if all(e + q * u <= lim for (_, e), u, lim in zip(near, ulps, limits[k])):
-                        results[k] = WitnessResult(True, (q, tuple(p for p, _ in near)), q)
+                    near = [_nearest(q * a, denom) for a in row.nums]
+                    if all(e * rate_den + q * u * denom <= lim
+                           for (_, e), u, lim in zip(near, row.rates, limits[k])):
+                        p = tuple(p + q * s for (p, _), s in zip(near, row.shift))
+                        results[k] = WitnessResult(True, (q, p), q)
                         break
     return [res or WitnessResult(False, None, q.box_product)
             for res, q in zip(results, queries)]
@@ -527,7 +574,8 @@ def rbar1(targets: Sequence[Sequence[int]]) -> Union[Q, float]:
 
 @dataclass(frozen=True)
 class ScanCell:
-    """One (grid point, target, form) search outcome."""
+    """One (grid point, target, form) search outcome, with the counts of its
+    ``WitnessResult``."""
 
     s: float
     n_index: int
@@ -535,6 +583,8 @@ class ScanCell:
     found: bool
     witness: Optional[Tuple]
     search_volume: int
+    confirmed: int = 0
+    python_int: int = 0
 
 
 def _curve_xi(curve: CurveSpec, s: float) -> Tuple[Number, ...]:
@@ -571,7 +621,8 @@ def curve_scan(
     for s in s_values:
         for ni in range(len(targets)):
             for form, res in zip(("primal", "dual"), next(answers)):
-                cells.append(ScanCell(s, ni, form, res.found, res.witness, res.search_volume))
+                cells.append(ScanCell(s, ni, form, res.found, res.witness, res.search_volume,
+                                      res.confirmed, res.python_int))
     width = 2 * len(targets)
     improvable = sum(all(c.found for c in cells[i : i + width]) for i in range(0, len(cells), width))
     return cells, improvable / len(s_values)

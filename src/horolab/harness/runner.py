@@ -536,6 +536,13 @@ def _random_query(rng, mu_choices) -> di.DIQuery:
     return di.DIQuery(xi, bounds, mu)
 
 
+def _tallied(tally: Dict[str, int], results: List) -> List:
+    """Add the primal confirmation counts of ``results`` to ``tally``."""
+    tally["primal_confirmed"] += sum(r.confirmed for r in results)
+    tally["primal_python_int"] += sum(r.python_int for r in results)
+    return results
+
+
 def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     n_queries = samples["queries"]
     n_mono = samples["monotonicity"]
@@ -546,8 +553,9 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
 
     rng = generator(cfg.seed, "di-equivalence")
     queries = [_random_query(rng, (0.3, 0.6, 0.9)) for _ in range(n_queries)]
+    tally = {"primal_confirmed": 0, "primal_python_int": 0}  # over every primal result
     agree = 0
-    for trial, (query, a) in enumerate(zip(queries, di.primal_sweep(queries))):
+    for trial, (query, a) in enumerate(zip(queries, _tallied(tally, di.primal_sweep(queries)))):
         b = di.box_point_search(query)
         same = a.found == b.found
         agree += int(same)
@@ -561,7 +569,7 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     rng = generator(cfg.seed, "di-complete")
     queries = [_random_query(rng, (1.0,)) for _ in range(n_queries)]
     complete = 0
-    for trial, (query, res) in enumerate(zip(queries, di.primal_sweep(queries))):
+    for trial, (query, res) in enumerate(zip(queries, _tallied(tally, di.primal_sweep(queries)))):
         complete += int(res.found)
         query_rows.append(["completeness", trial, query.dimension,
                            str(query.bounds), 1.0, res.found, res.found, res.found])
@@ -574,8 +582,8 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     monotone = 0
     mu_grid = (0.2, 0.4, 0.6, 0.8, 1.0)
     bases = [_random_query(rng, (0.5,)) for _ in range(n_mono)]
-    sweep = iter(di.primal_sweep(
-        [di.DIQuery(base.xi, base.bounds, mu) for base in bases for mu in mu_grid]))
+    sweep = iter(_tallied(tally, di.primal_sweep(
+        [di.DIQuery(base.xi, base.bounds, mu) for base in bases for mu in mu_grid])))
     for trial, base in enumerate(bases):
         flags = [next(sweep).found for _ in mu_grid]
         ok = all(b or not a for a, b in zip(flags, flags[1:]))
@@ -598,6 +606,7 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     curve = CurveSpec.preset(cfg.curve or "moment", n=cfg.n or 2)
     interval = cfg.interval or (0.0, 1.0)
     cells, fraction = di.curve_scan(curve, interval, _SCAN_PREFIX, _SCAN_MU, s_grid)
+    _tallied(tally, cells)
     scan_header = ["s", "n_index", "form", "found", "witness", "search_volume"]
     scan_rows = [[c.s, c.n_index, c.form, c.found, "" if c.witness is None else repr(c.witness),
                   c.search_volume] for c in cells]
@@ -615,7 +624,7 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
             f"{'ok' if rbar_ok else 'WRONG'}, all-improvable fraction {fraction:.3f}"
         ),
         counts={"equivalence": agree, "completeness": complete,
-                "monotonicity": monotone},
+                "monotonicity": monotone, **tally},
         metrics={"all_improvable_fraction": fraction},
         failures=failures,
     )
@@ -717,14 +726,23 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment("basic-lemma-fuzz", "sl2", "acceptance-03",
                "rank-one top-level inequality", True, {"trials": 60},
                {"n": {}, "modules": _MODULES}, _run_sl2),
+    # M_t = exp(max(log|w| + level t)) with w = rho(u) v, |v| <= 1: the top
+    # level of any admitted module under these schedules is 7
+    # (tensor(adjoint,adjoint) under linear:3/2,1/2), and u tends to the
+    # identity, so t <= 100 keeps 7 t + log|w| below log(float max) = 709.78
     Experiment("expansion-ladder", "certification", "acceptance-05",
                "expansion floor certification", True, {"vectors": 50},
-               {"modules": _MODULES, "t_ladder": {"minItems": 2, "uniqueItems": True}},
+               {"modules": _MODULES, "t_ladder": {"minItems": 2, "uniqueItems": True,
+                                                  "items": {"maximum": 100}}},
                _run_certification),
-    # the certified floor |J|^d / (d^{d+1} (1 + b)) needs the right end b > -1
+    # the certified floor |J|^d / (d^{d+1} (1 + b)), d <= 6, needs the right
+    # end b > -1, so 1 + b >= 2^-53; with both ends within 1e49, |J|^6 2^53 / 6^7
+    # < 2^1024 keeps it and |J|^d a float
     Experiment("expansion-ladder", "vandermonde", "acceptance-04",
                "polynomial floor constants", True, {"trials": 1000},
-               {"interval": {"items": [{}, {"exclusiveMinimum": -1}]}}, _run_vandermonde),
+               {"interval": {"items": [{"minimum": -1e49},
+                                       {"exclusiveMinimum": -1, "maximum": 1e49}]}},
+               _run_vandermonde),
     Experiment("expansion-ladder", "bounded-fixed", "acceptance-06",
                "bounded growth vs fixed vectors", False, {}, {},
                _run_bounded_fixed),

@@ -81,8 +81,9 @@ PINNED = {
         "3cb63c5341af00aa0eb99c99589e0f7ae3d8acd30a36651eb5c958ab0bf45c79",
     "acceptance-10/manifest.json":
         "68d9b6dd550944dda9b58dc90a99e8740c5823ca7b49f31fad78e092279665a7",
+    # re-pinned when its counts gained primal_confirmed and primal_python_int
     "acceptance-10/summary.json":
-        "8a67b36d030db172e08b919e1ca533e4aff654474b134b9b7d7a854a9c30c40e",
+        "31c9b3f33739888e38bde66c5961ab5e474868eb43e4d0eb4f12ccd2f544a4e6",
     "curve-frames-demo/curve_frames.csv":
         "bc85bc922bb42062ceb2544dc86a9919f74372ebdecea35017be5e2a27cdee17",
     "curve-frames-demo/manifest.json":

@@ -210,6 +210,17 @@ def test_dual_minimal_q_is_returned():
         assert worst > 1e-6
 
 
+@pytest.mark.parametrize("far", [10**300, 10**400], ids=["1e300", "1e400"])
+def test_dual_witness_of_a_shifted_xi_shifts_p(far):
+    # xi + far has the witnesses of xi, with each p moved by q far; the float
+    # band is taken on xi less its nearest integers, so nothing overflows
+    xi = (Q(1, 3) + Q(1, 2**40), Q(2, 7))
+    base = di.di_dual_witness(di.DIQuery(xi, (4, 4), 0.6))
+    moved = di.di_dual_witness(di.DIQuery(tuple(x + far for x in xi), (4, 4), 0.6))
+    q, p = base.witness
+    assert moved.witness == (q, tuple(c + q * far for c in p))
+
+
 def test_dual_tiny_mu_finds_nothing():
     res = di.di_dual_witness(
         di.DIQuery((math.sqrt(2) - 1, math.sqrt(3) - 1), (2, 2), 1e-9)
@@ -390,19 +401,42 @@ def test_scan_cells_get_the_smallest_error_witness(s, witness):
     assert (q, p) == witness
 
 
+def _near_rational(draw):
+    """a/b plus an offset over 2^k or 3 2^k, k = 20 .. 300: denominators of
+    one limb to several."""
+    b = draw(st.integers(1, 12))
+    x = Q(draw(st.integers(-2 * b, 2 * b)), b)
+    return x + Q(draw(st.integers(-3, 3)),
+                 draw(st.sampled_from([1, 3])) * 2 ** draw(st.integers(20, 300)))
+
+
+def _subnormal(draw):
+    return draw(st.integers(-(2**52) + 1, 2**52 - 1)) * 5e-324
+
+
+def _boxes(draw, n, small):
+    """Box sizes up to ``small``, one of them up to a few hundred; the plain
+    scans walk the whole box."""
+    bounds = [draw(st.integers(1, small)) for _ in range(n)]
+    bounds[draw(st.integers(0, n - 1))] = draw(st.integers(1, (300, 40, 8)[n - 1]))
+    return tuple(bounds)
+
+
 @st.composite
 def _near_rational_queries(draw):
-    """xi = a/b plus a small dyadic offset; mu just below, on or above the
-    smallest factor at which the box holds a witness."""
+    """xi = a/b plus a small dyadic or 3-adic offset, or a subnormal float;
+    mu just below, on or above the smallest factor at which the box holds a
+    witness."""
     n = draw(st.integers(1, 3))
     as_float = draw(st.booleans())
     xi = []
     for _ in range(n):
-        b = draw(st.integers(1, 12))
-        x = Q(draw(st.integers(-2 * b, 2 * b)), b)
-        x += Q(draw(st.integers(-3, 3)), 2 ** draw(st.integers(20, 50)))
+        if as_float and draw(st.integers(0, 3)) == 0:
+            xi.append(_subnormal(draw))
+            continue
+        x = _near_rational(draw)
         xi.append(float(x) if as_float else x)
-    bounds = tuple(draw(st.integers(1, 5)) for _ in range(n))
+    bounds = _boxes(draw, n, 5)
     edge = min(
         abs(r - round(r))
         for q in itertools.product(*(range(-b, b + 1) for b in bounds)) if any(q)
@@ -466,8 +500,8 @@ def test_a_zero_target_makes_every_positive_first_point_a_candidate_once(monkeyp
         assert sorted(got + [tuple(-c for c in q) for q in got]) == sorted(every)
 
 
-_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
-            0.5, -0.5, 1 / 3]
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -4e-320, 2.2250738585072014e-308, 1e300,
+            -1e300, 0.5, -0.5, 1 / 3]
 
 
 @st.composite
@@ -477,15 +511,13 @@ def _window_queries(draw):
     n = draw(st.integers(1, 3))
     xi = []
     for _ in range(n):
-        kind = draw(st.sampled_from(["special", "float", "fraction"]))
-        if kind == "special":
-            xi.append(draw(st.sampled_from(_SPECIAL)))
+        kind = draw(st.sampled_from(["special", "subnormal", "float", "fraction"]))
+        if kind in ("special", "subnormal"):
+            xi.append(draw(st.sampled_from(_SPECIAL)) if kind == "special" else _subnormal(draw))
             continue
-        b = draw(st.integers(1, 12))
-        x = Q(draw(st.integers(-2 * b, 2 * b)), b)
-        x += Q(draw(st.integers(-3, 3)), 2 ** draw(st.integers(20, 60)))
+        x = _near_rational(draw)
         xi.append(float(x) if kind == "float" else x)
-    bounds = tuple(draw(st.integers(1, 4)) for _ in range(n))
+    bounds = _boxes(draw, n, 4)
     edge = min(
         abs(r - round(r))
         for q in itertools.product(*(range(-b, b + 1) for b in bounds)) if any(q)
@@ -499,12 +531,18 @@ def _window_queries(draw):
 @settings(max_examples=150, deadline=None)
 def test_every_exact_witness_is_a_window_candidate(query):
     # the band covers the window arithmetic: each exact witness, taken with its
-    # positive-first sign, is among the candidates, and no candidate repeats
+    # positive-first sign, is among the candidates, and no candidate repeats;
+    # the limbs confirm each candidate to the plain scan's witness
     got = _window_candidates(query)
     assert len(got) == len(set(got))
-    for _, q, _ in _plain_witnesses(query):
+    witnesses = _plain_witnesses(query)
+    for _, q, _ in witnesses:
         lead = next(c for c in q if c)
         assert (q if lead > 0 else tuple(-c for c in q)) in set(got)
+    res = di.di_witness(query)
+    want = witnesses and min(witnesses, key=lambda w: (w[0], _canonical(w[1]), w[2]))
+    assert res.witness == (want[1:] if want else None)
+    assert res.confirmed == len(got)
 
 
 def test_the_side_windows_keep_ties_at_half_residues(monkeypatch):
@@ -526,8 +564,8 @@ def test_the_side_windows_keep_ties_at_half_residues(monkeypatch):
 @pytest.mark.parametrize("mu", [Q(1), Q(1, 2), Q(1, 2**60)])
 def test_tiny_floats_match_a_plain_exact_scan(xi, mu):
     # the half-ulp allowance of 0.0 is 2^-1075: it keeps its own denominator,
-    # so the integer test of xi stays in int64 (a subnormal xi itself is over
-    # 2^1074 and does not)
+    # so the integer test of xi stays in one limb (a subnormal xi itself is
+    # over 2^1074 and takes a limb per bits of its width)
     query = di.DIQuery(xi, (3,) * len(xi), mu)
     witnesses = _plain_witnesses(query)
     res = di.di_witness(query)
@@ -537,7 +575,49 @@ def test_tiny_floats_match_a_plain_exact_scan(xi, mu):
         assert res.witness == (q, p)
     assert di.box_point_search(query).found == res.found
     big = di.DIQuery(xi, (3000,) * len(xi) if len(xi) < 3 else (200, 200, 200), 0.5)
-    assert di._Sweep([big]).small[0] == (5e-324 not in xi)
+    sweep = di._Sweep([big])
+    assert sweep.widths.tolist() == [1 if 5e-324 not in xi else -(-1075 // sweep.bits)]
+
+
+def test_the_limbs_hold_the_largest_box_their_width_admits():
+    # S = 63 - bitlen(M + ceil(M / 2)) for M = sum N_i: 682 is the largest M
+    # at 53 bits.  The low 54 bits of 2^61 - 1 are all ones, so at q >= 514 a
+    # limb one bit wider would pass 2^63
+    xi = (Q(2**61 - 1, 2**62),)
+    query = di.DIQuery(xi, (682,), 1)
+    _, q, p = min(_plain_witnesses(query), key=lambda w: (w[0], _canonical(w[1]), w[2]))
+    assert di.di_witness(query).witness == (q, p) == ((2,), 1)
+    assert [di._Sweep([di.DIQuery(xi, (m,), 1)]).bits for m in (682, 683)] == [53, 52]
+
+
+def test_an_error_equal_to_the_limit_is_a_witness_in_many_limbs():
+    # 3 xi = 1 + 3 2^-200 over the denominator 3 2^200, four limbs: at
+    # mu = 9 2^-200 the bound mu / 3 is that error exactly
+    xi = (Q(1, 3) + Q(1, 2**200),)
+    assert di._Sweep([di.DIQuery(xi, (3,), 1)]).widths.tolist() == [4]
+    for mu, want in ((Q(9, 2**200), ((3,), 1)), (Q(9, 2**200) - Q(1, 2**300), None)):
+        assert di.di_witness(di.DIQuery(xi, (3,), mu)).witness == want
+
+
+def test_a_half_residue_over_2_200_ties_to_the_lower_p():
+    # q . xi = +-1/2 exactly over 2^200: the limbs give the error D / 2
+    # whichever way the float p rounds, and the winner's p ties low
+    xi = (Q(1, 2) + Q(1, 2**200), Q(-1, 2**200))
+    sweep = di._Sweep([di.DIQuery(xi, (1, 1), 1)])
+    for q, p in (((1, 1), 0), ((-1, -1), -1)):
+        best = [None]
+        sweep.confirm(np.zeros(1, dtype=np.int64), np.array(q).reshape(2, 1), best)
+        assert (best[0][0], *best[0][2:]) == (2**199, q, p)
+
+
+def test_the_counts_show_each_python_int_shrink_test():
+    # 2 xi = 1 exactly: the Fraction passes in limbs, and the float's half-ulp
+    # shrink 2^-53, over the bound 2^-61, takes one Python-int test
+    exact, rounded = (di.di_witness(di.DIQuery((x,), (2,), Q(1, 2**60))) for x in (Q(1, 2), 0.5))
+    assert (exact.witness, exact.python_int) == (((2,), 1), 0)
+    assert (rounded.found, rounded.python_int) == (False, 1)
+    assert exact.confirmed == rounded.confirmed == len(_window_candidates(
+        di.DIQuery((0.5,), (2,), Q(1, 2**60))))
 
 
 def test_tie_with_the_negation_goes_to_the_positive_first_point():

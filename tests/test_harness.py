@@ -615,6 +615,13 @@ BODY_REJECTS = [
      "interval/1"),
     ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [0, 10**400]},
      "interval/1"),
+    # M_t = exp(7 t + ...) at the top level; the floor takes |J|^6 2^53 / 6^7
+    ({"kind": "expansion-ladder", "variant": "certification", "t_ladder": [5, 400]},
+     "t_ladder/1"),
+    ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [0, 1e300]},
+     "interval/1"),
+    ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [-1e300, 0]},
+     "interval/0"),
 ]
 BODY_REJECT_IDS = ["equi-curve", "equi-poly-curve", "equi-schedule", "equi-t-zero", "equi-t-large",
         "escape-t-178", "escape-t-800", "unknown-curve", "zero-denominator", "trig-n",
@@ -623,7 +630,8 @@ BODY_REJECT_IDS = ["equi-curve", "equi-poly-curve", "equi-schedule", "equi-t-zer
         "certification-one-rung-at-0", "certification-repeated-rung", "qfixed-ladder",
     "identity-float-n", "float-samples", "dirichlet-float-n", "escape-t-nan", "equi-t-nan",
     "certification-t-nan", "certification-t-beyond-float", "vandermonde-b-infinite",
-    "vandermonde-b-beyond-float"]
+    "vandermonde-b-beyond-float", "certification-t-400", "vandermonde-b-1e300",
+    "vandermonde-a-minus-1e300"]
 
 
 def _with_base(raw):
@@ -640,6 +648,16 @@ def test_cli_rejects_values_the_body_cannot_build(tmp_path, capsys, raw, path):
     rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"config rejected at {path}:" in capsys.readouterr().err
+
+
+def test_a_dirichlet_scan_over_a_huge_interval_runs(tmp_path):
+    # the curve points reach 10^600; both sweeps take xi less its nearest integers
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(_with_base(
+        {"kind": "dirichlet-scan", "interval": [0, 1e300],
+         "samples": {"grid": 5, "monotonicity": 2, "queries": 3}})))
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc in (0, 3)
 
 
 def test_curve_frames_ladder_accepts_the_rounding_floor(tmp_path):
