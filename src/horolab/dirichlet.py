@@ -77,6 +77,14 @@ def _canonical_key(q: Sequence[int]) -> Tuple:
     return (max(absvec), tuple(reversed(absvec)), signs)
 
 
+def _box_sizes(bounds: Sequence) -> Tuple[int, ...]:
+    """Box sizes, each an integer >= 1, as ints: int() would take 2.7 as 2, True as 1."""
+    if any(isinstance(b, (bool, np.bool_)) or not hasattr(type(b), "__index__") or b < 1
+           for b in bounds):
+        raise ValueError(f"box sizes must be integers >= 1, not {bounds}")
+    return tuple(map(index, bounds))
+
+
 @dataclass(frozen=True)
 class DIQuery:
     """One improvability question: a target vector, box sizes, and a factor.
@@ -92,10 +100,7 @@ class DIQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "xi", tuple(self.xi))
-        if any(isinstance(b, (bool, np.bool_)) or not hasattr(type(b), "__index__") or b < 1
-               for b in self.bounds):  # int() would take 2.7 as 2 and True as 1
-            raise ValueError(f"box sizes must be integers >= 1, not {self.bounds}")
-        object.__setattr__(self, "bounds", tuple(map(index, self.bounds)))
+        object.__setattr__(self, "bounds", _box_sizes(self.bounds))
         if len(self.xi) != len(self.bounds) or not self.xi:
             raise ValueError("xi and bounds must have equal positive length")
         # the searches read each coordinate exactly, as Fraction does: a bool,
@@ -258,7 +263,7 @@ class _Sweep:
     def __init__(self, queries: Sequence[DIQuery]) -> None:
         self.queries, self.n = queries, max(q.dimension for q in queries)
         rows: Dict[Tuple, _Row] = {}
-        self.rows, bounds, ints, self.tests, bands = [], [], [], [], []
+        self.rows, bounds, ints, bands = [], [], [], []
         for query in queries:
             _check_budget(query.box_product)
             pad, key = (0,) * (self.n - query.dimension), _xi_key(query.xi)
@@ -270,8 +275,6 @@ class _Sweep:
             sure = (mu_num * row.rate_den - shrink * scale) * row.denom // (scale * row.rate_den)
             # error * denom within limit: in the bound; below sure: also with any shrink
             ints.append([*row.nums, row.denom, mu_num * row.denom // scale, max(0, sure + 1)])
-            self.tests.append((scale * row.rate_den, *(scale * row.denom * u for u in row.rates),
-                               mu_num * row.denom * row.rate_den))  # a e + sum b_i |q_i| <= c
             bands.append(mu_num / scale + _float_error(box, row.xi_f))
             self.rows.append(row)
             bounds.append(box)
@@ -348,9 +351,12 @@ class _Sweep:
         test = np.flatnonzero(ok & ~limbs.below(e, spread(ints[n + 2]), True))
         for t in test.tolist():
             self.python_int[kq[t]] += 1
-            a, *b, c = self.tests[kq[t]]
-            err = limbs.join(e[:, t], bits)
-            ok[t] = err * a + sum(u * abs(int(x)) for u, x in zip(b, q[:, t])) <= c
+            row, query = self.rows[kq[t]], self.queries[kq[t]]
+            (mu_num, mu_den), err = _ratio(query.mu), limbs.join(e[:, t], bits)
+            # err / denom + shrink / rate_den <= mu_num / (mu_den prod N), over integers
+            shrink = sum(u * abs(int(x)) for u, x in zip(row.rates, q[:, t]))
+            ok[t] = ((err * row.rate_den + shrink * row.denom) * mu_den * query.box_product
+                     <= mu_num * row.denom * row.rate_den)
         keys = [*(lambda i, part=part: part[i] for part in reversed(e)),
                 lambda i: functools.reduce(np.maximum, (abs(x[i]) for x in q)),
                 *(lambda i, c=c: np.abs(q[c, i]) for c in reversed(range(n))),
@@ -534,21 +540,20 @@ def box_point_search(query: DIQuery) -> WitnessResult:
 
 
 def rbar1(targets: Sequence[Sequence[int]]) -> Union[Q, float]:
-    """Largest log(max N_i)/log(prod N_i) over the sequence.
+    """Largest log(max N_i)/log(prod N_i) over the sequence of box sizes, each
+    an integer >= 1 as in ``DIQuery``.
 
     Entries with prod N_i = 1 carry no information (both logs vanish) and are
     skipped.  When the winning ratio is a rational a/b certified by the
     integer identity max^b == prod^a, it is returned exactly as a Fraction;
     otherwise as the float of the logs.
     """
-    entries = [tuple(int(x) for x in t) for t in targets]
+    entries = [_box_sizes(t) for t in targets]
     if not entries:
         raise ValueError("empty target sequence")
     n = len(entries[0])
     if any(len(t) != n for t in entries):
         raise ValueError("target tuples must share a length")
-    if any(x < 1 for t in entries for x in t):
-        raise ValueError("targets must be >= 1")
 
     usable = [t for t in entries if math.prod(t) > 1]
     if not usable:
@@ -572,21 +577,6 @@ def rbar1(targets: Sequence[Sequence[int]]) -> Union[Q, float]:
 # -- curve scans -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanCell:
-    """One (grid point, target, form) search outcome, with the counts of its
-    ``WitnessResult``."""
-
-    s: float
-    n_index: int
-    form: str
-    found: bool
-    witness: Optional[Tuple]
-    search_volume: int
-    confirmed: int = 0
-    python_int: int = 0
-
-
 def _curve_xi(curve: CurveSpec, s: float) -> Tuple[Number, ...]:
     """Curve point as exact rationals when the curve is polynomial."""
     if curve.poly is not None:
@@ -600,29 +590,22 @@ def curve_scan(
     prefix: Sequence[Sequence[int]],
     mu: float,
     s_grid: int,
-) -> Tuple[List[ScanCell], float]:
-    """Run both witness searches at every (grid point, target) cell.
+) -> Tuple[Tuple[float, ...], List[Tuple[WitnessResult, WitnessResult]], float]:
+    """Run both witness searches at every (grid point, target).
 
-    One primal and one dual sweep take every (grid point, target) query;
-    every cell equals its own ``di_witness`` / ``di_dual_witness`` call,
-    and a target over the search budget raises ``SearchBudgetError``.
-    Cells are reported in (s, target, form) lexicographic order, with the
-    fraction of grid points at which every target admits witnesses in both
-    forms.
+    One primal and one dual sweep take every (grid point, target) query, its
+    box sizes as given.  Returns the grid points, the ``(primal, dual)`` pair
+    of each query in (s, target) order, each what ``di_witness`` and
+    ``di_dual_witness`` return for it alone, and the fraction of grid points
+    at which every target admits witnesses in both forms.  A target over the
+    search budget raises ``SearchBudgetError``.
     """
-    targets = tuple(tuple(int(x) for x in t) for t in prefix)
-    if not targets:
-        raise ValueError("empty target prefix")
+    targets = tuple(prefix)
     s_values = tuple(float(s) for s in np.linspace(interval[0], interval[1], s_grid))
     queries = [DIQuery(xi, bounds, mu)
                for xi in (_curve_xi(curve, s) for s in s_values) for bounds in targets]
-    answers = zip(primal_sweep(queries), dual_sweep(queries))
-    cells: List[ScanCell] = []
-    for s in s_values:
-        for ni in range(len(targets)):
-            for form, res in zip(("primal", "dual"), next(answers)):
-                cells.append(ScanCell(s, ni, form, res.found, res.witness, res.search_volume,
-                                      res.confirmed, res.python_int))
-    width = 2 * len(targets)
-    improvable = sum(all(c.found for c in cells[i : i + width]) for i in range(0, len(cells), width))
-    return cells, improvable / len(s_values)
+    answers = list(zip(primal_sweep(queries), dual_sweep(queries)))
+    width = len(targets)
+    improvable = sum(all(a.found and b.found for a, b in answers[i : i + width])
+                     for i in range(0, len(answers), width))
+    return s_values, answers, improvable / len(s_values)

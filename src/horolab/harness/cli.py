@@ -57,12 +57,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             raw = dict(cfg.raw)
             raw["seed"] = args.seed
             cfg = validate_config(raw)
+        outcome = run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        outcome = run(cfg, args.out)
     except FileExistsError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .runner import EXPERIMENTS
+from .runner import EXPERIMENTS, ConfigError
 from ..curvejet import CurveSpec  # after .runner: the other order lifts peak RSS 0.5-1.0 MiB
 
 CONFIG_SCHEMA = {
@@ -63,10 +63,6 @@ CONFIG_SCHEMA = {
 
 # Keys every experiment accepts; ``samples`` is checked against the record.
 _COMMON_KEYS = ("kind", "variant", "seed", "description", "samples")
-
-
-class ConfigError(ValueError):
-    """Configuration rejected; message carries the schema diagnostics."""
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction as Q
@@ -25,7 +26,7 @@ from .. import __version__
 from .. import dirichlet as di
 from .. import flowlab as fl
 from .. import latticelab as ll
-from ..curvejet import (CurveSpec, NotOrderedRegular, ordered_regular_frame,
+from ..curvejet import (CurveError, CurveSpec, NotOrderedRegular, ordered_regular_frame,
                         regularity_scan, taylor_frame_remainder)
 from ..rng import generator
 from ..weightlab import (
@@ -50,6 +51,10 @@ _SCAN_PREFIX = tuple((2**k, 2**k) for k in range(1, 9))
 _GOLDEN_ETA = (math.sqrt(5.0) - 1.0) / 2.0
 # Per-gate false-failure rate of the equidistribution KS gates.
 _KS_ALPHA = 1e-3
+
+
+class ConfigError(ValueError):
+    """Configuration rejected, at validation or by a body; the message names its path."""
 
 
 @dataclass
@@ -536,26 +541,26 @@ def _random_query(rng, mu_choices) -> di.DIQuery:
     return di.DIQuery(xi, bounds, mu)
 
 
-def _tallied(tally: Dict[str, int], results: List) -> List:
-    """Add the primal confirmation counts of ``results`` to ``tally``."""
-    tally["primal_confirmed"] += sum(r.confirmed for r in results)
-    tally["primal_python_int"] += sum(r.python_int for r in results)
-    return results
-
-
 def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     n_queries = samples["queries"]
     n_mono = samples["monotonicity"]
     s_grid = samples["grid"]
+    mu_grid = (0.2, 0.4, 0.6, 0.8, 1.0)
+
+    # three batches, each from its own stream, answered by one primal sweep
+    rng = generator(cfg.seed, "di-equivalence")
+    equivalence = [_random_query(rng, (0.3, 0.6, 0.9)) for _ in range(n_queries)]
+    rng = generator(cfg.seed, "di-complete")
+    completeness = [_random_query(rng, (1.0,)) for _ in range(n_queries)]
+    rng = generator(cfg.seed, "di-monotone")
+    bases = [_random_query(rng, (0.5,)) for _ in range(n_mono)]
+    primal = di.primal_sweep([*equivalence, *completeness, *(
+        di.DIQuery(base.xi, base.bounds, mu) for base in bases for mu in mu_grid)])
 
     query_rows: List[Row] = []
     failures: List[Dict] = []
-
-    rng = generator(cfg.seed, "di-equivalence")
-    queries = [_random_query(rng, (0.3, 0.6, 0.9)) for _ in range(n_queries)]
-    tally = {"primal_confirmed": 0, "primal_python_int": 0}  # over every primal result
     agree = 0
-    for trial, (query, a) in enumerate(zip(queries, _tallied(tally, di.primal_sweep(queries)))):
+    for trial, (query, a) in enumerate(zip(equivalence, primal)):
         b = di.box_point_search(query)
         same = a.found == b.found
         agree += int(same)
@@ -566,10 +571,8 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
                              "xi": [repr(x) for x in query.xi],
                              "bounds": list(query.bounds), "mu": query.mu})
 
-    rng = generator(cfg.seed, "di-complete")
-    queries = [_random_query(rng, (1.0,)) for _ in range(n_queries)]
     complete = 0
-    for trial, (query, res) in enumerate(zip(queries, _tallied(tally, di.primal_sweep(queries)))):
+    for trial, (query, res) in enumerate(zip(completeness, primal[n_queries:])):
         complete += int(res.found)
         query_rows.append(["completeness", trial, query.dimension,
                            str(query.bounds), 1.0, res.found, res.found, res.found])
@@ -578,12 +581,8 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
                              "xi": [repr(x) for x in query.xi],
                              "bounds": list(query.bounds)})
 
-    rng = generator(cfg.seed, "di-monotone")
     monotone = 0
-    mu_grid = (0.2, 0.4, 0.6, 0.8, 1.0)
-    bases = [_random_query(rng, (0.5,)) for _ in range(n_mono)]
-    sweep = iter(_tallied(tally, di.primal_sweep(
-        [di.DIQuery(base.xi, base.bounds, mu) for base in bases for mu in mu_grid])))
+    sweep = iter(primal[2 * n_queries :])
     for trial, base in enumerate(bases):
         flags = [next(sweep).found for _ in mu_grid]
         ok = all(b or not a for a, b in zip(flags, flags[1:]))
@@ -594,6 +593,8 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
             failures.append({"check": "monotonicity", "trial": trial,
                              "xi": [repr(x) for x in base.xi],
                              "bounds": list(base.bounds), "flags": flags})
+    confirmed = sum(r.confirmed for r in primal), sum(r.python_int for r in primal)
+    del primal, sweep  # held over the scan's sweeps, they would lift the run's peak memory
 
     r_half = di.rbar1([(2**k, 2**k) for k in range(1, 21)])
     r_twothirds = di.rbar1([(4**k, 2**k) for k in range(1, 21)])
@@ -605,11 +606,12 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
 
     curve = CurveSpec.preset(cfg.curve or "moment", n=cfg.n or 2)
     interval = cfg.interval or (0.0, 1.0)
-    cells, fraction = di.curve_scan(curve, interval, _SCAN_PREFIX, _SCAN_MU, s_grid)
-    _tallied(tally, cells)
+    s_values, answers, fraction = di.curve_scan(curve, interval, _SCAN_PREFIX, _SCAN_MU, s_grid)
+    width = len(_SCAN_PREFIX)
     scan_header = ["s", "n_index", "form", "found", "witness", "search_volume"]
-    scan_rows = [[c.s, c.n_index, c.form, c.found, "" if c.witness is None else repr(c.witness),
-                  c.search_volume] for c in cells]
+    scan_rows = [[s_values[k // width], k % width, form, res.found,
+                  "" if res.witness is None else repr(res.witness), res.search_volume]
+                 for k, pair in enumerate(answers) for form, res in zip(("primal", "dual"), pair)]
     scan_ok = fraction < 0.5
     if not scan_ok:
         failures.append({"check": "scan", "fraction": fraction})
@@ -623,8 +625,10 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
             f"monotonicity {monotone}/{n_mono}, exact exponents "
             f"{'ok' if rbar_ok else 'WRONG'}, all-improvable fraction {fraction:.3f}"
         ),
-        counts={"equivalence": agree, "completeness": complete,
-                "monotonicity": monotone, **tally},
+        # per query, whatever the batches: the suite's sweep and the scan's
+        counts={"equivalence": agree, "completeness": complete, "monotonicity": monotone,
+                "primal_confirmed": confirmed[0] + sum(a.confirmed for a, _ in answers),
+                "primal_python_int": confirmed[1] + sum(a.python_int for a, _ in answers)},
         metrics={"all_improvable_fraction": fraction},
         failures=failures,
     )
@@ -639,7 +643,18 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
 def _run_curve_frames(cfg: ExperimentConfig, samples: Samples) -> Result:
     curve = CurveSpec.preset(cfg.curve or "trig", n=cfg.n or 2)
     interval = cfg.interval or (0.1, 3.0)
-    scan = regularity_scan(curve, interval, samples["grid"])
+    # a polynomial's coefficients are arbitrary, so no bound on the ends keeps its
+    # values, jets and frames finite floats: where one is not, the config is rejected
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _curve_frames(curve, interval, samples["grid"])
+    except (CurveError, OverflowError, FloatingPointError) as exc:
+        raise ConfigError(f"config rejected at {'interval' if cfg.interval else 'curve'}: "
+                          f"the curve has no finite float frame there ({exc})") from exc
+
+
+def _curve_frames(curve: CurveSpec, interval: Tuple[float, float], grid: int) -> Result:
+    scan = regularity_scan(curve, interval, grid)
     rows: List[Row] = [
         ["failure", repr(s), f"first bad pivot {idx}"] for s, idx in scan.failures
     ]
@@ -715,6 +730,9 @@ _CURVE_2 = {"pattern": rf"^(moment|trig|poly:{_ROW};{_ROW})$"}
 _CURVE = {"pattern": rf"^(moment|trig|poly:{_ROW}(;{_ROW})*)$"}
 _PLAIN = r"(standard|adjoint|exterior\([12]\))"
 _MODULES = {"items": {"pattern": rf"^({_PLAIN}|tensor\({_PLAIN},{_PLAIN}\))$"}}
+# a grid over [a, b] steps by (b - a) / m, finite when both ends are within
+# half the largest float
+_GRID_ENDS = {"items": {"minimum": -sys.float_info.max / 2, "maximum": sys.float_info.max / 2}}
 
 EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment("identity-suite", "", "acceptance-01",
@@ -746,9 +764,11 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment("expansion-ladder", "bounded-fixed", "acceptance-06",
                "bounded growth vs fixed vectors", False, {}, {},
                _run_bounded_fixed),
+    # a_t = diag(e^{2t}, e^{-r_1}, e^{-r_2}) at n = 2: e^{2t} is a float while
+    # 2t < log(float max) = 709.78
     Experiment("expansion-ladder", "qfixed", "acceptance-07",
-               "straightened-limit residuals", False, {}, {"t_ladder": {"maxItems": 1}},
-               _run_qfixed),
+               "straightened-limit residuals", False, {},
+               {"t_ladder": {"maxItems": 1, "items": {"maximum": 354}}}, _run_qfixed),
     # The catalog bases are rank 2, so n = 1, and the exact law is that of
     # the curve s; "linear:1" is the equal flow.  F_t sums over e^t Farey
     # denominators per sample point, so t stays in (0, 12].
@@ -764,10 +784,10 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment("dirichlet-scan", "", "acceptance-10",
                "improvability witness suite", True,
                {"queries": 500, "monotonicity": 200, "grid": 200},
-               {"n": {"const": 2}, "curve": _CURVE_2, "interval": {}}, _run_dirichlet),
+               {"n": {"const": 2}, "curve": _CURVE_2, "interval": _GRID_ENDS}, _run_dirichlet),
     Experiment("curve-frames", "", "curve-frames",
                "curve frame regularity demo", False, {"grid": 120},
-               {"n": {}, "curve": _CURVE, "interval": {}}, _run_curve_frames),
+               {"n": {}, "curve": _CURVE, "interval": _GRID_ENDS}, _run_curve_frames),
 )
 
 
@@ -799,8 +819,9 @@ def run(cfg: ExperimentConfig, out_dir) -> RunOutcome:
     """Execute one experiment and write its artifact directory.
 
     Exit code 0 when the check passes, 3 on a check failure, 4 when a
-    search budget was exceeded.  (Config rejection happens before run and
-    maps to exit 2 in the CLI.)  The directory must be new or empty, so an
+    search budget was exceeded.  A body that the config gives no finite
+    floats to work on raises ``ConfigError``, as validation does before run;
+    the CLI maps both to exit 2.  The directory must be new or empty, so an
     artifact never mixes files from two runs; otherwise FileExistsError.
     """
     out = Path(out_dir)

@@ -329,24 +329,36 @@ def test_rbar1_range_invariant():
 # -- curve scans ---------------------------------------------------------------
 
 
-def _improvable(cells, targets):
-    """Fraction of grid points whose cells all found a witness, recounted."""
+def _improvable(s_values, answers, targets):
+    """Fraction of grid points whose answers all found a witness, recounted."""
     by_s = {}
-    for cell in cells:
-        by_s.setdefault(cell.s, []).append(cell.found)
+    for k, pair in enumerate(answers):
+        by_s.setdefault(s_values[k // targets], []).extend(res.found for res in pair)
     assert all(len(found) == 2 * targets for found in by_s.values())
     return sum(all(found) for found in by_s.values()) / len(by_s)
 
 
 def test_curve_scan_small_table():
     curve = di.CurveSpec.moment(2)
-    cells, fraction = di.curve_scan(curve, (0.0, 1.0), ((2, 2), (4, 4)), 0.3, 12)
-    assert len({cell.s for cell in cells}) == 12
-    assert len(cells) == 12 * 2 * 2  # two forms per (s, N)
-    assert [(c.n_index, c.form) for c in cells[:4]] == [
-        (0, "primal"), (0, "dual"), (1, "primal"), (1, "dual")]
+    s_values, answers, fraction = di.curve_scan(curve, (0.0, 1.0), ((2, 2), (4, 4)), 0.3, 12)
+    assert len(set(s_values)) == 12
+    assert len(answers) == 12 * 2  # a (primal, dual) pair per (s, N)
+    assert all(isinstance(res, di.WitnessResult) for pair in answers for res in pair)
     assert 0.0 <= fraction <= 1.0
-    assert fraction == _improvable(cells, 2)
+    assert fraction == _improvable(s_values, answers, 2)
+
+
+def test_box_sizes_are_checked_as_the_query_checks_them():
+    # int() would run 2.7 as 2 and True as 1
+    curve = di.CurveSpec.moment(2)
+    for prefix in [((2.7, 2), (True, 3)), ((2, 2), (True, 3)), ((2, 2), (0, 3))]:
+        with pytest.raises(ValueError, match="box sizes"):
+            di.curve_scan(curve, (0.0, 1.0), prefix, 0.3, 2)
+    for targets in [[(2.7, 2.2), (4.9, 2)], [(4, 4), (True, 2)], [(4, 4), (0, 2)],
+                    [(4, "2")], [(Q(4), 4)]]:
+        with pytest.raises(ValueError, match="box sizes"):
+            di.rbar1(targets)
+    assert di.rbar1([(np.int64(4), 4)]) == Q(1, 2)
 
 
 def test_curve_scan_raises_on_a_target_over_the_budget(monkeypatch):
@@ -355,8 +367,8 @@ def test_curve_scan_raises_on_a_target_over_the_budget(monkeypatch):
     curve = di.CurveSpec.moment(2)
     with pytest.raises(di.SearchBudgetError, match="16 points exceeds budget 10"):
         di.curve_scan(curve, (0.0, 1.0), ((2, 2), (4, 4)), 0.3, 12)
-    cells, _ = di.curve_scan(curve, (0.0, 1.0), ((2, 2),), 0.3, 12)
-    assert len(cells) == 12 * 2
+    _, answers, _ = di.curve_scan(curve, (0.0, 1.0), ((2, 2),), 0.3, 12)
+    assert len(answers) == 12
 
 
 def test_a_dirichlet_scan_over_the_budget_exits_4(monkeypatch, tmp_path):
@@ -376,8 +388,8 @@ def test_a_dirichlet_scan_over_the_budget_exits_4(monkeypatch, tmp_path):
 
 def test_curve_scan_mu_one_everything_found():
     curve = di.CurveSpec.moment(2)
-    cells, fraction = di.curve_scan(curve, (0.1, 0.9), ((2, 2), (2, 4)), 1.0, 6)
-    assert all(cell.found for cell in cells)
+    _, answers, fraction = di.curve_scan(curve, (0.1, 0.9), ((2, 2), (2, 4)), 1.0, 6)
+    assert all(res.found for pair in answers for res in pair)
     assert fraction == 1.0
 
 
@@ -469,15 +481,12 @@ def test_searches_match_a_plain_exact_scan(query):
 def test_curve_scan_cells_equal_single_searches(prefix):
     curve = di.CurveSpec.moment(2)
     for interval in ((0.0, 1.0), (0.05, 0.95)):
-        cells, fraction = di.curve_scan(curve, interval, prefix, 0.3, 12)
-        assert fraction == _improvable(cells, len(prefix))
-        for cell in cells:
-            sq = Q(cell.s)
-            query = di.DIQuery((sq, sq * sq), prefix[cell.n_index], 0.3)
-            search = di.di_witness if cell.form == "primal" else di.di_dual_witness
-            single = search(query)
-            assert (cell.found, cell.witness, cell.search_volume) == (
-                single.found, single.witness, single.search_volume)
+        s_values, answers, fraction = di.curve_scan(curve, interval, prefix, 0.3, 12)
+        assert fraction == _improvable(s_values, answers, len(prefix))
+        for k, pair in enumerate(answers):
+            sq = Q(s_values[k // len(prefix)])
+            query = di.DIQuery((sq, sq * sq), prefix[k % len(prefix)], 0.3)
+            assert pair == (di.di_witness(query), di.di_dual_witness(query))
 
 
 def _window_candidates(query):
@@ -703,8 +712,8 @@ def _counting(monkeypatch, name):
 
 
 def test_a_curve_scan_makes_one_sweep_per_form(monkeypatch, tmp_path):
-    # acceptance-10 sweeps its three query batches and its whole scan, one
-    # primal call each; the scan's grid points share one dual call
+    # acceptance-10 sweeps its three query batches in one primal call and its
+    # whole scan in another; the scan's grid points share one dual call
     from horolab.harness import run, validate_config
 
     primal = _counting(monkeypatch, "primal_sweep")
@@ -713,7 +722,7 @@ def test_a_curve_scan_makes_one_sweep_per_form(monkeypatch, tmp_path):
                            "interval": [0, 1], "seed": 3,
                            "samples": {"grid": 9, "monotonicity": 20, "queries": 40}})
     assert run(cfg, tmp_path).exit_code == 0
-    assert [len(args[0]) for args in primal] == [40, 40, 100, 9 * 8]
+    assert [len(args[0]) for args in primal] == [40 + 40 + 100, 9 * 8]
     assert [len(args[0]) for args in dual] == [9 * 8]
 
 
@@ -746,14 +755,13 @@ def test_blocks_bound_the_kernel_memory(monkeypatch):
 def test_scan_rows_at_rational_points_equal_a_plain_exact_scan(prefix):
     # s = 0 and s = 1 tie every box point at error 0; s = 1/3 and 2/3 put a
     # ninth of each box near an integer
-    cells, _ = di.curve_scan(di.CurveSpec.moment(2), (0.0, 1.0), prefix, 0.3, 4)
-    assert [c.s for c in cells[:: 2 * len(prefix)]] == [0.0, 1 / 3, 2 / 3, 1.0]
-    for cell in cells:
-        query = di.DIQuery((Q(cell.s), Q(cell.s) ** 2), prefix[cell.n_index], 0.3)
-        if cell.form == "primal":
-            witnesses = _plain_witnesses(query)
-            want = witnesses and min(witnesses, key=lambda w: (w[0], _canonical(w[1]), w[2]))
-            assert cell.witness == (want[1:] if want else None)
-        else:
-            assert cell.witness == _plain_dual_witness(query)
-        assert cell.found == (cell.witness is not None)
+    s_values, answers, _ = di.curve_scan(di.CurveSpec.moment(2), (0.0, 1.0), prefix, 0.3, 4)
+    assert s_values == (0.0, 1 / 3, 2 / 3, 1.0)
+    for k, (primal, dual) in enumerate(answers):
+        s = Q(s_values[k // len(prefix)])
+        query = di.DIQuery((s, s**2), prefix[k % len(prefix)], 0.3)
+        witnesses = _plain_witnesses(query)
+        want = witnesses and min(witnesses, key=lambda w: (w[0], _canonical(w[1]), w[2]))
+        assert primal.witness == (want[1:] if want else None)
+        assert dual.witness == _plain_dual_witness(query)
+        assert all(res.found == (res.witness is not None) for res in (primal, dual))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -622,6 +623,12 @@ BODY_REJECTS = [
      "interval/1"),
     ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [-1e300, 0]},
      "interval/0"),
+    # a grid steps by (b - a) / m, which overflows past half the largest float
+    ({"kind": "dirichlet-scan", "interval": [-1e308, 1e308]}, "interval/1"),
+    ({"kind": "curve-frames", "curve": "trig", "interval": [-1e308, 1e308]}, "interval/1"),
+    # s^2 overflows at the midpoint 5e199: no frame has finite floats there
+    ({"kind": "curve-frames", "curve": "moment", "n": 2, "interval": [0, 1e200]}, "interval"),
+    ({"kind": "curve-frames", "curve": "poly:0," + "9" * 400, "n": 1}, "curve"),
 ]
 BODY_REJECT_IDS = ["equi-curve", "equi-poly-curve", "equi-schedule", "equi-t-zero", "equi-t-large",
         "escape-t-178", "escape-t-800", "unknown-curve", "zero-denominator", "trig-n",
@@ -631,7 +638,8 @@ BODY_REJECT_IDS = ["equi-curve", "equi-poly-curve", "equi-schedule", "equi-t-zer
     "identity-float-n", "float-samples", "dirichlet-float-n", "escape-t-nan", "equi-t-nan",
     "certification-t-nan", "certification-t-beyond-float", "vandermonde-b-infinite",
     "vandermonde-b-beyond-float", "certification-t-400", "vandermonde-b-1e300",
-    "vandermonde-a-minus-1e300"]
+    "vandermonde-a-minus-1e300", "dirichlet-interval-1e308", "trig-interval-1e308",
+    "moment-interval-1e200", "poly-coefficient-beyond-float"]
 
 
 def _with_base(raw):
@@ -648,6 +656,74 @@ def test_cli_rejects_values_the_body_cannot_build(tmp_path, capsys, raw, path):
     rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"config rejected at {path}:" in capsys.readouterr().err
+
+
+_MAX = sys.float_info.max
+
+
+def _extremes(schemas, own=()):
+    """The values at the extremes of what every schema of ``schemas`` admits:
+    each enum member, each numeric bound (+-the largest float where there is
+    none), each boolean, and arrays of the shortest and longest admitted
+    length of such items (``own``, the preset's, for items with none)."""
+    for schema in schemas:
+        if "const" in schema or "enum" in schema:
+            return schema.get("enum", [schema.get("const")])
+    kind = next((schema["type"] for schema in schemas if "type" in schema), None)
+    if kind == "boolean":
+        return [False, True]
+    if kind in ("number", "integer"):
+        lo = max([-_MAX, *(s["minimum"] for s in schemas if "minimum" in s),
+                  *(math.nextafter(s["exclusiveMinimum"], math.inf)
+                    for s in schemas if "exclusiveMinimum" in s)])
+        hi = min([_MAX, *(s["maximum"] for s in schemas if "maximum" in s)])
+        return [int(lo), int(hi)] if kind == "integer" else [lo, hi]
+    if kind == "object":
+        return [{name: v} for name, sub in schemas[0].get("properties", {}).items()
+                for v in _extremes([sub])]
+    if kind != "array":
+        return []  # a string pattern has no extremes
+    short = max(s.get("minItems", 0) for s in schemas)
+    long = min((s["maxItems"] for s in schemas if "maxItems" in s), default=short + 1)
+    arrays = []
+    for length in sorted({max(short, 1), long}):
+        items = [[s.get("items", {}) if isinstance(s.get("items", {}), dict) else s["items"][i]
+                  for s in schemas] for i in range(length)]
+        arrays += itertools.product(*(_extremes(sub) or list(own) for sub in items))
+    return [list(a) for a in arrays]
+
+
+def _mutants():
+    """Each shipped preset with one schema key at an extreme, and two samples:
+    the fewest at which a grid takes a step (b - a) / m."""
+    for path in sorted(config.presets_dir().glob("*.json")):
+        preset = json.loads(path.read_text())
+        exp = next(e for e in runner.EXPERIMENTS if (e.kind, e.variant)
+                   == (preset["kind"], preset.get("variant", e.variant)))
+        base = {**preset, **({"samples": 2} if exp.samples else {})}
+        for key, schema in config.CONFIG_SCHEMA["properties"].items():
+            if key != "samples":
+                for value in _extremes([schema, exp.keys.get(key, {})], preset.get(key, ())):
+                    yield path.stem, {**base, key: value}
+
+
+def test_no_preset_mutant_ends_in_a_traceback(tmp_path, capsys):
+    # every value the schema and an experiment's fragment admit must run,
+    # fail a check, exceed the budget or be rejected as a config
+    codes, bad = {}, []
+    for k, (name, raw) in enumerate(_mutants()):
+        cfg_path = tmp_path / f"{k}.json"
+        cfg_path.write_text(json.dumps(raw))
+        try:
+            rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / str(k))])
+        except Exception as exc:
+            rc = repr(exc)
+        codes[rc] = codes.get(rc, 0) + 1
+        if rc not in (0, 2, 3, 4):
+            bad.append((name, raw, rc))
+    capsys.readouterr()
+    assert not bad, bad
+    assert codes.keys() >= {0, 2}, codes
 
 
 def test_a_dirichlet_scan_over_a_huge_interval_runs(tmp_path):
