@@ -27,9 +27,7 @@ class NotOrderedRegular(CurveError):
     """Raised when the derivative frame degenerates at a point."""
 
     def __init__(self, s, first_fail_index: int, detail: str = ""):
-        self.s = s
         self.first_fail_index = first_fail_index
-        self.detail = detail
         msg = f"not ordered regular at s={s}: pivot {first_fail_index} degenerate"
         if detail:
             msg += f" ({detail})"
@@ -66,15 +64,15 @@ def _poly_ratio(coeffs: Sequence[Q], s) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A curve with float evaluation and either exact or analytic jets.
+    """A curve with exact or analytic jets.
 
     ``poly`` holds ascending coefficient rows, one per coordinate; when set,
     jets and frames are computed exactly.  Otherwise ``deriv_fn(s, m)``
-    supplies the m-th derivative of an analytic curve in floats.
+    supplies the m-th derivative of an analytic curve in floats, the curve
+    itself at m = 0.
     """
 
     n: int
-    fn: Callable[[float], np.ndarray]
     poly: Optional[Tuple[Tuple[Q, ...], ...]] = None
     deriv_fn: Optional[Callable[[float, int], np.ndarray]] = None
 
@@ -83,11 +81,7 @@ class CurveSpec:
         table = tuple(tuple(Q(c) for c in row) for row in rows)
         if not table:
             raise ValueError("need at least one coordinate")
-
-        def fn(s: float) -> np.ndarray:
-            return np.array([_poly_eval_float(row, s) for row in table])
-
-        return CurveSpec(n=len(table), fn=fn, poly=table)
+        return CurveSpec(n=len(table), poly=table)
 
     @staticmethod
     def moment(n: int) -> "CurveSpec":
@@ -105,15 +99,12 @@ class CurveSpec:
                 raise ValueError("moment preset needs n")
             return CurveSpec.moment(n)
         if text == "trig":
-            def tr(s: float) -> np.ndarray:
-                return np.array([math.sin(s), math.cos(s)])
-
             def tr_d(s: float, m: int) -> np.ndarray:
                 return np.array(
                     [math.sin(s + m * math.pi / 2), math.cos(s + m * math.pi / 2)]
                 )
 
-            return CurveSpec(n=2, fn=tr, deriv_fn=tr_d)
+            return CurveSpec(n=2, deriv_fn=tr_d)
         if text.startswith("poly:"):
             rows = []
             for chunk in text[len("poly:"):].split(";"):
@@ -122,7 +113,11 @@ class CurveSpec:
         raise ValueError(f"unknown curve preset: {text!r}")
 
     def evaluate(self, s: float) -> np.ndarray:
-        out = np.asarray(self.fn(float(s)), dtype=float)
+        s = float(s)
+        if self.poly is not None:
+            out = np.array([_poly_eval_float(row, s) for row in self.poly])
+        else:
+            out = np.asarray(self.deriv_fn(s, 0), dtype=float)
         if out.shape != (self.n,):
             raise CurveError(f"curve returned shape {out.shape}, wanted ({self.n},)")
         if not np.all(np.isfinite(out)):

@@ -581,7 +581,7 @@ def _curve_xi(curve: CurveSpec, s: float) -> Tuple[Number, ...]:
     """Curve point as exact rationals when the curve is polynomial."""
     if curve.poly is not None:
         return tuple(Q(*_poly_ratio(coeffs, s)) for coeffs in curve.poly)
-    return tuple(float(x) for x in curve.fn(s))
+    return tuple(float(x) for x in curve.evaluate(s))
 
 
 def curve_scan(

@@ -41,13 +41,9 @@ CONFIG_SCHEMA = {
             "maxItems": 2,
         },
         "samples": {
-            "oneOf": [
-                {"type": "integer", "minimum": 1},
-                {
-                    "type": "object",
-                    "additionalProperties": {"type": "integer", "minimum": 1},
-                },
-            ]
+            "type": ["integer", "object"],
+            "minimum": 1,
+            "additionalProperties": {"type": "integer", "minimum": 1},
         },
         "seed": {"type": "integer", "minimum": 0},
         "test_hooks": {
@@ -66,11 +62,6 @@ _COMMON_KEYS = ("kind", "variant", "seed", "description", "samples")
 
 
 @dataclass(frozen=True)
-class TestHooks:
-    corrupt_sk_predicate: bool = False
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, normalised experiment description."""
 
@@ -85,7 +76,7 @@ class ExperimentConfig:
     samples: Union[int, Dict[str, int], None]
     seed: Optional[int]
     description: str
-    test_hooks: TestHooks
+    corrupt_sk_predicate: bool  # the test_hooks key, which fails one lemma part
     raw: Dict = field(repr=False)
 
 
@@ -112,7 +103,7 @@ _BOUNDS = (("minimum", operator.lt, "less than the minimum"),
            ("exclusiveMinimum", operator.le, "less than or equal to the minimum"),
            ("maximum", operator.gt, "greater than the maximum"))
 _KEYWORDS = {"type", "enum", "const", "pattern", "items", "minItems", "maxItems",
-             "uniqueItems", "properties", "additionalProperties", "required", "oneOf",
+             "uniqueItems", "properties", "additionalProperties", "required",
              *(word for word, _, _ in _BOUNDS)}
 
 
@@ -125,18 +116,15 @@ def _json_key(x):
     return isinstance(x, bool), x
 
 
-def _depth(violation):
-    return -len(violation[0]), violation[0]
-
-
 def _violations(value, schema: Dict, path: tuple = ()) -> Iterator[Tuple[tuple, str]]:
     """Yield ``(path, message)`` for every keyword of ``schema`` that ``value`` breaks."""
     unknown = schema.keys() - _KEYWORDS
     if unknown:
         raise NotImplementedError(f"schema keyword(s) {sorted(unknown)} are not checked")
-    kind = schema.get("type")
-    if kind is not None and not _TYPES[kind](value):
-        yield path, f"{value!r} is not of type {kind!r}"
+    kinds = schema.get("type", ())
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not any(_TYPES[kind](value) for kind in kinds):
+        yield path, f"{value!r} is not of type {', '.join(map(repr, kinds))}"
     if "enum" in schema and _json_key(value) not in map(_json_key, schema["enum"]):
         yield path, f"{value!r} is not one of {schema['enum']!r}"
     if "const" in schema and _json_key(value) != _json_key(schema["const"]):
@@ -171,30 +159,15 @@ def _violations(value, schema: Dict, path: tuple = ()) -> Iterator[Tuple[tuple, 
             sub = known.get(name, rest)
             if sub is not False:
                 yield from _violations(item, sub, (*path, name))
-    if "oneOf" in schema:
-        branches = schema["oneOf"]
-        passed = sum(not any(_violations(value, b, path)) for b in branches)
-        if passed > 1:
-            yield path, f"{value!r} is valid under more than one of the given schemas"
-        elif not passed:
-            near = sorted((v for b in branches if "type" not in b or _TYPES[b["type"]](value)
-                           for v in _violations(value, b, path)), key=_depth)
-            if near and (len(near) == 1 or near[0][0] != near[1][0]):
-                yield near[0]
-            else:  # no branch, or no one deepest violation, to blame
-                yield path, f"{value!r} is not valid under any of the given schemas"
 
 
 def _validate(raw: Dict, schema: Dict) -> None:
     """Raise ``ConfigError`` naming one violation of ``schema`` by ``raw``.
 
     It names the shallowest violation, and of two at one depth the one whose
-    path sorts last.  Where no branch of a ``oneOf`` holds, it names the
-    deepest violation of a branch whose type fits, if that one is alone at
-    its path, and the ``oneOf`` otherwise.  A draft-07 validator's best match
-    picks the same path, so a diagnostic points where it did before.
+    path sorts last, the path a draft-07 validator's best match picks.
     """
-    worst = max(_violations(raw, schema), key=_depth, default=None)
+    worst = max(_violations(raw, schema), key=lambda v: (-len(v[0]), v[0]), default=None)
     if worst is not None:
         path, message = worst
         raise ConfigError(f"config rejected at {'/'.join(map(str, path)) or '<root>'}: {message}")
@@ -266,7 +239,7 @@ def validate_config(raw: Dict) -> ExperimentConfig:
         samples=raw.get("samples"),
         seed=raw.get("seed"),
         description=raw.get("description", ""),
-        test_hooks=TestHooks(**raw.get("test_hooks", {})),
+        corrupt_sk_predicate=raw.get("test_hooks", {}).get("corrupt_sk_predicate", False),
         raw=dict(raw),
     )
 

@@ -18,13 +18,10 @@ from .lemmas import (
     fixed_check,
     s_sets,
     sl2_maxweight_check,
-    subgroup_generators,
 )
 from .modules import (
     ModuleVector,
     WeightModule,
-    act,
-    act_algebra,
     basis_vector,
     build_module,
     vector,
@@ -34,8 +31,6 @@ __all__ = [
     "WeightModule",
     "ModuleVector",
     "a_x",
-    "act",
-    "act_algebra",
     "basis_vector",
     "build_module",
     "corner_log_lower",
@@ -50,7 +45,6 @@ __all__ = [
     "sigma_kappa",
     "sl2_coroot",
     "sl2_maxweight_check",
-    "subgroup_generators",
     "u_elem",
     "u_top",
     "upper_ones",

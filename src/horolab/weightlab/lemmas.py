@@ -20,7 +20,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .. import exact
-from ..exact import IntRows, Mat
+from ..exact import IntRows
 from .cartan import h_block, h_principal, sl2_coroot
 from .groups import u_top
 from . import modules
@@ -30,7 +30,13 @@ SubgroupSpec = Union[str, Tuple[str, int]]
 
 
 def _generator_slots(n: int, spec: SubgroupSpec) -> Tuple[Tuple[int, int], ...]:
-    """The positions (i, j) of the elementary generators E_ij of a subgroup."""
+    """The positions (i, j) of the elementary generators E_ij of a subgroup.
+
+    ("G", n0) is the block upper subgroup whose rows past n0 are standard
+    basis rows, and "G" = ("G", n) the full group; ("Q", n0) is its
+    intersection with the stabilizer "Q" = ("Q", n) of the last basis
+    vector; ("sl2", i) is the rank one subgroup through slot i.
+    """
     if spec in ("G", "Q"):
         spec = (spec, n)
     if not (isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[1], int)):
@@ -46,17 +52,6 @@ def _generator_slots(n: int, spec: SubgroupSpec) -> Tuple[Tuple[int, int], ...]:
             raise ValueError(f"slot {m} out of range")
         return ((0, m), (m, 0))
     raise ValueError(f"unknown subgroup: {spec!r}")
-
-
-def subgroup_generators(n: int, spec: SubgroupSpec) -> Tuple[Mat, ...]:
-    """Lie algebra generators (as matrices) for the named subgroup.
-
-    ("G", n0) is the block upper subgroup whose rows past n0 are standard
-    basis rows, and "G" = ("G", n) the full group; ("Q", n0) is its
-    intersection with the stabilizer "Q" = ("Q", n) of the last basis
-    vector; ("sl2", i) is the rank one subgroup through slot i.
-    """
-    return tuple(exact.elementary(n + 1, i, j) for i, j in _generator_slots(n, spec))
 
 
 def _rows(m: int, diag: int, entries: dict) -> IntRows:
@@ -303,18 +298,8 @@ def estimate_D1(module: WeightModule, b, x: Sequence) -> float:
     # keep the face grid affordable for wide levels
     while 2 * dim * density ** (dim - 1) > 250_000 and density > 2:
         density -= 1
-    ticks = np.linspace(-1.0, 1.0, density)
-    best = np.inf
-    for face in range(dim):
-        for sign in (1.0, -1.0):
-            for rest in itertools.product(ticks, repeat=dim - 1):
-                vec = np.empty(dim)
-                vec[face] = sign
-                pos = 0
-                for j in range(dim):
-                    if j == face:
-                        continue
-                    vec[j] = rest[pos]
-                    pos += 1
-                best = min(best, np.abs(m @ vec).max())
-    return float(best)
+    rest = np.array(list(itertools.product(np.linspace(-1.0, 1.0, density), repeat=dim - 1)))
+    points = np.concatenate([np.insert(rest, face, sign, axis=1)
+                             for face in range(dim) for sign in (1.0, -1.0)])
+    # one matrix-vector product per point, as m @ point rounds it
+    return float(np.abs(m @ points[..., None]).max(axis=(1, 2)).min())

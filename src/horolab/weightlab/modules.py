@@ -44,7 +44,6 @@ class WeightModule:
     n: int
     kind: str
     dim: int
-    labels: Tuple[str, ...]
     # each basis weight by its coefficients (m_1, ..., m_n) on the functionals
     # beta_i(diag(a_0, ..., a_n)) = a_0 - a_i, as integers over n + 1; sorting
     # these rows sorts the weights
@@ -97,13 +96,13 @@ class WeightModule:
     # -- actions ------------------------------------------------------------
 
     def group_action(self, g: Mat) -> Mat:
-        """Exact matrix of the module action of g in GL(n+1, Q): the vector
-        rule of ``act`` applied to each basis vector."""
+        """Exact matrix of the module action of g in GL(n+1, Q): the group
+        rule applied to each basis vector."""
         return _matrix_of(self, _group_rule(self, *exact._scaled(g)))
 
     def algebra_action(self, x: Mat) -> Mat:
-        """Exact matrix of the derived action of x in gl(n+1, Q): the vector
-        rule of ``act_algebra`` applied to each basis vector."""
+        """Exact matrix of the derived action of x in gl(n+1, Q): the algebra
+        rule applied to each basis vector."""
         return _matrix_of(self, _algebra_rule(self, *exact._scaled(x)))
 
     def group_action_float(self, g: np.ndarray) -> np.ndarray:
@@ -125,59 +124,41 @@ def build_module(kind: str, n: int) -> WeightModule:
         raise ValueError("n must be at least 1")
     kind = kind.strip()
     if kind == "standard":
-        labels = tuple(f"e{j}" for j in range(n + 1))
         weights = tuple(
             _beta_row([int(i == j) for i in range(n + 1)]) for j in range(n + 1))
-        return WeightModule(n, "standard", n + 1, labels, weights, ("standard",))
+        return WeightModule(n, "standard", n + 1, weights, ("standard",))
     m = _EXTERIOR_RE.match(kind)
     if m:
         d = int(m.group(1))
         if not 1 <= d <= n + 1:
             raise ValueError(f"exterior degree {d} out of range for n={n}")
         combos = tuple(itertools.combinations(range(n + 1), d))
-        labels = tuple("^".join(f"e{j}" for j in c) for c in combos)
         weights = []
         for c in combos:
             eps = [0] * (n + 1)
             for j in c:
                 eps[j] = 1
             weights.append(_beta_row(eps))
-        return WeightModule(
-            n, f"exterior({d})", len(combos), labels, tuple(weights), ("exterior", d, combos)
-        )
+        return WeightModule(n, f"exterior({d})", len(combos), tuple(weights),
+                            ("exterior", d, combos))
     if kind == "adjoint":
         pairs = tuple((i, j) for i in range(n + 1) for j in range(n + 1) if i != j)
-        labels = [f"E{i},{j}" for (i, j) in pairs]
         weights = []
         for (i, j) in pairs:
             eps = [0] * (n + 1)
             eps[i] += 1
             eps[j] -= 1
             weights.append(_beta_row(eps))
-        for k in range(n):
-            labels.append(f"D{k}")
-            weights.append((0,) * n)
-        dim = (n + 1) ** 2 - 1
-        return WeightModule(
-            n, "adjoint", dim, tuple(labels), tuple(weights), ("adjoint", pairs)
-        )
+        weights += [(0,) * n] * n
+        return WeightModule(n, "adjoint", (n + 1) ** 2 - 1, tuple(weights), ("adjoint", pairs))
     m = _TENSOR_RE.match(kind)
     if m:
         left = build_module(m.group(1).strip(), n)
         right = build_module(m.group(2).strip(), n)
-        labels = tuple(
-            f"{a}*{b}" for a in left.labels for b in right.labels
-        )
         weights = tuple(tuple(map(sum, zip(wa, wb)))
                         for wa in left.weights for wb in right.weights)
-        return WeightModule(
-            n,
-            f"tensor({left.kind},{right.kind})",
-            left.dim * right.dim,
-            labels,
-            weights,
-            ("tensor", left, right),
-        )
+        return WeightModule(n, f"tensor({left.kind},{right.kind})", left.dim * right.dim,
+                            weights, ("tensor", left, right))
     raise ValueError(f"unknown module kind: {kind!r}")
 
 
@@ -384,10 +365,6 @@ class ModuleVector:
         # int / int is correctly rounded, like float() of each coordinate
         return np.array([a / self.denom for a in self.ints])
 
-    def __repr__(self) -> str:
-        parts = [f"{c}*{lab}" for c, lab in zip(self.coords, self.module.labels) if c]
-        return "ModuleVector(" + (" + ".join(parts) or "0") + ")"
-
 
 def basis_vector(module: WeightModule, index: int) -> ModuleVector:
     return ModuleVector(module, tuple(int(i == index) for i in range(module.dim)))
@@ -404,16 +381,6 @@ def _apply_rule(rule: Rule, v: ModuleVector) -> ModuleVector:
     """The image of v under a vector rule, in integers throughout."""
     image, denom = rule
     return ModuleVector(v.module, image(v.ints), v.denom * denom)
-
-
-def act(g: Mat, v: ModuleVector) -> ModuleVector:
-    """Apply an exact group element (an (n+1)x(n+1) rational matrix)."""
-    return _apply_rule(_group_rule(v.module, *exact._scaled(g)), v)
-
-
-def act_algebra(x: Mat, v: ModuleVector) -> ModuleVector:
-    """Apply the derived action of an algebra element, exactly."""
-    return _apply_rule(_algebra_rule(v.module, *exact._scaled(x)), v)
 
 
 # -- support -------------------------------------------------------------------

@@ -219,15 +219,15 @@ def test_schema_checker_agrees_with_a_draft7_validator():
     ]
     for raw in presets + rejected:
         _assert_both_phases_agree(raw)
-    # JSON equality (1 equals 1.0, True does not equal 1) and a oneOf that two
-    # branches satisfy, which the config schema itself cannot show
+    # JSON equality (1 equals 1.0, True does not equal 1) and a type list that
+    # two members satisfy, which the config schema itself cannot show
     for value, schema in [
         (True, {"const": 1}), (1.0, {"const": 1}), (False, {"enum": [0, "x"]}),
         (1.0, {"enum": [1]}), ([1, True], {"uniqueItems": True}),
         ([[1], [1.0]], {"uniqueItems": True}), ([[1], [True]], {"uniqueItems": True}),
         ([{"a": 1}, {"a": True}], {"uniqueItems": True}),
-        (3, {"oneOf": [{"minimum": 0}, {"maximum": 5}]}),
-        (-3, {"oneOf": [{"minimum": 0}, {"maximum": 5}]}),
+        (3, {"type": ["integer", "number"]}),
+        (-0.5, {"type": ["integer", "object"], "minimum": 1}),
     ]:
         _assert_checker_agrees({"x": value}, {"properties": {"x": schema}})
     for exp in runner.EXPERIMENTS:
@@ -349,6 +349,48 @@ def test_witness_suite_fails_without_the_centre_window(tmp_path, monkeypatch):
     assert {"completeness", "equivalence"} <= checks
 
 
+def _failed_checks(out, out_dir):
+    """The ``check`` names of the acceptance-10 failure instances."""
+    return {i["check"] for i in _failure_instances(out, out_dir)}
+
+
+def test_witness_suite_fails_on_a_grid_of_rational_points(tmp_path):
+    # s = 0, 1/2 and 1 are rational, so every target has witnesses there in
+    # both forms and the all-improvable fraction is 1
+    raw = {"kind": "dirichlet-scan", "seed": 1,
+           "samples": {"grid": 3, "queries": 5, "monotonicity": 3}}
+    out = run(validate_config(raw), tmp_path / "o")
+    assert _failed_checks(out, tmp_path / "o") == {"scan"}
+    assert out.summary["checks"]["acceptance-10"]["metrics"]["all_improvable_fraction"] == 1.0
+
+
+def test_witness_suite_fails_on_an_uncertified_exponent(tmp_path, monkeypatch):
+    honest = runner.di.rbar1
+    monkeypatch.setattr(runner.di, "rbar1", lambda targets: float(honest(targets)))
+    out = run(resolve_config("acceptance-10"), tmp_path / "o")
+    assert _failed_checks(out, tmp_path / "o") == {"rbar1"}
+    assert "exact exponents WRONG" in out.summary["checks"]["acceptance-10"]["detail"]
+
+
+def test_witness_suite_fails_when_a_larger_mu_loses_a_witness(tmp_path, monkeypatch):
+    honest = runner.di.primal_sweep
+
+    def lose_one(queries):
+        results = honest(queries)
+        for k in range(1, len(queries)):
+            prev, query = queries[k - 1], queries[k]
+            same_base = (query.xi, query.bounds) == (prev.xi, prev.bounds)
+            if same_base and query.mu > prev.mu and results[k - 1].found and results[k].found:
+                results[k] = dataclasses.replace(results[k], found=False, witness=None)
+                break
+        return results
+
+    monkeypatch.setattr(runner.di, "primal_sweep", lose_one)
+    out = run(resolve_config("acceptance-10"), tmp_path / "o")
+    assert _failed_checks(out, tmp_path / "o") == {"monotonicity"}
+    assert out.summary["checks"]["acceptance-10"]["counts"]["monotonicity"] == 199
+
+
 def test_escape_check_fails_on_a_perturbed_systole(tmp_path, monkeypatch):
     honest = runner.ll.systole
     monkeypatch.setattr(runner.ll, "systole", lambda basis: honest(basis) * (1 + 1e-9))
@@ -444,6 +486,18 @@ def test_vandermonde_check_fails_on_an_inflated_constant(tmp_path, monkeypatch):
     assert [i["trial"] for i in instances if i["d"] == 0] == list(range(1000))
     assert all(isinstance(float(c), float) for i in instances for c in i["coeffs"])
     assert "DRIFTS" in out.summary["checks"]["acceptance-04"]["detail"]
+
+
+def test_vandermonde_closed_form_holds_at_a_large_floor(tmp_path):
+    # the degree-6 floor on [1, 1e5] is near 3.6e19, where the float
+    # re-evaluation of the closed form is 4096 off by rounding alone
+    raw = {"kind": "expansion-ladder", "variant": "vandermonde", "seed": 1, "samples": 2,
+           "interval": [1, 1e5]}
+    out = run(validate_config(raw), tmp_path / "o")
+    assert out.exit_code == 0
+    check = out.summary["checks"]["acceptance-04"]
+    assert "closed form matches" in check["detail"]
+    assert check["metrics"]["formula_error_max"] == 0.0
 
 
 def test_certification_fails_on_an_inflated_d1(tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
 """Support classification, fixed-subgroup tests, and the rank one inequality."""
 
+import itertools
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from horolab.weightlab import (
     h_principal,
     s_sets,
     sl2_maxweight_check,
-    subgroup_generators,
+    u_top,
     vector,
 )
 from weight_helpers import (
@@ -26,6 +28,7 @@ from weight_helpers import (
     random_vector,
     s_sets_oracle,
     sl2_oracle,
+    subgroup_generators,
 )
 
 
@@ -81,6 +84,32 @@ def test_fixed_check_sl2_slot():
 def test_estimate_d1_positive_and_small():
     mod = build_module("standard", 2)
     assert 0 < estimate_D1(mod, Q(1), [Q(1), Q(1)]) <= 1
+
+
+def _face_grid_minimum(mod, b, x):
+    """estimate_D1's face grid walked one point at a time."""
+    rows, cols = lemmas.delta_plus_indices(mod, b), lemmas.level_indices(mod, b)
+    rho = mod.group_action(u_top(x))
+    m = np.array([[float(rho[a][c]) for c in cols] for a in rows])
+    dim = len(cols)
+    ticks = np.linspace(-1.0, 1.0, lemmas._FACE_DENSITY)
+    best = np.inf
+    for face in range(dim):
+        for sign in (1.0, -1.0):
+            for rest in itertools.product(ticks, repeat=dim - 1):
+                vec = np.array([*rest[:face], sign, *rest[face:]])
+                best = min(best, np.abs(m @ vec).max())
+    return float(best)
+
+
+@pytest.mark.parametrize("n, x", [(2, (Q(1), Q(-2))), (2, (Q(-3, 2), Q(1, 3))),
+                                  (3, (Q(1, 2), Q(-1), Q(3))), (3, (Q(-7, 2), Q(3), Q(-8, 3)))])
+def test_estimate_d1_walks_the_face_grid_of_a_wide_level(n, x):
+    mod = build_module("adjoint", n)
+    wide = [b for b in mod.level_set() if len(lemmas.level_indices(mod, b)) > 1]
+    assert len(wide) == 2 * n - 1
+    for b in wide:
+        assert estimate_D1(mod, b, x) == _face_grid_minimum(mod, b, x)
 
 
 small_q = st.fractions(min_value=-5, max_value=5, max_denominator=4)

@@ -14,8 +14,6 @@ from horolab import exact
 from horolab.weightlab import modules
 from horolab.weightlab import (
     ModuleVector,
-    act,
-    act_algebra,
     basis_vector,
     build_module,
     h_block,
@@ -24,7 +22,7 @@ from horolab.weightlab import (
     u_elem,
     vector,
 )
-from weight_helpers import weight_levels
+from weight_helpers import act, act_algebra, weight_levels
 
 
 def _minus(a, b):

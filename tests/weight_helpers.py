@@ -6,7 +6,9 @@
 ``group_action``/``algebra_action`` times the ``Fraction`` coordinates, and
 the reports are built from those by the same rules.  The library computes
 the same reports in integers over one denominator; the tests check that
-the two agree report by report.
+the two agree report by report.  ``act``, ``act_algebra`` and
+``subgroup_generators`` apply the library's vector rules and name its
+subgroup generators for the law tests.
 """
 
 from fractions import Fraction as Q
@@ -16,8 +18,9 @@ from horolab import exact
 from horolab.weightlab import (
     h_block,
     h_principal,
+    lemmas,
+    modules,
     sl2_coroot,
-    subgroup_generators,
     u_elem,
     u_top,
     vector,
@@ -25,6 +28,21 @@ from horolab.weightlab import (
 from horolab.weightlab.lemmas import SSetReport, Sl2Report
 
 Vec = Tuple[Q, ...]
+
+
+def act(g, v):
+    """The exact group element g applied to the module vector v."""
+    return modules._apply_rule(modules._group_rule(v.module, *exact._scaled(g)), v)
+
+
+def act_algebra(x, v):
+    """The derived action of the exact algebra element x applied to v."""
+    return modules._apply_rule(modules._algebra_rule(v.module, *exact._scaled(x)), v)
+
+
+def subgroup_generators(n: int, spec):
+    """The Lie algebra generators of a named subgroup, as exact matrices."""
+    return tuple(exact.elementary(n + 1, i, j) for i, j in lemmas._generator_slots(n, spec))
 
 
 def weight_levels(mod, h) -> Vec:
