@@ -44,7 +44,7 @@ import numpy as np
 from .curvejet import CurveSpec, _poly_ratio
 from . import limbs
 from .exact import _ratio, _scaled
-from .latticelab import _lowest_terms, _shear_rows, enumerate_ball, lll_reduce
+from .latticelab import _lowest_terms, _shear_frame, _shear_rows, enumerate_ball, lll_reduce
 
 Number = Union[int, float, Q]
 
@@ -60,7 +60,7 @@ _FLOAT_MARGIN = 1e-9
 
 
 class SearchBudgetError(RuntimeError):
-    """Raised when a requested scan exceeds the desk-scale point budget."""
+    """Raised when a requested scan or sweep exceeds its desk-scale budget."""
 
 
 def _allowance(x: Number) -> Number:
@@ -506,8 +506,9 @@ def box_point_search(query: DIQuery) -> WitnessResult:
     dani = [(-1,) + (0,) * n] + [(0,) * i + (1,) + (0,) * (n - i) for i in range(1, n + 1)]
     # the common gcd of the raw rows runs to 52 bits on random float queries;
     # dividing it out keeps LLL on narrower integers
-    ints, denom = _lowest_terms(*_shear_rows([_ratio(1 / w) for w in widths],
-                                             [_ratio(x) for x in query.xi], dani))
+    (xnum,), xden = _scaled([query.xi])
+    frame = _shear_frame([_ratio(1 / w) for w in widths], xden, dani)
+    ints, denom = _lowest_terms(_shear_rows(frame, xnum), frame.common)
     red = lll_reduce(ints)
     cols = tuple(zip(*red.transform))
     # first coordinate of each reduced row, off the transform

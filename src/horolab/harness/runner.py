@@ -181,10 +181,30 @@ def _run_lemma_parts(cfg: ExperimentConfig, samples: Samples) -> Result:
     return [("fuzz.csv", header, rows)], check
 
 
+# The sl2 sweep checks, for each rank n and module of dimension dim, every
+# basis vector at each of the n slots and both values of r, then the random
+# trials: 2 n dim + trials checks.  A check applies at most six rules (up, down
+# and sigma; for a coroot eigenvector also the two algebra rules and sigma
+# again), and a rule application on a dim-vector costs O(dim^2) integer
+# multiplications, those of a dense matrix-vector product: a tensor rule
+# applies its operands' rules dim_a + dim_b times, an adjoint one makes two
+# (n + 1)^3 products.  So a sweep makes about 6 (2 n dim + trials) dim^2
+# multiplications, summed over ranks and modules.  CPython makes 10^7 to 10^8
+# small-integer multiplications a second, so a budget of 10^9 keeps an admitted
+# sweep within a minute or two.
+SL2_BUDGET = 10**9
+
+
 def _run_sl2(cfg: ExperimentConfig, samples: Samples) -> Result:
     n_max = cfg.n or 3
     kinds = cfg.modules or ("standard", "exterior(2)", "adjoint")
     trials = samples["trials"]
+    # the modules are built again in the sweep, so that only one is alive at a time
+    dims = {(n, kind): build_module(kind, n).dim for n in range(1, n_max + 1) for kind in kinds}
+    work = sum(6 * (2 * n * dim + trials) * dim**2 for (n, _), dim in dims.items())
+    if work > SL2_BUDGET:
+        raise di.SearchBudgetError(
+            f"sl2 sweep of about {work} multiplications exceeds budget {SL2_BUDGET}")
     rows: List[Row] = []
     failures: List[Dict] = []
     total = 0

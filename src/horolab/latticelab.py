@@ -19,12 +19,17 @@ which needs neither LLL nor the walk; in higher ranks it is the
 shrinking-radius case of the walk on the LLL record.
 
 Every lattice an experiment draws has the form D u(x) B: a diagonal D, the
-unipotent shear u(x) with first row (1, x), and a base B.  ``_shear_rows``
-is its one row formula, on the integer ratios of D and x; the determinant
-is prod D det B exactly, with det B computed once per base.  ``shear_basis``
-brings the rows to lowest terms as a ``LatticeBasis``; ``translate_sample``
-checks D once per series and takes each sample's minimum from its
-unreduced rows.
+unipotent shear u(x) with first row (1, x), and a base B.  Its one row
+formula runs in two steps.  The per-series step ``_shear_frame`` takes the
+integer ratios of D, the common denominator of x and the rows of B, and
+keeps all that no x changes; the per-draw step ``_shear_rows`` takes x's
+numerators, in which the rows are affine, and moves only their first column
+(``_shear_column``).  The determinant is prod D det B exactly, with det B
+computed once per base.  ``shear_basis`` (and ``dirichlet.box_point_search``)
+run both steps once and bring the rows to lowest terms; ``translate_sample``
+writes every draw of a series over one dyadic denominator, so it checks D and
+runs the per-series step once, and per draw runs Horner on an integer, the
+first column and the minimum of the unreduced rows.
 """
 
 from __future__ import annotations
@@ -33,12 +38,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache, cached_property
-from operator import mul
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import repeat, tee
+from operator import add, itemgetter, mul
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .curvejet import CurveError, _poly_ratio
+from .curvejet import CurveError
 from .exact import IntRows, _bareiss_det, _ratio, _scaled
 from .rng import generator
 
@@ -96,15 +102,16 @@ def shear_basis(diagonal: Sequence, shear: Sequence,
 
     B is Z^{n+1} when no base is given.  Entries are exact numbers (ints,
     Fractions, or floats at their binary value); the rows come from
-    ``_shear_rows``, brought to lowest terms.  The 1e-9 tolerance is for
-    D made of rounded exponentials.
+    ``_shear_frame`` and ``_shear_rows``, brought to lowest terms.  The 1e-9
+    tolerance is for D made of rounded exponentials.
     """
     d = len(diagonal)
     if base is None:
         base = _standard_basis(d)
     ratios = _diagonal_ratios(diagonal, len(shear), base)
-    ints, common = _shear_rows(ratios, [_ratio(c) for c in shear], base.ints)
-    return LatticeBasis(*_lowest_terms(ints, common * base.denom))
+    (xnum,), xden = _scaled([shear])
+    frame = _shear_frame(ratios, xden, base.ints)
+    return LatticeBasis(*_lowest_terms(_shear_rows(frame, xnum), frame.common * base.denom))
 
 
 def _diagonal_ratios(diagonal: Sequence, width: int,
@@ -120,22 +127,41 @@ def _diagonal_ratios(diagonal: Sequence, width: int,
     return ratios
 
 
-def _shear_rows(ratios: Sequence[Tuple[int, int]], xs: Sequence[Tuple[int, int]],
-                rows: IntRows) -> Tuple[List[Tuple[int, ...]], int]:
-    """Each integer row w of B becomes (d_0 (w_0 + x . w'), d_1 w_1, ...,
-    d_n w_n), D and x given by integer ratios; returns these rows, not
-    reduced, and the lcm of the denominators of d_0 x and d_1..d_n."""
-    xden = math.lcm(*[b for _, b in xs])
-    xnum = [a * (xden // b) for a, b in xs]
-    # coordinate 0 is d_0 (xden w_0 + xnum . w') / xden
+class _ShearFrame(NamedTuple):
+    """What D u(x) B keeps for every x over one denominator: row k is
+    (fixed[k] + slopes[k] . xnum, *tails[k]) over ``common``."""
+
+    fixed: List[int]
+    slopes: List[List[int]]
+    tails: List[List[int]]
+    common: int
+
+
+def _shear_frame(ratios: Sequence[Tuple[int, int]], xden: int, rows: IntRows) -> _ShearFrame:
+    """Per-series step of the row formula: each integer row w of B becomes
+    (d_0 (w_0 + x . w'), d_1 w_1, ..., d_n w_n), D given by integer ratios
+    and x = xnum / xden.  Over ``common``, the lcm of the denominators of
+    d_0 / xden and d_1..d_n, coordinate 0 is head (xden w_0 + xnum . w')
+    with head = d_0 common / xden: affine in xnum."""
     (n0, d0), *rest = ratios
     common = math.lcm(d0 * xden, *[b for _, b in rest])
     head = n0 * (common // (d0 * xden))
     tail = [a * (common // b) for a, b in rest]
-    return [
-        (head * (xden * w[0] + sum(map(mul, xnum, w[1:]))), *map(mul, tail, w[1:]))
-        for w in rows
-    ], common
+    return _ShearFrame([head * xden * w[0] for w in rows],
+                       [[head * c for c in w[1:]] for w in rows],
+                       [[*map(mul, tail, w[1:])] for w in rows], common)
+
+
+def _shear_column(frame: _ShearFrame, xnum: Sequence[int]) -> List[int]:
+    """Coordinate 0 of each row at x = xnum / xden, the only one x moves:
+    the moving part of the per-draw step."""
+    return [f + sum(map(mul, xnum, s)) for f, s in zip(frame.fixed, frame.slopes)]
+
+
+def _shear_rows(frame: _ShearFrame, xnum: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Per-draw step: the integer rows of D u(x) B at x = xnum / xden over
+    ``frame.common``, not reduced."""
+    return [(h, *tail) for h, tail in zip(_shear_column(frame, xnum), frame.tails)]
 
 
 def _lowest_terms(ints: IntRows, denom: int) -> Tuple[IntRows, int]:
@@ -265,9 +291,9 @@ def enumerate_ball(
     descend(n - 1, 0)
 
 
-def _gauss_minimum(a: Sequence[int], b: Sequence[int]) -> int:
-    """Minimum of the integer binary form of rows a, b: Lagrange-Gauss
-    reduction of (A, B, C) = (|a|^2, a.b, |b|^2).
+def _gauss_minimum(a0: int, a1: int, b0: int, b1: int) -> int:
+    """Minimum of the integer binary form of rows a = (a0, a1), b = (b0, b1):
+    Lagrange-Gauss reduction of (A, B, C) = (|a|^2, a.b, |b|^2).
 
     Each pass size-reduces b against a (b -= r a, r = B / A rounded half
     up), which leaves -A <= 2B < A; if then C < A the rows swap, so A
@@ -275,7 +301,6 @@ def _gauss_minimum(a: Sequence[int], b: Sequence[int]) -> int:
     |m a + n b|^2 >= (m^2 - |mn| + n^2) A >= A for integers (m, n) != 0,
     so A is the minimum.
     """
-    (a0, a1), (b0, b1) = a, b
     A, B, C = a0 * a0 + a1 * a1, a0 * b0 + a1 * b1, b0 * b0 + b1 * b1
     while True:
         r = (2 * B + A) // (2 * A)
@@ -291,7 +316,8 @@ def _minimum(ints: IntRows) -> int:
     record, from the first reduced row (``dd[1]``) with the radius shrunk
     to each shorter point found."""
     if len(ints) == 2:
-        return _gauss_minimum(*ints)
+        (a0, a1), (b0, b1) = ints
+        return _gauss_minimum(a0, a1, b0, b1)
     red = lll_reduce(ints)
     best = red.gso[0][1]
 
@@ -407,17 +433,56 @@ def translate_sample(
     measures a_t u(phi(s)) base, with a_t the exact values of the float
     exponentials and phi(s) the exact value of the polynomial curve at the
     float s.  A series depends on its seed alone, not on what ran before.
-    Each systole is sqrt(A / den^2), A the exact minimum of the unreduced
-    rows over den: int division rounds correctly, as ``systole`` does.
+
+    Every float s is a dyadic m / 2^K over the series' largest denominator
+    2^K, so the curve is x_i = P_i(m) / xden with integer P_i and xden fixed
+    for the series (``_dyadic_curve``).  The per-series step of the row
+    formula (``_shear_frame``) runs once; per draw there is Horner on m,
+    the rows' first column (``_shear_column``) and the minimum.  Each
+    systole is sqrt(A / den^2), A the exact minimum of the unreduced rows
+    over den: A / den^2 is the exact squared minimum over any den, and int
+    division rounds correctly, as ``systole`` does.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if curve.poly is None:
         raise CurveError("translate sampling needs a polynomial curve")
     ratios = _diagonal_ratios(np.exp(schedule.exponents(t)).tolist(), len(curve.poly), base)
-    draws = generator(seed, "translate-sample").uniform(0.0, 1.0, size=count)
-    values = []
-    for s in draws.tolist():
-        ints, common = _shear_rows(ratios, [_poly_ratio(row, s) for row in curve.poly], base.ints)
-        values.append(math.sqrt(_minimum(ints) / (common * base.denom) ** 2))
-    return np.sort(values)
+    draws = generator(seed, "translate-sample").uniform(0.0, 1.0, size=count).tolist()
+    scale = max(map(float.as_integer_ratio, draws), key=itemgetter(1))[1]
+    # m = s 2^K exactly: a power-of-two scaling, which raises on overflow
+    ms = map(int, map(math.ldexp, draws, repeat(scale.bit_length() - 1)))
+    polys, xden = _dyadic_curve(curve.poly, scale)
+    frame = _shear_frame(ratios, xden, base.ints)
+    den2 = (frame.common * base.denom) ** 2
+    # draw by draw, so the series holds no list of integers
+    xnums = zip(*[_horner(p, copy) for p, copy in zip(polys, tee(ms, len(polys)))])
+    if len(base.ints) == 2:
+        # only the first column moves: the minimum reads it and the fixed tails
+        (t0,), (t1,) = frame.tails
+        values = (math.sqrt(_gauss_minimum(h0, t0, h1, t1) / den2)
+                  for h0, h1 in map(_shear_column, repeat(frame), xnums))
+    else:
+        values = (math.sqrt(_minimum(_shear_rows(frame, xnum)) / den2) for xnum in xnums)
+    return np.sort(np.fromiter(values, float, count))
+
+
+def _dyadic_curve(poly: Sequence[Sequence[Q]], scale: int) -> Tuple[List[List[int]], int]:
+    """A polynomial curve at s = m / scale for integer m: integer coefficient
+    rows P_i and one denominator xden with x_i(s) = P_i(m) / xden.  The term
+    (a / b) s^j is a m^j (xden / (b scale^j)) / xden."""
+    ratios = [[c.as_integer_ratio() for c in row] for row in poly]
+    xden = math.lcm(*[b * scale**j for row in ratios for j, (_, b) in enumerate(row)])
+    return [[a * (xden // (b * scale**j)) for j, (a, b) in enumerate(row)]
+            for row in ratios], xden
+
+
+def _horner(coeffs: Sequence[int], ms: Iterator[int]) -> Iterator[int]:
+    """The integer polynomial with ascending ``coeffs`` at each of ``ms``,
+    as an iterator that reads ``ms`` once, one m per value."""
+    if not coeffs:
+        return map(mul, repeat(0), ms)
+    values = repeat(0)
+    for c, copy in zip(reversed(coeffs), tee(ms, len(coeffs))):
+        values = map(add, map(mul, values, copy), repeat(c))
+    return values

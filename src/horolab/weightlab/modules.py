@@ -206,8 +206,32 @@ def _group_rule(mod: WeightModule, gi: IntRows, gd: int) -> Rule:
         return image, gd**d
     if tag == "adjoint":
         hi, hd = exact._inverse_ints(gi, gd)
-        return (lambda w: _adjoint_coords(
-            mod, exact._imul(exact._imul(gi, _adjoint_matrix(mod, w)), hi)), gd * hd)
+        gcols = tuple(zip(*gi))
+
+        def image(w):
+            # g X h over the support of X: a zero column j of X gives a zero
+            # column of g X, which drops row j of h from the second product,
+            # and a column with one entry x_ij is x_ij times column i of g; so
+            # X = E_ij costs one outer product, column i of g times row j of
+            # h, and a dense X two dense products
+            cols, rows = [], []
+            for xcol, hrow in zip(zip(*_adjoint_matrix(mod, w)), hi):
+                zeros = xcol.count(0)
+                if zeros == len(xcol):
+                    continue
+                if zeros == len(xcol) - 1:
+                    i = next(i for i, c in enumerate(xcol) if c)
+                    cols.append([xcol[i] * b for b in gcols[i]])
+                else:
+                    cols.append([sum(map(mul, xcol, grow)) for grow in gi])
+                rows.append(hrow)
+            if not cols:
+                return (0,) * mod.dim
+            if len(cols) == 1:
+                return _adjoint_coords(mod, [[c * b for b in rows[0]] for c in cols[0]])
+            return _adjoint_coords(mod, exact._imul(tuple(zip(*cols)), rows))
+
+        return image, gd * hd
     raise AssertionError(tag)
 
 
@@ -248,8 +272,21 @@ def _algebra_rule(mod: WeightModule, xi: IntRows, xd: int) -> Rule:
 
         return image, xd
     if tag == "adjoint":
-        return (lambda w: _adjoint_coords(
-            mod, exact._ibracket(xi, _adjoint_matrix(mod, w))), xd)
+        # [x, X] over the support of x: x_ij E_ij X is x_ij times row j of X
+        # put in row i, and X x_ij E_ij is x_ij times column i of X put in
+        # column j; so x = E_ij costs two vector updates
+        support = [(i, j, c) for i, row in enumerate(xi) for j, c in enumerate(row) if c]
+
+        def image(w):
+            x = _adjoint_matrix(mod, w)
+            out = [[0] * len(x) for _ in x]
+            for i, j, c in support:
+                out[i] = [a + c * b for a, b in zip(out[i], x[j])]
+                for row, xrow in zip(out, x):
+                    row[j] -= c * xrow[i]
+            return _adjoint_coords(mod, out)
+
+        return image, xd
     raise AssertionError(tag)
 
 

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -554,6 +555,31 @@ def test_budget_exhaustion_exit_code(tmp_path, monkeypatch):
     out = run(resolve_config("acceptance-01"), tmp_path / "b")
     assert out.exit_code == 4
     assert out.summary["checks"]["acceptance-01"]["budget_exceeded"]
+
+
+def test_sl2_sweep_over_its_budget_exits_4_before_it_runs(tmp_path):
+    # tensor(adjoint,adjoint) at n = 4 counts about 9.6e9 multiplications, a
+    # sweep of minutes; the count is taken before any check runs
+    raw = {"kind": "basic-lemma-fuzz", "variant": "sl2", "seed": 1, "n": 4, "samples": 1,
+           "modules": ["tensor(adjoint,adjoint)"]}
+    start = time.perf_counter()
+    out = run(validate_config(raw), tmp_path / "s")
+    assert time.perf_counter() - start < 1.0
+    assert out.exit_code == 4
+    check = out.summary["checks"]["acceptance-03"]
+    assert check["budget_exceeded"] and "sl2 sweep" in check["detail"]
+    assert not (tmp_path / "s" / "sl2.csv").exists()
+
+
+def test_sl2_budget_counts_six_rules_of_dim_squared_per_check(tmp_path, monkeypatch):
+    # the standard module at n = 1 has dim 2: 2 n dim + trials = 5 checks of
+    # 6 dim^2 = 24 multiplications each
+    raw = {"kind": "basic-lemma-fuzz", "variant": "sl2", "seed": 1, "n": 1, "samples": 1,
+           "modules": ["standard"]}
+    monkeypatch.setattr(runner, "SL2_BUDGET", 120)
+    assert run(validate_config(raw), tmp_path / "at").exit_code == 0
+    monkeypatch.setattr(runner, "SL2_BUDGET", 119)
+    assert run(validate_config(raw), tmp_path / "over").exit_code == 4
 
 
 # -- report ---------------------------------------------------------------------

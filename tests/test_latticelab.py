@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from horolab import exact
 from horolab import latticelab as ll
-from horolab import flowlab as fl
+from horolab import curvejet, flowlab as fl
 from horolab.curvejet import CurveError, CurveSpec
 from horolab.harness import run, validate_config
 from horolab.rng import generator
@@ -149,13 +149,75 @@ def test_translate_sample_builds_no_lattice_per_sample(monkeypatch):
     base = ll.catalog_basis(2)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a per-sample lattice was built")
+        raise AssertionError("a per-sample lattice or curve ratio was built")
 
     monkeypatch.setattr(ll, "shear_basis", refuse)
     monkeypatch.setattr(ll, "systole", refuse)
-    values = ll.translate_sample(CurveSpec.moment(1), fl.FlowSchedule.preset("equal", n=1),
-                                 base, t=3.0, count=20, seed=0)
-    assert values.size == 20 and 0 < values[0] <= values[-1]
+    monkeypatch.setattr(curvejet, "_poly_ratio", refuse)
+    monkeypatch.setattr(ll, "_poly_ratio", refuse, raising=False)
+    frames = []
+    shear_frame = ll._shear_frame
+
+    def counted(*args):
+        frames.append(args)
+        return shear_frame(*args)
+
+    monkeypatch.setattr(ll, "_shear_frame", counted)
+    for seed in (0, 1):
+        values = ll.translate_sample(CurveSpec.moment(1), fl.FlowSchedule.preset("equal", n=1),
+                                     base, t=3.0, count=20, seed=seed)
+        assert values.size == 20 and 0 < values[0] <= values[-1]
+    # the per-series step of the row formula runs once per series
+    assert len(frames) == 2
+
+
+class _FixedDraws:
+    """A stand-in for the series generator that draws the given floats."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def uniform(self, low, high, size):
+        assert (low, high, size) == (0.0, 1.0, len(self.draws))
+        return np.array(self.draws)
+
+
+# dyadic denominators from 1 (0.0) to 2^53, mixed in one series
+_MIXED_DRAWS = ([0.0, 0.5, 0.25, 2.0**-53, 1 - 2.0**-53]
+                + generator(3, "mixed-draws").uniform(0.0, 1.0, size=15).tolist())
+
+
+def _random_poly_curve(rng, n):
+    """n coordinates of degree <= 3 with rational coefficients, zero and
+    negative ones included."""
+    return CurveSpec.polynomial([
+        [Q(int(rng.integers(-9, 10)), int(rng.integers(1, 12)))
+         for _ in range(int(rng.integers(1, 5)))]
+        for _ in range(n)
+    ])
+
+
+@pytest.mark.parametrize("trial", range(4))
+@pytest.mark.parametrize("t", [0.5, 8.0])
+def test_translate_sample_puts_each_series_over_one_dyadic_denominator(monkeypatch, trial, t):
+    # each draw is m / 2^K over the series' largest denominator, whatever its
+    # own; the floats are those of the per-draw lattice, bit for bit
+    monkeypatch.setattr(ll, "generator", lambda seed, name: _FixedDraws(_MIXED_DRAWS))
+    rng = generator(trial, "poly-curves")
+    cases = [(_random_poly_curve(rng, 1), ll.catalog_basis(index)) for index in range(3)]
+    cases.append((_random_poly_curve(rng, 2), random_unimodular_basis(3, seed=trial)))
+    cases.append((CurveSpec.polynomial([[]]), ll.catalog_basis(2)))  # the zero curve
+    for curve, base in cases:
+        sched = fl.FlowSchedule.preset("equal", n=curve.n)
+        diagonal = np.exp(sched.exponents(t)).tolist()
+        want = np.sort([
+            ll.systole(ll.shear_basis(diagonal, [
+                sum((c * Q(s) ** j for j, c in enumerate(row)), Q(0)) for row in curve.poly
+            ], base))
+            for s in _MIXED_DRAWS
+        ])
+        got = ll.translate_sample(curve, sched, base, t=t, count=len(_MIXED_DRAWS), seed=0)
+        assert np.array_equal(got, want), (curve.poly, basis_rows(base), t)
 
 
 def test_translate_sample_needs_a_polynomial_curve():

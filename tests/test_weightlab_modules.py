@@ -215,6 +215,34 @@ def test_adjoint_coordinates_reject_a_matrix_with_trace():
         modules._adjoint_coords(mod, exact.identity(3))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_adjoint_rules_over_the_support_match_the_matrix_products(n):
+    # the rules skip the zeros of X (group) and of x (derived); the matrix
+    # forms g X g^-1 and x X - X x skip nothing
+    mod = build_module("adjoint", n)
+    rng = random.Random(n)
+    m = n + 1
+
+    def dense():
+        return exact.mat([[Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]
+                          for _ in range(m)])
+
+    g = dense()
+    while exact.det(g) == 0:
+        g = dense()
+    elements = [exact.elementary(m, 0, n), exact.elementary(m, n, 0), dense()]
+    vectors = [basis_vector(mod, b) for b in range(mod.dim)]
+    vectors += [vector(mod, [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(mod.dim)]),
+                vector(mod, [0] * (mod.dim - 1) + [1]), vector(mod, [1] + [0] * (mod.dim - 1))]
+    for v in vectors:
+        big_x = exact.mat(modules._adjoint_matrix(mod, v.coords))
+        want = exact.matmul(exact.matmul(g, big_x), exact.inverse(g))
+        assert act(g, v).coords == modules._adjoint_coords(mod, want)
+        for x in elements:
+            want = exact.sub(exact.matmul(x, big_x), exact.matmul(big_x, x))
+            assert act_algebra(x, v).coords == modules._adjoint_coords(mod, want)
+
+
 # -- vectors: integer rows over one denominator ---------------------------------
 
 
