@@ -143,8 +143,11 @@ def vandermonde_constant(d: int, interval: Tuple) -> VandermondeConstants:
     certified is the closed form |J|^d / (d^(d+1) (1 + eta_d)); empirical
     is the sharp constant 1 / ||V^{-1}||_inf (max row sum of the inverse
     Vandermonde).  For degree-d polynomials f with coefficients c,
-    sup_J |f| >= empirical * max|c_i| always, and the certified form is a
-    valid (smaller) floor on intervals near the origin like [1, 2].
+    sup_J |f| >= empirical * max|c_i| always, as c = V^{-1} f(nodes).  The
+    closed form is a floor only where certified <= empirical, which callers
+    check exactly: it holds on [1, 2] for d <= 15, but not on [1, 1e5] at
+    d = 2 (T_2 on that interval has sup 1 and max|c| near 1) nor on
+    [-1/2, 1/2] at d = 1 (f = x has sup 1/2 against 2/3).
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
@@ -256,7 +259,11 @@ def assemble_expansion_bound(module: WeightModule, frame: CurveFrame) -> float:
     inherits grid resolution (see the shipped notes on the gap).
     """
     degree = frame_degree_bound(module, frame)
-    c_cert = float(vandermonde_constant(degree, WINDOW).certified)
+    consts = vandermonde_constant(degree, WINDOW)
+    if consts.certified > consts.empirical:
+        raise ArithmeticError(f"the closed-form floor at d = {degree} exceeds the sharp "
+                              f"constant on {WINDOW}, so it is no floor there")
+    c_cert = float(consts.certified)
     kappa = [Q(float(k)) for k in frame.kappa]
     d1_min = min(estimate_D1(module, b, kappa) for b in module.level_set())
     return c_cert * d1_min / 2.0

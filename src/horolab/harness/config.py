@@ -63,7 +63,7 @@ _COMMON_KEYS = ("kind", "variant", "seed", "description", "samples")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, normalised experiment description."""
+    """Validated experiment description: the config the body runs, defaults filled in."""
 
     kind: str
     variant: str
@@ -85,6 +85,7 @@ class ExperimentConfig:
 # The draft-07 keywords that CONFIG_SCHEMA and the experiments' fragments use,
 # with two stricter types: an integer is an int (2.0 is none), and a number is
 # finite as a float (JSON has no NaN or Infinity, and 10**400 has no float).
+# ``default`` is an annotation, checked by nothing: validate_config fills it in.
 
 
 def _is_real(v) -> bool:
@@ -103,7 +104,7 @@ _BOUNDS = (("minimum", operator.lt, "less than the minimum"),
            ("exclusiveMinimum", operator.le, "less than or equal to the minimum"),
            ("maximum", operator.gt, "greater than the maximum"))
 _KEYWORDS = {"type", "enum", "const", "pattern", "items", "minItems", "maxItems",
-             "uniqueItems", "properties", "additionalProperties", "required",
+             "uniqueItems", "properties", "additionalProperties", "required", "default",
              *(word for word, _, _ in _BOUNDS)}
 
 
@@ -174,7 +175,9 @@ def _validate(raw: Dict, schema: Dict) -> None:
 
 
 def validate_config(raw: Dict) -> ExperimentConfig:
-    """Schema-check a raw mapping and normalise it.
+    """Schema-check a raw mapping and normalise it to the config the body
+    runs: the record's defaults filled in, and a curve other than ``moment``
+    giving ``n`` its coordinate count.  Every check runs on that config.
 
     Unknown keys, bad types, unknown variants, a missing seed on a
     stochastic experiment, a key or sample count the experiment does not
@@ -215,26 +218,28 @@ def validate_config(raw: Dict) -> ExperimentConfig:
             f"config rejected at {unread[0]}: {name} does not read "
             f"{', '.join(unread)}"
         )
-    _validate(raw, {"properties": exp.keys})
-    curve = raw.get("curve", "moment")
-    if curve != "moment":  # the moment curve has every n
+    eff = {**{key: sub["default"] for key, sub in exp.keys.items() if "default" in sub}, **raw}
+    _validate(eff, {"properties": exp.keys})
+    curve = eff.get("curve")
+    if curve not in (None, "moment"):  # the moment curve has every n
         try:
             width = CurveSpec.preset(curve).n
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"config rejected at curve: {curve!r} does not build: {exc}") from exc
-        if raw.get("n", width) != width:
+        eff["n"] = raw.get("n", width)
+        if eff["n"] != width:
             raise ConfigError(f"config rejected at n: {curve!r} has {width} coordinates")
-    interval = raw.get("interval")
+    interval = eff.get("interval")
     if interval and not interval[0] < interval[1]:
         raise ConfigError(f"config rejected at interval: {interval} is not increasing")
     return ExperimentConfig(
         kind=kind,
         variant=variant,
-        n=raw.get("n"),
-        modules=tuple(raw.get("modules", ())),
-        schedule=raw.get("schedule"),
-        curve=raw.get("curve"),
-        t_ladder=tuple(float(t) for t in raw.get("t_ladder", ())),
+        n=eff.get("n"),
+        modules=tuple(eff.get("modules", ())),
+        schedule=eff.get("schedule"),
+        curve=curve,
+        t_ladder=tuple(float(t) for t in eff.get("t_ladder", ())),
         interval=(float(interval[0]), float(interval[1])) if interval else None,
         samples=raw.get("samples"),
         seed=raw.get("seed"),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction as Q
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -89,12 +89,11 @@ def _random_rational(rng, nonzero: bool = False) -> Q:
 
 
 def _run_identity_suite(cfg: ExperimentConfig, samples: Samples) -> Result:
-    n_max = cfg.n or 4
     rows: List[Row] = []
     failures: List[Dict] = []
     passed = 0
     total = 0
-    for n in range(1, n_max + 1):
+    for n in range(1, cfg.n + 1):
         for item in identity_suite(n):
             rows.append([n, item.name, item.passed, item.detail])
             total += 1
@@ -103,7 +102,7 @@ def _run_identity_suite(cfg: ExperimentConfig, samples: Samples) -> Result:
                 failures.append({"n": n, "identity": item.name, "detail": item.detail})
     check = CheckResult(
         passed=passed == total,
-        detail=f"{passed}/{total} identities exact for n=1..{n_max}",
+        detail=f"{passed}/{total} identities exact for n=1..{cfg.n}",
         counts={"passed": passed, "total": total},
         failures=failures,
     )
@@ -123,19 +122,15 @@ def _random_eigenvector(module, rng):
 
 
 def _run_lemma_parts(cfg: ExperimentConfig, samples: Samples) -> Result:
-    n_max = cfg.n or 3
-    kinds = cfg.modules or ("standard", "exterior(2)", "adjoint")
-    trials = samples["trials"]
-    corrupt = cfg.corrupt_sk_predicate
     rows: List[Row] = []
     failures: List[Dict] = []
     total = 0
     good = 0
-    for n in range(1, n_max + 1):
-        for kind in kinds:
+    for n in range(1, cfg.n + 1):
+        for kind in cfg.modules:
             module = build_module(kind, n)
             rng = generator(cfg.seed, f"lemma-fuzz-{kind}", n)
-            for trial in range(trials):
+            for trial in range(samples["trials"]):
                 v, level = _random_eigenvector(module, rng)
                 x = tuple(_random_rational(rng, nonzero=True) for _ in range(n))
                 rep = s_sets(v, x)
@@ -143,7 +138,7 @@ def _run_lemma_parts(cfg: ExperimentConfig, samples: Samples) -> Result:
                 part2a = rep.s_n_nonempty
                 part3 = rep.s_all_nonempty
                 equalities = rep.consistent
-                if corrupt and total == 0:
+                if cfg.corrupt_sk_predicate and total == 0:
                     part2a = False
                 ok = part1 and part2a and part3 and equalities
                 total += 1
@@ -196,11 +191,10 @@ SL2_BUDGET = 10**9
 
 
 def _run_sl2(cfg: ExperimentConfig, samples: Samples) -> Result:
-    n_max = cfg.n or 3
-    kinds = cfg.modules or ("standard", "exterior(2)", "adjoint")
     trials = samples["trials"]
     # the modules are built again in the sweep, so that only one is alive at a time
-    dims = {(n, kind): build_module(kind, n).dim for n in range(1, n_max + 1) for kind in kinds}
+    dims = {(n, kind): build_module(kind, n).dim
+            for n in range(1, cfg.n + 1) for kind in cfg.modules}
     work = sum(6 * (2 * n * dim + trials) * dim**2 for (n, _), dim in dims.items())
     if work > SL2_BUDGET:
         raise di.SearchBudgetError(
@@ -226,8 +220,8 @@ def _run_sl2(cfg: ExperimentConfig, samples: Samples) -> Result:
                  "coords": [str(c) for c in v.coords], "origin": origin}
             )
 
-    for n in range(1, n_max + 1):
-        for kind in kinds:
+    for n in range(1, cfg.n + 1):
+        for kind in cfg.modules:
             module = build_module(kind, n)
             rng = generator(cfg.seed, f"sl2-fuzz-{kind}", n)
             for slot in range(1, n + 1):
@@ -259,23 +253,28 @@ def _run_sl2(cfg: ExperimentConfig, samples: Samples) -> Result:
 
 
 def _run_vandermonde(cfg: ExperimentConfig, samples: Samples) -> Result:
-    interval = cfg.interval or (1.0, 2.0)
     trials = samples["trials"]
     rng = generator(cfg.seed, "vandermonde")
-    grid = np.linspace(interval[0], interval[1], 1001)
+    grid = np.linspace(*cfg.interval, 1001)
     rows: List[Row] = []
     failures: List[Dict] = []
     formula_ok_all = True
     worst_formula = 0.0
     violations_all = 0
-    a, b = map(Q, interval)  # the closed form, exactly at the float ends
+    unproven = []  # degrees where the closed form exceeds the sharp constant
+    a, b = map(Q, cfg.interval)  # the closed form, exactly at the float ends
     for d in range(0, 7):
-        consts = fl.vandermonde_constant(d, interval)
+        consts = fl.vandermonde_constant(d, cfg.interval)
         certified = float(consts.certified)
         formula = Q(1) if d == 0 else (b - a) ** d / (d ** (d + 1) * (1 + b))
         worst_formula = max(worst_formula, float(abs(consts.certified - formula)))
         formula_ok = consts.certified == formula
         formula_ok_all = formula_ok_all and formula_ok
+        # c = V^{-1} f(nodes) makes the sharp constant a floor, and so the closed form below it
+        if formula > consts.empirical:
+            unproven.append(d)
+            failures.append({"d": d, "closed_form": repr(float(formula)),
+                             "empirical": repr(float(consts.empirical))})
         violations = 0
         for trial in range(trials):
             coeffs = rng.uniform(-1.0, 1.0, d + 1)
@@ -291,10 +290,11 @@ def _run_vandermonde(cfg: ExperimentConfig, samples: Samples) -> Result:
         rows.append([d, repr(certified), repr(float(consts.empirical)),
                      formula_ok, trials, violations])
     check = CheckResult(
-        passed=formula_ok_all and violations_all == 0,
+        passed=formula_ok_all and violations_all == 0 and not unproven,
         detail=(
             f"{violations_all} floor violations in {trials} polynomials per degree"
             f" 0..6; closed form {'matches' if formula_ok_all else 'DRIFTS'}"
+            + (f"; above the sharp constant at d = {unproven}" if unproven else "")
         ),
         counts={"violations": violations_all, "per_degree": trials},
         metrics={"formula_error_max": worst_formula},
@@ -304,28 +304,17 @@ def _run_vandermonde(cfg: ExperimentConfig, samples: Samples) -> Result:
     return [("vandermonde.csv", header, rows)], check
 
 
-def _certification_combos(n_values: Sequence[int]) -> List[Tuple[int, str]]:
-    combos = []
-    for n in n_values:
-        combos.append((n, "equal"))
-        if n == 2:
-            combos.append((n, "linear:3/2,1/2"))
-    return combos
-
-
 def _run_certification(cfg: ExperimentConfig, samples: Samples) -> Result:
-    t_values = cfg.t_ladder or (5.0, 10.0, 15.0, 20.0)
     count = samples["vectors"]
-    kinds = cfg.modules or ("exterior(1)", "exterior(2)")
     rows: List[Row] = []
     failures: List[Dict] = []
     ok_all = True
     min_margin = math.inf
     min_slope = math.inf
-    for n, sched_name in _certification_combos((1, 2)):
+    for n, sched_name in ((1, "equal"), (2, "equal"), (2, "linear:3/2,1/2")):
         schedule = fl.FlowSchedule.preset(sched_name, n=n)
         frame = fl.moment_frame(n)
-        for kind in kinds:
+        for kind in cfg.modules:
             module = build_module(kind, n)
             d2 = fl.assemble_expansion_bound(module, frame)
             rng = generator(cfg.seed, f"expansion-{sched_name}-{kind}", n)
@@ -334,7 +323,7 @@ def _run_certification(cfg: ExperimentConfig, samples: Samples) -> Result:
                 coords = rng.normal(size=module.dim)
                 vectors.append(coords / np.abs(coords).max())
             mins: List[float] = []
-            for t in t_values:
+            for t in cfg.t_ladder:
                 sups = fl.expansion_supremum(module, vectors, schedule, frame, t)
                 m_min = float(sups.min())
                 mins.append(m_min)
@@ -348,8 +337,7 @@ def _run_certification(cfg: ExperimentConfig, samples: Samples) -> Result:
                         {"n": n, "schedule": sched_name, "module": kind,
                          "t": t, "min": repr(m_min), "d2": repr(d2)}
                     )
-            ts = np.array(t_values)
-            slope = float(np.polyfit(ts, np.log(mins), 1)[0])
+            slope = float(np.polyfit(np.array(cfg.t_ladder), np.log(mins), 1)[0])
             min_slope = min(min_slope, slope)
             slope_ok = slope >= -0.01
             ok_all = ok_all and slope_ok
@@ -418,7 +406,7 @@ def _run_bounded_fixed(cfg: ExperimentConfig, samples: Samples) -> Result:
 
 
 def _run_qfixed(cfg: ExperimentConfig, samples: Samples) -> Result:
-    (t,) = cfg.t_ladder or (20.0,)
+    (t,) = cfg.t_ladder
     frame = fl.moment_frame(2)
     results = {name: fl.qfixed_limit(frame, fl.FlowSchedule.preset(name, n=2), eta=2.0, t=t)
                for name in ("equal", "linear:2,0")}
@@ -456,14 +444,13 @@ def _run_qfixed(cfg: ExperimentConfig, samples: Samples) -> Result:
 
 def _run_equidistribution(cfg: ExperimentConfig, samples: Samples) -> Result:
     count = samples["count"]
-    ladder = cfg.t_ladder or (8.0,)
-    curve = CurveSpec.moment(1)
-    schedule = fl.FlowSchedule.preset(cfg.schedule or "equal", n=1)
+    curve = CurveSpec.preset(cfg.curve, n=cfg.n)
+    schedule = fl.FlowSchedule.preset(cfg.schedule, n=cfg.n)
     threshold = ll.ks_null_quantile(count, _KS_ALPHA)
     # catalog 0 (Z^2) at every rung against its exact law F_t; catalog 1 at
     # the largest rung against the Haar law, the limit of F_t as t grows
-    gates = [(0, t, cfg.seed, "horocycle", partial(ll.horocycle_law, t)) for t in ladder]
-    gates.append((1, max(ladder), cfg.seed + 1, "haar", ll.haar_law))
+    gates = [(0, t, cfg.seed, "horocycle", partial(ll.horocycle_law, t)) for t in cfg.t_ladder]
+    gates.append((1, max(cfg.t_ladder), cfg.seed + 1, "haar", ll.haar_law))
     edges = np.linspace(0.0, 1.0, 33)
 
     bin_rows: List[Row] = []
@@ -494,7 +481,7 @@ def _run_equidistribution(cfg: ExperimentConfig, samples: Samples) -> Result:
         passed=not failures,
         detail=f"{len(ks_rows) - len(failures)} of {len(ks_rows)} KS gates pass on r <= 1, "
                f"worst {worst:.4f} (threshold {threshold:.4f}, alpha {_KS_ALPHA:g}) at "
-               f"t in {list(ladder)}, {count} samples",
+               f"t in {list(cfg.t_ladder)}, {count} samples",
         counts={"samples": count, "gates": len(ks_rows)},
         metrics={"ks_max": worst, "ks_threshold": threshold},
         failures=failures,
@@ -518,14 +505,13 @@ def _run_escape(cfg: ExperimentConfig, samples: Samples) -> Result:
     uses the theorem's width w_t = e^{-t}, where the window matches the
     expansion and the systole stays bounded below.
     """
-    ladder = cfg.t_ladder or tuple(float(t) for t in range(1, 21))
     header = ["rate", "t", "value", "closed_form", "rel_err", "in_regime"]
     rows: List[Row] = []
     failures: List[Dict] = []
     worst_rel = 0.0
     crit_min = math.inf
     for rate, eta, width in (("super", 1.0, 2), ("critical", _GOLDEN_ETA, 1)):
-        for t in ladder:
+        for t in cfg.t_ladder:
             shear = Q(eta) * Q(math.exp(-width * t))
             value = ll.systole(ll.shear_basis((Q(math.exp(t)), Q(math.exp(-t))), (shear,)))
             if rate == "critical":
@@ -623,9 +609,9 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
         failures.append({"check": "rbar1", "half": str(r_half),
                          "two_thirds": str(r_twothirds)})
 
-    curve = CurveSpec.preset(cfg.curve or "moment", n=cfg.n or 2)
-    interval = cfg.interval or (0.0, 1.0)
-    s_values, answers, fraction = di.curve_scan(curve, interval, _SCAN_PREFIX, _SCAN_MU, s_grid)
+    curve = CurveSpec.preset(cfg.curve, n=cfg.n)
+    s_values, answers, fraction = di.curve_scan(curve, cfg.interval, _SCAN_PREFIX, _SCAN_MU,
+                                                s_grid)
     width = len(_SCAN_PREFIX)
     scan_header = ["s", "n_index", "form", "found", "witness", "search_volume"]
     scan_rows = [[s_values[k // width], k % width, form, res.found,
@@ -660,15 +646,15 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
 
 
 def _run_curve_frames(cfg: ExperimentConfig, samples: Samples) -> Result:
-    curve = CurveSpec.preset(cfg.curve or "trig", n=cfg.n or 2)
-    interval = cfg.interval or (0.1, 3.0)
+    curve = CurveSpec.preset(cfg.curve, n=cfg.n)
     # a polynomial's coefficients are arbitrary, so no bound on the ends keeps its
     # values, jets and frames finite floats: where one is not, the config is rejected
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _curve_frames(curve, interval, samples["grid"])
+            return _curve_frames(curve, cfg.interval, samples["grid"])
     except (CurveError, OverflowError, FloatingPointError) as exc:
-        raise ConfigError(f"config rejected at {'interval' if cfg.interval else 'curve'}: "
+        key = "interval" if "interval" in cfg.raw else "curve"
+        raise ConfigError(f"config rejected at {key}: "
                           f"the curve has no finite float frame there ({exc})") from exc
 
 
@@ -727,9 +713,10 @@ class Experiment:
     the config seed, so a config for it must carry one.  ``samples`` maps
     every sample-count key the body reads to its default.  ``keys`` maps
     every other config key the body reads to a JSON-schema fragment that
-    narrows the shared schema for this experiment ({} when it does not);
-    a config may carry only these keys, ``samples`` when the body reads
-    samples, and ``kind``, ``variant``, ``seed`` and ``description``.
+    narrows the shared schema for this experiment ({} when it does not),
+    with the key's default as its ``default`` annotation where the body
+    needs a value; a config may carry only these keys, ``samples`` when the
+    body reads samples, and ``kind``, ``variant``, ``seed`` and ``description``.
     """
 
     kind: str
@@ -749,28 +736,31 @@ _CURVE_2 = {"pattern": rf"^(moment|trig|poly:{_ROW};{_ROW})$"}
 _CURVE = {"pattern": rf"^(moment|trig|poly:{_ROW}(;{_ROW})*)$"}
 _PLAIN = r"(standard|adjoint|exterior\([12]\))"
 _MODULES = {"items": {"pattern": rf"^({_PLAIN}|tensor\({_PLAIN},{_PLAIN}\))$"}}
+_LEMMA_KEYS = {"n": {"default": 3},
+               "modules": {**_MODULES, "default": ["standard", "exterior(2)", "adjoint"]}}
 # a grid over [a, b] steps by (b - a) / m, finite when both ends are within
 # half the largest float
 _GRID_ENDS = {"items": {"minimum": -sys.float_info.max / 2, "maximum": sys.float_info.max / 2}}
 
 EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment("identity-suite", "", "acceptance-01",
-               "exact operator identities", False, {}, {"n": {}},
+               "exact operator identities", False, {}, {"n": {"default": 4}},
                _run_identity_suite),
     Experiment("basic-lemma-fuzz", "parts", "acceptance-02",
                "index-set and fixed-subgroup fuzz", True, {"trials": 100},
-               {"n": {}, "modules": _MODULES, "test_hooks": {}}, _run_lemma_parts),
+               {**_LEMMA_KEYS, "test_hooks": {}}, _run_lemma_parts),
     Experiment("basic-lemma-fuzz", "sl2", "acceptance-03",
                "rank-one top-level inequality", True, {"trials": 60},
-               {"n": {}, "modules": _MODULES}, _run_sl2),
+               _LEMMA_KEYS, _run_sl2),
     # M_t = exp(max(log|w| + level t)) with w = rho(u) v, |v| <= 1: the top
     # level of any admitted module under these schedules is 7
     # (tensor(adjoint,adjoint) under linear:3/2,1/2), and u tends to the
     # identity, so t <= 100 keeps 7 t + log|w| below log(float max) = 709.78
     Experiment("expansion-ladder", "certification", "acceptance-05",
                "expansion floor certification", True, {"vectors": 50},
-               {"modules": _MODULES, "t_ladder": {"minItems": 2, "uniqueItems": True,
-                                                  "items": {"maximum": 100}}},
+               {"modules": {**_MODULES, "default": ["exterior(1)", "exterior(2)"]},
+                "t_ladder": {"minItems": 2, "uniqueItems": True, "items": {"maximum": 100},
+                             "default": [5, 10, 15, 20]}},
                _run_certification),
     # the certified floor |J|^d / (d^{d+1} (1 + b)), d <= 6, needs the right
     # end b > -1, so 1 + b >= 2^-53; with both ends within 1e49, |J|^6 2^53 / 6^7
@@ -778,7 +768,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment("expansion-ladder", "vandermonde", "acceptance-04",
                "polynomial floor constants", True, {"trials": 1000},
                {"interval": {"items": [{"minimum": -1e49},
-                                       {"exclusiveMinimum": -1, "maximum": 1e49}]}},
+                                       {"exclusiveMinimum": -1, "maximum": 1e49}],
+                            "default": [1, 2]}},
                _run_vandermonde),
     Experiment("expansion-ladder", "bounded-fixed", "acceptance-06",
                "bounded growth vs fixed vectors", False, {}, {},
@@ -787,26 +778,30 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     # 2t < log(float max) = 709.78
     Experiment("expansion-ladder", "qfixed", "acceptance-07",
                "straightened-limit residuals", False, {},
-               {"t_ladder": {"maxItems": 1, "items": {"maximum": 354}}}, _run_qfixed),
+               {"t_ladder": {"maxItems": 1, "items": {"maximum": 354}, "default": [20]}},
+               _run_qfixed),
     # The catalog bases are rank 2, so n = 1, and the exact law is that of
     # the curve s; "linear:1" is the equal flow.  F_t sums over e^t Farey
     # denominators per sample point, so t stays in (0, 12].
     Experiment("equidistribution", "", "acceptance-08",
                "translate equidistribution against the exact law", True, {"count": 10_000},
-               {"n": {"const": 1}, "curve": {"const": "moment"},
-                "schedule": {"enum": ["equal", "linear:1"]},
-                "t_ladder": {"items": {"exclusiveMinimum": 0, "maximum": 12}}},
+               {"n": {"const": 1, "default": 1}, "curve": {"const": "moment", "default": "moment"},
+                "schedule": {"enum": ["equal", "linear:1"], "default": "equal"},
+                "t_ladder": {"items": {"exclusiveMinimum": 0, "maximum": 12}, "default": [8]}},
                _run_equidistribution),
     # e^{4t} must stay finite in the regime test and e^{-2t} far from subnormal
     Experiment("escape", "", "acceptance-09", "escape-rate dichotomy", False, {},
-               {"t_ladder": {"items": {"maximum": 100}}}, _run_escape),
+               {"t_ladder": {"items": {"maximum": 100}, "default": list(range(1, 21))}},
+               _run_escape),
     Experiment("dirichlet-scan", "", "acceptance-10",
                "improvability witness suite", True,
                {"queries": 500, "monotonicity": 200, "grid": 200},
-               {"n": {"const": 2}, "curve": _CURVE_2, "interval": _GRID_ENDS}, _run_dirichlet),
+               {"n": {"const": 2, "default": 2}, "curve": {**_CURVE_2, "default": "moment"},
+                "interval": {**_GRID_ENDS, "default": [0, 1]}}, _run_dirichlet),
     Experiment("curve-frames", "", "curve-frames",
                "curve frame regularity demo", False, {"grid": 120},
-               {"n": {}, "curve": _CURVE, "interval": _GRID_ENDS}, _run_curve_frames),
+               {"n": {"default": 2}, "curve": {**_CURVE, "default": "trig"},
+                "interval": {**_GRID_ENDS, "default": [0.1, 3.0]}}, _run_curve_frames),
 )
 
 

@@ -165,7 +165,10 @@ def build_module(kind: str, n: int) -> WeightModule:
 # -- the action on vectors, one exact rule per kind ----------------------------
 
 # A rule is an integer map on coordinate rows with its nonzero denominator:
-# it sends the vector w / d to image(w) / (d * denom).
+# it sends the vector w / d to image(w) / (d * denom).  A rule captures the
+# module's n, dim and basis data, never the module itself: modules keep their
+# rules in their cache, and a reference back would hold each module in a
+# cycle until the cyclic collector runs.
 Image = Callable[[Sequence[int]], Sequence[int]]
 Rule = Tuple[Image, int]
 
@@ -180,14 +183,15 @@ def _group_rule(mod: WeightModule, gi: IntRows, gd: int) -> Rule:
         # rho_a(g) V rho_b(g)^T on the dim_a x dim_b coefficient matrix V
         _, left, right = mod.basis_data
         (rho_a, da), (rho_b, db) = _group_rule(left, gi, gd), _group_rule(right, gi, gd)
-        return (lambda w: _on_cols(rho_a, _on_rows(rho_b, w, right.dim), right.dim),
-                da * db)
+        width = right.dim
+        return lambda w: _on_cols(rho_a, _on_rows(rho_b, w, width), width), da * db
     if tag == "standard":
         return functools.partial(exact._imatvec, gi), gd
     if tag == "exterior":
         # g(e_I) = sum over J of minor(g; J, I) e_J; the minors of the integer
         # rows are over gd^d, one column I at a time as w needs it
         _, d, combos = mod.basis_data
+        dim = mod.dim
 
         @functools.cache
         def column(cols):
@@ -197,7 +201,7 @@ def _group_rule(mod: WeightModule, gi: IntRows, gd: int) -> Rule:
             )
 
         def image(w):
-            out = [0] * mod.dim
+            out = [0] * dim
             for c, cols in zip(w, combos):
                 if c:
                     out = [a + c * m for a, m in zip(out, column(cols))]
@@ -207,6 +211,7 @@ def _group_rule(mod: WeightModule, gi: IntRows, gd: int) -> Rule:
     if tag == "adjoint":
         hi, hd = exact._inverse_ints(gi, gd)
         gcols = tuple(zip(*gi))
+        n, (_, pairs), dim = mod.n, mod.basis_data, mod.dim
 
         def image(w):
             # g X h over the support of X: a zero column j of X gives a zero
@@ -215,7 +220,7 @@ def _group_rule(mod: WeightModule, gi: IntRows, gd: int) -> Rule:
             # X = E_ij costs one outer product, column i of g times row j of
             # h, and a dense X two dense products
             cols, rows = [], []
-            for xcol, hrow in zip(zip(*_adjoint_matrix(mod, w)), hi):
+            for xcol, hrow in zip(zip(*_adjoint_matrix(n, pairs, w)), hi):
                 zeros = xcol.count(0)
                 if zeros == len(xcol):
                     continue
@@ -226,10 +231,10 @@ def _group_rule(mod: WeightModule, gi: IntRows, gd: int) -> Rule:
                     cols.append([sum(map(mul, xcol, grow)) for grow in gi])
                 rows.append(hrow)
             if not cols:
-                return (0,) * mod.dim
+                return (0,) * dim
             if len(cols) == 1:
-                return _adjoint_coords(mod, [[c * b for b in rows[0]] for c in cols[0]])
-            return _adjoint_coords(mod, exact._imul(tuple(zip(*cols)), rows))
+                return _adjoint_coords(n, pairs, [[c * b for b in rows[0]] for c in cols[0]])
+            return _adjoint_coords(n, pairs, exact._imul(tuple(zip(*cols)), rows))
 
         return image, gd * hd
     raise AssertionError(tag)
@@ -246,22 +251,22 @@ def _algebra_rule(mod: WeightModule, xi: IntRows, xd: int) -> Rule:
         # rules are over xd
         _, left, right = mod.basis_data
         (x_a, _), (x_b, _) = _algebra_rule(left, xi, xd), _algebra_rule(right, xi, xd)
+        width = right.dim
         return (lambda w: tuple(
-            p + q
-            for p, q in zip(_on_cols(x_a, w, right.dim), _on_rows(x_b, w, right.dim))
+            p + q for p, q in zip(_on_cols(x_a, w, width), _on_rows(x_b, w, width))
         ), xd)
     if tag == "standard":
         return functools.partial(exact._imatvec, xi), xd
     if tag == "exterior":
         # x acts as a derivation: x e_j = sum_i x_ij e_i in each factor of e_I
-        combos = mod.basis_data[2]
+        combos, m, dim = mod.basis_data[2], mod.n + 1, mod.dim
         where = {idx: k for k, idx in enumerate(combos)}
 
         def image(w):
-            out = [0] * mod.dim
+            out = [0] * dim
             for c, idx in zip(w, combos):
                 for pos, j in enumerate(idx if c else ()):
-                    for i in range(mod.n + 1):
+                    for i in range(m):
                         if xi[i][j] == 0 or (i != j and i in idx):
                             continue
                         # sorting e_i into place passes the indices between i and j
@@ -276,15 +281,16 @@ def _algebra_rule(mod: WeightModule, xi: IntRows, xd: int) -> Rule:
         # put in row i, and X x_ij E_ij is x_ij times column i of X put in
         # column j; so x = E_ij costs two vector updates
         support = [(i, j, c) for i, row in enumerate(xi) for j, c in enumerate(row) if c]
+        n, (_, pairs) = mod.n, mod.basis_data
 
         def image(w):
-            x = _adjoint_matrix(mod, w)
+            x = _adjoint_matrix(n, pairs, w)
             out = [[0] * len(x) for _ in x]
             for i, j, c in support:
                 out[i] = [a + c * b for a, b in zip(out[i], x[j])]
                 for row, xrow in zip(out, x):
                     row[j] -= c * xrow[i]
-            return _adjoint_coords(mod, out)
+            return _adjoint_coords(n, pairs, out)
 
         return image, xd
     raise AssertionError(tag)
@@ -308,11 +314,11 @@ def _matrix_of(mod: WeightModule, rule: Rule) -> Mat:
     return exact._over(zip(*cols), denom)
 
 
-def _adjoint_matrix(mod: WeightModule, v: Sequence) -> tuple:
-    """The traceless matrix X_v whose adjoint coordinates are v, with
-    entries of the type of v's (integers for integer v)."""
-    _, pairs = mod.basis_data
-    m = mod.n + 1
+def _adjoint_matrix(n: int, pairs: tuple, v: Sequence) -> tuple:
+    """The traceless matrix X_v whose adjoint coordinates are v in the
+    adjoint basis of sl(n+1) with off-diagonal slots ``pairs``, with entries
+    of the type of v's (integers for integer v)."""
+    m = n + 1
     rows = [[0] * m for _ in range(m)]
     for (i, j), c in zip(pairs, v):
         rows[i][j] = c
@@ -323,11 +329,10 @@ def _adjoint_matrix(mod: WeightModule, v: Sequence) -> tuple:
     return tuple(tuple(row) for row in rows)
 
 
-def _adjoint_coords(mod: WeightModule, y) -> tuple:
-    """Coordinates of a traceless matrix in the adjoint basis, in the type
-    of its entries (integers for an integer matrix)."""
-    _, pairs = mod.basis_data
-    n = mod.n
+def _adjoint_coords(n: int, pairs: tuple, y) -> tuple:
+    """Coordinates of a traceless matrix in the adjoint basis of sl(n+1)
+    with off-diagonal slots ``pairs``, in the type of its entries (integers
+    for an integer matrix)."""
     coords = [y[i][j] for (i, j) in pairs]
     # diagonal part: coefficients of D_k = E_kk - E_{k+1,k+1} are the
     # partial sums of the diagonal entries
@@ -352,7 +357,7 @@ def _group_action_float(mod: WeightModule, g: np.ndarray) -> np.ndarray:
         # column b holds the adjoint coordinates of g X_b g^{-1}
         basis = np.array([
             [[float(c) for c in row]
-             for row in _adjoint_matrix(mod, basis_vector(mod, b).ints)]
+             for row in _adjoint_matrix(mod.n, mod.basis_data[1], basis_vector(mod, b).ints)]
             for b in range(mod.dim)
         ])
         y = g[..., None, :, :] @ basis @ np.linalg.inv(g)[..., None, :, :]

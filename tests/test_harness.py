@@ -104,6 +104,31 @@ def test_variant_defaults_to_first_allowed():
     assert cfg.variant == "certification"
 
 
+@pytest.mark.parametrize("exp", runner.EXPERIMENTS, ids=lambda e: f"{e.kind}/{e.variant}")
+def test_a_bare_config_validates_to_the_record_defaults(exp):
+    cfg = validate_config({"kind": exp.kind, **({"variant": exp.variant} if exp.variant else {}),
+                           "seed": 1})
+    defaults = {key: sub["default"] for key, sub in exp.keys.items() if "default" in sub}
+    # every key the body reads has its default in the record, the hook aside
+    assert defaults.keys() == exp.keys.keys() - {"test_hooks"}
+    for key, empty in [("n", None), ("modules", ()), ("schedule", None), ("curve", None),
+                       ("t_ladder", ()), ("interval", None)]:
+        want = defaults.get(key, empty)
+        assert getattr(cfg, key) == (tuple(want) if isinstance(want, list) else want), key
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in config.presets_dir().glob("*.json")))
+def test_a_preset_key_at_its_default_can_be_dropped(name):
+    preset = json.loads(config.preset_path(name).read_text())
+    cfg = validate_config(preset)
+    exp = next(e for e in runner.EXPERIMENTS if (e.kind, e.variant) == (cfg.kind, cfg.variant))
+    at_default = [key for key, sub in exp.keys.items()
+                  if key in preset and "default" in sub and preset[key] == sub["default"]]
+    for drop in [*([key] for key in at_default), at_default]:
+        lean = validate_config({k: v for k, v in preset.items() if k not in drop})
+        assert dataclasses.replace(lean, raw={}) == dataclasses.replace(cfg, raw={}), drop
+
+
 def test_load_config_diagnostics(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError, match="not found"):
@@ -272,12 +297,12 @@ def _adjoint_rule_without_inverse(real):
     def rule(mod, gi, gd):
         if mod.kind != "adjoint":
             return real(mod, gi, gd)
-        m = mod.n + 1
+        n, (_, pairs), m = mod.n, mod.basis_data, mod.n + 1
 
         def wrong(w):
-            y = exact._imul(exact._imul(gi, modules._adjoint_matrix(mod, w)), gi)
+            y = exact._imul(exact._imul(gi, modules._adjoint_matrix(n, pairs, w)), gi)
             trace = sum(y[k][k] for k in range(m))
-            return modules._adjoint_coords(mod, tuple(
+            return modules._adjoint_coords(n, pairs, tuple(
                 tuple(m * c - trace * (a == b) for b, c in enumerate(row))
                 for a, row in enumerate(y)))
 
@@ -495,10 +520,32 @@ def test_vandermonde_closed_form_holds_at_a_large_floor(tmp_path):
     raw = {"kind": "expansion-ladder", "variant": "vandermonde", "seed": 1, "samples": 2,
            "interval": [1, 1e5]}
     out = run(validate_config(raw), tmp_path / "o")
-    assert out.exit_code == 0
     check = out.summary["checks"]["acceptance-04"]
     assert "closed form matches" in check["detail"]
     assert check["metrics"]["formula_error_max"] == 0.0
+    # but there it is no floor: T_2 mapped to [1, 1e5] has sup 1 and max|c|
+    # near 1 against a closed form of 12,500, and the sharp constant says so
+    instances = _failure_instances(out, tmp_path / "o")
+    assert [i["d"] for i in instances if "empirical" in i] == [2, 3, 4, 5, 6]
+    assert "above the sharp constant at d = [2, 3, 4, 5, 6]" in check["detail"]
+
+
+def test_vandermonde_fails_where_the_closed_form_exceeds_the_sharp_constant(tmp_path):
+    # f = x on [-1/2, 1/2] has sup 1/2 against a closed form of 2/3
+    raw = {"kind": "expansion-ladder", "variant": "vandermonde", "seed": 1, "samples": 2,
+           "interval": [-0.5, 0.5]}
+    out = run(validate_config(raw), tmp_path / "o")
+    instances = _failure_instances(out, tmp_path / "o")
+    assert [i["d"] for i in instances if "empirical" in i] == [1]
+    assert instances[0] == {"d": 1, "closed_form": repr(2 / 3), "empirical": repr(0.5)}
+
+
+def test_expansion_bound_refuses_a_closed_form_above_the_sharp_constant(monkeypatch):
+    honest = fl.vandermonde_constant
+    monkeypatch.setattr(fl, "vandermonde_constant", lambda d, interval: honest(d, interval)
+                        ._replace(certified=honest(d, interval).empirical * 2))
+    with pytest.raises(ArithmeticError, match="sharp constant"):
+        fl.assemble_expansion_bound(modules.build_module("standard", 1), fl.moment_frame(1))
 
 
 def test_certification_fails_on_an_inflated_d1(tmp_path, monkeypatch):
@@ -664,6 +711,8 @@ BODY_REJECTS = [
     ({"kind": "curve-frames", "curve": "poly:1/0,1"}, "curve"),
     ({"kind": "curve-frames", "curve": "trig", "n": 5}, "n"),
     ({"kind": "curve-frames", "curve": "poly:0,1;0,0,1;0,0,0,1", "n": 1}, "n"),
+    # the default curve is the planar trig curve
+    ({"kind": "curve-frames", "n": 3}, "n"),
     ({"kind": "basic-lemma-fuzz", "modules": ["standard", "bogus"]}, "modules/1"),
     ({"kind": "dirichlet-scan", "n": 3}, "n"),
     ({"kind": "expansion-ladder", "variant": "vandermonde", "interval": [2, 1]},
@@ -712,7 +761,7 @@ BODY_REJECTS = [
 ]
 BODY_REJECT_IDS = ["equi-curve", "equi-poly-curve", "equi-schedule", "equi-t-zero", "equi-t-large",
         "escape-t-178", "escape-t-800", "unknown-curve", "zero-denominator", "trig-n",
-        "poly-n", "unknown-module", "dirichlet-n", "reversed-interval",
+        "poly-n", "default-curve-n", "unknown-module", "dirichlet-n", "reversed-interval",
         "vandermonde-b-minus-1", "vandermonde-b-below-minus-1", "certification-one-rung",
         "certification-one-rung-at-0", "certification-repeated-rung", "qfixed-ladder",
     "identity-float-n", "float-samples", "dirichlet-float-n", "escape-t-nan", "equi-t-nan",
@@ -890,6 +939,8 @@ def test_curve_frames_order_follows_the_curve(tmp_path):
     assert out.summary["checks"]["curve-frames"]["counts"]["failures"] == 0
     with pytest.raises(ConfigError, match="at n: 'trig' has 2 coordinates"):
         validate_config({"kind": "curve-frames", "curve": "trig", "n": 1, "samples": 8})
+    # a curve other than moment gives n its coordinate count, not the record's 2
+    assert validate_config({"kind": "curve-frames", "curve": "poly:0,1;0,0,1;0,0,0,1"}).n == 3
 
 
 def test_cli_seed_override(tmp_path):

@@ -1,6 +1,8 @@
 """Support classification, fixed-subgroup tests, and the rank one inequality."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction as Q
 
 import numpy as np
@@ -222,3 +224,24 @@ def test_sl2_check_matches_the_fraction_oracle(seed):
             assert type(rep.lam_max_v) is Q and type(rep.lam_max_w) is Q
             equalities += rep.equality
     assert equalities  # the equality branch is exercised
+
+
+@pytest.mark.parametrize("kind", ["standard", "exterior(2)", "adjoint",
+                                  "tensor(adjoint,exterior(2))"])
+def test_a_module_is_freed_without_the_cyclic_collector(kind):
+    # the rules a module keeps in its cache must not hold the module, or it
+    # lives in a reference cycle until the collector runs
+    gc.disable()
+    try:
+        mod = build_module(kind, 2)
+        ref = weakref.ref(mod)
+        v = basis_vector(mod, 0)
+        s_sets(v, [Q(1), Q(-2, 3)])
+        fixed_check(v, "G")
+        fixed_check(v, ("Q", 1))
+        sl2_maxweight_check(1, Q(3, 2), v)
+        assert mod._cache
+        del mod, v
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -212,7 +212,7 @@ def test_graded_levels_equal_weight_evaluation(n):
 def test_adjoint_coordinates_reject_a_matrix_with_trace():
     mod = build_module("adjoint", 2)
     with pytest.raises(ValueError):
-        modules._adjoint_coords(mod, exact.identity(3))
+        modules._adjoint_coords(mod.n, mod.basis_data[1], exact.identity(3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -220,6 +220,7 @@ def test_adjoint_rules_over_the_support_match_the_matrix_products(n):
     # the rules skip the zeros of X (group) and of x (derived); the matrix
     # forms g X g^-1 and x X - X x skip nothing
     mod = build_module("adjoint", n)
+    pairs = mod.basis_data[1]
     rng = random.Random(n)
     m = n + 1
 
@@ -235,12 +236,12 @@ def test_adjoint_rules_over_the_support_match_the_matrix_products(n):
     vectors += [vector(mod, [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(mod.dim)]),
                 vector(mod, [0] * (mod.dim - 1) + [1]), vector(mod, [1] + [0] * (mod.dim - 1))]
     for v in vectors:
-        big_x = exact.mat(modules._adjoint_matrix(mod, v.coords))
+        big_x = exact.mat(modules._adjoint_matrix(n, pairs, v.coords))
         want = exact.matmul(exact.matmul(g, big_x), exact.inverse(g))
-        assert act(g, v).coords == modules._adjoint_coords(mod, want)
+        assert act(g, v).coords == modules._adjoint_coords(n, pairs, want)
         for x in elements:
             want = exact.sub(exact.matmul(x, big_x), exact.matmul(big_x, x))
-            assert act_algebra(x, v).coords == modules._adjoint_coords(mod, want)
+            assert act_algebra(x, v).coords == modules._adjoint_coords(n, pairs, want)
 
 
 # -- vectors: integer rows over one denominator ---------------------------------
