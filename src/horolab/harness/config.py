@@ -57,8 +57,8 @@ CONFIG_SCHEMA = {
 }
 
 
-# Keys every experiment accepts; ``samples`` is checked against the record.
-_COMMON_KEYS = ("kind", "variant", "seed", "description", "samples")
+# Keys every experiment accepts.
+_COMMON_KEYS = ("kind", "variant", "seed", "description")
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class ExperimentConfig:
     curve: Optional[str]
     t_ladder: Tuple[float, ...]
     interval: Optional[Tuple[float, float]]
-    samples: Union[int, Dict[str, int], None]
+    samples: Dict[str, int]  # every count the body reads, {} when it reads none
     seed: Optional[int]
     description: str
     corrupt_sk_predicate: bool  # the test_hooks key, which fails one lemma part
@@ -202,16 +202,6 @@ def validate_config(raw: Dict) -> ExperimentConfig:
     name = f"{kind}/{variant}" if variant else kind
     if exp.stochastic and "seed" not in raw:
         raise ConfigError(f"config rejected at seed: mandatory for {name}")
-    samples = raw.get("samples")
-    if samples is not None and not exp.samples:
-        raise ConfigError(f"config rejected at samples: {name} reads no samples")
-    if isinstance(samples, dict):
-        unknown = sorted(set(samples) - set(exp.samples))
-        if unknown:
-            raise ConfigError(
-                f"config rejected at samples: unknown key(s) {unknown}; "
-                f"{name} reads {sorted(exp.samples)}"
-            )
     unread = sorted(set(raw) - {*_COMMON_KEYS, *exp.keys})
     if unread:
         raise ConfigError(
@@ -219,6 +209,10 @@ def validate_config(raw: Dict) -> ExperimentConfig:
             f"{', '.join(unread)}"
         )
     eff = {**{key: sub["default"] for key, sub in exp.keys.items() if "default" in sub}, **raw}
+    if "samples" in exp.keys:  # an integer sets every count, an object some of them
+        counts = exp.keys["samples"]["default"]
+        eff["samples"] = (dict.fromkeys(counts, eff["samples"]) if isinstance(eff["samples"], int)
+                          else {**counts, **eff["samples"]})
     _validate(eff, {"properties": exp.keys})
     curve = eff.get("curve")
     if curve not in (None, "moment"):  # the moment curve has every n
@@ -241,7 +235,7 @@ def validate_config(raw: Dict) -> ExperimentConfig:
         curve=curve,
         t_ladder=tuple(float(t) for t in eff.get("t_ladder", ())),
         interval=(float(interval[0]), float(interval[1])) if interval else None,
-        samples=raw.get("samples"),
+        samples=eff.get("samples", {}),
         seed=raw.get("seed"),
         description=raw.get("description", ""),
         corrupt_sk_predicate=raw.get("test_hooks", {}).get("corrupt_sk_predicate", False),

@@ -44,7 +44,6 @@ if TYPE_CHECKING:
 
 Row = List[object]
 Table = Tuple[str, List[str], List[Row]]
-Samples = Mapping[str, int]
 
 _SCAN_MU = 0.3
 _SCAN_PREFIX = tuple((2**k, 2**k) for k in range(1, 9))
@@ -88,7 +87,7 @@ def _random_rational(rng, nonzero: bool = False) -> Q:
 # -- experiment bodies ------------------------------------------------------------------
 
 
-def _run_identity_suite(cfg: ExperimentConfig, samples: Samples) -> Result:
+def _run_identity_suite(cfg: ExperimentConfig) -> Result:
     rows: List[Row] = []
     failures: List[Dict] = []
     passed = 0
@@ -121,7 +120,7 @@ def _random_eigenvector(module, rng):
     return vector(module, coords), Q(level, d)
 
 
-def _run_lemma_parts(cfg: ExperimentConfig, samples: Samples) -> Result:
+def _run_lemma_parts(cfg: ExperimentConfig) -> Result:
     rows: List[Row] = []
     failures: List[Dict] = []
     total = 0
@@ -130,7 +129,7 @@ def _run_lemma_parts(cfg: ExperimentConfig, samples: Samples) -> Result:
         for kind in cfg.modules:
             module = build_module(kind, n)
             rng = generator(cfg.seed, f"lemma-fuzz-{kind}", n)
-            for trial in range(samples["trials"]):
+            for trial in range(cfg.samples["trials"]):
                 v, level = _random_eigenvector(module, rng)
                 x = tuple(_random_rational(rng, nonzero=True) for _ in range(n))
                 rep = s_sets(v, x)
@@ -190,8 +189,8 @@ def _run_lemma_parts(cfg: ExperimentConfig, samples: Samples) -> Result:
 SL2_BUDGET = 10**9
 
 
-def _run_sl2(cfg: ExperimentConfig, samples: Samples) -> Result:
-    trials = samples["trials"]
+def _run_sl2(cfg: ExperimentConfig) -> Result:
+    trials = cfg.samples["trials"]
     # the modules are built again in the sweep, so that only one is alive at a time
     dims = {(n, kind): build_module(kind, n).dim
             for n in range(1, cfg.n + 1) for kind in cfg.modules}
@@ -252,8 +251,8 @@ def _run_sl2(cfg: ExperimentConfig, samples: Samples) -> Result:
     return [("sl2.csv", header, rows)], check
 
 
-def _run_vandermonde(cfg: ExperimentConfig, samples: Samples) -> Result:
-    trials = samples["trials"]
+def _run_vandermonde(cfg: ExperimentConfig) -> Result:
+    trials = cfg.samples["trials"]
     rng = generator(cfg.seed, "vandermonde")
     grid = np.linspace(*cfg.interval, 1001)
     rows: List[Row] = []
@@ -304,8 +303,8 @@ def _run_vandermonde(cfg: ExperimentConfig, samples: Samples) -> Result:
     return [("vandermonde.csv", header, rows)], check
 
 
-def _run_certification(cfg: ExperimentConfig, samples: Samples) -> Result:
-    count = samples["vectors"]
+def _run_certification(cfg: ExperimentConfig) -> Result:
+    count = cfg.samples["vectors"]
     rows: List[Row] = []
     failures: List[Dict] = []
     ok_all = True
@@ -373,7 +372,7 @@ _CURATED_WITNESSES = (
 )
 
 
-def _run_bounded_fixed(cfg: ExperimentConfig, samples: Samples) -> Result:
+def _run_bounded_fixed(cfg: ExperimentConfig) -> Result:
     frame = fl.moment_frame(2)
     rows: List[Row] = []
     failures: List[Dict] = []
@@ -405,7 +404,7 @@ def _run_bounded_fixed(cfg: ExperimentConfig, samples: Samples) -> Result:
     return [("bounded_fixed.csv", header, rows)], check
 
 
-def _run_qfixed(cfg: ExperimentConfig, samples: Samples) -> Result:
+def _run_qfixed(cfg: ExperimentConfig) -> Result:
     (t,) = cfg.t_ladder
     frame = fl.moment_frame(2)
     results = {name: fl.qfixed_limit(frame, fl.FlowSchedule.preset(name, n=2), eta=2.0, t=t)
@@ -442,8 +441,8 @@ def _run_qfixed(cfg: ExperimentConfig, samples: Samples) -> Result:
     return [("qfixed.csv", header, rows)], check
 
 
-def _run_equidistribution(cfg: ExperimentConfig, samples: Samples) -> Result:
-    count = samples["count"]
+def _run_equidistribution(cfg: ExperimentConfig) -> Result:
+    count = cfg.samples["count"]
     curve = CurveSpec.preset(cfg.curve, n=cfg.n)
     schedule = fl.FlowSchedule.preset(cfg.schedule, n=cfg.n)
     threshold = ll.ks_null_quantile(count, _KS_ALPHA)
@@ -492,7 +491,7 @@ def _run_equidistribution(cfg: ExperimentConfig, samples: Samples) -> Result:
     ], check
 
 
-def _run_escape(cfg: ExperimentConfig, samples: Samples) -> Result:
+def _run_escape(cfg: ExperimentConfig) -> Result:
     """Systole decay of a_t u(w_t eta) Z^2 along the t-ladder: the escape
     dichotomy, one ``escape.csv`` row per (rate, t).
 
@@ -546,10 +545,9 @@ def _random_query(rng, mu_choices) -> di.DIQuery:
     return di.DIQuery(xi, bounds, mu)
 
 
-def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
-    n_queries = samples["queries"]
-    n_mono = samples["monotonicity"]
-    s_grid = samples["grid"]
+def _run_dirichlet(cfg: ExperimentConfig) -> Result:
+    n_queries = cfg.samples["queries"]
+    n_mono = cfg.samples["monotonicity"]
     mu_grid = (0.2, 0.4, 0.6, 0.8, 1.0)
 
     # three batches, each from its own stream, answered by one primal sweep
@@ -611,7 +609,7 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
 
     curve = CurveSpec.preset(cfg.curve, n=cfg.n)
     s_values, answers, fraction = di.curve_scan(curve, cfg.interval, _SCAN_PREFIX, _SCAN_MU,
-                                                s_grid)
+                                                cfg.samples["grid"])
     width = len(_SCAN_PREFIX)
     scan_header = ["s", "n_index", "form", "found", "witness", "search_volume"]
     scan_rows = [[s_values[k // width], k % width, form, res.found,
@@ -645,13 +643,13 @@ def _run_dirichlet(cfg: ExperimentConfig, samples: Samples) -> Result:
     ], check
 
 
-def _run_curve_frames(cfg: ExperimentConfig, samples: Samples) -> Result:
+def _run_curve_frames(cfg: ExperimentConfig) -> Result:
     curve = CurveSpec.preset(cfg.curve, n=cfg.n)
     # a polynomial's coefficients are arbitrary, so no bound on the ends keeps its
     # values, jets and frames finite floats: where one is not, the config is rejected
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _curve_frames(curve, cfg.interval, samples["grid"])
+            return _curve_frames(curve, cfg.interval, cfg.samples["grid"])
     except (CurveError, OverflowError, FloatingPointError) as exc:
         key = "interval" if "interval" in cfg.raw else "curve"
         raise ConfigError(f"config rejected at {key}: "
@@ -710,13 +708,13 @@ class Experiment:
     single experiment; otherwise the kind's first record is the default).
     ``check_id`` keys its verdict in ``summary.json`` and ``anchor`` names
     the claim it checks in reports.  A ``stochastic`` experiment draws from
-    the config seed, so a config for it must carry one.  ``samples`` maps
-    every sample-count key the body reads to its default.  ``keys`` maps
-    every other config key the body reads to a JSON-schema fragment that
-    narrows the shared schema for this experiment ({} when it does not),
-    with the key's default as its ``default`` annotation where the body
-    needs a value; a config may carry only these keys, ``samples`` when the
-    body reads samples, and ``kind``, ``variant``, ``seed`` and ``description``.
+    the config seed, so a config for it must carry one.  ``keys`` maps
+    every config key the body reads, ``samples`` included, to a JSON-schema
+    fragment that narrows the shared schema for this experiment ({} when it
+    does not), with the key's default as its ``default`` annotation where the
+    body needs a value; the ``samples`` fragment names each count the body
+    reads and holds their defaults.  A config may carry only these keys and
+    ``kind``, ``variant``, ``seed`` and ``description``.
     """
 
     kind: str
@@ -724,9 +722,8 @@ class Experiment:
     check_id: str
     anchor: str
     stochastic: bool
-    samples: Samples
     keys: Mapping[str, Mapping]
-    body: Callable[[ExperimentConfig, Samples], Result]
+    body: Callable[[ExperimentConfig], Result]
 
 
 # Values the bodies can build: curves by coordinate count, and module kinds
@@ -742,23 +739,31 @@ _LEMMA_KEYS = {"n": {"default": 3},
 # half the largest float
 _GRID_ENDS = {"items": {"minimum": -sys.float_info.max / 2, "maximum": sys.float_info.max / 2}}
 
+
+def _sizes(**counts: int) -> Dict:
+    """The ``samples`` fragment of a body that reads ``counts``, at these defaults."""
+    return {"properties": dict.fromkeys(counts, {}), "additionalProperties": False,
+            "default": counts}
+
+
 EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment("identity-suite", "", "acceptance-01",
-               "exact operator identities", False, {}, {"n": {"default": 4}},
+               "exact operator identities", False, {"n": {"default": 4}},
                _run_identity_suite),
     Experiment("basic-lemma-fuzz", "parts", "acceptance-02",
-               "index-set and fixed-subgroup fuzz", True, {"trials": 100},
-               {**_LEMMA_KEYS, "test_hooks": {}}, _run_lemma_parts),
+               "index-set and fixed-subgroup fuzz", True,
+               {**_LEMMA_KEYS, "samples": _sizes(trials=100), "test_hooks": {}}, _run_lemma_parts),
     Experiment("basic-lemma-fuzz", "sl2", "acceptance-03",
-               "rank-one top-level inequality", True, {"trials": 60},
-               _LEMMA_KEYS, _run_sl2),
+               "rank-one top-level inequality", True,
+               {**_LEMMA_KEYS, "samples": _sizes(trials=60)}, _run_sl2),
     # M_t = exp(max(log|w| + level t)) with w = rho(u) v, |v| <= 1: the top
     # level of any admitted module under these schedules is 7
     # (tensor(adjoint,adjoint) under linear:3/2,1/2), and u tends to the
     # identity, so t <= 100 keeps 7 t + log|w| below log(float max) = 709.78
     Experiment("expansion-ladder", "certification", "acceptance-05",
-               "expansion floor certification", True, {"vectors": 50},
-               {"modules": {**_MODULES, "default": ["exterior(1)", "exterior(2)"]},
+               "expansion floor certification", True,
+               {"samples": _sizes(vectors=50),
+                "modules": {**_MODULES, "default": ["exterior(1)", "exterior(2)"]},
                 "t_ladder": {"minItems": 2, "uniqueItems": True, "items": {"maximum": 100},
                              "default": [5, 10, 15, 20]}},
                _run_certification),
@@ -766,41 +771,44 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     # end b > -1, so 1 + b >= 2^-53; with both ends within 1e49, |J|^6 2^53 / 6^7
     # < 2^1024 keeps it and |J|^d a float
     Experiment("expansion-ladder", "vandermonde", "acceptance-04",
-               "polynomial floor constants", True, {"trials": 1000},
-               {"interval": {"items": [{"minimum": -1e49},
+               "polynomial floor constants", True,
+               {"samples": _sizes(trials=1000),
+                "interval": {"items": [{"minimum": -1e49},
                                        {"exclusiveMinimum": -1, "maximum": 1e49}],
                             "default": [1, 2]}},
                _run_vandermonde),
     Experiment("expansion-ladder", "bounded-fixed", "acceptance-06",
-               "bounded growth vs fixed vectors", False, {}, {},
+               "bounded growth vs fixed vectors", False, {},
                _run_bounded_fixed),
     # a_t = diag(e^{2t}, e^{-r_1}, e^{-r_2}) at n = 2: e^{2t} is a float while
     # 2t < log(float max) = 709.78
     Experiment("expansion-ladder", "qfixed", "acceptance-07",
-               "straightened-limit residuals", False, {},
+               "straightened-limit residuals", False,
                {"t_ladder": {"maxItems": 1, "items": {"maximum": 354}, "default": [20]}},
                _run_qfixed),
     # The catalog bases are rank 2, so n = 1, and the exact law is that of
     # the curve s; "linear:1" is the equal flow.  F_t sums over e^t Farey
     # denominators per sample point, so t stays in (0, 12].
     Experiment("equidistribution", "", "acceptance-08",
-               "translate equidistribution against the exact law", True, {"count": 10_000},
-               {"n": {"const": 1, "default": 1}, "curve": {"const": "moment", "default": "moment"},
+               "translate equidistribution against the exact law", True,
+               {"samples": _sizes(count=10_000), "n": {"const": 1, "default": 1},
+                "curve": {"const": "moment", "default": "moment"},
                 "schedule": {"enum": ["equal", "linear:1"], "default": "equal"},
                 "t_ladder": {"items": {"exclusiveMinimum": 0, "maximum": 12}, "default": [8]}},
                _run_equidistribution),
     # e^{4t} must stay finite in the regime test and e^{-2t} far from subnormal
-    Experiment("escape", "", "acceptance-09", "escape-rate dichotomy", False, {},
+    Experiment("escape", "", "acceptance-09", "escape-rate dichotomy", False,
                {"t_ladder": {"items": {"maximum": 100}, "default": list(range(1, 21))}},
                _run_escape),
     Experiment("dirichlet-scan", "", "acceptance-10",
                "improvability witness suite", True,
-               {"queries": 500, "monotonicity": 200, "grid": 200},
-               {"n": {"const": 2, "default": 2}, "curve": {**_CURVE_2, "default": "moment"},
+               {"samples": _sizes(queries=500, monotonicity=200, grid=200),
+                "n": {"const": 2, "default": 2}, "curve": {**_CURVE_2, "default": "moment"},
                 "interval": {**_GRID_ENDS, "default": [0, 1]}}, _run_dirichlet),
     Experiment("curve-frames", "", "curve-frames",
-               "curve frame regularity demo", False, {"grid": 120},
-               {"n": {"default": 2}, "curve": {**_CURVE, "default": "trig"},
+               "curve frame regularity demo", False,
+               {"samples": _sizes(grid=120), "n": {"default": 2},
+                "curve": {**_CURVE, "default": "trig"},
                 "interval": {**_GRID_ENDS, "default": [0.1, 3.0]}}, _run_curve_frames),
 )
 
@@ -845,13 +853,8 @@ def run(cfg: ExperimentConfig, out_dir) -> RunOutcome:
             f"artifact directory {out} is not empty; pass a new or empty one"
         )
     exp = next(e for e in EXPERIMENTS if (e.kind, e.variant) == (cfg.kind, cfg.variant))
-    if isinstance(cfg.samples, int):
-        samples = {key: cfg.samples for key in exp.samples}
-    else:
-        samples = {**exp.samples, **(cfg.samples or {})}
-
     try:
-        tables, check = exp.body(cfg, samples)
+        tables, check = exp.body(cfg)
     except di.SearchBudgetError as exc:
         tables = []
         check = CheckResult(
@@ -911,6 +914,10 @@ def report(artifact_dir) -> str:
         )
     manifest = json.loads(manifest_path.read_text())
     summary = json.loads((out / "summary.json").read_text())
+    checks = summary.get("checks") if isinstance(summary, dict) else None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(checks, dict) and all(isinstance(e, dict) for e in checks.values())):
+        raise ReportError(f"malformed manifest.json or summary.json in {out}")
 
     lines = [
         f"artifact: {out}",
@@ -918,9 +925,7 @@ def report(artifact_dir) -> str:
         f"(code {manifest.get('code_version')})",
         "",
     ]
-    items = sorted(
-        summary["checks"].items(), key=lambda kv: (kv[1]["pass"], kv[0])
-    )
+    items = sorted(checks.items(), key=lambda kv: (kv[1]["pass"], kv[0]))
     anchors = {e.check_id: e.anchor for e in EXPERIMENTS}
     for check_id, entry in items:
         mark = "ok " if entry["pass"] else "FAIL"

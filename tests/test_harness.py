@@ -46,7 +46,7 @@ def test_good_config_normalises():
     cfg = validate_config(GOOD)
     assert cfg.kind == "basic-lemma-fuzz"
     assert cfg.variant == "parts"
-    assert cfg.samples == 5
+    assert cfg.samples == {"trials": 5}
 
 
 def test_unknown_key_rejected():
@@ -57,7 +57,7 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="query"):
         validate_config({"kind": "dirichlet-scan", "seed": 1,
                          "samples": {"query": 10}})
-    with pytest.raises(ConfigError, match="reads no samples"):
+    with pytest.raises(ConfigError, match="escape does not read samples"):
         validate_config({"kind": "escape", "samples": 3})
     # keys of the shared schema that this experiment never reads
     with pytest.raises(ConfigError,
@@ -115,6 +115,21 @@ def test_a_bare_config_validates_to_the_record_defaults(exp):
                        ("t_ladder", ()), ("interval", None)]:
         want = defaults.get(key, empty)
         assert getattr(cfg, key) == (tuple(want) if isinstance(want, list) else want), key
+    assert cfg.samples == defaults.get("samples", {})
+
+
+def test_samples_resolve_over_the_record_counts():
+    # an integer sets every count, an object is merged over the record's
+    assert validate_config({**GOOD, "samples": 7}).samples == {"trials": 7}
+    cfg = validate_config({"kind": "dirichlet-scan", "seed": 1, "samples": {"grid": 5}})
+    assert cfg.samples == {"queries": 500, "monotonicity": 200, "grid": 5}
+    assert cfg.raw["samples"] == {"grid": 5}
+    assert validate_config({"kind": "escape"}).samples == {}
+    with pytest.raises(ConfigError, match="at samples: .*'query' was unexpected"):
+        validate_config({"kind": "dirichlet-scan", "seed": 1, "samples": {"query": 10}})
+    for samples in (3, {}):
+        with pytest.raises(ConfigError, match="at samples: escape does not read samples"):
+            validate_config({"kind": "escape", "samples": samples})
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in config.presets_dir().glob("*.json")))
@@ -122,8 +137,9 @@ def test_a_preset_key_at_its_default_can_be_dropped(name):
     preset = json.loads(config.preset_path(name).read_text())
     cfg = validate_config(preset)
     exp = next(e for e in runner.EXPERIMENTS if (e.kind, e.variant) == (cfg.kind, cfg.variant))
-    at_default = [key for key, sub in exp.keys.items()
-                  if key in preset and "default" in sub and preset[key] == sub["default"]]
+    # a preset's samples is at its default where it resolves to the record's counts
+    at_default = [key for key, sub in exp.keys.items() if key in preset and "default" in sub
+                  and sub["default"] == (cfg.samples if key == "samples" else preset[key])]
     for drop in [*([key] for key in at_default), at_default]:
         lean = validate_config({k: v for k, v in preset.items() if k not in drop})
         assert dataclasses.replace(lean, raw={}) == dataclasses.replace(cfg, raw={}), drop
@@ -591,7 +607,7 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_budget_exhaustion_exit_code(tmp_path, monkeypatch):
-    def explode(cfg, samples):
+    def explode(cfg):
         raise SearchBudgetError("grid too large for the configured budget")
 
     patched = tuple(
@@ -829,7 +845,7 @@ def _mutants():
         preset = json.loads(path.read_text())
         exp = next(e for e in runner.EXPERIMENTS if (e.kind, e.variant)
                    == (preset["kind"], preset.get("variant", e.variant)))
-        base = {**preset, **({"samples": 2} if exp.samples else {})}
+        base = {**preset, **({"samples": 2} if "samples" in exp.keys else {})}
         for key, schema in config.CONFIG_SCHEMA["properties"].items():
             if key != "samples":
                 for value in _extremes([schema, exp.keys.get(key, {})], preset.get(key, ())):
@@ -961,6 +977,28 @@ def test_cli_report_error_path(tmp_path, capsys):
     rc = cli.main(["report", str(tmp_path / "missing")])
     assert rc == 2
     assert "report error" in capsys.readouterr().err
+
+
+_MANIFEST = {"code_version": "0", "config": {"kind": "escape"}, "seed": None}
+_SUMMARY = {"all_pass": True, "checks": {"acceptance-09": {"pass": True, "detail": "ok"}}}
+
+
+@pytest.mark.parametrize("manifest, summary", [
+    ({**_MANIFEST, "config": []}, _SUMMARY),
+    ([], _SUMMARY),
+    (_MANIFEST, {**_SUMMARY, "checks": []}),
+    (_MANIFEST, {**_SUMMARY, "checks": {"acceptance-09": 1}}),
+    (_MANIFEST, []),
+], ids=["config-array", "manifest-array", "checks-array", "check-number", "summary-array"])
+def test_cli_report_refuses_a_malformed_artifact(tmp_path, capsys, manifest, summary):
+    for name, payload in [("manifest.json", _MANIFEST), ("summary.json", _SUMMARY)]:
+        (tmp_path / name).write_text(json.dumps(payload))
+    assert cli.main(["report", str(tmp_path)]) == 0  # the artifact as run writes it
+    assert "[ok ] acceptance-09: escape-rate dichotomy: ok" in capsys.readouterr().out
+    for name, payload in [("manifest.json", manifest), ("summary.json", summary)]:
+        (tmp_path / name).write_text(json.dumps(payload))
+    assert cli.main(["report", str(tmp_path)]) == 2
+    assert "report error: malformed" in capsys.readouterr().err
 
 
 def test_cli_propagates_check_failure(tmp_path):
