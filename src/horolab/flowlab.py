@@ -9,8 +9,8 @@ suprema over a_t-translates of the segment R(e^{-t} eta), eta in the window
 J = [1, 2], boundedness witnesses with their fixed-vector cross-check, and
 the limiting-vector residual.
 
-Large exponents are kept in log space; matrix identities are evaluated in
-a conjugated form whose factors stay O(1) before any e^{t} scaling is
+Large exponents are kept in log space, and the limiting-vector residual
+compares two columns written in closed form, with the e^{t} scaling
 applied entrywise.
 """
 
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction as Q
+from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,23 +84,19 @@ class FlowSchedule:
             return sched
         raise ScheduleError(f"unknown schedule preset: {text!r}")
 
-    def r(self, t: float) -> np.ndarray:
+    def exponents(self, t: float) -> np.ndarray:
+        """Diagonal of log a_t: (n t, -r_1(t), ..., -r_n(t)), the exact
+        log_diagonal times t with each entry rounded once."""
         if t < 0:
             raise ScheduleError("t must be nonnegative")
-        return np.array([float(s) for s in self.slopes]) * float(t)
-
-    def exponents(self, t: float) -> np.ndarray:
-        """Diagonal of log a_t: (n t, -r_1, ..., -r_n)."""
-        r = self.r(t)
-        return np.concatenate(([self.n * t], -r))
+        tn, td = exact._ratio(t)
+        # int / int is correctly rounded
+        return np.array([c.numerator * tn / (c.denominator * td) for c in self.log_diagonal])
 
     @property
     def log_diagonal(self) -> Tuple[Q, ...]:
         """Exact diagonal of log a_t / t: (n, -s_1, ..., -s_n)."""
         return (Q(self.n),) + tuple(-s for s in self.slopes)
-
-    def a_matrix(self, t: float) -> np.ndarray:
-        return np.diag(np.exp(self.exponents(t)))
 
     @cached_property
     def classification(self) -> "FlowClassification":
@@ -169,19 +166,6 @@ def vandermonde_constant(d: int, interval: Tuple) -> VandermondeConstants:
 # -- expansion supremum ---------------------------------------------------------------
 
 
-def _u_top_float(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    u = np.eye(n + 1)
-    u[0, 1:] = x
-    return u
-
-
-def _module_floats(v) -> np.ndarray:
-    if isinstance(v, ModuleVector):
-        return v.to_floats()
-    return np.asarray(v, dtype=float)
-
-
 def frame_degree_bound(module: WeightModule, frame: CurveFrame) -> int:
     """Degree in eta of the weight components of u(R(c eta)) v.
 
@@ -229,7 +213,7 @@ def expansion_supremum(
     """
     if module.n != schedule.n or module.n != frame.n:
         raise ValueError("module, schedule, and frame sizes disagree")
-    stack = [_module_floats(v) for v in vectors]
+    stack = [np.asarray(v, dtype=float) for v in vectors]
     if any(coords.shape != (module.dim,) for coords in stack):
         raise ValueError("vector has wrong dimension")
     etas = _eta_grid(max(4 * (frame_degree_bound(module, frame) + 1), 33))
@@ -263,10 +247,8 @@ def assemble_expansion_bound(module: WeightModule, frame: CurveFrame) -> float:
     if consts.certified > consts.empirical:
         raise ArithmeticError(f"the closed-form floor at d = {degree} exceeds the sharp "
                               f"constant on {WINDOW}, so it is no floor there")
-    c_cert = float(consts.certified)
-    kappa = [Q(float(k)) for k in frame.kappa]
-    d1_min = min(estimate_D1(module, b, kappa) for b in module.level_set())
-    return c_cert * d1_min / 2.0
+    d1_min = min(estimate_D1(module, b, frame.kappa) for b in module.level_set())
+    return float(consts.certified) * d1_min / 2.0
 
 
 # -- growth witness -------------------------------------------------------------------
@@ -280,6 +262,18 @@ class GrowthWitness:
 
 
 _LADDER = tuple(float(t) for t in np.linspace(2.0, 20.0, 10))
+
+
+def log_slope(ts: Sequence[float], values: Sequence[float]) -> float:
+    """Least-squares slope of log v against t, exact over the Fractions of
+    the floats, so the CPU's choice of kernels cannot move it.  The logs
+    come from math.log, each value floored at 1e-300."""
+    xs = [Q(t) for t in ts]
+    ys = [Q(math.log(max(v, 1e-300))) for v in values]
+    m, sx, sy = len(xs), sum(xs), sum(ys)
+    sxy = sum(map(mul, xs, ys))
+    sxx = sum(x * x for x in xs)
+    return float((m * sxy - sx * sy) / (m * sxx - sx * sx))
 
 
 def growth_witness(
@@ -299,12 +293,12 @@ def growth_witness(
     cls = schedule.classification
     if cls.uniform:
         raise ValueError("a growth witness needs a non-uniform schedule")
+    coords = v.to_floats()
     values = [
-        float(expansion_supremum(module, [v], schedule, frame, t)[0])
+        float(expansion_supremum(module, [coords], schedule, frame, t)[0])
         for t in _LADDER
     ]
-    logs = np.log(np.maximum(values, 1e-300))
-    slope = float(np.polyfit(_LADDER, logs, 1)[0])
+    slope = log_slope(_LADDER, values)
     top = values[len(values) // 2 :]
     if max(top) / max(min(top), 1e-300) < 2.0:
         verdict = "bounded"
@@ -349,17 +343,16 @@ def qfixed_limit(
     n0 = schedule.classification.n0
     if eta <= 0:
         raise ValueError("eta must be positive")
-    kappa_n = float(frame.kappa[-1])
-    e_n = np.zeros(n + 1)
-    e_n[n] = 1.0
-    x = frame.r_poly(math.exp(-t) * eta)
-    flowed = schedule.a_matrix(t) @ _u_top_float(x) @ e_n
-    h = np.array([float(c) for c in h_block(n, n0)])
-    scaling = np.diag(np.exp(math.log(eta) * h))
-    w = np.array(
-        [[float(c) for c in row] for row in _groups.w_limit(n, n0, Q(kappa_n))]
-    )
-    limit = scaling @ w @ e_n
+    # column n of a_t u(x) is (e^{nt} x_n, 0, ..., 0, e^{-r_n(t)})
+    exps = schedule.exponents(t)
+    flowed = np.zeros(n + 1)
+    flowed[0] = math.exp(exps[0]) * float(frame.r_poly(math.exp(-t) * eta)[-1])
+    flowed[n] = math.exp(exps[n])
+    # column n of exp((log eta) H) w has entries exp(log eta h_i) w_{i,n}
+    log_eta = math.log(eta)
+    w = _groups.w_limit(n, n0, frame.kappa[-1])
+    limit = np.array([math.exp(log_eta * float(h)) * float(row[n])
+                      for h, row in zip(h_block(n, n0), w)])
     residual = float(np.max(np.abs(flowed - limit)))
     return QFixedResult(n0=n0, residual=residual, limit=limit)
 

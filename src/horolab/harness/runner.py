@@ -336,7 +336,7 @@ def _run_certification(cfg: ExperimentConfig) -> Result:
                         {"n": n, "schedule": sched_name, "module": kind,
                          "t": t, "min": repr(m_min), "d2": repr(d2)}
                     )
-            slope = float(np.polyfit(np.array(cfg.t_ladder), np.log(mins), 1)[0])
+            slope = fl.log_slope(cfg.t_ladder, mins)
             min_slope = min(min_slope, slope)
             slope_ok = slope >= -0.01
             ok_all = ok_all and slope_ok
@@ -916,7 +916,8 @@ def report(artifact_dir) -> str:
     summary = json.loads((out / "summary.json").read_text())
     checks = summary.get("checks") if isinstance(summary, dict) else None
     if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
-            and isinstance(checks, dict) and all(isinstance(e, dict) for e in checks.values())):
+            and isinstance(checks, dict)
+            and all(isinstance(e, dict) and isinstance(e.get("pass"), bool) for e in checks.values())):
         raise ReportError(f"malformed manifest.json or summary.json in {out}")
 
     lines = [
@@ -949,7 +950,11 @@ def report(artifact_dir) -> str:
     failures_path = out / "failures.json"
     if failures_path.exists():
         payload = json.loads(failures_path.read_text())
-        total = sum(len(f["instances"]) for f in payload["failures"])
+        groups = payload.get("failures") if isinstance(payload, dict) else None
+        if not (isinstance(groups, list) and all(
+                isinstance(f, dict) and isinstance(f.get("instances"), list) for f in groups)):
+            raise ReportError(f"malformed failures.json in {out}")
+        total = sum(len(f["instances"]) for f in groups)
         lines.append("")
         lines.append(f"failing instances serialized: {total} (failures.json)")
     return "\n".join(lines)

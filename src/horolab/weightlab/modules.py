@@ -58,28 +58,24 @@ class WeightModule:
     # -- weight structure ---------------------------------------------------
 
     @functools.cached_property
-    def _gradings(self) -> Dict[tuple, Tuple[Tuple[int, ...], int]]:
-        return {}
-
-    @functools.cached_property
     def _cache(self) -> Dict[tuple, tuple]:
-        """Rules of fixed elements and integer level tables, built once and
-        kept under their caller's key."""
+        """Rules of fixed elements, gradings and integer level tables, built
+        once and kept under their caller's key."""
         return {}
 
     def grading(self, h: Sequence) -> Tuple[Tuple[int, ...], int]:
         """Exact level of every basis index on the diagonal element h, as
         integers over one denominator, n + 1 times the common denominator
         of h's entries; evaluated once per module and h."""
-        key = tuple(map(exact._ratio, h))  # hashes faster than Fractions
-        out = self._gradings.get(key)
+        ratios = tuple(map(exact._ratio, h))  # hashes faster than Fractions
+        out = self._cache.get(("grading", ratios))
         if out is None:
-            if len(key) != self.n + 1:
+            if len(ratios) != self.n + 1:
                 raise ValueError("diagonal has wrong size")
-            hd = math.lcm(*(b for _, b in key))
-            hi = [a * (hd // b) for a, b in key]
+            hd = math.lcm(*(b for _, b in ratios))
+            hi = [a * (hd // b) for a, b in ratios]
             diffs = [hi[0] - c for c in hi[1:]]  # the beta values of h, over hd
-            out = self._gradings[key] = (
+            out = self._cache["grading", ratios] = (
                 tuple(sum(map(mul, row, diffs)) for row in self.weights), (self.n + 1) * hd)
         return out
 

@@ -2,13 +2,28 @@
 
 A change that moves an artifact byte has to say which bytes moved and why;
 this test makes that visible.  The table was pinned with Python 3.11.7 and
-numpy 2.4.6.  Float artifacts follow numpy's kernels, so under another numpy
-the test is skipped rather than failed.  After a deliberate artifact change,
-re-pin the table from a fresh run of every preset and name the moved files
-in the change log.
+numpy 2.4.6; a numpy release may change its float kernels, so under another
+numpy the pin test is skipped rather than failed.  After a deliberate
+artifact change, re-pin the table from a fresh run of every preset and name
+the moved files in the change log.
+
+The bytes do not depend on which SIMD loops numpy dispatches to, which
+OpenBLAS kernel runs, or which libm variant glibc loads: the dispatch test
+reruns every preset with float kernels in a child process that is told to
+skip this CPU's widest numpy loops, to use an older OpenBLAS kernel, or to
+hide AVX2, FMA and AVX-512F from glibc, and compares each file with the
+in-process run.  Float kernels still reach artifacts through np.exp in
+latticelab.translate_sample, the products of the expansion grid and the
+LAPACK det and inv of group_action_float; none of them moves under these
+settings, and that test is what watches them.
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,8 +58,9 @@ PINNED = {
         "2723bcf01cc376064f9509eab0f5cb0176edc48f6c921aa93e5df1a15b457782",
     "acceptance-04/vandermonde.csv":
         "298b97109f1dedf33b93426d622e4d4deea61b1425281c0bb82d154053de2506",
+    # re-pinned when its slope rows became exact least-squares fits
     "acceptance-05/expansion.csv":
-        "7c1ad1e52aaa1b39f5d134cd0578fc85e6a99593c67720128a78a1cdb6775f36",
+        "98115a37861bfabddd31ef0b76acc79ea48d48b638b920f9bd82e5c16a710745",
     "acceptance-05/manifest.json":
         "050ffeccd68e54bf38fa32024b3aaebcdc02b3b87e3206abc5d383cdb001742b",
     "acceptance-05/summary.json":
@@ -57,8 +73,9 @@ PINNED = {
         "92a7bd2dc5c94ce9a6764b49124404f502d1d0f7361a27a68b4e99099482effc",
     "acceptance-07/manifest.json":
         "cb1cf7e52cdc7357080b2da24f0d2f6924f80fabada6dd6d0ec4be77cff30f58",
+    # re-pinned when its residuals took math.exp of closed-form columns
     "acceptance-07/qfixed.csv":
-        "a78f05931e266179a434b6b37b4a31079ec887ad2912f337dbb4d72ab3768bb8",
+        "2fc653a196c23c0c9e6716c0d9585188a01fe7199ed318fccf5e00aab17d5d22",
     "acceptance-07/summary.json":
         "8e6b868b463efe925818dfa70524bdf28d553439c1b0bb630ddeb0642b9dc786",
     "acceptance-08/distributions.csv":
@@ -105,3 +122,51 @@ def test_preset_artifacts_match_the_pinned_hashes(preset_run):
     assert sorted(got) == sorted(PINNED)
     moved = sorted(key for key in PINNED if got[key] != PINNED[key])
     assert not moved, f"artifact bytes changed: {moved}"
+
+
+# the presets whose artifacts pass through float kernels
+FLOAT_PRESETS = ("acceptance-04", "acceptance-05", "acceptance-06", "acceptance-07",
+                 "acceptance-08", "acceptance-09", "acceptance-10", "curve-frames-demo")
+
+
+def _dispatch_settings():
+    """Each environment setting, by name, with None for one that would
+    disable nothing on this CPU."""
+    # the tables numpy.show_runtime reports as found and dispatched
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = {name for name, on in __cpu_features__.items() if on}
+    wide = [f for f in ("AVX512_SPR", "AVX512_ICL", "X86_V4") if f in found & set(__cpu_dispatch__)]
+    return {
+        "numpy-avx2": {"NPY_DISABLE_CPU_FEATURES": ",".join(wide)} if wide else None,
+        "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"} if {"AVX2", "FMA3"} <= found else None,
+        # every OpenBLAS kernel past Prescott's SSE3 wants SSSE3
+        "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"} if "SSSE3" in found else None,
+        "glibc-no-avx2": ({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"}
+                          if found & {"AVX2", "FMA3", "AVX512F"} else None),
+    }
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the settings name x86-64 features")
+@pytest.mark.parametrize("setting", ["numpy-avx2", "openblas-haswell", "openblas-prescott",
+                                     "glibc-no-avx2"])
+def test_artifacts_do_not_follow_cpu_dispatch(setting, preset_run, tmp_path):
+    env_setting = _dispatch_settings()[setting]
+    if env_setting is None:
+        pytest.skip(f"{setting} disables nothing on this CPU")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **env_setting,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = ("import sys; from pathlib import Path; "
+              "from horolab.harness import resolve_config, run\n"
+              "for name in sys.argv[2:]: run(resolve_config(name), Path(sys.argv[1]) / name)")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), *FLOAT_PRESETS],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    moved = []
+    for name in FLOAT_PRESETS:
+        outcome, _ = preset_run(name)
+        for path in sorted(outcome.artifact_dir.iterdir()):
+            if (tmp_path / name / path.name).read_bytes() != path.read_bytes():
+                moved.append(f"{name}/{path.name}")
+    assert not moved, f"artifact bytes moved under {env_setting}: {moved}"

@@ -1,5 +1,6 @@
 """Flow schedules, expansion floors, and the fixed-limit construction."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horolab import flowlab as fl
-from horolab.weightlab import basis_vector, build_module, vector
+from horolab.weightlab import basis_vector, build_module, h_block, vector, w_limit
 from weight_helpers import weight_levels
 
 
@@ -22,7 +23,7 @@ from weight_helpers import weight_levels
 def test_equal_preset_sums_and_sorts():
     sched = fl.FlowSchedule.preset("equal", n=3)
     for t in (0.5, 2.0, 7.5):
-        r = sched.r(t)
+        r = -sched.exponents(t)[1:]
         assert abs(float(r.sum()) - 3 * t) <= 1e-12 * max(1.0, 3 * t)
         assert all(a >= b for a, b in zip(r, r[1:]))
 
@@ -30,7 +31,7 @@ def test_equal_preset_sums_and_sorts():
 def test_linear_preset_parses_fractions():
     sched = fl.FlowSchedule.preset("linear:3/2,1/2", n=2)
     assert sched.slopes == (Q(3, 2), Q(1, 2))
-    r = sched.r(4.0)
+    r = -sched.exponents(4.0)[1:]
     assert abs(r[0] - 6.0) < 1e-12 and abs(r[1] - 2.0) < 1e-12
 
 
@@ -42,10 +43,9 @@ def test_schedule_validation():
 
 
 def test_a_matrix_has_unit_determinant():
-    sched = fl.FlowSchedule.preset("linear:2,0", n=2)
-    for t in (1.0, 3.0):
-        a = sched.a_matrix(t)
-        assert abs(np.linalg.det(a) - 1.0) < 1e-9
+    # log det a_t = t * sum(log_diagonal), and that sum is exactly 0
+    for name, n in (("linear:2,0", 2), ("linear:3/2,1/2", 2), ("equal", 3)):
+        assert sum(fl.FlowSchedule.preset(name, n=n).log_diagonal) == 0
 
 
 @pytest.mark.parametrize(
@@ -170,7 +170,7 @@ def test_expansion_floor_and_growth():
     sched = fl.FlowSchedule.preset("equal", n=2)
     d2 = fl.assemble_expansion_bound(module, frame)
     assert d2 > 0
-    v = vector(module, [Q(1, 3), Q(-1), Q(1, 2)])
+    v = vector(module, [Q(1, 3), Q(-1), Q(1, 2)]).to_floats()
     values = []
     for t in (2.0, 6.0, 10.0):
         (value,) = fl.expansion_supremum(module, [v], sched, frame, t)
@@ -186,13 +186,23 @@ def test_stacked_suprema_match_one_vector_calls():
     rng = np.random.default_rng(3)
     stack = [rng.normal(size=module.dim) for _ in range(5)]
     stack.append(np.zeros(module.dim))
-    stack.append(basis_vector(module, 1))
+    stack.append(basis_vector(module, 1).to_floats())
     for t in (5.0, 20.0):
         stacked = fl.expansion_supremum(module, stack, sched, frame, t)
         single = [fl.expansion_supremum(module, [v], sched, frame, t)[0]
                   for v in stack]
         assert stacked.tobytes() == np.array(single).tobytes()
         assert stacked[5] == 0.0 and (np.delete(stacked, 5) > 0).all()
+
+
+def test_log_slope_is_the_exact_least_squares_slope():
+    ts = [5, 10, 15, 20]
+    values = np.exp(np.random.default_rng(7).normal(size=4) + 0.7 * np.array(ts)).tolist()
+    slope = fl.log_slope(ts, values)
+    assert abs(slope - np.polyfit(ts, np.log(values), 1)[0]) <= 1e-12
+    # exact sums do not depend on the order of the points
+    assert fl.log_slope(ts[::-1], values[::-1]) == slope
+    assert fl.log_slope([0, 1], [1.0, math.e]) == math.log(math.e)
 
 
 def test_growth_witness_needs_a_non_uniform_schedule():
@@ -222,6 +232,32 @@ def test_qfixed_closed_form_at_eta_two():
     limit = np.asarray(res.limit, dtype=float)
     assert abs(limit[0] - 4.0) < 1e-9
     assert np.abs(limit[1:]).max() < 1e-9
+
+
+@pytest.mark.parametrize("n, name", [
+    (1, "equal"), (2, "equal"), (2, "linear:2,0"), (2, "linear:3/2,1/2"), (3, "equal"),
+    (3, "linear:3,0,0"), (3, "linear:3/2,3/2,0"), (3, "linear:2,1/2,1/2"),
+])
+def test_qfixed_columns_match_the_matrix_products(n, name):
+    # the oracle builds a_t, u(x), exp((log eta) H) and w as float matrices
+    # and reads column n of their products
+    frame = fl.moment_frame(n)
+    sched = fl.FlowSchedule.preset(name, n=n)
+    n0 = sched.classification.n0
+    e_n = np.eye(n + 1)[n]
+    h = np.array([float(c) for c in h_block(n, n0)])
+    w = np.array([[float(c) for c in row] for row in w_limit(n, n0, frame.kappa[-1])])
+    for t in (0.5, 3.0, 8.0, 20.0):
+        for eta in (1.0, 1.5, 2.0):
+            u = np.eye(n + 1)
+            u[0, 1:] = frame.r_poly(math.exp(-t) * eta)
+            flowed = np.diag(np.exp(sched.exponents(t))) @ u @ e_n
+            limit = np.diag(np.exp(math.log(eta) * h)) @ w @ e_n
+            tol = 4 * np.spacing(max(np.abs(flowed).max(), np.abs(limit).max()))
+            res = fl.qfixed_limit(frame, sched, eta=eta, t=t)
+            assert res.n0 == n0
+            assert np.abs(res.limit - limit).max() <= tol
+            assert abs(res.residual - np.abs(flowed - limit).max()) <= tol
 
 
 def test_growth_witness_consistency():

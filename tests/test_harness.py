@@ -1001,6 +1001,31 @@ def test_cli_report_refuses_a_malformed_artifact(tmp_path, capsys, manifest, sum
     assert "report error: malformed" in capsys.readouterr().err
 
 
+_FAILURES = {"failures": [{"check": "acceptance-09", "instances": [{"t": 1}]}]}
+_MIXED_PASS = {"acceptance-09": {"pass": True, "detail": "ok"}, "x": {"pass": "no", "detail": "?"}}
+
+
+@pytest.mark.parametrize("summary, failures", [
+    ({**_SUMMARY, "checks": _MIXED_PASS}, _FAILURES),
+    ({**_SUMMARY, "checks": {"acceptance-09": {"detail": "ok"}}}, _FAILURES),
+    (_SUMMARY, []),
+    (_SUMMARY, {"failures": {}}),
+    (_SUMMARY, {"failures": [1]}),
+    (_SUMMARY, {"failures": [{"check": "acceptance-09", "instances": 3}]}),
+], ids=["pass-string", "pass-missing", "failures-array", "failures-object", "failure-number",
+        "instances-number"])
+def test_cli_report_refuses_malformed_checks_or_failures(tmp_path, capsys, summary, failures):
+    (tmp_path / "manifest.json").write_text(json.dumps(_MANIFEST))
+    for name, payload in [("summary.json", _SUMMARY), ("failures.json", _FAILURES)]:
+        (tmp_path / name).write_text(json.dumps(payload))
+    assert cli.main(["report", str(tmp_path)]) == 0  # well-formed, as run writes them
+    assert "failing instances serialized: 1" in capsys.readouterr().out
+    for name, payload in [("summary.json", summary), ("failures.json", failures)]:
+        (tmp_path / name).write_text(json.dumps(payload))
+    assert cli.main(["report", str(tmp_path)]) == 2
+    assert "report error: malformed" in capsys.readouterr().err
+
+
 def test_cli_propagates_check_failure(tmp_path):
     cfg_path = tmp_path / "corrupt.json"
     cfg_path.write_text(json.dumps(
